@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=["dbm", "obm"], required=True)
     p.add_argument("--master", action="store_true", help="export only the master submodel")
     p.add_argument("--eps", type=_fraction_arg, default=None,
-                   help="strictness constant (default: the weight resolution)")
+                   help="strictness constant (default: gcd of w_min and the resolution)")
     p.add_argument("--big-m", type=_fraction_arg, default=None,
                    help="big-M constant (default: (|N|-1)*w_max + eps)")
     p.add_argument("-o", "--output", help="LP file to write (default: stdout)")
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except (spf.InvalidWeightsError, models.ModelParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except lp.GridSearchLimitError as exc:
+    except (lp.GridSearchLimitError, lp.SimplexResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMITS
     except OSError as exc:

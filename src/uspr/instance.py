@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import format_number, on_grid, parse_number
+from .rational import json_number, on_grid, parse_number
 
 
 class InstanceParseError(ValueError):
@@ -324,11 +324,6 @@ def generate_random_instance(
     return instance
 
 
-def _json_number(x: Fraction) -> str:
-    s = format_number(x)
-    return json.dumps(s) if "/" in s else s
-
-
 def save_instance(instance: Instance) -> str:
     """Serialize to the canonical JSON text (deterministic bytes)."""
     out = ["{\n"]
@@ -338,7 +333,7 @@ def save_instance(instance: Instance) -> str:
     out.append('  "links": [\n')
     rows = [
         f'    {{"tail": {json.dumps(l.tail)}, "head": {json.dumps(l.head)}, '
-        f'"capacity": {_json_number(l.capacity)}}}'
+        f'"capacity": {json_number(l.capacity)}}}'
         for l in instance.links
     ]
     out.append(",\n".join(rows))
@@ -347,14 +342,14 @@ def save_instance(instance: Instance) -> str:
     rows = [
         f'    {{"origin": {json.dumps(d.origin)}, '
         f'"destination": {json.dumps(d.destination)}, '
-        f'"bandwidth": {_json_number(d.bandwidth)}}}'
+        f'"bandwidth": {json_number(d.bandwidth)}}}'
         for d in instance.demands
     ]
     out.append(",\n".join(rows))
     out.append("\n  ],\n")
-    out.append(f'  "w_min": {_json_number(instance.w_min)},\n')
-    out.append(f'  "w_max": {_json_number(instance.w_max)},\n')
-    out.append(f'  "weight_resolution": {_json_number(instance.weight_resolution)}\n')
+    out.append(f'  "w_min": {json_number(instance.w_min)},\n')
+    out.append(f'  "w_max": {json_number(instance.w_max)},\n')
+    out.append(f'  "weight_resolution": {json_number(instance.weight_resolution)}\n')
     out.append("}\n")
     return "".join(out)
 

@@ -16,8 +16,12 @@ Weight recovery runs a three-stage policy:
  1. solve the feasibility system and snap the weights to the grid;
  2. if snapping breaks strictness, re-solve maximizing the smallest strict
     slack (the margin) and snap again;
- 3. if that still fails, enumerate the weight grid for this forest (bounded
-    by a combination limit), which settles grid realizability exactly.
+ 3. if that still fails, filter the oracle's weight-grid enumeration
+    (`spf.unique_grid_routings`, bounded by a combination limit) to this
+    forest, which settles grid realizability exactly.
+
+`maximize_margin` runs the same stages with the margin LP first.  Both take
+their eps/big_M defaults from `models.resolve_params`.
 
 A reported infeasibility therefore means the forest is not realizable as a
 unique-shortest-path system at the requested strictness; `grid_infeasible`
@@ -27,15 +31,14 @@ distinctly from `lp_infeasible`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import Instance
-from .models import Constraint, LinearModel, Variable
-from .rational import format_number, frac_gcd, grid_points, parse_number, snap_to_grid
+from .models import Constraint, Variable, resolve_params
+from .rational import grid_points, snap_to_grid
 from . import spf
-from .spf import RoutingForest, WeightVector
+from .spf import GridSearchLimitError, RoutingForest, WeightVector  # noqa: F401 (re-export)
 
 
 class UnboundedObjectiveError(ValueError):
@@ -44,10 +47,6 @@ class UnboundedObjectiveError(ValueError):
 
 class SimplexResourceError(RuntimeError):
     """Pivot count or rational bit-size exceeded the configured budget."""
-
-
-class GridSearchLimitError(RuntimeError):
-    """Exhaustive grid verification would exceed the combination limit."""
 
 
 @dataclass(frozen=True)
@@ -113,14 +112,6 @@ def system_violations(system: LinearSystem) -> list[str]:
         if var not in seen:
             out.append(f"objective: references undeclared {var!r}")
     return out
-
-
-def system_to_model(system: LinearSystem, label: str = "SUBPROBLEM") -> LinearModel:
-    """View a system as a LinearModel so it can be dumped with export_lp."""
-    return LinearModel(
-        label, Fraction(0), Fraction(0), system.variables, system.rows,
-        system.objective,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +407,23 @@ def solve_feasibility(system: LinearSystem, with_hint: bool = True) -> Feasible 
 _MARGIN_VAR = "t_margin"
 
 
-def default_recovery_eps(instance: Instance) -> Fraction:
-    """The smallest positive gap two grid path lengths can have.
-
-    Path lengths live on the lattice generated by w_min and the resolution,
-    so their differences are multiples of gcd(w_min, resolution).  Using this
-    as the strictness constant keeps every grid-realizable forest feasible in
-    the continuous system.
-    """
-    return frac_gcd(instance.w_min, instance.weight_resolution)
-
-
 def path_length_system(
     instance: Instance,
     forest: RoutingForest,
     eps: Fraction,
     big_M: Fraction,
-    include_vacuous_rows: bool = True,
     margin_variable: bool = False,
 ) -> tuple[LinearSystem, dict[str, tuple[str, str, tuple[str, str]]]]:
     """Instantiate the path-length constraints for fixed routing binaries.
 
     Returns the system plus row metadata name -> (kind, origin, link).  With
     `margin_variable` the strict rows get a shared slack variable t in
-    [eps, big_M] and the objective becomes max t.  `include_vacuous_rows`
-    keeps the lower-bound rows of unused links (they are implied at any
-    feasible point, so dropping them changes no feasibility answer but
-    shrinks the solve).
+    [eps, big_M] and the objective becomes max t.
+
+    The lower-bound rows of unused links are omitted: for any weights that
+    satisfy the remaining rows, the exact shortest distances satisfy them
+    too, since d_i + w_ij - d_j <= (|N|-1)*w_max < big_M.  So dropping them
+    changes no feasibility answer.
     """
     variables: list[Variable] = []
     wname: dict[tuple[str, str], str] = {}
@@ -485,7 +466,7 @@ def path_length_system(
             name = f"pl_ub_{s}_{i}_{j}"
             rows.append(Constraint(name, tuple(terms), "<=", rhs))
             meta[name] = ("ub", s, (i, j))
-            if y == 0 and not include_vacuous_rows:
+            if y == 0:
                 continue
             terms = [
                 (wname[(i, j)], Fraction(-1)),
@@ -493,7 +474,7 @@ def path_length_system(
                 (lname[(s, j)], Fraction(1)),
             ]
             name = f"pl_lb_{s}_{i}_{j}"
-            rows.append(Constraint(name, tuple(terms), ">=", -big_M * (1 - y)))
+            rows.append(Constraint(name, tuple(terms), ">=", Fraction(0)))
             meta[name] = ("lb", s, (i, j))
 
     objective = ((_MARGIN_VAR, Fraction(1)),) if margin_variable else ()
@@ -566,34 +547,69 @@ def _matches_forest(instance: Instance, weights: WeightVector, forest: RoutingFo
     return routed == forest
 
 
-def _grid_search(
+def _grid_witness(
     instance: Instance, forest: RoutingForest, limit: int
 ) -> WeightVector | None:
+    """The first grid vector, in enumeration order, that realizes the forest."""
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
-    total = len(points) ** len(instance.links)
-    if total > limit:
-        raise GridSearchLimitError(
-            f"{total} grid combinations exceed the limit {limit}"
-        )
+    index = instance.node_index()
+    target = [
+        [index[node] for node in forest.paths.get((d.origin, d.destination), ())]
+        for d in instance.demands
+    ]
     pairs = instance.link_pairs()
-    for combo in itertools.product(points, repeat=len(pairs)):
-        candidate = WeightVector(dict(zip(pairs, combo)))
+    for combo, paths in spf.unique_grid_routings(instance, limit):
+        if paths != target:
+            continue
+        candidate = WeightVector({pair: points[i] for pair, i in zip(pairs, combo)})
         if _matches_forest(instance, candidate, forest):
             return candidate
     return None
 
 
-def _resolve_recovery_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
-    eps = default_recovery_eps(instance) if eps is None else parse_number(eps, "eps")
-    if not 0 < eps <= instance.weight_resolution:
-        raise ValueError(
-            f"eps must satisfy 0 < eps <= weight_resolution, got {format_number(eps)}"
+def _recover(
+    instance: Instance,
+    forest: RoutingForest,
+    eps,
+    big_M,
+    stages: tuple[str, ...],
+    compute_hint: bool = False,
+    grid_search_limit: int = 200_000,
+) -> WeightRecovery:
+    """Run the LP stages in the given order, then the exhaustive stage.
+
+    Each LP stage solves the plain ("direct") or the margin ("margin")
+    system and snaps its weights to the grid.  Either system is feasible
+    exactly when the other is (the margin t ranges over [eps, big_M]), so
+    the first LP settles infeasibility.
+    """
+    eps, big_M = resolve_params(instance, eps, big_M)
+    lp_margin = None
+    for stage in stages:
+        system, meta = path_length_system(
+            instance, forest, eps, big_M, margin_variable=stage == "margin"
         )
-    floor = (len(instance.nodes) - 1) * instance.w_max + eps
-    big_M = floor if big_M is None else parse_number(big_M, "big_M")
-    if big_M < floor:
-        raise ValueError(f"big_M must be at least {format_number(floor)}")
-    return eps, big_M
+        result = solve_feasibility(system, with_hint=compute_hint)
+        if not result.feasible:
+            return WeightRecovery(
+                status="lp_infeasible",
+                removal_hint=result.removal_hint,
+                conflict_core=result.conflict_core,
+                bindings=row_bindings(instance, forest, meta, result.conflict_core),
+            )
+        if stage == "margin":
+            lp_margin = result.objective_value
+        snapped = _snap_vector(instance, result.assignment)
+        if _matches_forest(instance, snapped, forest):
+            return WeightRecovery(
+                status="ok", weights=snapped, stage=stage, lp_margin=lp_margin
+            )
+    witness = _grid_witness(instance, forest, grid_search_limit)
+    if witness is None:
+        return WeightRecovery(status="grid_infeasible", lp_margin=lp_margin)
+    return WeightRecovery(
+        status="ok", weights=witness, stage="exhaustive", lp_margin=lp_margin
+    )
 
 
 def recover_weights(
@@ -602,7 +618,6 @@ def recover_weights(
     eps=None,
     big_M=None,
     *,
-    include_vacuous_rows: bool = True,
     compute_hint: bool = False,
     grid_search_limit: int = 200_000,
 ) -> WeightRecovery:
@@ -611,40 +626,10 @@ def recover_weights(
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.
     """
-    eps, big_M = _resolve_recovery_params(instance, eps, big_M)
-    system, meta = path_length_system(
-        instance, forest, eps, big_M, include_vacuous_rows=include_vacuous_rows
+    return _recover(
+        instance, forest, eps, big_M, ("direct", "margin"), compute_hint,
+        grid_search_limit,
     )
-    result = solve_feasibility(system, with_hint=compute_hint)
-    if not result.feasible:
-        bindings = row_bindings(instance, forest, meta, result.conflict_core)
-        return WeightRecovery(
-            status="lp_infeasible",
-            removal_hint=result.removal_hint,
-            conflict_core=result.conflict_core,
-            bindings=bindings,
-        )
-    snapped = _snap_vector(instance, result.assignment)
-    if _matches_forest(instance, snapped, forest):
-        return WeightRecovery(status="ok", weights=snapped, stage="direct")
-
-    margin_system, _ = path_length_system(
-        instance, forest, eps, big_M,
-        include_vacuous_rows=include_vacuous_rows, margin_variable=True,
-    )
-    margin_result = solve_feasibility(margin_system, with_hint=False)
-    if margin_result.feasible:
-        snapped = _snap_vector(instance, margin_result.assignment)
-        if _matches_forest(instance, snapped, forest):
-            return WeightRecovery(
-                status="ok", weights=snapped, stage="margin",
-                lp_margin=margin_result.objective_value,
-            )
-
-    witness = _grid_search(instance, forest, grid_search_limit)
-    if witness is not None:
-        return WeightRecovery(status="ok", weights=witness, stage="exhaustive")
-    return WeightRecovery(status="grid_infeasible")
 
 
 def strictness_margin(
@@ -678,33 +663,8 @@ def strictness_margin(
 def maximize_margin(instance: Instance, forest: RoutingForest, eps=None, big_M=None) -> WeightRecovery:
     """Recover weights maximizing the smallest strict slack before snapping.
 
-    When the plain recovery is feasible the margin LP is feasible too and its
-    optimum is at least eps.  Infeasibility is propagated unchanged.
+    The margin LP runs first; its optimum is at least eps whenever the forest
+    is LP-feasible.  If its snapped weights miss the forest, the direct and
+    exhaustive stages of recover_weights follow.
     """
-    eps, big_M = _resolve_recovery_params(instance, eps, big_M)
-    system, meta = path_length_system(
-        instance, forest, eps, big_M, margin_variable=True
-    )
-    result = solve_feasibility(system, with_hint=False)
-    if not result.feasible:
-        plain, plain_meta = path_length_system(instance, forest, eps, big_M)
-        plain_result = solve_feasibility(plain)
-        hint = plain_result.removal_hint if not plain_result.feasible else ()
-        core = plain_result.conflict_core if not plain_result.feasible else ()
-        return WeightRecovery(
-            status="lp_infeasible", removal_hint=hint, conflict_core=core,
-            bindings=row_bindings(instance, forest, plain_meta, core),
-        )
-    snapped = _snap_vector(instance, result.assignment)
-    if _matches_forest(instance, snapped, forest):
-        return WeightRecovery(
-            status="ok", weights=snapped, stage="margin",
-            lp_margin=result.objective_value,
-        )
-    fallback = recover_weights(instance, forest, eps, big_M)
-    if fallback.ok:
-        return WeightRecovery(
-            status="ok", weights=fallback.weights, stage=fallback.stage,
-            lp_margin=result.objective_value,
-        )
-    return fallback
+    return _recover(instance, forest, eps, big_M, ("margin", "direct"))

@@ -21,10 +21,12 @@ Constraint names carry a family tag: `fc_*` flow conservation, `cap_*`
 capacity, `fb_*` flow bound, `uniq_*` uniqueness, `pl_ub_*`/`pl_lb_*` the
 path-length pair, `lift_*`/`spo_*` the optional sub-path lifting.
 
-Defaults: eps = weight_resolution (the smallest strict gap the grid can
-express) and big_M = (|N| - 1) * w_max + eps (the longest simple path plus
-that gap); with these the linearized pair is exactly equivalent to the
-three-case logic form, which `linearization_check` verifies case by case.
+Defaults: eps = gcd(w_min, weight_resolution) (the smallest positive gap two
+grid path lengths can have) and big_M = (|N| - 1) * w_max + eps (the longest
+simple path plus that gap); with these the linearized pair is exactly
+equivalent to the three-case logic form, which `linearization_check` verifies
+case by case.  `resolve_params` is the one place these defaults and their
+validity bounds are applied, for the models and for weight recovery alike.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import Instance, InstanceDims
-from .rational import format_number, parse_number
+from .rational import format_number, frac_gcd, parse_number
 
 
 class ModelParameterError(ValueError):
@@ -98,14 +100,21 @@ def model_violations(model: LinearModel) -> list[str]:
 
 
 def default_eps(instance: Instance) -> Fraction:
-    return instance.weight_resolution
+    """The smallest positive gap two grid path lengths can have.
+
+    Path lengths live on the lattice generated by w_min and the resolution,
+    so their differences are multiples of gcd(w_min, resolution).  A larger
+    eps would cut off grid-realizable routings.
+    """
+    return frac_gcd(instance.w_min, instance.weight_resolution)
 
 
 def default_big_m(instance: Instance, eps: Fraction) -> Fraction:
     return (len(instance.nodes) - 1) * instance.w_max + eps
 
 
-def _resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
+def resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
+    """Apply the eps/big_M defaults and check the validity bounds."""
     eps = default_eps(instance) if eps is None else parse_number(eps, "eps")
     big_M = default_big_m(instance, eps) if big_M is None else parse_number(big_M, "big_M")
     if not 0 < eps <= instance.weight_resolution:
@@ -149,7 +158,7 @@ def build_dbm(instance: Instance, eps=None, big_M=None, subpath_lift: bool = Fal
     binaries y_s_i_j with y >= x and per-node in-degree rows); it is redundant
     for the complete model and excluded from the size formulas.
     """
-    eps, big_M = _resolve_params(instance, eps, big_M)
+    eps, big_M = resolve_params(instance, eps, big_M)
     b = _ModelBuilder()
     origins = instance.origins()
     in_links = instance.in_links()
@@ -256,7 +265,7 @@ def build_dbm(instance: Instance, eps=None, big_M=None, subpath_lift: bool = Fal
 
 def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
     """Origin-based formulation (one tree per origin)."""
-    eps, big_M = _resolve_params(instance, eps, big_M)
+    eps, big_M = resolve_params(instance, eps, big_M)
     b = _ModelBuilder()
     origins = instance.origins()
     in_links = instance.in_links()

@@ -7,6 +7,7 @@ strict inequalities are decided exactly instead of at a float tolerance.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -60,6 +61,12 @@ def format_number(x: Fraction) -> str:
     tail = tail.rstrip("0")
     sign = "-" if x < 0 else ""
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+
+
+def json_number(x: Fraction) -> str:
+    """A number as JSON text: a bare decimal, or a quoted 'p/q' string."""
+    s = format_number(x)
+    return json.dumps(s) if "/" in s else s
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:

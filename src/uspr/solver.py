@@ -29,9 +29,8 @@ from typing import Iterator, Sequence
 
 from . import lp, spf
 from .instance import Instance
-from .lp import GridSearchLimitError
-from .rational import format_number, grid_points
-from .spf import RoutingForest, WeightVector
+from .rational import grid_points, json_number
+from .spf import GridSearchLimitError, RoutingForest, WeightVector
 
 
 class ConservationError(ValueError):
@@ -565,35 +564,41 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
     lp_solves = 0
     grid_fallbacks = 0
 
-    def diagnostics() -> Diagnostics:
+    def diagnostics(**extra) -> Diagnostics:
         return Diagnostics(
             iterations=iterations,
             cuts_added=len(cuts),
             nodes_explored=stats.get("combinations", 0),
             wall_time=time.perf_counter() - started,
-            details={"lp_solves": lp_solves, "grid_fallbacks": grid_fallbacks},
+            details={"lp_solves": lp_solves, "grid_fallbacks": grid_fallbacks, **extra},
         )
+
+    def exhausted(reason: str) -> Solution:
+        return Solution("BoundsExhausted", None, None, None, diagnostics(reason=reason))
 
     while True:
         if config.time_limit is not None and time.perf_counter() - started >= config.time_limit:
-            return Solution("BoundsExhausted", None, None, None, diagnostics())
+            return exhausted("time_limit")
         if config.node_limit is not None and iterations >= config.node_limit:
-            return Solution("BoundsExhausted", None, None, None, diagnostics())
+            return exhausted("node_limit")
         try:
             candidate = next(stream)
         except StopIteration:
             return Solution("Infeasible", None, None, None, diagnostics())
         iterations += 1
         lp_solves += 1
-        recovery = lp.recover_weights(
-            instance,
-            candidate,
-            config.eps,
-            config.big_M,
-            include_vacuous_rows=False,
-            compute_hint=config.strengthen_cuts,
-            grid_search_limit=config.grid_limit,
-        )
+        try:
+            recovery = lp.recover_weights(
+                instance,
+                candidate,
+                config.eps,
+                config.big_M,
+                compute_hint=config.strengthen_cuts,
+                grid_search_limit=config.grid_limit,
+            )
+        except GridSearchLimitError:
+            grid_fallbacks += 1
+            return exhausted("grid_limit")
         if recovery.ok:
             if recovery.stage == "exhaustive":
                 grid_fallbacks += 1
@@ -613,64 +618,31 @@ def brute_force_solve(instance: Instance, grid_limit: int = 200_000) -> Solution
     started = time.perf_counter()
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     pairs = instance.link_pairs()
-    total = len(points) ** len(pairs) if pairs else 1
-    if total > grid_limit:
-        raise GridSearchLimitError(
-            f"{total} weight combinations exceed grid_limit {grid_limit}"
-        )
-
-    cg = spf.CompiledGraph(instance)
-    wscale = 1
-    for p in points:
-        wscale = wscale * p.denominator // math.gcd(wscale, p.denominator)
-    point_units = [int(p * wscale) for p in points]
+    index = instance.node_index()
+    edge_of = {(index[t], index[h]): e for e, (t, h) in enumerate(pairs)}
     dscale = 1
     for d in instance.demands:
         dscale = dscale * d.bandwidth.denominator // math.gcd(dscale, d.bandwidth.denominator)
     demand_units = [int(d.bandwidth * dscale) for d in instance.demands]
     cap_scaled = [l.capacity * dscale for l in instance.links]
-    groups = []
-    for origin in instance.origins():
-        src = cg.index[origin]
-        members = [
-            (cg.index[d.destination], demand_units[k])
-            for k, d in enumerate(instance.demands)
-            if d.origin == origin
-        ]
-        groups.append((src, members))
 
-    edge_of = {(t, h): e for e, (t, h) in enumerate(zip(cg.tails, cg.heads))}
     best_units: int | None = None
     best_combo: tuple[int, ...] | None = None
-    evaluated = 0
     n_links = len(pairs)
-    for combo in itertools.product(range(len(points)), repeat=n_links):
-        evaluated += 1
-        wunits = [point_units[i] for i in combo]
+    for combo, paths in spf.unique_grid_routings(instance, grid_limit):
         loads = [0] * n_links
         objective_units = 0
-        ok = True
-        for src, members in groups:
-            dist = spf.dijkstra_units(cg, wunits, src)
-            counts = spf.count_paths_capped(cg, wunits, dist)
-            for dest, units in members:
-                if dist[dest] is None or counts[dest] != 1:
-                    ok = False
-                    break
-                node_path = spf.walk_back_unique(cg, wunits, dist, src, dest)
-                objective_units += units * (len(node_path) - 1)
-                for a, b in zip(node_path, node_path[1:]):
-                    loads[edge_of[(a, b)]] += units
-            if not ok:
-                break
-        if not ok:
-            continue
+        for units, node_path in zip(demand_units, paths):
+            objective_units += units * (len(node_path) - 1)
+            for a, b in zip(node_path, node_path[1:]):
+                loads[edge_of[(a, b)]] += units
         if any(loads[e] > cap_scaled[e] for e in range(n_links)):
             continue
         if best_units is None or objective_units < best_units:
             best_units = objective_units
             best_combo = combo
 
+    evaluated = len(points) ** n_links
     diagnostics = Diagnostics(
         iterations=evaluated,
         cuts_added=0,
@@ -691,27 +663,22 @@ def brute_force_solve(instance: Instance, grid_limit: int = 200_000) -> Solution
 # Solution export.
 
 
-def _num_json(x: Fraction) -> str:
-    s = format_number(x)
-    return json.dumps(s) if "/" in s else s
-
-
 def solution_to_json(instance: Instance, solution: Solution) -> str:
     out = ["{\n"]
     out.append(f'  "status": {json.dumps(solution.status)},\n')
     if solution.objective is not None:
-        out.append(f'  "objective": {_num_json(solution.objective)},\n')
+        out.append(f'  "objective": {json_number(solution.objective)},\n')
     else:
         out.append('  "objective": null,\n')
     if solution.forest is not None:
         util = spf.max_utilization(instance, solution.forest)
-        out.append(f'  "max_utilization": {_num_json(util)},\n')
+        out.append(f'  "max_utilization": {json_number(util)},\n')
     else:
         out.append('  "max_utilization": null,\n')
     if solution.weights is not None:
         rows = [
             f'    {{"tail": {json.dumps(t)}, "head": {json.dumps(h)}, '
-            f'"weight": {_num_json(w)}}}'
+            f'"weight": {json_number(w)}}}'
             for (t, h), w in sorted(solution.weights.values.items())
         ]
         out.append('  "weights": [\n' + ",\n".join(rows) + "\n  ],\n")
@@ -730,10 +697,15 @@ def solution_to_json(instance: Instance, solution: Solution) -> str:
     else:
         out.append('  "paths": null,\n')
     d = solution.diagnostics
+    details = ", ".join(
+        f"{json.dumps(k)}: {json.dumps(v) if isinstance(v, str) else json_number(v)}"
+        for k, v in d.details.items()
+    )
     out.append(
         '  "diagnostics": {'
         f'"iterations": {d.iterations}, "cuts_added": {d.cuts_added}, '
-        f'"nodes_explored": {d.nodes_explored}, "wall_time": {d.wall_time:.6f}'
+        f'"nodes_explored": {d.nodes_explored}, "wall_time": {d.wall_time:.6f}, '
+        f'"details": {{{details}}}'
         "}\n"
     )
     out.append("}\n")

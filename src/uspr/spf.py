@@ -15,13 +15,22 @@ against exhaustive path enumeration in the tests.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .instance import Demand, Instance
-from .rational import format_number, on_grid, parse_number, snap_to_grid
+from .rational import (
+    format_number,
+    grid_points,
+    json_number,
+    on_grid,
+    parse_number,
+    snap_to_grid,
+)
 
 
 class InvalidWeightsError(ValueError):
@@ -54,6 +63,10 @@ class NonUniqueRoutingError(ValueError):
 
 class ZeroCapacityError(ValueError):
     pass
+
+
+class GridSearchLimitError(RuntimeError):
+    """Exhaustive grid enumeration would exceed the combination limit."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ def _check_weights(instance: Instance, weights: WeightVector) -> None:
 
 # ---------------------------------------------------------------------------
 # Compiled integer-unit core.  Shared by the public operations and by the
-# brute-force solver, which calls it in a tight loop.
+# weight-grid enumeration, which calls it in a tight loop.
 
 
 class CompiledGraph:
@@ -197,6 +210,54 @@ def walk_back_unique(
         path.append(node)
     path.reverse()
     return path
+
+
+def unique_grid_routings(
+    instance: Instance, limit: int
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Every grid weight vector under which each demand has a unique shortest path.
+
+    Vectors run lexicographically over the fixed link order and are given as
+    index tuples into `grid_points(w_min, w_max, weight_resolution)`; each
+    comes with every demand's node-index path, in demand order.  Raises
+    GridSearchLimitError when the grid holds more than `limit` vectors.
+    """
+    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
+    n_links = len(instance.links)
+    total = len(points) ** n_links
+    if total > limit:
+        raise GridSearchLimitError(
+            f"{total} weight combinations exceed grid_limit {limit}"
+        )
+    cg = CompiledGraph(instance)
+    wscale = 1
+    for p in points:
+        wscale = wscale * p.denominator // math.gcd(wscale, p.denominator)
+    point_units = [int(p * wscale) for p in points]
+    groups = []
+    for origin in instance.origins():
+        members = [
+            (k, cg.index[d.destination])
+            for k, d in enumerate(instance.demands)
+            if d.origin == origin
+        ]
+        groups.append((cg.index[origin], members))
+    for combo in itertools.product(range(len(points)), repeat=n_links):
+        wunits = [point_units[i] for i in combo]
+        paths: list = [None] * len(instance.demands)
+        ok = True
+        for src, members in groups:
+            dist = dijkstra_units(cg, wunits, src)
+            counts = count_paths_capped(cg, wunits, dist)
+            for k, dest in members:
+                if dist[dest] is None or counts[dest] != 1:
+                    ok = False
+                    break
+                paths[k] = walk_back_unique(cg, wunits, dist, src, dest)
+            if not ok:
+                break
+        if ok:
+            yield combo, paths
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +512,10 @@ def save_weights(weights: WeightVector) -> str:
     items = sorted(weights.values.items())
     rows = [
         f'  {{"tail": {json.dumps(t)}, "head": {json.dumps(h)}, '
-        f'"weight": {_weight_json(w)}}}'
+        f'"weight": {json_number(w)}}}'
         for (t, h), w in items
     ]
     return "[\n" + ",\n".join(rows) + "\n]\n"
-
-
-def _weight_json(w: Fraction) -> str:
-    s = format_number(w)
-    return json.dumps(s) if "/" in s else s
 
 
 def load_weights(text: str) -> WeightVector:

@@ -210,3 +210,26 @@ def test_verify_incomplete_weights_is_usage_error(tmp_path, capsys):
     weights_path.write_text('[{"tail": "s", "head": "a", "weight": 1}]')
     assert main(["verify", inst, str(weights_path)]) == 1
     assert "missing weight" in capsys.readouterr().err
+
+
+def test_simplex_resource_error_exit_three(tmp_path, capsys, monkeypatch):
+    from uspr import lp
+
+    def out_of_budget(system, with_hint=True):
+        raise lp.SimplexResourceError("pivot budget 0 exceeded")
+
+    monkeypatch.setattr(lp, "solve_feasibility", out_of_budget)
+    inst = write_instance(tmp_path, diamond())
+    assert main(["solve", inst]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pivot budget" in err
+
+
+def test_export_default_eps_is_gcd_of_w_min_and_resolution(tmp_path, capsys):
+    inst = write_instance(
+        tmp_path,
+        mk_instance(["s", "a", "t"], [("s", "a", 10), ("a", "t", 10), ("s", "t", 1)],
+                    [("s", "t", 2)], w_min=2, w_max=5, step=3),
+    )
+    assert main(["export", inst, "--formulation", "dbm"]) == 0
+    assert "\\ eps: 1\n" in capsys.readouterr().out

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import diamond, small_random, triangle, two_node
-from uspr import lp, spf
+from uspr import lp, models, spf
 from uspr.lp import (
     GridSearchLimitError,
     LinearSystem,
@@ -245,7 +246,7 @@ def test_margin_at_least_eps_whenever_feasible():
             continue
         result = maximize_margin(inst, forest)
         assert result.ok
-        eps = lp.default_recovery_eps(inst)
+        eps = models.default_eps(inst)
         assert result.lp_margin is None or result.lp_margin >= eps
 
 
@@ -318,21 +319,30 @@ def test_simplex_agrees_with_fourier_motzkin():
     assert feasible_seen > 50 and infeasible_seen > 50
 
 
-def test_grid_search_fallback_both_ways():
+def test_grid_search_fallback_both_ways(monkeypatch):
+    # With both LP stages rejected, the exhaustive stage settles the forest:
+    # a witness when one exists, grid_infeasible when the oracle rejects all.
     inst = diamond(w_min=1, w_max=2)
     realizable = RoutingForest(
         flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
         paths={("s", "t"): ("s", "a", "t")},
     )
-    witness = lp._grid_search(inst, realizable, limit=10_000)
-    assert witness is not None
-    assert spf.routing_from_weights(inst, witness) == realizable
-    never = RoutingForest(  # two used incoming links: no weights realize it
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1),
-                     ("s", "b"): F(1), ("b", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    assert lp._grid_search(inst, never, limit=10_000) is None
+    real_matches = lp._matches_forest
+    calls = {"n": 0}
+
+    def reject_lp_stages(instance, weights, target):
+        calls["n"] += 1
+        return calls["n"] > 2 and real_matches(instance, weights, target)
+
+    monkeypatch.setattr(lp, "_matches_forest", reject_lp_stages)
+    result = recover_weights(inst, realizable, grid_search_limit=10_000)
+    assert result.ok and result.stage == "exhaustive"
+    assert spf.routing_from_weights(inst, result.weights) == realizable
+    assert result.lp_margin is not None and result.lp_margin >= 1
+
+    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
+    result = recover_weights(inst, realizable, grid_search_limit=10_000)
+    assert result.status == "grid_infeasible"
 
 
 def test_pivot_budget_resource_error():
@@ -345,14 +355,15 @@ def test_pivot_budget_resource_error():
         lp._Simplex(system, max_pivots=0).solve()
 
 
-def test_grid_search_limit_refusal():
+def test_grid_search_limit_refusal(monkeypatch):
     inst = diamond()
     forced = RoutingForest(
         flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
         paths={("s", "t"): ("s", "a", "t")},
     )
+    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
     with pytest.raises(GridSearchLimitError):
-        lp._grid_search(inst, forced, limit=3)
+        recover_weights(inst, forced, grid_search_limit=3)
 
 
 def test_recover_stage_progression(monkeypatch):
@@ -388,13 +399,35 @@ def test_recover_stage_progression(monkeypatch):
     assert spf.routing_from_weights(inst, result.weights) == forest
 
 
+def _with_vacuous_rows(instance, forest, system, big_M):
+    """The system plus the lower-bound rows path_length_system omits."""
+    extra = []
+    for s in instance.origins():
+        used = forest.used_links(s)
+        for link in instance.links:
+            i, j = link.tail, link.head
+            if (i, j) not in used:
+                extra.append(row(f"pl_lb_{s}_{i}_{j}", [(f"w_{i}_{j}", -1),
+                                 (f"l_{s}_{i}", -1), (f"l_{s}_{j}", 1)], ">=", -big_M))
+    return LinearSystem(system.variables, system.rows + tuple(extra))
+
+
 def test_vacuous_rows_do_not_change_answers():
+    # The omitted rows are implied: adding them back changes no feasibility
+    # answer, on realizable and unrealizable master candidates alike.
+    from uspr.solver import master_search
+
+    feasible_seen = infeasible_seen = 0
     for seed in range(15):
         inst = small_random(seed)
-        try:
-            forest = spf.routing_from_weights(inst, spf.hop_count_weights(inst))
-        except (spf.NonUniqueRoutingError, spf.UnreachableDemandError):
-            continue
-        full = recover_weights(inst, forest, include_vacuous_rows=True)
-        slim = recover_weights(inst, forest, include_vacuous_rows=False)
-        assert full.status == slim.status == "ok"
+        eps, big_M = models.resolve_params(inst, None, None)
+        for forest in itertools.islice(master_search(inst), 4):
+            system, _ = path_length_system(inst, forest, eps, big_M)
+            slim = solve_feasibility(system, with_hint=False).feasible
+            full = solve_feasibility(
+                _with_vacuous_rows(inst, forest, system, big_M), with_hint=False
+            ).feasible
+            assert slim == full
+            feasible_seen += slim
+            infeasible_seen += not slim
+    assert feasible_seen and infeasible_seen

@@ -1,0 +1,85 @@
+"""Differential test: the exported DBM/OBM, solved by HiGHS, against benders.
+
+scipy is an optional test dependency; the module skips when it is missing.
+"""
+
+import pytest
+
+from conftest import mk_instance, small_random
+from uspr.models import build_dbm, build_obm
+from uspr.solver import benders_solve
+
+np = pytest.importorskip("numpy")
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def solve_milp(model):
+    """Minimize the model with HiGHS; None when it is infeasible."""
+    index = {v.name: k for k, v in enumerate(model.variables)}
+    n = len(index)
+    cost = np.zeros(n)
+    for name, coef in model.objective:
+        cost[index[name]] += float(coef)
+    matrix = np.zeros((len(model.constraints), n))
+    lower = np.full(len(model.constraints), -np.inf)
+    upper = np.full(len(model.constraints), np.inf)
+    for r, c in enumerate(model.constraints):
+        for name, coef in c.terms:
+            matrix[r, index[name]] += float(coef)
+        if c.sense in ("<=", "="):
+            upper[r] = float(c.rhs)
+        if c.sense in (">=", "="):
+            lower[r] = float(c.rhs)
+    bounds = optimize.Bounds(
+        [-np.inf if v.lb is None else float(v.lb) for v in model.variables],
+        [np.inf if v.ub is None else float(v.ub) for v in model.variables],
+    )
+    integrality = [1 if v.kind == "binary" else 0 for v in model.variables]
+    constraints = [optimize.LinearConstraint(matrix, lower, upper)] if len(matrix) else []
+    result = optimize.milp(
+        cost, constraints=constraints, bounds=bounds, integrality=integrality,
+        options={"mip_rel_gap": 0},
+    )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def coarse_grid_triangle():
+    # Grid {2, 5}: the two-hop route needs 2 + 2 < 5, a gap of 1 that
+    # eps = resolution = 3 would forbid.
+    return mk_instance(
+        ["s", "a", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "t", 1)],
+        [("s", "t", 2)],
+        w_min=2, w_max=5, step=3,
+    )
+
+
+CASES = [small_random(seed, tight=seed % 5 == 0) for seed in range(40)]
+CASES.append(coarse_grid_triangle())
+
+
+@pytest.mark.parametrize("build", [build_dbm, build_obm], ids=["dbm", "obm"])
+def test_milp_formulations_agree_with_benders(build):
+    for inst in CASES:
+        reference = benders_solve(inst)
+        fallbacks = reference.diagnostics.details["grid_fallbacks"]
+        objective = solve_milp(build(inst))
+        assert (objective is None) == (
+            reference.status == "Infeasible" and fallbacks == 0
+        ), inst
+        if reference.status != "Optimal":
+            continue
+        if fallbacks == 0:
+            assert objective == pytest.approx(float(reference.objective), abs=1e-6)
+        else:
+            assert objective <= float(reference.objective) + 1e-6
+
+
+def test_coarse_grid_triangle_is_optimal_four():
+    inst = coarse_grid_triangle()
+    assert benders_solve(inst).objective == 4
+    assert solve_milp(build_dbm(inst)) == pytest.approx(4)
+    assert solve_milp(build_obm(inst)) == pytest.approx(4)

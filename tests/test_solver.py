@@ -14,7 +14,7 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import solver, spf
+from uspr import lp, solver, spf
 from uspr.solver import (
     ConservationError,
     DemandRouting,
@@ -423,3 +423,17 @@ def test_solution_json_round_trip_fields():
     assert len(raw["weights"]) == 4
     assert raw["paths"][0]["path"][0] == "s"
     assert raw["diagnostics"]["iterations"] == 1
+    assert raw["diagnostics"]["details"] == {"lp_solves": 1, "grid_fallbacks": 0}
+    oracle = brute_force_solve(inst)
+    raw = json.loads(solver.solution_to_json(inst, oracle))
+    assert raw["diagnostics"]["details"] == {"grid_points": 10}
+
+
+def test_grid_limit_in_recovery_ends_bounds_exhausted(monkeypatch):
+    # Both LP stages rejected: recovery reaches the grid stage, whose limit
+    # must end the solve with an answer instead of an escaping exception.
+    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
+    result = benders_solve(diamond(), SolverConfig(grid_limit=10))
+    assert result.status == "BoundsExhausted"
+    assert result.diagnostics.details["reason"] == "grid_limit"
+    assert result.weights is None and result.objective is None

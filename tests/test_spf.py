@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -258,3 +259,30 @@ def test_weight_validation_rejects_off_grid_and_missing():
         spf.shortest_path_lengths(
             inst, WeightVector({("a", "b"): Fraction(3, 2)}), "a"
         )
+
+
+def test_unique_grid_routings_matches_oracle_point_by_point():
+    # Every grid vector is yielded exactly when the public oracle routes all
+    # demands uniquely, with the same paths, in lexicographic order.
+    for inst in (diamond(w_min=1, w_max=3), small_random(7), small_random(10)):
+        points = [Fraction(p) for p in range(1, int(inst.w_max) + 1)]
+        pairs = inst.link_pairs()
+        expected = []
+        for combo in itertools.product(range(len(points)), repeat=len(pairs)):
+            weights = WeightVector({p: points[i] for p, i in zip(pairs, combo)})
+            try:
+                forest = spf.routing_from_weights(inst, weights)
+            except (NonUniqueRoutingError, spf.UnreachableDemandError):
+                continue
+            expected.append((combo, [list(forest.paths[(d.origin, d.destination)])
+                                     for d in inst.demands]))
+        got = [
+            (combo, [[inst.nodes[i] for i in path] for path in paths])
+            for combo, paths in spf.unique_grid_routings(inst, 10**6)
+        ]
+        assert got == expected
+
+
+def test_unique_grid_routings_limit_refusal():
+    with pytest.raises(spf.GridSearchLimitError, match="exceed grid_limit 3"):
+        next(spf.unique_grid_routings(diamond(), 3))
