@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="big-M constant (default: (|N|-1)*w_max + eps)")
     p.add_argument("--node-limit", type=int, default=None, help="master candidate limit")
     p.add_argument("--time-limit", type=float, default=None, help="wall-time limit in seconds")
-    p.add_argument("--grid-limit", type=int, default=200_000,
+    p.add_argument("--grid-limit", type=int, default=spf.GRID_LIMIT,
                    help="exhaustive-enumeration combination limit")
     p.add_argument("--strengthen-cuts", action="store_true",
                    help="derive no-good cuts from infeasibility hints")

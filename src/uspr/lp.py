@@ -573,8 +573,8 @@ def _recover(
     eps,
     big_M,
     stages: tuple[str, ...],
-    compute_hint: bool = False,
-    grid_search_limit: int = 200_000,
+    compute_hint: bool,
+    grid_search_limit: int,
 ) -> WeightRecovery:
     """Run the LP stages in the given order, then the exhaustive stage.
 
@@ -619,7 +619,7 @@ def recover_weights(
     big_M=None,
     *,
     compute_hint: bool = False,
-    grid_search_limit: int = 200_000,
+    grid_search_limit: int = spf.GRID_LIMIT,
 ) -> WeightRecovery:
     """Find grid weights whose unique shortest paths reproduce the forest.
 
@@ -667,4 +667,6 @@ def maximize_margin(instance: Instance, forest: RoutingForest, eps=None, big_M=N
     is LP-feasible.  If its snapped weights miss the forest, the direct and
     exhaustive stages of recover_weights follow.
     """
-    return _recover(instance, forest, eps, big_M, ("margin", "direct"))
+    return _recover(
+        instance, forest, eps, big_M, ("margin", "direct"), False, spf.GRID_LIMIT
+    )

@@ -85,7 +85,7 @@ class SolverConfig:
     big_M: Fraction | None = None
     node_limit: int | None = None
     time_limit: float | None = None
-    grid_limit: int = 200_000
+    grid_limit: int = spf.GRID_LIMIT
     strengthen_cuts: bool = False
 
 
@@ -611,7 +611,7 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
             cuts.append(exact_combination_cut(instance, candidate))
 
 
-def brute_force_solve(instance: Instance, grid_limit: int = 200_000) -> Solution:
+def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> Solution:
     """Exhaustive reference: evaluate the routing oracle on every admissible
     weight vector, lexicographically over the fixed link order, keeping the
     first vector attaining the minimum objective."""
@@ -620,9 +620,7 @@ def brute_force_solve(instance: Instance, grid_limit: int = 200_000) -> Solution
     pairs = instance.link_pairs()
     index = instance.node_index()
     edge_of = {(index[t], index[h]): e for e, (t, h) in enumerate(pairs)}
-    dscale = 1
-    for d in instance.demands:
-        dscale = dscale * d.bandwidth.denominator // math.gcd(dscale, d.bandwidth.denominator)
+    dscale = math.lcm(*(d.bandwidth.denominator for d in instance.demands))
     demand_units = [int(d.bandwidth * dscale) for d in instance.demands]
     cap_scaled = [l.capacity * dscale for l in instance.links]
 

@@ -24,12 +24,7 @@ from typing import Iterator
 
 from .instance import Demand, Instance
 from .rational import (
-    format_number,
-    grid_points,
-    json_number,
-    on_grid,
-    parse_number,
-    snap_to_grid,
+    format_number, grid_points, json_number, on_grid, parse_number, snap_to_grid,
 )
 
 
@@ -67,6 +62,9 @@ class ZeroCapacityError(ValueError):
 
 class GridSearchLimitError(RuntimeError):
     """Exhaustive grid enumeration would exceed the combination limit."""
+
+
+GRID_LIMIT = 200_000  # default combination limit of exhaustive grid enumeration
 
 
 @dataclass(frozen=True)
@@ -146,9 +144,7 @@ class CompiledGraph:
 def scale_weights(instance: Instance, weights: WeightVector) -> tuple[list[int], int]:
     """Weights as integers in 1/scale units, ordered like instance.links."""
     ordered = [weights.values[(l.tail, l.head)] for l in instance.links]
-    scale = 1
-    for w in ordered:
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    scale = math.lcm(*(w.denominator for w in ordered))
     return [int(w * scale) for w in ordered], scale
 
 
@@ -230,9 +226,7 @@ def unique_grid_routings(
             f"{total} weight combinations exceed grid_limit {limit}"
         )
     cg = CompiledGraph(instance)
-    wscale = 1
-    for p in points:
-        wscale = wscale * p.denominator // math.gcd(wscale, p.denominator)
+    wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]
     groups = []
     for origin in instance.origins():

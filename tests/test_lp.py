@@ -319,30 +319,24 @@ def test_simplex_agrees_with_fourier_motzkin():
     assert feasible_seen > 50 and infeasible_seen > 50
 
 
-def test_grid_search_fallback_both_ways(monkeypatch):
-    # With both LP stages rejected, the exhaustive stage settles the forest:
-    # a witness when one exists, grid_infeasible when the oracle rejects all.
+def test_grid_search_fallback_both_ways():
+    # The exhaustive stage on its own, with the real oracle: a witness for a
+    # realizable forest, and None for a forest whose demand path is realizable
+    # but whose flows add links no routing uses.
     inst = diamond(w_min=1, w_max=2)
     realizable = RoutingForest(
         flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
         paths={("s", "t"): ("s", "a", "t")},
     )
-    real_matches = lp._matches_forest
-    calls = {"n": 0}
-
-    def reject_lp_stages(instance, weights, target):
-        calls["n"] += 1
-        return calls["n"] > 2 and real_matches(instance, weights, target)
-
-    monkeypatch.setattr(lp, "_matches_forest", reject_lp_stages)
-    result = recover_weights(inst, realizable, grid_search_limit=10_000)
-    assert result.ok and result.stage == "exhaustive"
-    assert spf.routing_from_weights(inst, result.weights) == realizable
-    assert result.lp_margin is not None and result.lp_margin >= 1
-
-    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
-    result = recover_weights(inst, realizable, grid_search_limit=10_000)
-    assert result.status == "grid_infeasible"
+    witness = lp._grid_witness(inst, realizable, limit=10_000)
+    assert witness is not None
+    assert spf.routing_from_weights(inst, witness) == realizable
+    never = RoutingForest(  # two used incoming links: no weights realize it
+        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1),
+                     ("s", "b"): F(1), ("b", "t"): F(1)}},
+        paths={("s", "t"): ("s", "a", "t")},
+    )
+    assert lp._grid_witness(inst, never, limit=10_000) is None
 
 
 def test_pivot_budget_resource_error():
