@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None, help="wall-time limit in seconds")
     p.add_argument("--grid-limit", type=int, default=spf.GRID_LIMIT,
                    help="exhaustive-enumeration combination limit")
-    p.add_argument("--strengthen-cuts", action="store_true",
-                   help="derive no-good cuts from infeasibility hints")
 
     p = sub.add_parser("verify", help="verify a weight vector against an instance",
                        formatter_class=fmt)
@@ -177,7 +175,6 @@ def _cmd_solve(args) -> int:
             node_limit=args.node_limit,
             time_limit=args.time_limit,
             grid_limit=args.grid_limit,
-            strengthen_cuts=args.strengthen_cuts,
         )
         result = solver.benders_solve(instance, config)
     print(_summary(instance, result))

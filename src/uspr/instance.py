@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,9 +181,10 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if node in seen_nodes:
             out.append(Violation(f"nodes[{i}]", f"duplicate node id {node!r}"))
         seen_nodes.add(node)
-        # ids appear verbatim in model/LP names and reports
-        if not node or any(ch.isspace() for ch in node):
-            out.append(Violation(f"nodes[{i}]", f"node id empty or has whitespace: {node!r}"))
+        # ids appear verbatim in model/LP names such as w_{tail}_{head}
+        if not re.fullmatch(r"[A-Za-z0-9]+", node):
+            out.append(Violation(f"nodes[{i}]", "node id must be ASCII letters and "
+                                 f"digits, with no whitespace or symbols: {node!r}"))
 
     if instance.w_min <= 0:
         out.append(Violation("w_min", "weight lower bound must be positive"))

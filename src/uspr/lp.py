@@ -27,6 +27,10 @@ A reported infeasibility therefore means the forest is not realizable as a
 unique-shortest-path system at the requested strictness; `grid_infeasible`
 (the grid has no witness although the continuous system has one) is reported
 distinctly from `lp_infeasible`.
+
+An infeasible system's certificate is an irreducible infeasible subsystem:
+the rows used by phase 1's Farkas dual ray, re-solved once exactly and
+shrunk by one deletion pass.  `row_bindings` turns it into a no-good cut.
 """
 
 from __future__ import annotations
@@ -71,16 +75,15 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Infeasibility certificate with a best-effort repair hint.
+    """Infeasibility certificate.
 
-    `removal_hint` is a set of row names whose removal restores feasibility
-    (verified).  `conflict_core` is one minimal infeasible subsystem found by
-    a deletion filter; both are empty when hint computation was skipped or
-    capped.
+    `conflict_core` names rows that, with the bounds of the variables they
+    mention, have no solution.  From `solve_feasibility` the core is verified
+    by an exact re-solve and is irreducible: dropping any one of its rows
+    leaves a feasible system.
     """
 
-    removal_hint: tuple[str, ...] = ()
-    conflict_core: tuple[str, ...] = ()
+    conflict_core: tuple[str, ...]
 
     @property
     def feasible(self) -> bool:
@@ -120,16 +123,17 @@ def system_violations(system: LinearSystem) -> list[str]:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Per-solve budgets; exceeding either raises SimplexResourceError.
+MAX_PIVOTS = 200_000
+MAX_BITS = 1_000_000
+
 
 class _Simplex:
-    def __init__(self, system: LinearSystem, max_pivots: int = 200_000,
-                 max_bits: int = 1_000_000):
+    def __init__(self, system: LinearSystem):
         problems = system_violations(system)
         if problems:
             raise ValueError("ill-formed system: " + "; ".join(problems))
         self.system = system
-        self.max_pivots = max_pivots
-        self.max_bits = max_bits
         self.pivots = 0
 
         # Column encoding: every structural variable becomes one or two
@@ -216,6 +220,7 @@ class _Simplex:
             self.basis[r] = col
         self.ncols = ncols + len(art_cols)
         self.active = list(range(m))
+        self.initial_basis = list(self.basis)
 
     def _new_col(self, var_index: int, sign: Fraction) -> int:
         self.col_sign.append(sign)
@@ -244,10 +249,10 @@ class _Simplex:
     def _pivot_rows(self, r: int, c: int) -> list[Fraction]:
         """Normalize row r on column c and eliminate c from the other rows."""
         self.pivots += 1
-        if self.pivots > self.max_pivots:
-            raise SimplexResourceError(f"pivot budget {self.max_pivots} exceeded")
+        if self.pivots > MAX_PIVOTS:
+            raise SimplexResourceError(f"pivot budget {MAX_PIVOTS} exceeded")
         piv = self.rows[r][c]
-        if piv.numerator.bit_length() + piv.denominator.bit_length() > self.max_bits:
+        if piv.numerator.bit_length() + piv.denominator.bit_length() > MAX_BITS:
             raise SimplexResourceError("rational coefficients exceeded the bit budget")
         inv = _ONE / piv
         self.rows[r] = row = [x * inv for x in self.rows[r]]
@@ -294,7 +299,20 @@ class _Simplex:
                 raise UnboundedObjectiveError("objective is unbounded")
             self._pivot(leave, enter)
 
+    def _farkas_support(self, cost: list[Fraction]) -> tuple[str, ...]:
+        """The system rows used by the dual ray of an infeasible phase 1.
+
+        Each row's initial basic column is a unit column, so the ray's entry
+        for the row is 1 - z[artificial], or -z[slack] (cost minus z).
+        """
+        return tuple(
+            row.name
+            for row, col in zip(self.system.rows, self.initial_basis)
+            if cost[col] != self.z[col]
+        )
+
     def solve(self) -> Feasible | Infeasible:
+        """Infeasible results carry the unverified Farkas support."""
         art = set(range(self.artificial_start, self.ncols))
         if art:
             cost = [_ZERO] * self.ncols
@@ -302,7 +320,7 @@ class _Simplex:
                 cost[c] = _ONE
             self._minimize(cost, banned=set())
             if self._objective_value(cost) > 0:
-                return Infeasible()
+                return Infeasible(self._farkas_support(cost))
             # Drive surviving artificials out of the basis; rows that cannot
             # pivot are redundant and dropped.
             for r in list(self.active):
@@ -358,47 +376,37 @@ def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) ->
             raise RuntimeError(f"internal: row {row.name} violated ({lhs} {row.sense} {row.rhs})")
 
 
-def _is_feasible(variables, rows) -> bool:
-    result = _Simplex(LinearSystem(variables, tuple(rows))).solve()
-    return result.feasible
+def _irreducible_core(system: LinearSystem, support: tuple[str, ...]) -> tuple[str, ...]:
+    """Verify a Farkas support exactly, then shrink it to an irreducible core.
 
-
-_HINT_ROW_CAP = 300
-
-
-def _infeasibility_hint(system: LinearSystem) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Deletion-filter search for removable rows; best-effort, work-capped."""
-    rows = list(system.rows)
-    if len(rows) > _HINT_ROW_CAP:
-        names = tuple(r.name for r in rows)
-        return names, names
-    removed: list[Constraint] = []
-    first_core: tuple[str, ...] = ()
-    while not _is_feasible(system.variables, rows):
-        kept = list(rows)
-        for row in list(kept):
-            trial = [r for r in kept if r is not row]
-            if not _is_feasible(system.variables, trial):
-                kept = trial
-        if not first_core:
-            first_core = tuple(r.name for r in kept)
-        removed.extend(kept)
-        kept_set = {r.name for r in kept}
-        rows = [r for r in rows if r.name not in kept_set]
-    return tuple(r.name for r in removed), first_core
-
-
-def solve_feasibility(system: LinearSystem, with_hint: bool = True) -> Feasible | Infeasible:
-    """Decide the system exactly; Feasible results are substitution-verified.
-
-    On infeasibility a removal hint is attached unless `with_hint` is False
-    (the hint re-solves reduced systems and can dominate the run time).
+    One deletion pass drops each row whose removal leaves the rest infeasible.
+    A subsystem of a feasible system is feasible, so every row that survives
+    the pass is needed: without it the final core is feasible.
     """
+
+    def infeasible(rows: list[Constraint]) -> bool:
+        mentioned = {name for row in rows for name, _ in row.terms}
+        variables = tuple(v for v in system.variables if v.name in mentioned)
+        return not _Simplex(LinearSystem(variables, tuple(rows))).solve().feasible
+
+    names = set(support)
+    kept = [row for row in system.rows if row.name in names]
+    if not infeasible(kept):
+        raise RuntimeError(f"internal: Farkas support {support} is feasible")
+    for row in list(kept):
+        trial = [r for r in kept if r is not row]
+        if infeasible(trial):
+            kept = trial
+    return tuple(row.name for row in kept)
+
+
+def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
+    """Decide the system exactly; Feasible results are substitution-verified,
+    Infeasible ones carry a verified irreducible core."""
     result = _Simplex(system).solve()
-    if result.feasible or not with_hint:
+    if result.feasible:
         return result
-    hint, core = _infeasibility_hint(system)
-    return Infeasible(removal_hint=hint, conflict_core=core)
+    return Infeasible(_irreducible_core(system, result.conflict_core))
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +521,13 @@ class WeightRecovery:
     status: "ok" (weights verified through the routing oracle),
     "lp_infeasible" (the continuous system has no solution), or
     "grid_infeasible" (continuous solutions exist but no grid point realizes
-    the forest).
+    the forest).  "lp_infeasible" carries the `row_bindings` of the core.
     """
 
     status: str
     weights: WeightVector | None = None
     stage: str | None = None  # "direct" | "margin" | "exhaustive"
     lp_margin: Fraction | None = None
-    removal_hint: tuple[str, ...] = ()
-    conflict_core: tuple[str, ...] = ()
     bindings: frozenset = frozenset()
 
     @property
@@ -573,7 +579,6 @@ def _recover(
     eps,
     big_M,
     stages: tuple[str, ...],
-    compute_hint: bool,
     grid_search_limit: int,
 ) -> WeightRecovery:
     """Run the LP stages in the given order, then the exhaustive stage.
@@ -589,12 +594,10 @@ def _recover(
         system, meta = path_length_system(
             instance, forest, eps, big_M, margin_variable=stage == "margin"
         )
-        result = solve_feasibility(system, with_hint=compute_hint)
+        result = solve_feasibility(system)
         if not result.feasible:
             return WeightRecovery(
                 status="lp_infeasible",
-                removal_hint=result.removal_hint,
-                conflict_core=result.conflict_core,
                 bindings=row_bindings(instance, forest, meta, result.conflict_core),
             )
         if stage == "margin":
@@ -618,7 +621,6 @@ def recover_weights(
     eps=None,
     big_M=None,
     *,
-    compute_hint: bool = False,
     grid_search_limit: int = spf.GRID_LIMIT,
 ) -> WeightRecovery:
     """Find grid weights whose unique shortest paths reproduce the forest.
@@ -627,8 +629,7 @@ def recover_weights(
     returned weights route every demand along exactly the forest's paths.
     """
     return _recover(
-        instance, forest, eps, big_M, ("direct", "margin"), compute_hint,
-        grid_search_limit,
+        instance, forest, eps, big_M, ("direct", "margin"), grid_search_limit
     )
 
 
@@ -667,6 +668,4 @@ def maximize_margin(instance: Instance, forest: RoutingForest, eps=None, big_M=N
     is LP-feasible.  If its snapped weights miss the forest, the direct and
     exhaustive stages of recover_weights follow.
     """
-    return _recover(
-        instance, forest, eps, big_M, ("margin", "direct"), False, spf.GRID_LIMIT
-    )
+    return _recover(instance, forest, eps, big_M, ("margin", "direct"), spf.GRID_LIMIT)

@@ -5,10 +5,11 @@ candidate routing forests (per-origin trees combined under the coupling
 capacity constraint) in nondecreasing total-load order, and the weight
 recovery subproblem decides whether each candidate is realizable as a unique
 shortest-path system.  Unrealizable candidates are excluded with no-good
-cuts; because candidates arrive best-first, the first realizable one is
-optimal.  `brute_force_solve` is the independent reference: it enumerates
-every weight vector on the grid and keeps the best capacity-feasible
-unique-routing outcome.
+cuts, on the bindings of an irreducible infeasible subsystem (or the exact
+combination if only the grid fails); because candidates arrive best-first,
+the first realizable one is optimal.  `brute_force_solve` is the independent
+reference: it enumerates every weight vector on the grid and keeps the best
+capacity-feasible unique-routing outcome.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping, the demand-to-origin aggregation (y = max x,
@@ -86,7 +87,6 @@ class SolverConfig:
     node_limit: int | None = None
     time_limit: float | None = None
     grid_limit: int = spf.GRID_LIMIT
-    strengthen_cuts: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,6 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
                 candidate,
                 config.eps,
                 config.big_M,
-                compute_hint=config.strengthen_cuts,
                 grid_search_limit=config.grid_limit,
             )
         except GridSearchLimitError:
@@ -603,11 +602,10 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
             if recovery.stage == "exhaustive":
                 grid_fallbacks += 1
             return _verified_solution(instance, recovery.weights, candidate, diagnostics())
-        if recovery.status == "grid_infeasible":
-            grid_fallbacks += 1
-        if config.strengthen_cuts and recovery.status == "lp_infeasible" and recovery.bindings:
+        if recovery.status == "lp_infeasible":
             cuts.append(NoGoodCut(recovery.bindings))
         else:
+            grid_fallbacks += 1
             cuts.append(exact_combination_cut(instance, candidate))
 
 

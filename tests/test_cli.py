@@ -200,8 +200,25 @@ def test_solve_zero_demand_instance(tmp_path, capsys):
 
 def test_solve_strengthen_cuts_flag(tmp_path, capsys):
     inst = write_instance(tmp_path, diamond(w_min=2, w_max=2))
-    assert main(["solve", inst, "--strengthen-cuts"]) == 2
+    assert main(["solve", inst]) == 2
     assert "status=Infeasible" in capsys.readouterr().out
+    assert main(["solve", inst, "--strengthen-cuts"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_node_ids_that_collide_in_model_names_rejected(tmp_path, capsys):
+    # w_{tail}_{head} is w_a_b_c for both links, so the ids must be refused.
+    inst = write_instance(
+        tmp_path,
+        mk_instance(["a_b", "c", "a", "b_c"], [("a_b", "c", 10), ("a", "b_c", 10)],
+                    [("a_b", "c", 1), ("a", "b_c", 1)]),
+    )
+    assert main(["validate", inst]) == 2
+    assert "'a_b'" in capsys.readouterr().out
+    assert main(["solve", inst]) == 1
+    assert "node id" in capsys.readouterr().err
+    assert main(["export", inst, "--formulation", "obm"]) == 1
+    assert "node id" in capsys.readouterr().err
 
 
 def test_verify_incomplete_weights_is_usage_error(tmp_path, capsys):
@@ -215,7 +232,7 @@ def test_verify_incomplete_weights_is_usage_error(tmp_path, capsys):
 def test_simplex_resource_error_exit_three(tmp_path, capsys, monkeypatch):
     from uspr import lp
 
-    def out_of_budget(system, with_hint=True):
+    def out_of_budget(system):
         raise lp.SimplexResourceError("pivot budget 0 exceeded")
 
     monkeypatch.setattr(lp, "solve_feasibility", out_of_budget)

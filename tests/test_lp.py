@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import diamond, small_random, triangle, two_node
-from uspr import lp, models, spf
+from uspr import lp, models, solver, spf
+from uspr.instance import generate_random_instance
 from uspr.lp import (
     GridSearchLimitError,
     LinearSystem,
@@ -36,7 +37,7 @@ def test_bound_conflict_infeasible():
     system = LinearSystem((var("x", 0, 1),), (row("r1", [("x", 1)], ">=", 2),))
     result = solve_feasibility(system)
     assert not result.feasible
-    assert result.removal_hint == ("r1",)
+    assert result.conflict_core == ("r1",)
 
 
 def test_simple_feasible_with_witness():
@@ -114,7 +115,21 @@ def test_random_systems_built_around_witness_are_feasible():
                     lhs >= c.rhs if c.sense == ">=" else lhs == c.rhs)
 
 
-def test_contradictory_rows_detected_and_hint_restores_feasibility():
+def assert_irreducible_core(system, core):
+    """The core rows alone are infeasible; without any one of them, feasible."""
+    rows = {r.name: r for r in system.rows}
+
+    def feasible(names):
+        return solve_feasibility(
+            LinearSystem(system.variables, tuple(rows[n] for n in names))
+        ).feasible
+
+    assert core and not feasible(core)
+    for name in core:
+        assert feasible([n for n in core if n != name])
+
+
+def test_contradictory_rows_yield_irreducible_core():
     rng = random.Random(9)
     for _ in range(20):
         nvars = rng.randint(1, 4)
@@ -130,9 +145,8 @@ def test_contradictory_rows_detected_and_hint_restores_feasibility():
         system = LinearSystem(variables, rows)
         result = solve_feasibility(system)
         assert not result.feasible
-        remaining = tuple(r for r in rows if r.name not in result.removal_hint)
-        assert solve_feasibility(LinearSystem(variables, remaining)).feasible
         assert set(result.conflict_core) == {"lo", "hi"}
+        assert_irreducible_core(system, result.conflict_core)
 
 
 def forest_via(instance, weights):
@@ -178,10 +192,16 @@ def test_recover_forced_long_path_with_fixed_weights_infeasible():
         flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
         paths={("s", "t"): ("s", "a", "t")},
     )
-    result = recover_weights(inst, forced, compute_hint=True)
-    assert result.status == "lp_infeasible"
-    assert result.removal_hint  # best-effort hint present
-    assert result.bindings  # cut support extracted from the core
+    result = recover_weights(inst, forced)
+    assert result.status == "lp_infeasible" and result.bindings
+    cut = solver.NoGoodCut(result.bindings)
+    matched = 0
+    for forest in solver.master_search(inst):
+        used = {s: forest.used_links(s) for s in inst.origins()}
+        if solver.cut_matches(cut, used):
+            matched += 1
+            assert recover_weights(inst, forest).status == "lp_infeasible"
+    assert matched >= 1  # the forced forest itself is a master candidate
 
 
 def test_recover_subpath_violating_forest_always_infeasible():
@@ -311,9 +331,17 @@ def test_simplex_agrees_with_fourier_motzkin():
             sense = ("<=", ">=", "=")[rng.randrange(3)]
             rows.append(row(f"r{r}", terms, sense, rng.randint(-6, 6)))
         system = LinearSystem(variables, tuple(rows))
-        got = solve_feasibility(system, with_hint=False).feasible
+        result = solve_feasibility(system)
+        got = result.feasible
         want = _fourier_motzkin_feasible(variables, rows)
         assert got == want
+        if not got:  # the core is irreducible by the same reference
+            core = [r for r in rows if r.name in result.conflict_core]
+            assert not _fourier_motzkin_feasible(variables, core)
+            for dropped in core:
+                assert _fourier_motzkin_feasible(
+                    variables, [r for r in core if r is not dropped]
+                )
         feasible_seen += got
         infeasible_seen += not got
     assert feasible_seen > 50 and infeasible_seen > 50
@@ -339,14 +367,15 @@ def test_grid_search_fallback_both_ways():
     assert lp._grid_witness(inst, never, limit=10_000) is None
 
 
-def test_pivot_budget_resource_error():
+def test_pivot_budget_resource_error(monkeypatch):
     system = LinearSystem(
         (var("x", 0, 4), var("y", 0, 4)),
         (row("r", [("x", 1), ("y", 2)], ">=", 3),),
         objective=(("x", F(1)), ("y", F(1))), maximize=True,
     )
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
     with pytest.raises(lp.SimplexResourceError):
-        lp._Simplex(system, max_pivots=0).solve()
+        lp._Simplex(system).solve()
 
 
 def test_grid_search_limit_refusal(monkeypatch):
@@ -417,11 +446,37 @@ def test_vacuous_rows_do_not_change_answers():
         eps, big_M = models.resolve_params(inst, None, None)
         for forest in itertools.islice(master_search(inst), 4):
             system, _ = path_length_system(inst, forest, eps, big_M)
-            slim = solve_feasibility(system, with_hint=False).feasible
+            slim = solve_feasibility(system).feasible
             full = solve_feasibility(
-                _with_vacuous_rows(inst, forest, system, big_M), with_hint=False
+                _with_vacuous_rows(inst, forest, system, big_M)
             ).feasible
             assert slim == full
             feasible_seen += slim
             infeasible_seen += not slim
     assert feasible_seen and infeasible_seen
+
+
+def test_cores_irreducible_and_cuts_sound_on_random_instances():
+    # Every core is irreducible, and its cut only removes candidates whose
+    # own system is infeasible too; some cuts reach past their own candidate.
+    infeasible_seen = other_cut = 0
+    for seed in range(7):
+        inst = generate_random_instance(5, 2, 3, seed=seed, capacity_range=(5, 20))
+        eps, big_M = models.resolve_params(inst, None, None)
+        forests = list(itertools.islice(solver.master_search(inst), 8))
+        solved = []
+        for forest in forests:
+            system, meta = path_length_system(inst, forest, eps, big_M)
+            solved.append((system, meta, solve_feasibility(system)))
+        for k, (forest, (system, meta, result)) in enumerate(zip(forests, solved)):
+            if result.feasible:
+                continue
+            infeasible_seen += 1
+            assert_irreducible_core(system, result.conflict_core)
+            cut = solver.NoGoodCut(lp.row_bindings(inst, forest, meta, result.conflict_core))
+            for other, candidate in enumerate(forests):
+                used = {s: candidate.used_links(s) for s in inst.origins()}
+                if solver.cut_matches(cut, used):
+                    assert not solved[other][2].feasible
+                    other_cut += other != k
+    assert infeasible_seen and other_cut

@@ -15,6 +15,7 @@ from conftest import (
     two_node,
 )
 from uspr import lp, solver, spf
+from uspr.instance import generate_random_instance
 from uspr.solver import (
     ConservationError,
     DemandRouting,
@@ -330,6 +331,15 @@ def test_benders_fixed_weights_symmetric_infeasible():
     result = benders_solve(diamond(w_min=2, w_max=2))
     assert result.status == "Infeasible"
     assert result.diagnostics.cuts_added == 2  # both arms tried and cut
+
+
+def test_benders_core_cuts_shorten_the_cut_loop():
+    # A cut on an irreducible core removes later candidates that share it;
+    # cutting only the candidate itself takes nine iterations here.
+    inst = generate_random_instance(7, 2, 6, seed=1, capacity_range=(5, 20))
+    result = benders_solve(inst)
+    assert result.status == "Infeasible"
+    assert result.diagnostics.iterations <= 3
 
 
 def test_benders_single_path_one_iteration():
