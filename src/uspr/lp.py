@@ -4,9 +4,11 @@ Given a fixed routing forest, decide whether link weights inside the bounds
 and per-origin length values exist that satisfy the path-length constraints,
 and recover a concrete grid weight vector when they do.
 
-The solver is a dense two-phase primal simplex over `fractions.Fraction` with
-Bland's smallest-index rule for both the entering and the leaving choice, so
-pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
+The solver is a sparse two-phase primal simplex over `fractions.Fraction`:
+each tableau row holds only its nonzeros, and a pivot touches only the pivot
+row's nonzeros in the rows that have a nonzero in the entering column.
+Bland's smallest-index rule picks both the entering and the leaving choice,
+so pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
 the strict inequalities that separate a unique shortest path from a tie must
 not be blurred by floating error.  Feasible results are verified by direct
 substitution before they are returned.
@@ -29,8 +31,8 @@ unique-shortest-path system at the requested strictness; `grid_infeasible`
 distinctly from `lp_infeasible`.
 
 An infeasible system's certificate is an irreducible infeasible subsystem:
-the rows used by phase 1's Farkas dual ray, re-solved once exactly and
-shrunk by one deletion pass.  `row_bindings` turns it into a no-good cut.
+the rows used by phase 1's Farkas dual ray, shrunk by one deletion pass and
+re-solved once exactly.  `row_bindings` turns it into a no-good cut.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class LinearSystem:
 class Feasible:
     assignment: dict[str, Fraction]
     objective_value: Fraction | None = None
+    pivots: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -84,6 +87,7 @@ class Infeasible:
     """
 
     conflict_core: tuple[str, ...]
+    pivots: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -139,26 +143,25 @@ class _Simplex:
         # Column encoding: every structural variable becomes one or two
         # nonnegative columns, x = base + sum(sign * u).
         self.col_sign: list[Fraction] = []
-        self.col_var: list[int] = []
         self.var_base: list[Fraction] = []
         self.var_cols: list[list[int]] = []
         extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-        for vi, v in enumerate(system.variables):
+        for v in system.variables:
             cols: list[int] = []
             if v.lb is not None and v.lb == v.ub:
                 base = v.lb  # fixed variable: no column at all
             elif v.lb is not None:
                 base = v.lb
-                cols.append(self._new_col(vi, _ONE))
+                cols.append(self._new_col(_ONE))
                 if v.ub is not None:
                     extra_rows.append(({cols[0]: _ONE}, "<=", v.ub - v.lb))
             elif v.ub is not None:
                 base = v.ub
-                cols.append(self._new_col(vi, -_ONE))
+                cols.append(self._new_col(-_ONE))
             else:
                 base = _ZERO
-                cols.append(self._new_col(vi, _ONE))
-                cols.append(self._new_col(vi, -_ONE))
+                cols.append(self._new_col(_ONE))
+                cols.append(self._new_col(-_ONE))
             self.var_base.append(base)
             self.var_cols.append(cols)
         self.n_struct = len(self.col_sign)
@@ -176,55 +179,41 @@ class _Simplex:
             raw_rows.append((coeffs, row.sense, rhs))
         raw_rows.extend(extra_rows)
 
-        # Slack columns, rhs normalization, initial basis (slack or artificial).
-        m = len(raw_rows)
+        # Sparse rows {column: nonzero coefficient} with the rhs kept apart,
+        # flipped to rhs >= 0.  Each inequality gets a slack column; a row
+        # whose slack is not +1 after the flip gets an artificial column,
+        # numbered after every slack.  The initial basis is slack or artificial.
+        self.rows: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
+        slacks: list[int | None] = []
         ncols = self.n_struct
-        slack_of_row: list[int | None] = []
-        senses = []
         for coeffs, sense, rhs in raw_rows:
-            senses.append(sense)
-            if sense in ("<=", ">="):
-                slack_of_row.append(ncols)
+            row = {c: a for c, a in coeffs.items() if a != 0}
+            slack = None
+            if sense != "=":
+                slack = ncols
                 ncols += 1
-            else:
-                slack_of_row.append(None)
-        self.rows: list[list[Fraction]] = []
-        self.basis: list[int] = []
-        self.artificial_start = None
-        art_cols: list[int] = []
-        for r, (coeffs, sense, rhs) in enumerate(raw_rows):
-            dense = [_ZERO] * ncols
-            for c, coef in coeffs.items():
-                dense[c] = coef
-            if sense == "<=":
-                dense[slack_of_row[r]] = _ONE
-            elif sense == ">=":
-                dense[slack_of_row[r]] = -_ONE
-            flip = rhs < 0
-            if flip:
-                dense = [-x for x in dense]
+                row[slack] = _ONE if sense == "<=" else -_ONE
+            if rhs < 0:
+                row = {c: -a for c, a in row.items()}
                 rhs = -rhs
-            dense.append(rhs)
-            self.rows.append(dense)
-            slack = slack_of_row[r]
-            if slack is not None and dense[slack] == _ONE:
-                self.basis.append(slack)
-            else:
-                self.basis.append(-1)  # placeholder: artificial added below
-                art_cols.append(r)
+            self.rows.append(row)
+            self.rhs.append(rhs)
+            slacks.append(slack)
         self.artificial_start = ncols
-        for k, r in enumerate(art_cols):
-            col = ncols + k
-            for rr in range(m):
-                self.rows[rr].insert(col, _ONE if rr == r else _ZERO)
-            self.basis[r] = col
-        self.ncols = ncols + len(art_cols)
-        self.active = list(range(m))
+        self.basis: list[int] = []
+        for row, slack in zip(self.rows, slacks):
+            if slack is None or row[slack] != _ONE:
+                slack = ncols
+                ncols += 1
+                row[slack] = _ONE
+            self.basis.append(slack)
+        self.ncols = ncols
+        self.active = list(range(len(self.rows)))
         self.initial_basis = list(self.basis)
 
-    def _new_col(self, var_index: int, sign: Fraction) -> int:
+    def _new_col(self, sign: Fraction) -> int:
         self.col_sign.append(sign)
-        self.col_var.append(var_index)
         return len(self.col_sign) - 1
 
     def _zrow(self, cost: list[Fraction]) -> list[Fraction]:
@@ -232,10 +221,8 @@ class _Simplex:
         for r in self.active:
             cb = cost[self.basis[r]]
             if cb != 0:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        z[j] -= cb * row[j]
+                for j, a in self.rows[r].items():
+                    z[j] -= cb * a
         return z
 
     def _objective_value(self, cost: list[Fraction]) -> Fraction:
@@ -243,26 +230,44 @@ class _Simplex:
         for r in self.active:
             cb = cost[self.basis[r]]
             if cb != 0:
-                total += cb * self.rows[r][-1]
+                total += cb * self.rhs[r]
         return total
 
-    def _pivot_rows(self, r: int, c: int) -> list[Fraction]:
-        """Normalize row r on column c and eliminate c from the other rows."""
+    def _pivot_rows(self, r: int, c: int) -> dict[int, Fraction]:
+        """Normalize row r on column c and eliminate c from the other rows.
+
+        Only the pivot row's nonzeros are touched, and only in rows with a
+        nonzero in column c; an entry that cancels to 0 is deleted.
+        """
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise SimplexResourceError(f"pivot budget {MAX_PIVOTS} exceeded")
-        piv = self.rows[r][c]
+        row = self.rows[r]
+        piv = row[c]
         if piv.numerator.bit_length() + piv.denominator.bit_length() > MAX_BITS:
             raise SimplexResourceError("rational coefficients exceeded the bit budget")
-        inv = _ONE / piv
-        self.rows[r] = row = [x * inv for x in self.rows[r]]
+        if piv != _ONE:
+            inv = _ONE / piv
+            self.rows[r] = row = {j: a * inv for j, a in row.items()}
+            self.rhs[r] *= inv
+        b = self.rhs[r]
         for rr in self.active:
-            if rr == r:
-                continue
             other = self.rows[rr]
-            factor = other[c]
-            if factor != 0:
-                self.rows[rr] = [a - factor * b for a, b in zip(other, row)]
+            factor = other.get(c)
+            if factor is None or rr == r:
+                continue
+            neg = -factor
+            for j, a in row.items():
+                if j in other:
+                    v = other[j] + neg * a
+                    if v:
+                        other[j] = v
+                    else:
+                        del other[j]
+                else:
+                    other[j] = neg * a
+            if b:
+                self.rhs[rr] += neg * b
         self.basis[r] = c
         return row
 
@@ -270,7 +275,9 @@ class _Simplex:
         factor = self.z[c]
         row = self._pivot_rows(r, c)
         if factor != 0:
-            self.z = [a - factor * b for a, b in zip(self.z, row)]
+            z = self.z
+            for j, a in row.items():
+                z[j] -= factor * a
 
     def _minimize(self, cost: list[Fraction], banned: set[int]) -> None:
         self.z = self._zrow(cost)
@@ -287,9 +294,9 @@ class _Simplex:
             leave = None
             best = None
             for r in self.active:
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rows[r][-1] / a
+                a = self.rows[r].get(enter)
+                if a is not None and a > 0:
+                    ratio = self.rhs[r] / a
                     if best is None or ratio < best or (
                         ratio == best and self.basis[r] < self.basis[leave]
                     ):
@@ -320,16 +327,15 @@ class _Simplex:
                 cost[c] = _ONE
             self._minimize(cost, banned=set())
             if self._objective_value(cost) > 0:
-                return Infeasible(self._farkas_support(cost))
+                return Infeasible(self._farkas_support(cost), self.pivots)
             # Drive surviving artificials out of the basis; rows that cannot
             # pivot are redundant and dropped.
             for r in list(self.active):
                 if self.basis[r] in art:
-                    pivot_col = None
-                    for j in range(self.artificial_start):
-                        if self.rows[r][j] != 0:
-                            pivot_col = j
-                            break
+                    pivot_col = min(
+                        (j for j in self.rows[r] if j < self.artificial_start),
+                        default=None,
+                    )
                     if pivot_col is None:
                         self.active.remove(r)
                     else:
@@ -349,7 +355,7 @@ class _Simplex:
 
         values = [_ZERO] * self.ncols
         for r in self.active:
-            values[self.basis[r]] = self.rows[r][-1]
+            values[self.basis[r]] = self.rhs[r]
         assignment = {}
         for vi, v in enumerate(self.system.variables):
             x = self.var_base[vi]
@@ -361,7 +367,7 @@ class _Simplex:
                 (coef * assignment[name] for name, coef in self.system.objective), _ZERO
             )
         _verify_assignment(self.system, assignment)
-        return Feasible(assignment=assignment, objective_value=objective_value)
+        return Feasible(assignment, objective_value, self.pivots)
 
 
 def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) -> None:
@@ -376,37 +382,48 @@ def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) ->
             raise RuntimeError(f"internal: row {row.name} violated ({lhs} {row.sense} {row.rhs})")
 
 
-def _irreducible_core(system: LinearSystem, support: tuple[str, ...]) -> tuple[str, ...]:
-    """Verify a Farkas support exactly, then shrink it to an irreducible core.
+def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
+    """Shrink phase 1's Farkas support to an irreducible core, verified exactly.
 
-    One deletion pass drops each row whose removal leaves the rest infeasible.
-    A subsystem of a feasible system is feasible, so every row that survives
-    the pass is needed: without it the final core is feasible.
+    One deletion pass tries each row; when the rest is infeasible, the pass
+    continues from that trial's own Farkas support.  The kept set only
+    shrinks, and a subset of a feasible system is feasible, so a row kept
+    because the set without it was feasible stays needed.  The final core
+    is re-solved exactly.  `pivots` adds every pivot of the pass to phase 1's.
     """
+    pivots = phase1.pivots
 
-    def infeasible(rows: list[Constraint]) -> bool:
+    def farkas_support(rows: list[Constraint]) -> tuple[str, ...] | None:
+        nonlocal pivots
         mentioned = {name for row in rows for name, _ in row.terms}
         variables = tuple(v for v in system.variables if v.name in mentioned)
-        return not _Simplex(LinearSystem(variables, tuple(rows))).solve().feasible
+        result = _Simplex(LinearSystem(variables, tuple(rows))).solve()
+        pivots += result.pivots
+        return None if result.feasible else result.conflict_core
 
-    names = set(support)
+    names = set(phase1.conflict_core)
     kept = [row for row in system.rows if row.name in names]
-    if not infeasible(kept):
-        raise RuntimeError(f"internal: Farkas support {support} is feasible")
     for row in list(kept):
+        if row.name not in names:
+            continue
         trial = [r for r in kept if r is not row]
-        if infeasible(trial):
-            kept = trial
-    return tuple(row.name for row in kept)
+        core = farkas_support(trial)
+        if core is not None:
+            names = set(core)
+            kept = [r for r in trial if r.name in names]
+    if farkas_support(kept) is None:
+        raise RuntimeError(
+            f"internal: core {names} of Farkas support {phase1.conflict_core} is feasible"
+        )
+    return Infeasible(tuple(row.name for row in kept), pivots)
 
 
 def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; Feasible results are substitution-verified,
-    Infeasible ones carry a verified irreducible core."""
+    Infeasible ones carry a verified irreducible core.  `pivots` counts
+    every simplex pivot, those of the core's deletion pass included."""
     result = _Simplex(system).solve()
-    if result.feasible:
-        return result
-    return Infeasible(_irreducible_core(system, result.conflict_core))
+    return result if result.feasible else _irreducible_core(system, result)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +539,8 @@ class WeightRecovery:
     "lp_infeasible" (the continuous system has no solution), or
     "grid_infeasible" (continuous solutions exist but no grid point realizes
     the forest).  "lp_infeasible" carries the `row_bindings` of the core.
+    `lp_solves` counts the stage LPs run; `pivots` counts every simplex
+    pivot, those of the core's deletion pass included.
     """
 
     status: str
@@ -529,6 +548,8 @@ class WeightRecovery:
     stage: str | None = None  # "direct" | "margin" | "exhaustive"
     lp_margin: Fraction | None = None
     bindings: frozenset = frozenset()
+    lp_solves: int = 0
+    pivots: int = 0
 
     @property
     def ok(self) -> bool:
@@ -586,33 +607,39 @@ def _recover(
     Each LP stage solves the plain ("direct") or the margin ("margin")
     system and snaps its weights to the grid.  Either system is feasible
     exactly when the other is (the margin t ranges over [eps, big_M]), so
-    the first LP settles infeasibility.
+    the first LP settles infeasibility.  A GridSearchLimitError from the
+    exhaustive stage carries the LP stages' `lp_solves` and `pivots`.
     """
     eps, big_M = resolve_params(instance, eps, big_M)
     lp_margin = None
+    lp_solves = pivots = 0
+
+    def outcome(status, weights=None, stage=None, bindings=frozenset()) -> WeightRecovery:
+        return WeightRecovery(status, weights, stage, lp_margin, bindings, lp_solves, pivots)
+
     for stage in stages:
         system, meta = path_length_system(
             instance, forest, eps, big_M, margin_variable=stage == "margin"
         )
         result = solve_feasibility(system)
+        lp_solves += 1
+        pivots += result.pivots
         if not result.feasible:
-            return WeightRecovery(
-                status="lp_infeasible",
-                bindings=row_bindings(instance, forest, meta, result.conflict_core),
-            )
+            bindings = row_bindings(instance, forest, meta, result.conflict_core)
+            return outcome("lp_infeasible", bindings=bindings)
         if stage == "margin":
             lp_margin = result.objective_value
         snapped = _snap_vector(instance, result.assignment)
         if _matches_forest(instance, snapped, forest):
-            return WeightRecovery(
-                status="ok", weights=snapped, stage=stage, lp_margin=lp_margin
-            )
-    witness = _grid_witness(instance, forest, grid_search_limit)
+            return outcome("ok", snapped, stage)
+    try:
+        witness = _grid_witness(instance, forest, grid_search_limit)
+    except GridSearchLimitError as exc:
+        exc.lp_solves, exc.pivots = lp_solves, pivots
+        raise
     if witness is None:
-        return WeightRecovery(status="grid_infeasible", lp_margin=lp_margin)
-    return WeightRecovery(
-        status="ok", weights=witness, stage="exhaustive", lp_margin=lp_margin
-    )
+        return outcome("grid_infeasible")
+    return outcome("ok", witness, "exhaustive")
 
 
 def recover_weights(

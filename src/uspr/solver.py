@@ -561,7 +561,7 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
     stats: dict = {}
     stream = master_search(instance, cuts, stats=stats)
     iterations = 0
-    lp_solves = 0
+    lp_solves = lp_pivots = 0
     grid_fallbacks = 0
 
     def diagnostics(**extra) -> Diagnostics:
@@ -570,7 +570,12 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
             cuts_added=len(cuts),
             nodes_explored=stats.get("combinations", 0),
             wall_time=time.perf_counter() - started,
-            details={"lp_solves": lp_solves, "grid_fallbacks": grid_fallbacks, **extra},
+            details={
+                "lp_solves": lp_solves,
+                "lp_pivots": lp_pivots,
+                "grid_fallbacks": grid_fallbacks,
+                **extra,
+            },
         )
 
     def exhausted(reason: str) -> Solution:
@@ -586,7 +591,6 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
         except StopIteration:
             return Solution("Infeasible", None, None, None, diagnostics())
         iterations += 1
-        lp_solves += 1
         try:
             recovery = lp.recover_weights(
                 instance,
@@ -595,9 +599,13 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
                 config.big_M,
                 grid_search_limit=config.grid_limit,
             )
-        except GridSearchLimitError:
+        except GridSearchLimitError as exc:
+            lp_solves += exc.lp_solves
+            lp_pivots += exc.pivots
             grid_fallbacks += 1
             return exhausted("grid_limit")
+        lp_solves += recovery.lp_solves
+        lp_pivots += recovery.pivots
         if recovery.ok:
             if recovery.stage == "exhaustive":
                 grid_fallbacks += 1

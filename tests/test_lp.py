@@ -149,6 +149,22 @@ def test_contradictory_rows_yield_irreducible_core():
         assert_irreducible_core(system, result.conflict_core)
 
 
+def test_two_independent_contradictions_core_is_one_pair():
+    variables = (var("x", 0, 10), var("y", 0, 10))
+    rows = (
+        row("lo1", [("x", 1)], ">=", 5),
+        row("sum", [("x", 1), ("y", 1)], "<=", 20),
+        row("lo2", [("y", 1)], ">=", 7),
+        row("hi1", [("x", 1)], "<=", 4),
+        row("hi2", [("y", 1)], "<=", 3),
+    )
+    system = LinearSystem(variables, rows)
+    result = solve_feasibility(system)
+    assert not result.feasible
+    assert set(result.conflict_core) in ({"lo1", "hi1"}, {"lo2", "hi2"})
+    assert_irreducible_core(system, result.conflict_core)
+
+
 def forest_via(instance, weights):
     return spf.routing_from_weights(instance, WeightVector(weights))
 
@@ -407,6 +423,7 @@ def test_recover_stage_progression(monkeypatch):
     monkeypatch.setattr(lp, "_matches_forest", reject_first)
     result = recover_weights(inst, forest)
     assert result.ok and result.stage == "margin"
+    assert result.lp_solves == 2
 
     calls["n"] = 0
 

@@ -342,6 +342,20 @@ def test_benders_core_cuts_shorten_the_cut_loop():
     assert result.diagnostics.iterations <= 3
 
 
+def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
+    # One feasible LP per answer; the pivot counts pin Bland's rule, so any
+    # change to the entering or leaving choice shows here.
+    for (nodes, degree, demands, seed), objective, pivots in (
+        ((10, 2, 10, 0), F(11229, 100), 78),
+        ((10, 2, 10, 1), F(13957, 100), 72),
+        ((8, 2, 8, 2), F(11733, 100), 69),
+    ):
+        result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed))
+        assert (result.status, result.objective) == ("Optimal", objective)
+        assert result.diagnostics.details["lp_solves"] == 1
+        assert result.diagnostics.details["lp_pivots"] == pivots
+
+
 def test_benders_single_path_one_iteration():
     result = benders_solve(path_graph(4))
     assert result.status == "Optimal"
@@ -433,7 +447,9 @@ def test_solution_json_round_trip_fields():
     assert len(raw["weights"]) == 4
     assert raw["paths"][0]["path"][0] == "s"
     assert raw["diagnostics"]["iterations"] == 1
-    assert raw["diagnostics"]["details"] == {"lp_solves": 1, "grid_fallbacks": 0}
+    assert raw["diagnostics"]["details"] == {
+        "lp_solves": 1, "lp_pivots": 5, "grid_fallbacks": 0
+    }
     oracle = brute_force_solve(inst)
     raw = json.loads(solver.solution_to_json(inst, oracle))
     assert raw["diagnostics"]["details"] == {"grid_points": 10}
@@ -446,4 +462,5 @@ def test_grid_limit_in_recovery_ends_bounds_exhausted(monkeypatch):
     result = benders_solve(diamond(), SolverConfig(grid_limit=10))
     assert result.status == "BoundsExhausted"
     assert result.diagnostics.details["reason"] == "grid_limit"
+    assert result.diagnostics.details["lp_solves"] == 2
     assert result.weights is None and result.objective is None
