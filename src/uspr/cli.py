@@ -78,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="solution file to write")
     p.add_argument("--oracle", action="store_true",
                    help="solve by exhaustive weight-grid enumeration instead")
-    p.add_argument("--eps", type=_fraction_arg, default=None,
-                   help="strictness constant (default: gcd of w_min and the resolution)")
-    p.add_argument("--big-m", type=_fraction_arg, default=None,
-                   help="big-M constant (default: (|N|-1)*w_max + eps)")
     p.add_argument("--node-limit", type=int, default=None, help="master candidate limit")
     p.add_argument("--time-limit", type=float, default=None, help="wall-time limit in seconds")
     p.add_argument("--grid-limit", type=int, default=spf.GRID_LIMIT,
@@ -97,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=["dbm", "obm"], required=True)
     p.add_argument("--master", action="store_true", help="export only the master submodel")
     p.add_argument("--eps", type=_fraction_arg, default=None,
-                   help="strictness constant (default: gcd of w_min and the resolution)")
+                   help="strictness constant, 0 < eps <= gcd of w_min and the resolution "
+                        "(default: that gcd)")
     p.add_argument("--big-m", type=_fraction_arg, default=None,
                    help="big-M constant (default: (|N|-1)*w_max + eps)")
     p.add_argument("-o", "--output", help="LP file to write (default: stdout)")
@@ -170,8 +167,6 @@ def _cmd_solve(args) -> int:
         result = solver.brute_force_solve(instance, grid_limit=args.grid_limit)
     else:
         config = solver.SolverConfig(
-            eps=args.eps,
-            big_M=args.big_m,
             node_limit=args.node_limit,
             time_limit=args.time_limit,
             grid_limit=args.grid_limit,

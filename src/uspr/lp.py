@@ -22,8 +22,8 @@ Weight recovery runs a three-stage policy:
     (`spf.unique_grid_routings`, bounded by a combination limit) to this
     forest, which settles grid realizability exactly.
 
-`maximize_margin` runs the same stages with the margin LP first.  Both take
-their eps/big_M defaults from `models.resolve_params`.
+`maximize_margin` runs the same stages with the margin LP first.  Both use
+the eps and big_M that `models.resolve_params` derives from the instance.
 
 A reported infeasibility therefore means the forest is not realizable as a
 unique-shortest-path system at the requested strictness; `grid_infeasible`
@@ -41,10 +41,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import Instance
-from .models import Constraint, Variable, resolve_params
+from .models import Constraint, Variable, resolve_params, table_violations
 from .rational import grid_points, snap_to_grid
 from . import spf
 from .spf import GridSearchLimitError, RoutingForest, WeightVector  # noqa: F401 (re-export)
+
+# A routing binary fixed by a forest: (origin, link, 0 or 1).
+Binding = tuple[str, tuple[str, str], int]
 
 
 class UnboundedObjectiveError(ValueError):
@@ -95,29 +98,10 @@ class Infeasible:
 
 
 def system_violations(system: LinearSystem) -> list[str]:
-    out = []
-    seen = {}
+    out = table_violations(system.variables, system.rows, system.objective)
     for v in system.variables:
         if v.kind != "continuous":
             out.append(f"variable {v.name}: must be continuous")
-        if v.name in seen:
-            out.append(f"variable {v.name}: declared twice")
-        seen[v.name] = v
-        if v.lb is not None and v.ub is not None and v.lb > v.ub:
-            out.append(f"variable {v.name}: empty bound interval")
-    names = set()
-    for r in system.rows:
-        if r.name in names:
-            out.append(f"row {r.name}: declared twice")
-        names.add(r.name)
-        if r.sense not in ("<=", ">=", "="):
-            out.append(f"row {r.name}: unknown sense {r.sense!r}")
-        for var, _ in r.terms:
-            if var not in seen:
-                out.append(f"row {r.name}: references undeclared {var!r}")
-    for var, _ in system.objective:
-        if var not in seen:
-            out.append(f"objective: references undeclared {var!r}")
     return out
 
 
@@ -438,12 +422,15 @@ def path_length_system(
     eps: Fraction,
     big_M: Fraction,
     margin_variable: bool = False,
-) -> tuple[LinearSystem, dict[str, tuple[str, str, tuple[str, str]]]]:
+) -> tuple[LinearSystem, dict[str, frozenset[Binding]]]:
     """Instantiate the path-length constraints for fixed routing binaries.
 
-    Returns the system plus row metadata name -> (kind, origin, link).  With
-    `margin_variable` the strict rows get a shared slack variable t in
-    [eps, big_M] and the objective becomes max t.
+    Returns the system plus row metadata: each row name maps to the
+    (origin, link, value) bindings of the routing binaries that parametrize
+    the row.  A `pl_ub` row on (i, j) depends on every link into j, a `pl_lb`
+    row only on (i, j) being used.  With `margin_variable` the strict rows
+    get a shared slack variable t in [eps, big_M] and the objective becomes
+    max t.
 
     The lower-bound rows of unused links are omitted: for any weights that
     satisfy the remaining rows, the exact shortest distances satisfy them
@@ -467,40 +454,40 @@ def path_length_system(
     if margin_variable:
         variables.append(Variable(_MARGIN_VAR, "continuous", eps, big_M))
 
-    in_links = instance.in_links()
+    pairs_into = {
+        node: [(l.tail, l.head) for l in links] for node, links in instance.in_links().items()
+    }
     rows: list[Constraint] = []
-    meta: dict[str, tuple[str, str, tuple[str, str]]] = {}
+    meta: dict[str, frozenset[Binding]] = {}
     for s in origins:
         used = forest.used_links(s)
-        insum = {node: sum(1 for l in in_links[node] if (l.tail, l.head) in used)
-                 for node in instance.nodes}
+        into = {
+            node: frozenset((s, pair, 1 if pair in used else 0) for pair in pairs)
+            for node, pairs in pairs_into.items()
+        }
+        insum = {node: sum(v for _, _, v in binds) for node, binds in into.items()}
         for link in instance.links:
             i, j = link.tail, link.head
             y = 1 if (i, j) in used else 0
             gap = insum[j] - y
-            terms: list[tuple[str, Fraction]] = [
+            # l_j - l_i - w_ij: at most -eps * gap, and 0 on a used link.
+            terms = (
                 (wname[(i, j)], Fraction(-1)),
                 (lname[(s, i)], Fraction(-1)),
                 (lname[(s, j)], Fraction(1)),
-            ]
-            if margin_variable and gap > 0:
-                terms.append((_MARGIN_VAR, Fraction(gap)))
-                rhs = Fraction(0)
-            else:
-                rhs = -eps * gap
+            )
             name = f"pl_ub_{s}_{i}_{j}"
-            rows.append(Constraint(name, tuple(terms), "<=", rhs))
-            meta[name] = ("ub", s, (i, j))
+            if margin_variable and gap > 0:
+                margin = ((_MARGIN_VAR, Fraction(gap)),)
+                rows.append(Constraint(name, terms + margin, "<=", Fraction(0)))
+            else:
+                rows.append(Constraint(name, terms, "<=", -eps * gap))
+            meta[name] = into[j]
             if y == 0:
                 continue
-            terms = [
-                (wname[(i, j)], Fraction(-1)),
-                (lname[(s, i)], Fraction(-1)),
-                (lname[(s, j)], Fraction(1)),
-            ]
             name = f"pl_lb_{s}_{i}_{j}"
-            rows.append(Constraint(name, tuple(terms), ">=", Fraction(0)))
-            meta[name] = ("lb", s, (i, j))
+            rows.append(Constraint(name, terms, ">=", Fraction(0)))
+            meta[name] = frozenset({(s, (i, j), 1)})
 
     objective = ((_MARGIN_VAR, Fraction(1)),) if margin_variable else ()
     system = LinearSystem(tuple(variables), tuple(rows), objective, maximize=True)
@@ -508,27 +495,15 @@ def path_length_system(
 
 
 def row_bindings(
-    instance: Instance,
-    forest: RoutingForest,
-    meta: dict[str, tuple[str, str, tuple[str, str]]],
+    meta: dict[str, frozenset[Binding]],
     row_names: tuple[str, ...],
-) -> frozenset[tuple[str, tuple[str, str], int]]:
+) -> frozenset[Binding]:
     """The (origin, link, value) assignments that parametrize the given rows.
 
     Any forest agreeing with these bindings instantiates identical rows, so
     an infeasible core's bindings are a sound no-good pattern.
     """
-    in_links = instance.in_links()
-    bindings: set[tuple[str, tuple[str, str], int]] = set()
-    for name in row_names:
-        kind, s, (i, j) = meta[name]
-        used = forest.used_links(s)
-        bindings.add((s, (i, j), 1 if (i, j) in used else 0))
-        if kind == "ub":
-            for link in in_links[j]:
-                pair = (link.tail, link.head)
-                bindings.add((s, pair, 1 if pair in used else 0))
-    return frozenset(bindings)
+    return frozenset().union(*(meta[name] for name in row_names))
 
 
 @dataclass(frozen=True)
@@ -597,8 +572,6 @@ def _grid_witness(
 def _recover(
     instance: Instance,
     forest: RoutingForest,
-    eps,
-    big_M,
     stages: tuple[str, ...],
     grid_search_limit: int,
 ) -> WeightRecovery:
@@ -610,7 +583,7 @@ def _recover(
     the first LP settles infeasibility.  A GridSearchLimitError from the
     exhaustive stage carries the LP stages' `lp_solves` and `pivots`.
     """
-    eps, big_M = resolve_params(instance, eps, big_M)
+    eps, big_M = resolve_params(instance, None, None)
     lp_margin = None
     lp_solves = pivots = 0
 
@@ -625,7 +598,7 @@ def _recover(
         lp_solves += 1
         pivots += result.pivots
         if not result.feasible:
-            bindings = row_bindings(instance, forest, meta, result.conflict_core)
+            bindings = row_bindings(meta, result.conflict_core)
             return outcome("lp_infeasible", bindings=bindings)
         if stage == "margin":
             lp_margin = result.objective_value
@@ -645,19 +618,18 @@ def _recover(
 def recover_weights(
     instance: Instance,
     forest: RoutingForest,
-    eps=None,
-    big_M=None,
     *,
     grid_search_limit: int = spf.GRID_LIMIT,
 ) -> WeightRecovery:
     """Find grid weights whose unique shortest paths reproduce the forest.
 
-    Successful results are re-verified through the routing oracle: the
-    returned weights route every demand along exactly the forest's paths.
+    eps and big_M are the instance's defaults (`models.resolve_params`):
+    eps = gcd(w_min, weight_resolution) is the smallest gap two grid path
+    lengths can have, so it cuts off no grid-realizable forest.  Successful
+    results are re-verified through the routing oracle: the returned weights
+    route every demand along exactly the forest's paths.
     """
-    return _recover(
-        instance, forest, eps, big_M, ("direct", "margin"), grid_search_limit
-    )
+    return _recover(instance, forest, ("direct", "margin"), grid_search_limit)
 
 
 def strictness_margin(
@@ -688,11 +660,12 @@ def strictness_margin(
     return best
 
 
-def maximize_margin(instance: Instance, forest: RoutingForest, eps=None, big_M=None) -> WeightRecovery:
+def maximize_margin(instance: Instance, forest: RoutingForest) -> WeightRecovery:
     """Recover weights maximizing the smallest strict slack before snapping.
 
-    The margin LP runs first; its optimum is at least eps whenever the forest
-    is LP-feasible.  If its snapped weights miss the forest, the direct and
-    exhaustive stages of recover_weights follow.
+    The margin LP runs first, with the instance's default eps and big_M; its
+    optimum is at least eps whenever the forest is LP-feasible.  If its
+    snapped weights miss the forest, the direct and exhaustive stages of
+    recover_weights follow.
     """
-    return _recover(instance, forest, eps, big_M, ("margin", "direct"), spf.GRID_LIMIT)
+    return _recover(instance, forest, ("margin", "direct"), spf.GRID_LIMIT)

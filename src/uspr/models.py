@@ -12,21 +12,27 @@ tables and rendered to LP text:
    conservation, flow bounds, link capacity, path uniqueness, and the same
    path-length linearization over origins.
 
+Both are built by one `_ModelBuilder`: it declares the weight and length
+variables, and emits one routing tree's conservation rows and path-length
+pairs.  DBM has a tree per demand (routed by `x`), OBM a tree per origin
+(routed by `y`, carrying flow `f`).
+
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
-`l_<s>_<i>`.  Components are joined with underscores; node ids containing
-underscores still build correct models but produce less readable names.
+`l_<s>_<i>`.  Components are joined with underscores, which is unambiguous
+because node ids match `[A-Za-z0-9]+`.
 
 Constraint names carry a family tag: `fc_*` flow conservation, `cap_*`
 capacity, `fb_*` flow bound, `uniq_*` uniqueness, `pl_ub_*`/`pl_lb_*` the
-path-length pair, `lift_*`/`spo_*` the optional sub-path lifting.
+path-length pair.
 
 Defaults: eps = gcd(w_min, weight_resolution) (the smallest positive gap two
 grid path lengths can have) and big_M = (|N| - 1) * w_max + eps (the longest
 simple path plus that gap); with these the linearized pair is exactly
 equivalent to the three-case logic form, which `linearization_check` verifies
 case by case.  `resolve_params` is the one place these defaults and their
-validity bounds are applied, for the models and for weight recovery alike.
+validity bounds are applied.  Only an export may set eps or big_M; every
+solve uses the defaults.
 """
 
 from __future__ import annotations
@@ -68,34 +74,43 @@ class LinearModel:
     objective: tuple[tuple[str, Fraction], ...]  # minimized
 
 
-def model_violations(model: LinearModel) -> list[str]:
+def table_violations(variables, constraints, objective) -> list[str]:
+    """Checks every variable/constraint table must pass, model or LP system."""
     out = []
-    declared = {}
-    for v in model.variables:
+    declared = set()
+    for v in variables:
         if v.name in declared:
             out.append(f"variable {v.name}: declared twice")
-        declared[v.name] = v
-        if v.kind == "binary" and (v.lb != 0 or v.ub != 1):
-            out.append(f"variable {v.name}: binary must be bounded [0, 1]")
-        if v.kind not in ("binary", "continuous"):
-            out.append(f"variable {v.name}: unknown kind {v.kind!r}")
+        declared.add(v.name)
         if v.lb is not None and v.ub is not None and v.lb > v.ub:
             out.append(f"variable {v.name}: empty bound interval")
     names = set()
-    for c in model.constraints:
+    for c in constraints:
         if c.name in names:
             out.append(f"constraint {c.name}: declared twice")
         names.add(c.name)
         if c.sense not in ("<=", ">=", "="):
             out.append(f"constraint {c.name}: unknown sense {c.sense!r}")
-        for var, coef in c.terms:
+        for var, _ in c.terms:
             if var not in declared:
                 out.append(f"constraint {c.name}: references undeclared {var!r}")
-            if coef == 0:
-                out.append(f"constraint {c.name}: keeps a zero coefficient on {var!r}")
-    for var, _ in model.objective:
+    for var, _ in objective:
         if var not in declared:
             out.append(f"objective: references undeclared {var!r}")
+    return out
+
+
+def model_violations(model: LinearModel) -> list[str]:
+    out = table_violations(model.variables, model.constraints, model.objective)
+    for v in model.variables:
+        if v.kind == "binary" and (v.lb != 0 or v.ub != 1):
+            out.append(f"variable {v.name}: binary must be bounded [0, 1]")
+        if v.kind not in ("binary", "continuous"):
+            out.append(f"variable {v.name}: unknown kind {v.kind!r}")
+    for c in model.constraints:
+        for var, coef in c.terms:
+            if coef == 0:
+                out.append(f"constraint {c.name}: keeps a zero coefficient on {var!r}")
     return out
 
 
@@ -114,13 +129,15 @@ def default_big_m(instance: Instance, eps: Fraction) -> Fraction:
 
 
 def resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
-    """Apply the eps/big_M defaults and check the validity bounds."""
-    eps = default_eps(instance) if eps is None else parse_number(eps, "eps")
+    """Apply the eps/big_M defaults and check the validity bounds:
+    0 < eps <= default_eps(instance) and big_M >= default_big_m(instance, eps)."""
+    gap = default_eps(instance)
+    eps = gap if eps is None else parse_number(eps, "eps")
     big_M = default_big_m(instance, eps) if big_M is None else parse_number(big_M, "big_M")
-    if not 0 < eps <= instance.weight_resolution:
+    if not 0 < eps <= gap:
         raise ModelParameterError(
-            f"eps must satisfy 0 < eps <= weight_resolution "
-            f"({format_number(instance.weight_resolution)}), got {format_number(eps)}"
+            f"eps must satisfy 0 < eps <= gcd(w_min, weight_resolution) "
+            f"({format_number(gap)}), got {format_number(eps)}"
         )
     floor = default_big_m(instance, eps)
     if big_M < floor:
@@ -132,9 +149,18 @@ def resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
 
 
 class _ModelBuilder:
-    """Accumulates variables/rows; keeps term order = declaration order."""
+    """Accumulates variables/rows; keeps term order = declaration order.
 
-    def __init__(self) -> None:
+    Holds one build's instance and link adjacency, and the rows shared by
+    both formulations: weights and lengths, and per routing tree the flow
+    conservation rows and the path-length pairs.
+    """
+
+    def __init__(self, instance: Instance, eps, big_M) -> None:
+        self.instance = instance
+        self.eps, self.big_M = resolve_params(instance, eps, big_M)
+        self.in_links = instance.in_links()
+        self.out_links = instance.out_links()
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
@@ -150,183 +176,119 @@ class _ModelBuilder:
         )
         self.constraints.append(Constraint(name, terms, sense, Fraction(rhs)))
 
-
-def build_dbm(instance: Instance, eps=None, big_M=None, subpath_lift: bool = False) -> LinearModel:
-    """Demand-based formulation.
-
-    With `subpath_lift` the optional lifted sub-path family is added (extra
-    binaries y_s_i_j with y >= x and per-node in-degree rows); it is redundant
-    for the complete model and excluded from the size formulas.
-    """
-    eps, big_M = resolve_params(instance, eps, big_M)
-    b = _ModelBuilder()
-    origins = instance.origins()
-    in_links = instance.in_links()
-    out_links = instance.out_links()
-
-    xname = {}
-    for k, demand in enumerate(instance.demands):
-        for link in instance.links:
-            xname[(k, link.tail, link.head)] = b.var(
-                f"x_{k}_{link.tail}_{link.head}", "binary", Fraction(0), Fraction(1)
-            )
-    wname = {}
-    for link in instance.links:
-        wname[(link.tail, link.head)] = b.var(
-            f"w_{link.tail}_{link.head}", "continuous", instance.w_min, instance.w_max
-        )
-    lname = {}
-    for s in origins:
-        for node in instance.nodes:
-            ub = Fraction(0) if node == s else None
-            lname[(s, node)] = b.var(
-                f"l_{s}_{node}", "continuous", Fraction(0), ub
-            )
-
-    for k, demand in enumerate(instance.demands):
-        for node in instance.nodes:
-            coeffs: dict[str, Fraction] = {}
-            for link in in_links[node]:
-                coeffs[xname[(k, link.tail, link.head)]] = Fraction(1)
-            for link in out_links[node]:
-                coeffs[xname[(k, link.tail, link.head)]] = Fraction(-1)
-            if node == demand.origin:
-                rhs = Fraction(-1)
-            elif node == demand.destination:
-                rhs = Fraction(1)
-            else:
-                rhs = Fraction(0)
-            b.row(f"fc_{k}_{node}", coeffs, "=", rhs)
-
-    for link in instance.links:
-        coeffs = {}
-        for k, demand in enumerate(instance.demands):
-            coeffs[xname[(k, link.tail, link.head)]] = demand.bandwidth
-        b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
-
-    for k, demand in enumerate(instance.demands):
-        s = demand.origin
-        for link in instance.links:
-            i, j = link.tail, link.head
-            # l_j <= l_i + w_ij - eps * (sum_h x_hj - x_ij)
-            coeffs = {lname[(s, j)]: Fraction(1), lname[(s, i)]: Fraction(-1)}
-            coeffs[wname[(i, j)]] = coeffs.get(wname[(i, j)], Fraction(0)) - 1
-            for other in in_links[j]:
-                key = xname[(k, other.tail, other.head)]
-                coeffs[key] = coeffs.get(key, Fraction(0)) + eps
-            key = xname[(k, i, j)]
-            coeffs[key] = coeffs.get(key, Fraction(0)) - eps
-            b.row(f"pl_ub_{k}_{i}_{j}", coeffs, "<=", Fraction(0))
-            # l_j >= l_i + w_ij - M * (1 - x_ij)
-            coeffs = {lname[(s, j)]: Fraction(1), lname[(s, i)]: Fraction(-1)}
-            coeffs[wname[(i, j)]] = coeffs.get(wname[(i, j)], Fraction(0)) - 1
-            coeffs[xname[(k, i, j)]] = coeffs.get(xname[(k, i, j)], Fraction(0)) - big_M
-            b.row(f"pl_lb_{k}_{i}_{j}", coeffs, ">=", -big_M)
-
-    if subpath_lift:
-        yname = {}
-        for s in origins:
-            for link in instance.links:
-                yname[(s, link.tail, link.head)] = b.var(
-                    f"y_{s}_{link.tail}_{link.head}", "binary", Fraction(0), Fraction(1)
+    def tree_vars(self, prefix: str, keys, kind: str, lb, ub) -> dict:
+        """`<prefix>_<key>_<i>_<j>` for every tree key and link: {key: {(i, j): name}}."""
+        return {
+            key: {
+                (link.tail, link.head): self.var(
+                    f"{prefix}_{key}_{link.tail}_{link.head}", kind, lb, ub
                 )
-        for s in origins:
-            for k, demand in enumerate(instance.demands):
-                if demand.origin != s:
-                    continue
-                for link in instance.links:
-                    b.row(
-                        f"lift_{s}_{k}_{link.tail}_{link.head}",
-                        {
-                            yname[(s, link.tail, link.head)]: Fraction(1),
-                            xname[(k, link.tail, link.head)]: Fraction(-1),
-                        },
-                        ">=",
-                        Fraction(0),
-                    )
-            for node in instance.nodes:
-                if node == s:
-                    continue
-                coeffs = {
-                    yname[(s, link.tail, link.head)]: Fraction(1) for link in in_links[node]
-                }
-                b.row(f"spo_{s}_{node}", coeffs, "<=", Fraction(1))
+                for link in self.instance.links
+            }
+            for key in keys
+        }
 
-    objective = tuple(
-        (xname[(k, link.tail, link.head)], demand.bandwidth)
-        for k, demand in enumerate(instance.demands)
+    def lengths(self) -> None:
+        """Weights `w_<i>_<j>` in [w_min, w_max]; lengths `l_<s>_<node>` >= 0, 0 at s."""
+        inst = self.instance
+        self.w = {
+            (link.tail, link.head): self.var(
+                f"w_{link.tail}_{link.head}", "continuous", inst.w_min, inst.w_max
+            )
+            for link in inst.links
+        }
+        self.l = {
+            s: {
+                node: self.var(
+                    f"l_{s}_{node}", "continuous", Fraction(0), Fraction(0) if node == s else None
+                )
+                for node in inst.nodes
+            }
+            for s in inst.origins()
+        }
+
+    def conservation(self, key, flow: dict, net: dict) -> None:
+        """`fc_<key>_<node>`: inflow - outflow of one tree = net.get(node, 0)."""
+        for node in self.instance.nodes:
+            coeffs: dict[str, Fraction] = {}
+            for link in self.in_links[node]:
+                coeffs[flow[(link.tail, link.head)]] = Fraction(1)
+            for link in self.out_links[node]:
+                coeffs[flow[(link.tail, link.head)]] = Fraction(-1)
+            self.row(f"fc_{key}_{node}", coeffs, "=", net.get(node, Fraction(0)))
+
+    def path_length(self, key, origin: str, route: dict) -> None:
+        """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin."""
+        length = self.l[origin]
+        for link in self.instance.links:
+            i, j = link.tail, link.head
+            # l_j <= l_i + w_ij - eps * (sum_h route_hj - route_ij)
+            coeffs = {length[j]: Fraction(1), length[i]: Fraction(-1), self.w[(i, j)]: Fraction(-1)}
+            for other in self.in_links[j]:
+                if other is not link:
+                    coeffs[route[(other.tail, other.head)]] = self.eps
+            self.row(f"pl_ub_{key}_{i}_{j}", coeffs, "<=", Fraction(0))
+            # l_j >= l_i + w_ij - M * (1 - route_ij)
+            coeffs = {length[j]: Fraction(1), length[i]: Fraction(-1), self.w[(i, j)]: Fraction(-1)}
+            coeffs[route[(i, j)]] = -self.big_M
+            self.row(f"pl_lb_{key}_{i}_{j}", coeffs, ">=", -self.big_M)
+
+    def model(self, formulation: str, objective) -> LinearModel:
+        return LinearModel(
+            formulation, self.eps, self.big_M, tuple(self.variables),
+            tuple(self.constraints), tuple(objective),
+        )
+
+
+def build_dbm(instance: Instance, eps=None, big_M=None) -> LinearModel:
+    """Demand-based formulation: one routing tree per demand, routed by `x`."""
+    b = _ModelBuilder(instance, eps, big_M)
+    demands = instance.demands
+    x = b.tree_vars("x", range(len(demands)), "binary", Fraction(0), Fraction(1))
+    b.lengths()
+    for k, demand in enumerate(demands):
+        b.conservation(k, x[k], {demand.destination: Fraction(1), demand.origin: Fraction(-1)})
+    for link in instance.links:
+        pair = (link.tail, link.head)
+        coeffs = {x[k][pair]: demand.bandwidth for k, demand in enumerate(demands)}
+        b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
+    for k, demand in enumerate(demands):
+        b.path_length(k, demand.origin, x[k])
+    return b.model("DBM", (
+        (x[k][(link.tail, link.head)], demand.bandwidth)
+        for k, demand in enumerate(demands)
         for link in instance.links
-    )
-    formulation = "DBM+SPO" if subpath_lift else "DBM"
-    return LinearModel(
-        formulation, eps, big_M, tuple(b.variables), tuple(b.constraints), objective
-    )
+    ))
 
 
 def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
-    """Origin-based formulation (one tree per origin)."""
-    eps, big_M = resolve_params(instance, eps, big_M)
-    b = _ModelBuilder()
+    """Origin-based formulation: one routing tree per origin, routed by `y`
+    and carrying flow `f`."""
+    b = _ModelBuilder(instance, eps, big_M)
     origins = instance.origins()
-    in_links = instance.in_links()
-    out_links = instance.out_links()
-
-    yname = {}
+    y = b.tree_vars("y", origins, "binary", Fraction(0), Fraction(1))
+    f = b.tree_vars("f", origins, "continuous", Fraction(0), None)
+    b.lengths()
     for s in origins:
-        for link in instance.links:
-            yname[(s, link.tail, link.head)] = b.var(
-                f"y_{s}_{link.tail}_{link.head}", "binary", Fraction(0), Fraction(1)
-            )
-    fname = {}
-    for s in origins:
-        for link in instance.links:
-            fname[(s, link.tail, link.head)] = b.var(
-                f"f_{s}_{link.tail}_{link.head}", "continuous", Fraction(0), None
-            )
-    wname = {}
-    for link in instance.links:
-        wname[(link.tail, link.head)] = b.var(
-            f"w_{link.tail}_{link.head}", "continuous", instance.w_min, instance.w_max
-        )
-    lname = {}
-    for s in origins:
-        for node in instance.nodes:
-            ub = Fraction(0) if node == s else None
-            lname[(s, node)] = b.var(f"l_{s}_{node}", "continuous", Fraction(0), ub)
-
-    for s in origins:
-        sink = {d.destination: d.bandwidth for d in instance.demands_from(s)}
-        d_s = instance.origin_bandwidth(s)
-        for node in instance.nodes:
-            coeffs: dict[str, Fraction] = {}
-            for link in in_links[node]:
-                coeffs[fname[(s, link.tail, link.head)]] = Fraction(1)
-            for link in out_links[node]:
-                coeffs[fname[(s, link.tail, link.head)]] = Fraction(-1)
-            rhs = -d_s if node == s else sink.get(node, Fraction(0))
-            b.row(f"fc_{s}_{node}", coeffs, "=", rhs)
+        net = {d.destination: d.bandwidth for d in instance.demands_from(s)}
+        net[s] = -instance.origin_bandwidth(s)
+        b.conservation(s, f[s], net)
 
     for s in origins:
         d_s = instance.origin_bandwidth(s)
         for link in instance.links:
-            b.row(
-                f"fb_{s}_{link.tail}_{link.head}",
-                {
-                    fname[(s, link.tail, link.head)]: Fraction(1),
-                    yname[(s, link.tail, link.head)]: -d_s,
-                },
-                "<=",
-                Fraction(0),
-            )
+            pair = (link.tail, link.head)
+            b.row(f"fb_{s}_{link.tail}_{link.head}", {f[s][pair]: Fraction(1), y[s][pair]: -d_s},
+                  "<=", Fraction(0))
 
     for link in instance.links:
-        coeffs = {fname[(s, link.tail, link.head)]: Fraction(1) for s in origins}
+        coeffs = {f[s][(link.tail, link.head)]: Fraction(1) for s in origins}
         b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
 
     for s in origins:
         dests = set(instance.destinations_from(s))
         for node in instance.nodes:
-            coeffs = {yname[(s, link.tail, link.head)]: Fraction(1) for link in in_links[node]}
+            coeffs = {y[s][(link.tail, link.head)]: Fraction(1) for link in b.in_links[node]}
             if node == s:
                 b.row(f"uniq_{s}_{node}", coeffs, "=", Fraction(0))
             elif node in dests:
@@ -335,29 +297,10 @@ def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
                 b.row(f"uniq_{s}_{node}", coeffs, "<=", Fraction(1))
 
     for s in origins:
-        for link in instance.links:
-            i, j = link.tail, link.head
-            coeffs = {lname[(s, j)]: Fraction(1), lname[(s, i)]: Fraction(-1)}
-            coeffs[wname[(i, j)]] = coeffs.get(wname[(i, j)], Fraction(0)) - 1
-            for other in in_links[j]:
-                key = yname[(s, other.tail, other.head)]
-                coeffs[key] = coeffs.get(key, Fraction(0)) + eps
-            key = yname[(s, i, j)]
-            coeffs[key] = coeffs.get(key, Fraction(0)) - eps
-            b.row(f"pl_ub_{s}_{i}_{j}", coeffs, "<=", Fraction(0))
-            coeffs = {lname[(s, j)]: Fraction(1), lname[(s, i)]: Fraction(-1)}
-            coeffs[wname[(i, j)]] = coeffs.get(wname[(i, j)], Fraction(0)) - 1
-            coeffs[yname[(s, i, j)]] = coeffs.get(yname[(s, i, j)], Fraction(0)) - big_M
-            b.row(f"pl_lb_{s}_{i}_{j}", coeffs, ">=", -big_M)
-
-    objective = tuple(
-        (fname[(s, link.tail, link.head)], Fraction(1))
-        for s in origins
-        for link in instance.links
-    )
-    return LinearModel(
-        "OBM", eps, big_M, tuple(b.variables), tuple(b.constraints), objective
-    )
+        b.path_length(s, s, y[s])
+    return b.model("OBM", (
+        (f[s][(link.tail, link.head)], Fraction(1)) for s in origins for link in instance.links
+    ))
 
 
 def master_submodel(model: LinearModel) -> LinearModel:
@@ -404,8 +347,6 @@ _ROW_FAMILY_LABEL = {
     "pl": "path_length",
     "fb": "flow_bound",
     "uniq": "uniqueness",
-    "lift": "subpath_lift",
-    "spo": "subpath",
 }
 
 

@@ -82,8 +82,9 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    eps: Fraction | None = None
-    big_M: Fraction | None = None
+    """Limits of a decomposition solve.  eps and big_M are not settable: every
+    solve derives them from the instance (`models.resolve_params`)."""
+
     node_limit: int | None = None
     time_limit: float | None = None
     grid_limit: int = spf.GRID_LIMIT
@@ -593,11 +594,7 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
         iterations += 1
         try:
             recovery = lp.recover_weights(
-                instance,
-                candidate,
-                config.eps,
-                config.big_M,
-                grid_search_limit=config.grid_limit,
+                instance, candidate, grid_search_limit=config.grid_limit
             )
         except GridSearchLimitError as exc:
             lp_solves += exc.lp_solves

@@ -1,8 +1,9 @@
 """Shared builders for the test suite.
 
 Instances used across modules: a 2-node single link, a triangle with a
-shortcut, the 4-node diamond (two parallel 2-hop routes), and seeded random
-instances kept small enough for exhaustive grid enumeration.
+shortcut, the same triangle on the coarse grid {2, 5}, the 4-node diamond
+(two parallel 2-hop routes), and seeded random instances kept small enough
+for exhaustive grid enumeration.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def triangle(w_min=1, w_max=10) -> Instance:
         [("s", "t", 1)],
         w_min=w_min,
         w_max=w_max,
+    )
+
+
+def coarse_grid_triangle() -> Instance:
+    # Grid {2, 5}: the two-hop route needs 2 + 2 < 5, a gap of 1 that
+    # eps = resolution = 3 would forbid.  The optimum is 4.
+    return mk_instance(
+        ["s", "a", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "t", 1)],
+        [("s", "t", 2)],
+        w_min=2, w_max=5, step=3,
     )
 
 

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from conftest import diamond, mk_instance, two_node
+from conftest import coarse_grid_triangle, diamond, mk_instance, two_node
 from uspr import spf
 from uspr.cli import main
 from uspr.instance import save_instance
@@ -243,10 +243,25 @@ def test_simplex_resource_error_exit_three(tmp_path, capsys, monkeypatch):
 
 
 def test_export_default_eps_is_gcd_of_w_min_and_resolution(tmp_path, capsys):
-    inst = write_instance(
-        tmp_path,
-        mk_instance(["s", "a", "t"], [("s", "a", 10), ("a", "t", 10), ("s", "t", 1)],
-                    [("s", "t", 2)], w_min=2, w_max=5, step=3),
-    )
+    inst = write_instance(tmp_path, coarse_grid_triangle())
     assert main(["export", inst, "--formulation", "dbm"]) == 0
     assert "\\ eps: 1\n" in capsys.readouterr().out
+
+
+def test_export_eps_above_gcd_is_usage_error(tmp_path, capsys):
+    # eps = 3 is the resolution but above gcd(2, 3) = 1: the model would cut
+    # off the optimum 4, so it is refused instead of written.
+    inst = write_instance(tmp_path, coarse_grid_triangle())
+    assert main(["export", inst, "--formulation", "dbm", "--eps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "gcd(w_min, weight_resolution)" in captured.err
+
+
+def test_solve_derives_eps_from_the_instance(tmp_path, capsys):
+    inst = write_instance(tmp_path, coarse_grid_triangle())
+    assert main(["solve", inst]) == 0
+    assert "status=Optimal objective=4 " in capsys.readouterr().out
+    for flag in (["--eps", "3"], ["--big-m", "99"]):
+        assert main(["solve", inst, *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

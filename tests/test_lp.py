@@ -490,7 +490,7 @@ def test_cores_irreducible_and_cuts_sound_on_random_instances():
                 continue
             infeasible_seen += 1
             assert_irreducible_core(system, result.conflict_core)
-            cut = solver.NoGoodCut(lp.row_bindings(inst, forest, meta, result.conflict_core))
+            cut = solver.NoGoodCut(lp.row_bindings(meta, result.conflict_core))
             for other, candidate in enumerate(forests):
                 used = {s: candidate.used_links(s) for s in inst.origins()}
                 if solver.cut_matches(cut, used):

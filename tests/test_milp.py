@@ -5,7 +5,7 @@ scipy is an optional test dependency; the module skips when it is missing.
 
 import pytest
 
-from conftest import mk_instance, small_random
+from conftest import coarse_grid_triangle, small_random
 from uspr.models import build_dbm, build_obm
 from uspr.solver import benders_solve
 
@@ -44,17 +44,6 @@ def solve_milp(model):
         return None
     assert result.status == 0, result.message
     return result.fun
-
-
-def coarse_grid_triangle():
-    # Grid {2, 5}: the two-hop route needs 2 + 2 < 5, a gap of 1 that
-    # eps = resolution = 3 would forbid.
-    return mk_instance(
-        ["s", "a", "t"],
-        [("s", "a", 10), ("a", "t", 10), ("s", "t", 1)],
-        [("s", "t", 2)],
-        w_min=2, w_max=5, step=3,
-    )
 
 
 CASES = [small_random(seed, tight=seed % 5 == 0) for seed in range(40)]

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import diamond, mk_instance, small_random, two_node
+from conftest import coarse_grid_triangle, diamond, mk_instance, small_random, two_node
 from uspr import models
 from uspr.instance import InstanceDims
 from uspr.models import (
@@ -110,13 +110,19 @@ def test_empty_demand_model_is_degenerate():
 def test_eps_big_m_validation():
     inst = two_node()
     with pytest.raises(ModelParameterError):
-        build_dbm(inst, eps=2)  # eps > resolution
+        build_dbm(inst, eps=2)  # eps > gcd(w_min, resolution) = 1
     with pytest.raises(ModelParameterError):
         build_dbm(inst, eps=0)
     with pytest.raises(ModelParameterError):
         build_dbm(inst, big_M=5)  # below (|N|-1)*w_max + eps = 11
     m = build_dbm(inst, eps=Fraction(1, 2), big_M=20)
     assert m.eps == Fraction(1, 2)
+    # Grid {2, 5}: eps = 2 is below the resolution 3 but above gcd(2, 3) = 1,
+    # so it would cut off the two-hop route 2 + 2 < 5.
+    coarse = coarse_grid_triangle()
+    with pytest.raises(ModelParameterError, match="gcd"):
+        build_obm(coarse, eps=2)
+    assert build_obm(coarse, eps=1).eps == 1
 
 
 def test_structure_report_dbm_families():
@@ -137,19 +143,6 @@ def test_structure_report_obm_families():
         "uniqueness": ("y",),
         "path_length": ("y", "w", "l"),
     }
-
-
-def test_subpath_lift_variant():
-    inst = mk_instance(
-        ["s", "a", "t"],
-        [("s", "a", 10), ("a", "t", 10)],
-        [("s", "a", 1), ("s", "t", 1)],
-    )
-    m = build_dbm(inst, subpath_lift=True)
-    assert model_violations(m) == []
-    families = model_counts(m)
-    assert families.constraints["subpath_lift"] == 2 * 2  # 2 demands x 2 links
-    assert families.constraints["subpath"] == 2  # nodes a, t for origin s
 
 
 def test_linearization_cases():

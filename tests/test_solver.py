@@ -356,6 +356,30 @@ def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
         assert result.diagnostics.details["lp_pivots"] == pivots
 
 
+def test_benders_matches_brute_force_on_coarse_grids(monkeypatch):
+    # w_min is not a multiple of the resolution, so eps = gcd(w_min,
+    # resolution) is below the resolution and snapped LP weights can miss the
+    # forest: recovery's margin stage must then agree with brute force too.
+    stages = []
+    recover = lp.recover_weights
+
+    def recording(*args, **kwargs):
+        result = recover(*args, **kwargs)
+        stages.append(result.stage)
+        return result
+
+    monkeypatch.setattr(lp, "recover_weights", recording)
+    for w_min, w_max, resolution in ((2, 5, 3), (5, 9, 4)):
+        for shape in ((4, 1.5, 3), (5, 2, 4)):
+            for seed in range(15):
+                inst = generate_random_instance(
+                    *shape, w_min=w_min, w_max=w_max, weight_resolution=resolution, seed=seed
+                )
+                fast, reference = benders_solve(inst), brute_force_solve(inst)
+                assert (fast.status, fast.objective) == (reference.status, reference.objective)
+    assert "margin" in stages
+
+
 def test_benders_single_path_one_iteration():
     result = benders_solve(path_graph(4))
     assert result.status == "Optimal"
