@@ -44,6 +44,21 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Appends "(default: ...)" to an argument's help, unless the help already
+    names its default or there is none to print (required arguments, flags,
+    and computed defaults, which are None)."""
+
+    def _get_help_string(self, action):
+        text = action.help or ""
+        default = action.default
+        if "(default:" in text or action.required or action.nargs == 0 or default is None:
+            return text
+        if isinstance(default, list):
+            default = " ".join(str(v) for v in default)
+        return f"{text} (default: {default})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="uspr",
@@ -53,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("generate", help="generate a random instance", formatter_class=fmt)
     p.add_argument("--nodes", type=int, required=True, help="number of nodes")

@@ -555,10 +555,10 @@ def _grid_witness(
     """The first grid vector, in enumeration order, that realizes the forest."""
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     index = instance.node_index()
-    target = [
-        [index[node] for node in forest.paths.get((d.origin, d.destination), ())]
+    target = tuple(
+        tuple(index[node] for node in forest.paths.get((d.origin, d.destination), ()))
         for d in instance.demands
-    ]
+    )
     pairs = instance.link_pairs()
     for combo, paths in spf.unique_grid_routings(instance, limit):
         if paths != target:

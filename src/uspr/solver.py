@@ -617,7 +617,13 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
 def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> Solution:
     """Exhaustive reference: evaluate the routing oracle on every admissible
     weight vector, lexicographically over the fixed link order, keeping the
-    first vector attaining the minimum objective."""
+    first vector attaining the minimum objective.
+
+    The vectors come from `spf.unique_grid_routings`, whose oracle work is
+    sum_s P^|R_s| kernel calls (P grid points, R_s the links that can change
+    origin s's paths) rather than one routing per vector; loads, capacity and
+    objective are evaluated once per distinct routing.
+    """
     started = time.perf_counter()
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     pairs = instance.link_pairs()
@@ -625,19 +631,30 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     edge_of = {(index[t], index[h]): e for e, (t, h) in enumerate(pairs)}
     dscale = math.lcm(*(d.bandwidth.denominator for d in instance.demands))
     demand_units = [int(d.bandwidth * dscale) for d in instance.demands]
-    cap_scaled = [l.capacity * dscale for l in instance.links]
-
-    best_units: int | None = None
-    best_combo: tuple[int, ...] | None = None
+    # Loads are integers, so load > capacity exactly when load > floor(capacity).
+    cap_units = [math.floor(l.capacity * dscale) for l in instance.links]
     n_links = len(pairs)
-    for combo, paths in spf.unique_grid_routings(instance, grid_limit):
+
+    def objective_within_capacity(paths) -> int | None:
         loads = [0] * n_links
         objective_units = 0
         for units, node_path in zip(demand_units, paths):
             objective_units += units * (len(node_path) - 1)
             for a, b in zip(node_path, node_path[1:]):
                 loads[edge_of[(a, b)]] += units
-        if any(loads[e] > cap_scaled[e] for e in range(n_links)):
+        if any(load > cap for load, cap in zip(loads, cap_units)):
+            return None
+        return objective_units
+
+    best_units: int | None = None
+    best_combo: tuple[int, ...] | None = None
+    evaluated: dict[tuple, int | None] = {}
+    for combo, paths in spf.unique_grid_routings(instance, grid_limit):
+        if paths in evaluated:
+            objective_units = evaluated[paths]
+        else:
+            objective_units = evaluated[paths] = objective_within_capacity(paths)
+        if objective_units is None:
             continue
         if best_units is None or objective_units < best_units:
             best_units = objective_units

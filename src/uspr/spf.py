@@ -10,6 +10,11 @@ Uniqueness is decided by counting shortest paths over the tight-edge DAG
 positive weights the tight-edge graph is acyclic and ordered by distance, so
 the count is a single linear pass and stays polynomial; it is validated
 against exhaustive path enumeration in the tests.
+
+The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
+an origin's routing depends only on the weights of the links that can lie
+on its paths, so each origin is routed once per grid setting of those links
+and every grid vector combines the tabulated outcomes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import heapq
 import itertools
 import json
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -120,7 +127,8 @@ def _check_weights(instance: Instance, weights: WeightVector) -> None:
 
 # ---------------------------------------------------------------------------
 # Compiled integer-unit core.  Shared by the public operations and by the
-# weight-grid enumeration, which calls it in a tight loop.
+# weight-grid enumeration, which calls it once per origin and grid setting of
+# that origin's relevant links.
 
 
 class CompiledGraph:
@@ -208,15 +216,84 @@ def walk_back_unique(
     return path
 
 
+def relevant_links(cg: CompiledGraph, src: int, dests: list[int]) -> list[int]:
+    """R_s: the links (u, v) with u reachable from `src`, v != src and v
+    reaching some node of `dests`, ascending.
+
+    Every simple src -> t path to a destination t uses only these links,
+    and with positive weights shortest paths are simple and no link into
+    src is ever tight.  So for every demand from src, the distance, the
+    capped path count and the unique path are functions of the weights on
+    R_s alone.
+    """
+    reach = _marked([src], cg.out_links, cg.heads)
+    coreach = _marked(dests, cg.in_links, cg.tails)
+    return [
+        e
+        for e, (u, v) in enumerate(zip(cg.tails, cg.heads))
+        if reach[u] and v != src and coreach[v]
+    ]
+
+
+def _marked(starts: list[int], links: list[list[int]], ends: list[int]) -> list[bool]:
+    """Nodes reachable from `starts` along `links[node]`, stepping to `ends[e]`."""
+    seen = [False] * len(links)
+    for node in starts:
+        seen[node] = True
+    stack = list(starts)
+    while stack:
+        for e in links[stack.pop()]:
+            nxt = ends[e]
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append(nxt)
+    return seen
+
+
+def _origin_table(
+    cg: CompiledGraph, point_units: list[int], src: int, dests: list[int], rel: list[int]
+) -> tuple[array, list]:
+    """One origin's outcome for every grid setting of its relevant links.
+
+    Settings run lexicographically over `rel`; the links outside it stay at
+    the first grid point.  The table holds an outcome id per setting; id 0
+    is "some demand unreachable or not unique", any other id indexes the
+    returned outcomes: the demands' node-index paths, in `dests` order.
+    """
+    ids: dict = {None: 0}
+    table = array("I")
+    wunits = [point_units[0]] * len(cg.tails)
+    for setting in itertools.product(point_units, repeat=len(rel)):
+        for e, w in zip(rel, setting):
+            wunits[e] = w
+        dist = dijkstra_units(cg, wunits, src)
+        counts = count_paths_capped(cg, wunits, dist)
+        outcome: tuple | None = ()
+        for dest in dests:
+            if dist[dest] is None or counts[dest] != 1:
+                outcome = None
+                break
+            outcome += (tuple(walk_back_unique(cg, wunits, dist, src, dest)),)
+        table.append(ids.setdefault(outcome, len(ids)))
+    return table, list(ids)
+
+
 def unique_grid_routings(
     instance: Instance, limit: int
-) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """Every grid weight vector under which each demand has a unique shortest path.
 
     Vectors run lexicographically over the fixed link order and are given as
     index tuples into `grid_points(w_min, w_max, weight_resolution)`; each
-    comes with every demand's node-index path, in demand order.  Raises
+    comes with every demand's node-index path, in demand order, as a tuple
+    of tuples that all vectors with the same routing share.  Raises
     GridSearchLimitError when the grid holds more than `limit` vectors.
+
+    The enumeration is factored by origin.  Each origin s's outcome depends
+    only on the weights of its relevant links R_s (`relevant_links`), so it
+    is tabulated once over the P^|R_s| settings of R_s, P being the number
+    of grid points; each vector then looks up one table entry per origin.
+    The oracle kernels run sum_s P^|R_s| <= |origins| * P^|L| times in all.
     """
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     n_links = len(instance.links)
@@ -228,29 +305,34 @@ def unique_grid_routings(
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]
-    groups = []
+    origins = []  # (strides over all links, outcome table, outcomes, demand indices)
     for origin in instance.origins():
-        members = [
-            (k, cg.index[d.destination])
-            for k, d in enumerate(instance.demands)
-            if d.origin == origin
-        ]
-        groups.append((cg.index[origin], members))
+        src = cg.index[origin]
+        members = [k for k, d in enumerate(instance.demands) if d.origin == origin]
+        dests = [cg.index[instance.demands[k].destination] for k in members]
+        rel = relevant_links(cg, src, dests)
+        strides = [0] * n_links
+        for k, e in enumerate(rel):
+            strides[e] = len(points) ** (len(rel) - 1 - k)
+        table, outcomes = _origin_table(cg, point_units, src, dests, rel)
+        origins.append((strides, table, outcomes, members))
+    routings: dict[tuple[int, ...], tuple] = {}
     for combo in itertools.product(range(len(points)), repeat=n_links):
-        wunits = [point_units[i] for i in combo]
-        paths: list = [None] * len(instance.demands)
-        ok = True
-        for src, members in groups:
-            dist = dijkstra_units(cg, wunits, src)
-            counts = count_paths_capped(cg, wunits, dist)
-            for k, dest in members:
-                if dist[dest] is None or counts[dest] != 1:
-                    ok = False
-                    break
-                paths[k] = walk_back_unique(cg, wunits, dist, src, dest)
-            if not ok:
+        key = []
+        for strides, table, _outcomes, _members in origins:
+            outcome_id = table[sum(map(operator.mul, combo, strides))]
+            if not outcome_id:
                 break
-        if ok:
+            key.append(outcome_id)
+        else:
+            key = tuple(key)
+            paths = routings.get(key)
+            if paths is None:
+                merged: list = [None] * len(instance.demands)
+                for (_strides, _table, outcomes, members), outcome_id in zip(origins, key):
+                    for k, path in zip(members, outcomes[outcome_id]):
+                        merged[k] = path
+                paths = routings[key] = tuple(merged)
             yield combo, paths
 
 

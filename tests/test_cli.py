@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 from conftest import coarse_grid_triangle, diamond, mk_instance, two_node
@@ -265,3 +266,16 @@ def test_solve_derives_eps_from_the_instance(tmp_path, capsys):
     for flag in (["--eps", "3"], ["--big-m", "99"]):
         assert main(["solve", inst, *flag]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_prints_each_default_once_and_never_none(capsys):
+    for command in ("generate", "validate", "solve", "verify", "export", "report"):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "None" not in text, command
+        assert re.search(r"\(default:[^)]*\) \(default:", text) is None, command
+        if command == "generate":
+            assert "random seed (default: 0)" in text
+            assert "capacity range (default: 10 100)" in text
+        if command == "export":
+            assert "(default: that gcd)" in text and "(default: stdout)" in text

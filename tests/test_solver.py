@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     all_routings,
     assert_endpoint_conditions,
+    coarse_grid_triangle,
     diamond,
     mk_instance,
     path_graph,
@@ -16,6 +18,7 @@ from conftest import (
 )
 from uspr import lp, solver, spf
 from uspr.instance import generate_random_instance
+from uspr.rational import grid_points
 from uspr.solver import (
     ConservationError,
     DemandRouting,
@@ -33,7 +36,7 @@ from uspr.solver import (
     strip_loops,
     subpath_optimality_check,
 )
-from uspr.spf import RoutingForest
+from uspr.spf import RoutingForest, WeightVector
 
 F = Fraction
 
@@ -434,6 +437,96 @@ def test_brute_force_single_link():
 def test_brute_force_grid_limit_refusal():
     with pytest.raises(solver.GridSearchLimitError):
         brute_force_solve(diamond(), grid_limit=10)
+
+
+def naive_brute_force(inst):
+    """Reference: route every grid vector through the public oracle, in
+    lexicographic order, keeping the first capacity-feasible minimum."""
+    points = grid_points(inst.w_min, inst.w_max, inst.weight_resolution)
+    pairs = inst.link_pairs()
+    best = None
+    for combo in itertools.product(points, repeat=len(pairs)):
+        weights = WeightVector(dict(zip(pairs, combo)))
+        try:
+            forest = spf.routing_from_weights(inst, weights)
+        except (spf.NonUniqueRoutingError, spf.UnreachableDemandError):
+            continue
+        if spf.check_capacity(inst, forest):
+            continue
+        objective = spf.evaluate_objective(inst, forest)
+        if best is None or objective < best[0]:
+            best = (objective, weights, forest)
+    iterations = len(points) ** len(pairs)
+    if best is None:
+        return ("Infeasible", None, None, None, iterations)
+    return ("Optimal", *best, iterations)
+
+
+def test_brute_force_matches_naive_reference_loop():
+    fractional_grid = mk_instance(
+        ["s", "a", "b", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10), ("a", "b", 10)],
+        [("s", "t", 1), ("a", "t", 2)],
+        w_min=F(1, 2), w_max=F(3, 2), step=F(1, 2),
+    )
+
+    def fractional_bandwidths(cap_sa):
+        return mk_instance(
+            ["s", "a", "b", "t"],
+            [("s", "a", cap_sa), ("a", "t", 2), ("s", "b", F(7, 5)), ("b", "t", F(8, 5)),
+             ("s", "t", F(7, 5))],
+            [("s", "t", F(3, 2)), ("a", "t", F(1, 2))],
+            w_max=3,
+        )
+
+    # Bandwidths in halves: s->a and a->t carry exactly their capacity at the
+    # optimum, and the direct s->t link (7/5 < 3/2) must stay unused; with
+    # s->a at 7/5 too, no route for s->t fits.
+    load_at_capacity = fractional_bandwidths(F(3, 2))
+    over_capacity = fractional_bandwidths(F(7, 5))
+    # a->s enters origin s, x->y leaves a node that reaches no destination.
+    outside_relevant_links = mk_instance(
+        ["s", "a", "t", "x", "y"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "t", 10), ("a", "s", 10), ("t", "x", 10),
+         ("x", "s", 10), ("x", "y", 10)],
+        [("s", "t", 2), ("a", "s", 1)],
+        w_max=3,
+    )
+    zero_demand = mk_instance("abc", [("a", "b", 10), ("b", "c", 10), ("c", "a", 10)], [], w_max=3)
+    coarse = [
+        generate_random_instance(5, 2, 4, w_min=2, w_max=5, weight_resolution=3, seed=seed)
+        for seed in range(3)
+    ]
+    instances = [fractional_grid, load_at_capacity, over_capacity, outside_relevant_links,
+                 zero_demand, coarse_grid_triangle(), *coarse]
+    for inst in instances:
+        got = brute_force_solve(inst)
+        assert (got.status, got.objective, got.weights, got.forest,
+                got.diagnostics.iterations) == naive_brute_force(inst)
+    assert brute_force_solve(over_capacity).status == "Infeasible"
+    loads = spf.link_loads(brute_force_solve(load_at_capacity).forest)
+    assert loads[("s", "a")] == F(3, 2) and loads[("a", "t")] == 2
+    zero = brute_force_solve(zero_demand)
+    assert zero.objective == 0
+    assert set(zero.weights.values.values()) == {zero_demand.w_min}
+
+
+def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
+    # (5, 1.6, 4) s0 on the grid 1..4: the three origins' relevant links
+    # number 6, 7 and 7, so the tables take 4^6 + 4^7 + 4^7 Dijkstra calls,
+    # plus one per origin to re-route the optimum; 4^8 = 65 536 vectors.
+    calls = []
+    dijkstra = spf.dijkstra_units
+
+    def counting(*args):
+        calls.append(1)
+        return dijkstra(*args)
+
+    monkeypatch.setattr(spf, "dijkstra_units", counting)
+    result = brute_force_solve(generate_random_instance(5, 1.6, 4, w_max=4, seed=0))
+    assert (result.status, result.objective) == ("Optimal", F(2677, 100))
+    assert result.diagnostics.iterations == 4**8
+    assert len(calls) == 4**6 + 2 * 4**7 + 3
 
 
 def test_oracle_equivalence_sample():

@@ -286,3 +286,17 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
 def test_unique_grid_routings_limit_refusal():
     with pytest.raises(spf.GridSearchLimitError, match="exceed grid_limit 3"):
         next(spf.unique_grid_routings(diamond(), 3))
+
+
+def test_relevant_links_exclude_links_into_origin_and_dead_ends():
+    inst = mk_instance(
+        ["s", "a", "b", "t", "d", "e", "u"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "s", 10),
+         ("a", "d", 10), ("d", "e", 10), ("u", "s", 10)],
+        [("s", "t", 1)],
+    )
+    cg = spf.CompiledGraph(inst)
+    rel = spf.relevant_links(cg, cg.index["s"], [cg.index["t"]])
+    # b -> s enters the origin, d -> e leaves a node that reaches no
+    # destination, a -> d enters one, and u is not reachable from s.
+    assert [inst.link_pairs()[e] for e in rel] == [("s", "a"), ("a", "t"), ("s", "b")]
