@@ -18,7 +18,6 @@ from .instance import (
 from .lp import (
     LinearSystem,
     WeightRecovery,
-    maximize_margin,
     recover_weights,
     solve_feasibility,
 )

@@ -92,11 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file")
     p.add_argument("-o", "--output", help="solution file to write")
     p.add_argument("--oracle", action="store_true",
-                   help="solve by exhaustive weight-grid enumeration instead")
-    p.add_argument("--node-limit", type=int, default=None, help="master candidate limit")
-    p.add_argument("--time-limit", type=float, default=None, help="wall-time limit in seconds")
-    p.add_argument("--grid-limit", type=int, default=spf.GRID_LIMIT,
-                   help="exhaustive-enumeration combination limit")
+                   help="solve by exhaustive weight-grid enumeration instead of "
+                        "decomposition")
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="decomposition only: master candidate limit (default: no limit)")
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="decomposition only: wall-time limit in seconds (default: no limit)")
+    p.add_argument("--grid-limit", type=int, default=None,
+                   help=f"--oracle only: weight-vector limit (default: {spf.GRID_LIMIT})")
 
     p = sub.add_parser("verify", help="verify a weight vector against an instance",
                        formatter_class=fmt)
@@ -177,15 +180,19 @@ def _ratio_text(x: Fraction) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.oracle and (args.node_limit is not None or args.time_limit is not None):
+        print("error: --node-limit and --time-limit apply to decomposition, "
+              "not to --oracle", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.oracle and args.grid_limit is not None:
+        print("error: --grid-limit applies to --oracle only", file=sys.stderr)
+        return EXIT_USAGE
     instance = _load(args.instance)
     if args.oracle:
-        result = solver.brute_force_solve(instance, grid_limit=args.grid_limit)
+        grid_limit = spf.GRID_LIMIT if args.grid_limit is None else args.grid_limit
+        result = solver.brute_force_solve(instance, grid_limit=grid_limit)
     else:
-        config = solver.SolverConfig(
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-            grid_limit=args.grid_limit,
-        )
+        config = solver.SolverConfig(node_limit=args.node_limit, time_limit=args.time_limit)
         result = solver.benders_solve(instance, config)
     print(_summary(instance, result))
     if args.output:
@@ -349,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except (spf.InvalidWeightsError, models.ModelParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (lp.GridSearchLimitError, lp.SimplexResourceError) as exc:
+    except (spf.GridSearchLimitError, lp.SimplexResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMITS
     except OSError as exc:

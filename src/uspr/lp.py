@@ -4,31 +4,26 @@ Given a fixed routing forest, decide whether link weights inside the bounds
 and per-origin length values exist that satisfy the path-length constraints,
 and recover a concrete grid weight vector when they do.
 
-The solver is a sparse two-phase primal simplex over `fractions.Fraction`:
-each tableau row holds only its nonzeros, and a pivot touches only the pivot
-row's nonzeros in the rows that have a nonzero in the entering column.
-Bland's smallest-index rule picks both the entering and the leaving choice,
-so pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
+The solver is the first phase of a sparse primal simplex over
+`fractions.Fraction`: it minimizes the sum of the artificial variables,
+which decides feasibility, and optimizes nothing else.  Each tableau row
+holds only its nonzeros, and a pivot touches only the pivot row's nonzeros
+in the rows that have a nonzero in the entering column.  Bland's
+smallest-index rule picks both the entering and the leaving choice, so
+pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
 the strict inequalities that separate a unique shortest path from a tie must
 not be blurred by floating error.  Feasible results are verified by direct
 substitution before they are returned.
 
-Weight recovery runs a three-stage policy:
-
- 1. solve the feasibility system and snap the weights to the grid;
- 2. if snapping breaks strictness, re-solve maximizing the smallest strict
-    slack (the margin) and snap again;
- 3. if that still fails, filter the oracle's weight-grid enumeration
-    (`spf.unique_grid_routings`, bounded by a combination limit) to this
-    forest, which settles grid realizability exactly.
-
-`maximize_margin` runs the same stages with the margin LP first.  Both use
-the eps and big_M that `models.resolve_params` derives from the instance.
-
-A reported infeasibility therefore means the forest is not realizable as a
-unique-shortest-path system at the requested strictness; `grid_infeasible`
-(the grid has no witness although the continuous system has one) is reported
-distinctly from `lp_infeasible`.
+Weight recovery (`recover_weights`) is one exact routine: solve the
+path-length system with the eps and big_M that `models.resolve_params`
+derives from the instance, snap its weights to the grid, and when the snap
+misses the forest, branch and bound on the weight grid.  With eps the gcd of
+w_min and the resolution, the system holds at grid weights exactly when they
+realize the forest, so an integral node is a witness and a search whose
+leaves are all infeasible proves that no grid weights realize the forest.
+`lp_infeasible` (the continuous system has no solution) is reported
+distinctly from `grid_infeasible` (it has solutions, but none on the grid).
 
 An infeasible system's certificate is an irreducible infeasible subsystem:
 the rows used by phase 1's Farkas dual ray, shrunk by one deletion pass and
@@ -37,21 +32,18 @@ re-solved once exactly.  `row_bindings` turns it into a no-good cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .instance import Instance
 from .models import Constraint, Variable, resolve_params, table_violations
-from .rational import grid_points, snap_to_grid
+from .rational import grid_size, snap_to_grid
 from . import spf
-from .spf import GridSearchLimitError, RoutingForest, WeightVector  # noqa: F401 (re-export)
+from .spf import RoutingForest, WeightVector
 
 # A routing binary fixed by a forest: (origin, link, 0 or 1).
 Binding = tuple[str, tuple[str, str], int]
-
-
-class UnboundedObjectiveError(ValueError):
-    pass
 
 
 class SimplexResourceError(RuntimeError):
@@ -60,18 +52,15 @@ class SimplexResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Continuous variables with bounds, sparse rows, optional objective."""
+    """Continuous variables with bounds, and sparse rows."""
 
     variables: tuple[Variable, ...]
     rows: tuple[Constraint, ...]
-    objective: tuple[tuple[str, Fraction], ...] = ()
-    maximize: bool = True
 
 
 @dataclass(frozen=True)
 class Feasible:
     assignment: dict[str, Fraction]
-    objective_value: Fraction | None = None
     pivots: int = 0
 
     @property
@@ -98,7 +87,7 @@ class Infeasible:
 
 
 def system_violations(system: LinearSystem) -> list[str]:
-    out = table_violations(system.variables, system.rows, system.objective)
+    out = table_violations(system.variables, system.rows, ())
     for v in system.variables:
         if v.kind != "continuous":
             out.append(f"variable {v.name}: must be continuous")
@@ -106,7 +95,7 @@ def system_violations(system: LinearSystem) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex.
+# Phase-1 simplex.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -193,7 +182,6 @@ class _Simplex:
                 row[slack] = _ONE
             self.basis.append(slack)
         self.ncols = ncols
-        self.active = list(range(len(self.rows)))
         self.initial_basis = list(self.basis)
 
     def _new_col(self, sign: Fraction) -> int:
@@ -202,19 +190,19 @@ class _Simplex:
 
     def _zrow(self, cost: list[Fraction]) -> list[Fraction]:
         z = list(cost)
-        for r in self.active:
-            cb = cost[self.basis[r]]
+        for row, col in zip(self.rows, self.basis):
+            cb = cost[col]
             if cb != 0:
-                for j, a in self.rows[r].items():
+                for j, a in row.items():
                     z[j] -= cb * a
         return z
 
     def _objective_value(self, cost: list[Fraction]) -> Fraction:
         total = _ZERO
-        for r in self.active:
-            cb = cost[self.basis[r]]
+        for b, col in zip(self.rhs, self.basis):
+            cb = cost[col]
             if cb != 0:
-                total += cb * self.rhs[r]
+                total += cb * b
         return total
 
     def _pivot_rows(self, r: int, c: int) -> dict[int, Fraction]:
@@ -235,8 +223,7 @@ class _Simplex:
             self.rows[r] = row = {j: a * inv for j, a in row.items()}
             self.rhs[r] *= inv
         b = self.rhs[r]
-        for rr in self.active:
-            other = self.rows[rr]
+        for rr, other in enumerate(self.rows):
             factor = other.get(c)
             if factor is None or rr == r:
                 continue
@@ -263,13 +250,11 @@ class _Simplex:
             for j, a in row.items():
                 z[j] -= factor * a
 
-    def _minimize(self, cost: list[Fraction], banned: set[int]) -> None:
+    def _minimize(self, cost: list[Fraction]) -> None:
         self.z = self._zrow(cost)
         while True:
             enter = None
             for j in range(self.ncols):
-                if j in banned:
-                    continue
                 if self.z[j] < 0:
                     enter = j
                     break
@@ -277,7 +262,7 @@ class _Simplex:
                 return
             leave = None
             best = None
-            for r in self.active:
+            for r in range(len(self.rows)):
                 a = self.rows[r].get(enter)
                 if a is not None and a > 0:
                     ratio = self.rhs[r] / a
@@ -286,8 +271,8 @@ class _Simplex:
                     ):
                         best = ratio
                         leave = r
-            if leave is None:
-                raise UnboundedObjectiveError("objective is unbounded")
+            if leave is None:  # phase 1's objective is bounded below by 0
+                raise RuntimeError("internal: phase 1 is unbounded")
             self._pivot(leave, enter)
 
     def _farkas_support(self, cost: list[Fraction]) -> tuple[str, ...]:
@@ -303,55 +288,29 @@ class _Simplex:
         )
 
     def solve(self) -> Feasible | Infeasible:
-        """Infeasible results carry the unverified Farkas support."""
-        art = set(range(self.artificial_start, self.ncols))
-        if art:
-            cost = [_ZERO] * self.ncols
-            for c in art:
-                cost[c] = _ONE
-            self._minimize(cost, banned=set())
+        """Infeasible results carry the unverified Farkas support.
+
+        A feasible phase 1 may leave artificials basic at 0; they carry no
+        structural value, so the assignment is read off as it stands.
+        """
+        if self.artificial_start < self.ncols:
+            cost = [_ZERO] * self.artificial_start
+            cost += [_ONE] * (self.ncols - self.artificial_start)
+            self._minimize(cost)
             if self._objective_value(cost) > 0:
                 return Infeasible(self._farkas_support(cost), self.pivots)
-            # Drive surviving artificials out of the basis; rows that cannot
-            # pivot are redundant and dropped.
-            for r in list(self.active):
-                if self.basis[r] in art:
-                    pivot_col = min(
-                        (j for j in self.rows[r] if j < self.artificial_start),
-                        default=None,
-                    )
-                    if pivot_col is None:
-                        self.active.remove(r)
-                    else:
-                        # Degenerate pivot (rhs is 0), so feasibility holds
-                        # whatever the sign of the pivot element.
-                        self._pivot_rows(r, pivot_col)
-
-        objective_value = None
-        if self.system.objective:
-            var_index = {v.name: i for i, v in enumerate(self.system.variables)}
-            cost = [_ZERO] * self.ncols
-            sense = Fraction(-1) if self.system.maximize else _ONE
-            for name, coef in self.system.objective:
-                for c in self.var_cols[var_index[name]]:
-                    cost[c] += sense * coef * self.col_sign[c]
-            self._minimize(cost, banned=art)
 
         values = [_ZERO] * self.ncols
-        for r in self.active:
-            values[self.basis[r]] = self.rhs[r]
+        for b, col in zip(self.rhs, self.basis):
+            values[col] = b
         assignment = {}
         for vi, v in enumerate(self.system.variables):
             x = self.var_base[vi]
             for c in self.var_cols[vi]:
                 x += self.col_sign[c] * values[c]
             assignment[v.name] = x
-        if self.system.objective:
-            objective_value = sum(
-                (coef * assignment[name] for name, coef in self.system.objective), _ZERO
-            )
         _verify_assignment(self.system, assignment)
-        return Feasible(assignment, objective_value, self.pivots)
+        return Feasible(assignment, self.pivots)
 
 
 def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) -> None:
@@ -413,24 +372,19 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
 # ---------------------------------------------------------------------------
 # The path-length system for a fixed forest, and weight recovery.
 
-_MARGIN_VAR = "t_margin"
-
 
 def path_length_system(
     instance: Instance,
     forest: RoutingForest,
     eps: Fraction,
     big_M: Fraction,
-    margin_variable: bool = False,
 ) -> tuple[LinearSystem, dict[str, frozenset[Binding]]]:
     """Instantiate the path-length constraints for fixed routing binaries.
 
     Returns the system plus row metadata: each row name maps to the
     (origin, link, value) bindings of the routing binaries that parametrize
     the row.  A `pl_ub` row on (i, j) depends on every link into j, a `pl_lb`
-    row only on (i, j) being used.  With `margin_variable` the strict rows
-    get a shared slack variable t in [eps, big_M] and the objective becomes
-    max t.
+    row only on (i, j) being used.
 
     The lower-bound rows of unused links are omitted: for any weights that
     satisfy the remaining rows, the exact shortest distances satisfy them
@@ -451,8 +405,6 @@ def path_length_system(
             lname[(s, node)] = name
             ub = Fraction(0) if node == s else None
             variables.append(Variable(name, "continuous", Fraction(0), ub))
-    if margin_variable:
-        variables.append(Variable(_MARGIN_VAR, "continuous", eps, big_M))
 
     pairs_into = {
         node: [(l.tail, l.head) for l in links] for node, links in instance.in_links().items()
@@ -477,11 +429,7 @@ def path_length_system(
                 (lname[(s, j)], Fraction(1)),
             )
             name = f"pl_ub_{s}_{i}_{j}"
-            if margin_variable and gap > 0:
-                margin = ((_MARGIN_VAR, Fraction(gap)),)
-                rows.append(Constraint(name, terms + margin, "<=", Fraction(0)))
-            else:
-                rows.append(Constraint(name, terms, "<=", -eps * gap))
+            rows.append(Constraint(name, terms, "<=", -eps * gap))
             meta[name] = into[j]
             if y == 0:
                 continue
@@ -489,9 +437,7 @@ def path_length_system(
             rows.append(Constraint(name, terms, ">=", Fraction(0)))
             meta[name] = frozenset({(s, (i, j), 1)})
 
-    objective = ((_MARGIN_VAR, Fraction(1)),) if margin_variable else ()
-    system = LinearSystem(tuple(variables), tuple(rows), objective, maximize=True)
-    return system, meta
+    return LinearSystem(tuple(variables), tuple(rows)), meta
 
 
 def row_bindings(
@@ -506,22 +452,29 @@ def row_bindings(
     return frozenset().union(*(meta[name] for name in row_names))
 
 
+# Branch nodes one recovery may solve below its root; past it, recovery
+# ends with status "branch_limit".
+MAX_BRANCH_NODES = 10_000
+
+
 @dataclass(frozen=True)
 class WeightRecovery:
-    """Outcome of recover_weights / maximize_margin.
+    """Outcome of recover_weights.
 
     status: "ok" (weights verified through the routing oracle),
-    "lp_infeasible" (the continuous system has no solution), or
+    "lp_infeasible" (the continuous system has no solution),
     "grid_infeasible" (continuous solutions exist but no grid point realizes
-    the forest).  "lp_infeasible" carries the `row_bindings` of the core.
-    `lp_solves` counts the stage LPs run; `pivots` counts every simplex
-    pivot, those of the core's deletion pass included.
+    the forest), or "branch_limit" (the search stopped after
+    MAX_BRANCH_NODES branch nodes).  "lp_infeasible" carries the
+    `row_bindings` of the root's core, "grid_infeasible" their union over the
+    leaves' cores.  stage: "direct" (the root's snap) or "branch".
+    `lp_solves` counts the nodes solved; `pivots` counts every simplex pivot,
+    those of the cores' deletion passes included.
     """
 
     status: str
     weights: WeightVector | None = None
-    stage: str | None = None  # "direct" | "margin" | "exhaustive"
-    lp_margin: Fraction | None = None
+    stage: str | None = None  # "direct" | "branch"
     bindings: frozenset = frozenset()
     lp_solves: int = 0
     pivots: int = 0
@@ -549,123 +502,76 @@ def _matches_forest(instance: Instance, weights: WeightVector, forest: RoutingFo
     return routed == forest
 
 
-def _grid_witness(
-    instance: Instance, forest: RoutingForest, limit: int
-) -> WeightVector | None:
-    """The first grid vector, in enumeration order, that realizes the forest."""
-    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
-    index = instance.node_index()
-    target = tuple(
-        tuple(index[node] for node in forest.paths.get((d.origin, d.destination), ()))
-        for d in instance.demands
-    )
-    pairs = instance.link_pairs()
-    for combo, paths in spf.unique_grid_routings(instance, limit):
-        if paths != target:
-            continue
-        candidate = WeightVector({pair: points[i] for pair, i in zip(pairs, combo)})
-        if _matches_forest(instance, candidate, forest):
-            return candidate
-    return None
+def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery:
+    """Find grid weights whose unique shortest paths reproduce the forest.
 
+    Write each weight as w_e = w_min + res*n_e, with n_e an integer in
+    [0, N] and N = grid size - 1.  With eps = gcd(w_min, res), the instance's
+    default (`models.resolve_params`), `path_length_system` is feasible at
+    grid weights exactly when those weights realize the forest:
 
-def _recover(
-    instance: Instance,
-    forest: RoutingForest,
-    stages: tuple[str, ...],
-    grid_search_limit: int,
-) -> WeightRecovery:
-    """Run the LP stages in the given order, then the exhaustive stage.
+    - if it is feasible, the potentials l are at most the true distances d
+      (every link has a `pl_ub` row and l_s = 0) and equal them along the
+      tree (its links are tight), so every unused link into a visited node
+      j has d(i) + w_ij >= l_i + w_ij >= l_j + eps = d(j) + eps, and each
+      tree path is the unique shortest one;
+    - if the weights realize the forest, every difference of two grid path
+      lengths is an integer combination of w_min and res, so a positive one
+      is at least eps, and l = d satisfies the system.
 
-    Each LP stage solves the plain ("direct") or the margin ("margin")
-    system and snaps its weights to the grid.  Either system is feasible
-    exactly when the other is (the margin t ranges over [eps, big_M]), so
-    the first LP settles infeasibility.  A GridSearchLimitError from the
-    exhaustive stage carries the LP stages' `lp_solves` and `pivots`.
+    The root solves the system and snaps its weights to the grid ("direct").
+    If the snap misses, recovery branches depth first on the first link
+    whose LP weight is off the grid: w_e <= w_min + res*floor(n_e) first,
+    then w_e >= w_min + res*ceil(n_e), unless that passes the last grid
+    point.  Every node tries the snap ("branch").  By the argument above an
+    LP point with every weight on the grid realizes the forest, so it ends
+    the search.  Branching changes variable bounds only, which depend on no
+    routing binary: each leaf is infeasible on its core's rows alone, so
+    every forest sharing the union of the leaves' `row_bindings` fails the
+    same tree, and the union is a sound no-good cut.
+
+    Successful results are re-verified through the routing oracle: the
+    returned weights route every demand along exactly the forest's paths.
     """
     eps, big_M = resolve_params(instance, None, None)
-    lp_margin = None
+    system, meta = path_length_system(instance, forest, eps, big_M)
+    w_min, res = instance.w_min, instance.weight_resolution
+    last = grid_size(w_min, instance.w_max, res) - 1
+    position = {v.name: k for k, v in enumerate(system.variables)}
     lp_solves = pivots = 0
+    leaf_bindings: list[frozenset[Binding]] = []
 
     def outcome(status, weights=None, stage=None, bindings=frozenset()) -> WeightRecovery:
-        return WeightRecovery(status, weights, stage, lp_margin, bindings, lp_solves, pivots)
+        return WeightRecovery(status, weights, stage, bindings, lp_solves, pivots)
 
-    for stage in stages:
-        system, meta = path_length_system(
-            instance, forest, eps, big_M, margin_variable=stage == "margin"
-        )
-        result = solve_feasibility(system)
+    stack = [system.variables]
+    while stack:
+        if lp_solves > MAX_BRANCH_NODES:
+            return outcome("branch_limit")
+        variables = stack.pop()
+        result = solve_feasibility(LinearSystem(variables, system.rows))
         lp_solves += 1
         pivots += result.pivots
         if not result.feasible:
             bindings = row_bindings(meta, result.conflict_core)
-            return outcome("lp_infeasible", bindings=bindings)
-        if stage == "margin":
-            lp_margin = result.objective_value
+            if lp_solves == 1:
+                return outcome("lp_infeasible", bindings=bindings)
+            leaf_bindings.append(bindings)
+            continue
         snapped = _snap_vector(instance, result.assignment)
         if _matches_forest(instance, snapped, forest):
-            return outcome("ok", snapped, stage)
-    try:
-        witness = _grid_witness(instance, forest, grid_search_limit)
-    except GridSearchLimitError as exc:
-        exc.lp_solves, exc.pivots = lp_solves, pivots
-        raise
-    if witness is None:
-        return outcome("grid_infeasible")
-    return outcome("ok", witness, "exhaustive")
-
-
-def recover_weights(
-    instance: Instance,
-    forest: RoutingForest,
-    *,
-    grid_search_limit: int = spf.GRID_LIMIT,
-) -> WeightRecovery:
-    """Find grid weights whose unique shortest paths reproduce the forest.
-
-    eps and big_M are the instance's defaults (`models.resolve_params`):
-    eps = gcd(w_min, weight_resolution) is the smallest gap two grid path
-    lengths can have, so it cuts off no grid-realizable forest.  Successful
-    results are re-verified through the routing oracle: the returned weights
-    route every demand along exactly the forest's paths.
-    """
-    return _recover(instance, forest, ("direct", "margin"), grid_search_limit)
-
-
-def strictness_margin(
-    instance: Instance, forest: RoutingForest, weights: WeightVector
-) -> Fraction | None:
-    """Smallest strict-row slack realized by the weights (None if no strict rows).
-
-    A strict row exists for each unused link into a node that the origin's
-    tree visits; its slack is (l_i + w_ij) - l_j under exact distances.
-    """
-    in_links = instance.in_links()
-    best: Fraction | None = None
-    for s in instance.origins():
-        used = forest.used_links(s)
-        visited = {node for (_, node) in used}
-        lengths = spf.shortest_path_lengths(instance, weights, s).dist
-        for node in visited:
-            for link in in_links[node]:
-                pair = (link.tail, link.head)
-                if pair in used:
-                    continue
-                li = lengths.get(link.tail)
-                if li is None:
-                    continue
-                slack = li + weights.values[pair] - lengths[node]
-                if best is None or slack < best:
-                    best = slack
-    return best
-
-
-def maximize_margin(instance: Instance, forest: RoutingForest) -> WeightRecovery:
-    """Recover weights maximizing the smallest strict slack before snapping.
-
-    The margin LP runs first, with the instance's default eps and big_M; its
-    optimum is at least eps whenever the forest is LP-feasible.  If its
-    snapped weights miss the forest, the direct and exhaustive stages of
-    recover_weights follow.
-    """
-    return _recover(instance, forest, ("margin", "direct"), spf.GRID_LIMIT)
+            return outcome("ok", snapped, "direct" if lp_solves == 1 else "branch")
+        for link in instance.links:
+            name = f"w_{link.tail}_{link.head}"
+            n = (result.assignment[name] - w_min) / res
+            if n.denominator != 1:
+                break
+        else:
+            raise RuntimeError("internal: on-grid LP weights do not realize the forest")
+        k = position[name]
+        if math.ceil(n) <= last:
+            up = replace(variables[k], lb=w_min + res * math.ceil(n))
+            stack.append(variables[:k] + (up,) + variables[k + 1 :])
+        down = replace(variables[k], ub=w_min + res * math.floor(n))
+        stack.append(variables[:k] + (down,) + variables[k + 1 :])
+    return outcome("grid_infeasible", bindings=frozenset().union(*leaf_bindings))

@@ -5,11 +5,12 @@ candidate routing forests (per-origin trees combined under the coupling
 capacity constraint) in nondecreasing total-load order, and the weight
 recovery subproblem decides whether each candidate is realizable as a unique
 shortest-path system.  Unrealizable candidates are excluded with no-good
-cuts, on the bindings of an irreducible infeasible subsystem (or the exact
-combination if only the grid fails); because candidates arrive best-first,
-the first realizable one is optimal.  `brute_force_solve` is the independent
-reference: it enumerates every weight vector on the grid and keeps the best
-capacity-feasible unique-routing outcome.
+cuts, on the bindings of an irreducible infeasible subsystem (or, when only
+the grid fails, on the union of those of the branch-and-bound leaves);
+because candidates arrive best-first, the first realizable one is optimal.
+`brute_force_solve` is the independent reference: it enumerates every
+weight vector on the grid and keeps the best capacity-feasible
+unique-routing outcome.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping, the demand-to-origin aggregation (y = max x,
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 from . import lp, spf
 from .instance import Instance
 from .rational import grid_points, json_number
-from .spf import GridSearchLimitError, RoutingForest, WeightVector
+from .spf import RoutingForest, WeightVector
 
 
 class ConservationError(ValueError):
@@ -83,11 +84,11 @@ class Solution:
 @dataclass(frozen=True)
 class SolverConfig:
     """Limits of a decomposition solve.  eps and big_M are not settable: every
-    solve derives them from the instance (`models.resolve_params`)."""
+    solve derives them from the instance (`models.resolve_params`).  Weight
+    recovery's branch-node budget is the constant `lp.MAX_BRANCH_NODES`."""
 
     node_limit: int | None = None
     time_limit: float | None = None
-    grid_limit: int = spf.GRID_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +338,6 @@ class NoGoodCut:
     bindings: frozenset[tuple[str, tuple[str, str], int]]
 
 
-def exact_combination_cut(instance: Instance, forest: RoutingForest) -> NoGoodCut:
-    bindings = set()
-    for s in instance.origins():
-        used = forest.used_links(s)
-        for pair in instance.link_pairs():
-            bindings.add((s, pair, 1 if pair in used else 0))
-    return NoGoodCut(frozenset(bindings))
-
-
 def cut_matches(cut: NoGoodCut, used_by_origin: dict[str, set[tuple[str, str]]]) -> bool:
     for s, pair, value in cut.bindings:
         used = used_by_origin.get(s, set())
@@ -554,8 +546,12 @@ def _verified_solution(
 
 
 def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Solution:
-    """Decomposition solve: best-first master candidates, LP weight recovery,
-    no-good cuts on failures.  The first recovered candidate is optimal."""
+    """Decomposition solve: best-first master candidates, exact weight
+    recovery, no-good cuts on failures.  The first recovered candidate is
+    optimal.  `details` counts `lp_solves` (recovery nodes solved; those past
+    one per iteration are branch nodes) and `lp_pivots`, and names the
+    `reason` of a BoundsExhausted answer: "time_limit", "node_limit" or
+    "branch_limit"."""
     config = config or SolverConfig()
     started = time.perf_counter()
     cuts: list[NoGoodCut] = []
@@ -563,7 +559,6 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
     stream = master_search(instance, cuts, stats=stats)
     iterations = 0
     lp_solves = lp_pivots = 0
-    grid_fallbacks = 0
 
     def diagnostics(**extra) -> Diagnostics:
         return Diagnostics(
@@ -574,7 +569,6 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
             details={
                 "lp_solves": lp_solves,
                 "lp_pivots": lp_pivots,
-                "grid_fallbacks": grid_fallbacks,
                 **extra,
             },
         )
@@ -592,26 +586,14 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
         except StopIteration:
             return Solution("Infeasible", None, None, None, diagnostics())
         iterations += 1
-        try:
-            recovery = lp.recover_weights(
-                instance, candidate, grid_search_limit=config.grid_limit
-            )
-        except GridSearchLimitError as exc:
-            lp_solves += exc.lp_solves
-            lp_pivots += exc.pivots
-            grid_fallbacks += 1
-            return exhausted("grid_limit")
+        recovery = lp.recover_weights(instance, candidate)
         lp_solves += recovery.lp_solves
         lp_pivots += recovery.pivots
         if recovery.ok:
-            if recovery.stage == "exhaustive":
-                grid_fallbacks += 1
             return _verified_solution(instance, recovery.weights, candidate, diagnostics())
-        if recovery.status == "lp_infeasible":
-            cuts.append(NoGoodCut(recovery.bindings))
-        else:
-            grid_fallbacks += 1
-            cuts.append(exact_combination_cut(instance, candidate))
+        if recovery.status == "branch_limit":
+            return exhausted("branch_limit")
+        cuts.append(NoGoodCut(recovery.bindings))
 
 
 def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> Solution:

@@ -79,6 +79,26 @@ def test_solve_oracle_matches(tmp_path, capsys):
     assert "objective=2" in oracle_line
 
 
+def test_solve_oracle_refuses_time_limit(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond())
+    assert main(["solve", inst, "--oracle", "--time-limit", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_oracle_refuses_node_limit(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond())
+    assert main(["solve", inst, "--oracle", "--node-limit", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_grid_limit_requires_oracle(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond())
+    assert main(["solve", inst, "--grid-limit", "10"]) == 1
+    assert capsys.readouterr().err.startswith("error: --grid-limit")
+    assert main(["solve", inst, "--oracle", "--grid-limit", "10"]) == 3
+    assert "exceed grid_limit 10" in capsys.readouterr().err
+
+
 def test_solve_infeasible_exit_two(tmp_path, capsys):
     inst = write_instance(tmp_path, diamond(w_min=2, w_max=2))
     assert main(["solve", inst]) == 2

@@ -4,17 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diamond, small_random, triangle, two_node
+from conftest import diamond, small_random, two_node
 from uspr import lp, models, solver, spf
 from uspr.instance import generate_random_instance
 from uspr.lp import (
-    GridSearchLimitError,
     LinearSystem,
-    maximize_margin,
     path_length_system,
     recover_weights,
     solve_feasibility,
-    strictness_margin,
 )
 from uspr.models import Constraint, Variable
 from uspr.spf import RoutingForest, WeightVector
@@ -62,27 +59,6 @@ def test_equality_rows_and_free_variables():
     result = solve_feasibility(system)
     assert result.feasible
     assert result.assignment == {"x": F(-2), "y": F(7)}
-
-
-def test_optimization_maximize_and_minimize():
-    base = (
-        (var("x", 0, 4), var("y", 0, 4)),
-        (row("r", [("x", 1), ("y", 2)], "<=", 6),),
-    )
-    mx = solve_feasibility(LinearSystem(*base, objective=(("x", F(1)), ("y", F(1))),
-                                        maximize=True))
-    assert mx.objective_value == 5  # x=4, y=1
-    mn = solve_feasibility(LinearSystem(*base, objective=(("x", F(1)), ("y", F(1))),
-                                        maximize=False))
-    assert mn.objective_value == 0
-
-
-def test_unbounded_objective_raises():
-    system = LinearSystem(
-        (var("x", 0),), (), objective=(("x", F(1)),), maximize=True
-    )
-    with pytest.raises(lp.UnboundedObjectiveError):
-        solve_feasibility(system)
 
 
 def test_random_systems_built_around_witness_are_feasible():
@@ -244,48 +220,6 @@ def test_recover_round_trip_on_random_instances():
         assert spf.routing_from_weights(inst, result.weights) == forest
 
 
-def test_maximize_margin_diamond_at_least_one():
-    inst = diamond()
-    forest = forest_via(inst, {("s", "a"): F(1), ("a", "t"): F(1),
-                               ("s", "b"): F(1), ("b", "t"): F(3)})
-    result = maximize_margin(inst, forest)
-    assert result.ok
-    assert result.lp_margin >= 1
-    realized = strictness_margin(inst, forest, result.weights)
-    assert realized is not None and realized >= 1
-
-
-def test_maximize_margin_fixed_geometry():
-    inst = triangle(w_min=3, w_max=3)
-    forest = forest_via(inst, {("s", "a"): F(3), ("a", "t"): F(3), ("s", "t"): F(3)})
-    result = maximize_margin(inst, forest)
-    assert result.ok
-    assert result.lp_margin == 3  # the only strict slack the geometry allows
-    assert strictness_margin(inst, forest, result.weights) == 3
-
-
-def test_maximize_margin_propagates_infeasible():
-    inst = diamond(w_min=2, w_max=2)
-    forced = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    assert maximize_margin(inst, forced).status == "lp_infeasible"
-
-
-def test_margin_at_least_eps_whenever_feasible():
-    for seed in range(12):
-        inst = small_random(seed)
-        try:
-            forest = spf.routing_from_weights(inst, spf.hop_count_weights(inst))
-        except (spf.NonUniqueRoutingError, spf.UnreachableDemandError):
-            continue
-        result = maximize_margin(inst, forest)
-        assert result.ok
-        eps = models.default_eps(inst)
-        assert result.lp_margin is None or result.lp_margin >= eps
-
-
 def _fourier_motzkin_feasible(variables, rows) -> bool:
     """Independent exact feasibility oracle: eliminate variables one by one.
 
@@ -363,80 +297,53 @@ def test_simplex_agrees_with_fourier_motzkin():
     assert feasible_seen > 50 and infeasible_seen > 50
 
 
-def test_grid_search_fallback_both_ways():
-    # The exhaustive stage on its own, with the real oracle: a witness for a
-    # realizable forest, and None for a forest whose demand path is realizable
-    # but whose flows add links no routing uses.
-    inst = diamond(w_min=1, w_max=2)
-    realizable = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    witness = lp._grid_witness(inst, realizable, limit=10_000)
-    assert witness is not None
-    assert spf.routing_from_weights(inst, witness) == realizable
-    never = RoutingForest(  # two used incoming links: no weights realize it
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1),
-                     ("s", "b"): F(1), ("b", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    assert lp._grid_witness(inst, never, limit=10_000) is None
-
-
 def test_pivot_budget_resource_error(monkeypatch):
     system = LinearSystem(
         (var("x", 0, 4), var("y", 0, 4)),
         (row("r", [("x", 1), ("y", 2)], ">=", 3),),
-        objective=(("x", F(1)), ("y", F(1))), maximize=True,
     )
     monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
     with pytest.raises(lp.SimplexResourceError):
         lp._Simplex(system).solve()
 
 
-def test_grid_search_limit_refusal(monkeypatch):
-    inst = diamond()
-    forced = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
-    with pytest.raises(GridSearchLimitError):
-        recover_weights(inst, forced, grid_search_limit=3)
-
-
-def test_recover_stage_progression(monkeypatch):
-    # Force the direct snap to be rejected: recovery must fall through to the
-    # margin stage, and with that rejected too, to the exhaustive stage.
-    inst = diamond()
-    forest = forest_via(inst, {("s", "a"): F(1), ("a", "t"): F(1),
-                               ("s", "b"): F(1), ("b", "t"): F(2)})
-    real_matches = lp._matches_forest
-    calls = {"n": 0}
-
-    def reject_first(instance, weights, target):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return False
-        return real_matches(instance, weights, target)
-
-    monkeypatch.setattr(lp, "_matches_forest", reject_first)
+def test_recover_stage_progression():
+    # Grid {2, 5}: the root's LP weights snap to a vector that misses the
+    # first master candidate, so recovery must branch (five nodes); the
+    # weights it finds are verified through the oracle.
+    inst = generate_random_instance(4, 1.5, 3, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    forest = next(solver.master_search(inst))
+    system, _ = path_length_system(inst, forest, *models.resolve_params(inst, None, None))
+    root = solve_feasibility(system)
+    assert root.feasible
+    assert not lp._matches_forest(inst, lp._snap_vector(inst, root.assignment), forest)
     result = recover_weights(inst, forest)
-    assert result.ok and result.stage == "margin"
-    assert result.lp_solves == 2
-
-    calls["n"] = 0
-
-    def reject_two(instance, weights, target):
-        calls["n"] += 1
-        if calls["n"] <= 2:
-            return False
-        return real_matches(instance, weights, target)
-
-    monkeypatch.setattr(lp, "_matches_forest", reject_two)
-    result = recover_weights(inst, forest)
-    assert result.ok and result.stage == "exhaustive"
+    assert result.ok and result.stage == "branch"
+    assert result.lp_solves == 6
     assert spf.routing_from_weights(inst, result.weights) == forest
+
+
+def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
+    # A candidate whose search fails on every leaf is cut on the union of the
+    # leaves' core bindings: every master candidate that cut matches fails
+    # recovery too, and some cuts reach past their own candidate.
+    grid_infeasible_seen = other_cut = 0
+    for shape, seed in (((5, 2, 4), 10), ((6, 2, 5), 6)):
+        inst = generate_random_instance(*shape, w_min=5, w_max=9, weight_resolution=4, seed=seed)
+        forests = list(itertools.islice(solver.master_search(inst), 12))
+        recovered = [recover_weights(inst, forest) for forest in forests]
+        for k, result in enumerate(recovered):
+            if result.status != "grid_infeasible":
+                continue
+            grid_infeasible_seen += 1
+            assert result.bindings and result.lp_solves > 1
+            cut = solver.NoGoodCut(result.bindings)
+            for other, candidate in enumerate(forests):
+                used = {s: candidate.used_links(s) for s in inst.origins()}
+                if solver.cut_matches(cut, used):
+                    assert not recovered[other].ok
+                    other_cut += other != k
+    assert grid_infeasible_seen and other_cut
 
 
 def _with_vacuous_rows(instance, forest, system, big_M):

@@ -29,7 +29,6 @@ from uspr.solver import (
     brute_force_solve,
     demand_routing_violations,
     demand_to_origin,
-    exact_combination_cut,
     master_search,
     origin_to_demand,
     routing_objective,
@@ -285,7 +284,10 @@ def test_master_zero_capacity_prunes_one_arm():
 def test_master_cut_excludes_candidate():
     inst = diamond()
     first = next(master_search(inst))
-    cut = exact_combination_cut(inst, first)
+    cut = solver.NoGoodCut(frozenset(
+        (s, pair, int(pair in first.used_links(s)))
+        for s in inst.origins() for pair in inst.link_pairs()
+    ))
     remaining = list(master_search(inst, cuts=[cut]))
     assert len(remaining) == 1
     assert remaining[0].paths != first.paths
@@ -349,9 +351,9 @@ def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
     # One feasible LP per answer; the pivot counts pin Bland's rule, so any
     # change to the entering or leaving choice shows here.
     for (nodes, degree, demands, seed), objective, pivots in (
-        ((10, 2, 10, 0), F(11229, 100), 78),
-        ((10, 2, 10, 1), F(13957, 100), 72),
-        ((8, 2, 8, 2), F(11733, 100), 69),
+        ((10, 2, 10, 0), F(11229, 100), 56),
+        ((10, 2, 10, 1), F(13957, 100), 51),
+        ((8, 2, 8, 2), F(11733, 100), 47),
     ):
         result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed))
         assert (result.status, result.objective) == ("Optimal", objective)
@@ -362,7 +364,7 @@ def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
 def test_benders_matches_brute_force_on_coarse_grids(monkeypatch):
     # w_min is not a multiple of the resolution, so eps = gcd(w_min,
     # resolution) is below the resolution and snapped LP weights can miss the
-    # forest: recovery's margin stage must then agree with brute force too.
+    # forest: recovery's branch-and-bound must then agree with brute force too.
     stages = []
     recover = lp.recover_weights
 
@@ -380,7 +382,20 @@ def test_benders_matches_brute_force_on_coarse_grids(monkeypatch):
                 )
                 fast, reference = benders_solve(inst), brute_force_solve(inst)
                 assert (fast.status, fast.objective) == (reference.status, reference.objective)
-    assert "margin" in stages
+    assert "branch" in stages
+
+
+def test_benders_matches_brute_force_beyond_the_old_grid_limit():
+    # 18 links on the grid {2, 5}: 2**18 weight vectors.  The first
+    # candidate is LP-feasible but grid-infeasible, so it is cut on the union
+    # of its branch-and-bound leaves' cores before the optimum is recovered.
+    inst = generate_random_instance(7, 2.6, 5, w_min=2, w_max=5, weight_resolution=3, seed=24)
+    first = lp.recover_weights(inst, next(master_search(inst)))
+    assert first.status == "grid_infeasible"
+    fast = benders_solve(inst)
+    reference = brute_force_solve(inst, grid_limit=2**18)
+    assert (fast.status, fast.objective) == ("Optimal", F(7241, 100))
+    assert (reference.status, reference.objective) == (fast.status, fast.objective)
 
 
 def test_benders_single_path_one_iteration():
@@ -435,7 +450,7 @@ def test_brute_force_single_link():
 
 
 def test_brute_force_grid_limit_refusal():
-    with pytest.raises(solver.GridSearchLimitError):
+    with pytest.raises(spf.GridSearchLimitError):
         brute_force_solve(diamond(), grid_limit=10)
 
 
@@ -564,20 +579,19 @@ def test_solution_json_round_trip_fields():
     assert len(raw["weights"]) == 4
     assert raw["paths"][0]["path"][0] == "s"
     assert raw["diagnostics"]["iterations"] == 1
-    assert raw["diagnostics"]["details"] == {
-        "lp_solves": 1, "lp_pivots": 5, "grid_fallbacks": 0
-    }
+    assert raw["diagnostics"]["details"] == {"lp_solves": 1, "lp_pivots": 3}
     oracle = brute_force_solve(inst)
     raw = json.loads(solver.solution_to_json(inst, oracle))
     assert raw["diagnostics"]["details"] == {"grid_points": 10}
 
 
-def test_grid_limit_in_recovery_ends_bounds_exhausted(monkeypatch):
-    # Both LP stages rejected: recovery reaches the grid stage, whose limit
-    # must end the solve with an answer instead of an escaping exception.
-    monkeypatch.setattr(lp, "_matches_forest", lambda *args: False)
-    result = benders_solve(diamond(), SolverConfig(grid_limit=10))
+def test_branch_limit_in_recovery_ends_bounds_exhausted(monkeypatch):
+    # The first candidate needs five branch nodes; a budget of one must end
+    # the solve with an answer instead of an overrun.
+    monkeypatch.setattr(lp, "MAX_BRANCH_NODES", 1)
+    inst = generate_random_instance(4, 1.5, 3, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    result = benders_solve(inst)
     assert result.status == "BoundsExhausted"
-    assert result.diagnostics.details["reason"] == "grid_limit"
+    assert result.diagnostics.details["reason"] == "branch_limit"
     assert result.diagnostics.details["lp_solves"] == 2
     assert result.weights is None and result.objective is None
