@@ -14,9 +14,7 @@ from pathlib import Path
 
 from . import lp, models, solver, spf
 from .instance import (
-    GenerationError,
     Instance,
-    InstanceParseError,
     InstanceValidationError,
     generate_random_instance,
     load_instance,
@@ -350,18 +348,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (InstanceParseError, InstanceValidationError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (spf.InvalidWeightsError, models.ModelParameterError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input: the instance, weights and model errors subclass ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (spf.GridSearchLimitError, lp.SimplexResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMITS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def run() -> None:

@@ -34,13 +34,12 @@ safe to share across workers.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import json_number, on_grid, parse_number
+from .rational import on_grid, parse_number, read_json, read_records, write_json
 
 
 class InstanceParseError(ValueError):
@@ -328,32 +327,19 @@ def generate_random_instance(
 
 def save_instance(instance: Instance) -> str:
     """Serialize to the canonical JSON text (deterministic bytes)."""
-    out = ["{\n"]
-    out.append('  "nodes": [')
-    out.append(", ".join(json.dumps(n) for n in instance.nodes))
-    out.append("],\n")
-    out.append('  "links": [\n')
-    rows = [
-        f'    {{"tail": {json.dumps(l.tail)}, "head": {json.dumps(l.head)}, '
-        f'"capacity": {json_number(l.capacity)}}}'
-        for l in instance.links
-    ]
-    out.append(",\n".join(rows))
-    out.append("\n  ],\n")
-    out.append('  "demands": [\n')
-    rows = [
-        f'    {{"origin": {json.dumps(d.origin)}, '
-        f'"destination": {json.dumps(d.destination)}, '
-        f'"bandwidth": {json_number(d.bandwidth)}}}'
-        for d in instance.demands
-    ]
-    out.append(",\n".join(rows))
-    out.append("\n  ],\n")
-    out.append(f'  "w_min": {json_number(instance.w_min)},\n')
-    out.append(f'  "w_max": {json_number(instance.w_max)},\n')
-    out.append(f'  "weight_resolution": {json_number(instance.weight_resolution)}\n')
-    out.append("}\n")
-    return "".join(out)
+    return write_json({
+        "nodes": instance.nodes,
+        "links": [
+            {"tail": l.tail, "head": l.head, "capacity": l.capacity} for l in instance.links
+        ],
+        "demands": [
+            {"origin": d.origin, "destination": d.destination, "bandwidth": d.bandwidth}
+            for d in instance.demands
+        ],
+        "w_min": instance.w_min,
+        "w_max": instance.w_max,
+        "weight_resolution": instance.weight_resolution,
+    })
 
 
 def _require(mapping: dict, field: str, where: str) -> object:
@@ -368,10 +354,7 @@ def load_instance(text: str) -> Instance:
     Raises InstanceParseError for malformed text (with the offending field
     named) and InstanceValidationError when the data violates an invariant.
     """
-    try:
-        raw = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"not valid JSON: {exc}") from exc
+    raw = read_json(text, InstanceParseError)
     if not isinstance(raw, dict):
         raise InstanceParseError("top level must be a JSON object")
 
@@ -379,42 +362,14 @@ def load_instance(text: str) -> Instance:
     if not isinstance(nodes_raw, list) or not all(isinstance(n, str) for n in nodes_raw):
         raise InstanceParseError("nodes: must be an array of string ids")
     nodes = tuple(nodes_raw)
-
-    links_raw = _require(raw, "links", "instance")
-    if not isinstance(links_raw, list):
-        raise InstanceParseError("links: must be an array")
-    links = []
-    for i, item in enumerate(links_raw):
-        where = f"links[{i}]"
-        if not isinstance(item, dict):
-            raise InstanceParseError(f"{where}: must be an object")
-        tail = _require(item, "tail", where)
-        head = _require(item, "head", where)
-        if not isinstance(tail, str) or not isinstance(head, str):
-            raise InstanceParseError(f"{where}: tail and head must be strings")
-        try:
-            capacity = parse_number(_require(item, "capacity", where), f"{where}.capacity")
-        except ValueError as exc:
-            raise InstanceParseError(str(exc)) from exc
-        links.append(Link(tail, head, capacity))
-
-    demands_raw = _require(raw, "demands", "instance")
-    if not isinstance(demands_raw, list):
-        raise InstanceParseError("demands: must be an array")
-    demands = []
-    for k, item in enumerate(demands_raw):
-        where = f"demands[{k}]"
-        if not isinstance(item, dict):
-            raise InstanceParseError(f"{where}: must be an object")
-        origin = _require(item, "origin", where)
-        destination = _require(item, "destination", where)
-        if not isinstance(origin, str) or not isinstance(destination, str):
-            raise InstanceParseError(f"{where}: origin and destination must be strings")
-        try:
-            bandwidth = parse_number(_require(item, "bandwidth", where), f"{where}.bandwidth")
-        except ValueError as exc:
-            raise InstanceParseError(str(exc)) from exc
-        demands.append(Demand(origin, destination, bandwidth))
+    links = tuple(Link(*r) for r in read_records(
+        _require(raw, "links", "instance"), "links", ("tail", "head", "capacity"),
+        InstanceParseError,
+    ))
+    demands = tuple(Demand(*r) for r in read_records(
+        _require(raw, "demands", "instance"), "demands", ("origin", "destination", "bandwidth"),
+        InstanceParseError,
+    ))
 
     try:
         w_min = parse_number(_require(raw, "w_min", "instance"), "w_min")
@@ -425,7 +380,7 @@ def load_instance(text: str) -> Instance:
     except ValueError as exc:
         raise InstanceParseError(str(exc)) from exc
 
-    instance = Instance(nodes, tuple(links), tuple(demands), w_min, w_max, resolution)
+    instance = Instance(nodes, links, demands, w_min, w_max, resolution)
     violations = validate_instance(instance)
     if violations:
         raise InstanceValidationError(violations)

@@ -383,8 +383,9 @@ def path_length_system(
 
     Returns the system plus row metadata: each row name maps to the
     (origin, link, value) bindings of the routing binaries that parametrize
-    the row.  A `pl_ub` row on (i, j) depends on every link into j, a `pl_lb`
-    row only on (i, j) being used.
+    the row.  A `pl_ub` row on (i, j) depends on every other link into j
+    (its own binary cancels from the rhs), a `pl_lb` row only on (i, j)
+    being used.
 
     The lower-bound rows of unused links are omitted: for any weights that
     satisfy the remaining rows, the exact shortest distances satisfy them
@@ -430,7 +431,7 @@ def path_length_system(
             )
             name = f"pl_ub_{s}_{i}_{j}"
             rows.append(Constraint(name, terms, "<=", -eps * gap))
-            meta[name] = into[j]
+            meta[name] = into[j] - {(s, (i, j), y)}
             if y == 0:
                 continue
             name = f"pl_lb_{s}_{i}_{j}"
@@ -528,7 +529,10 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     the search.  Branching changes variable bounds only, which depend on no
     routing binary: each leaf is infeasible on its core's rows alone, so
     every forest sharing the union of the leaves' `row_bindings` fails the
-    same tree, and the union is a sound no-good cut.
+    same tree, and the union is a sound no-good cut.  The root is solved by
+    `solve_feasibility`, whose core an infeasible root needs; branch nodes
+    run the simplex alone, and only a search that fails shrinks its leaves'
+    Farkas supports to irreducible cores.
 
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.
@@ -539,7 +543,7 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     last = grid_size(w_min, instance.w_max, res) - 1
     position = {v.name: k for k, v in enumerate(system.variables)}
     lp_solves = pivots = 0
-    leaf_bindings: list[frozenset[Binding]] = []
+    leaves: list[tuple[LinearSystem, Infeasible]] = []
 
     def outcome(status, weights=None, stage=None, bindings=frozenset()) -> WeightRecovery:
         return WeightRecovery(status, weights, stage, bindings, lp_solves, pivots)
@@ -549,14 +553,14 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
         if lp_solves > MAX_BRANCH_NODES:
             return outcome("branch_limit")
         variables = stack.pop()
-        result = solve_feasibility(LinearSystem(variables, system.rows))
+        node = LinearSystem(variables, system.rows)
+        result = solve_feasibility(node) if lp_solves == 0 else _Simplex(node).solve()
         lp_solves += 1
         pivots += result.pivots
         if not result.feasible:
-            bindings = row_bindings(meta, result.conflict_core)
             if lp_solves == 1:
-                return outcome("lp_infeasible", bindings=bindings)
-            leaf_bindings.append(bindings)
+                return outcome("lp_infeasible", bindings=row_bindings(meta, result.conflict_core))
+            leaves.append((node, result))
             continue
         snapped = _snap_vector(instance, result.assignment)
         if _matches_forest(instance, snapped, forest):
@@ -574,4 +578,10 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
             stack.append(variables[:k] + (up,) + variables[k + 1 :])
         down = replace(variables[k], ub=w_min + res * math.floor(n))
         stack.append(variables[:k] + (down,) + variables[k + 1 :])
-    return outcome("grid_infeasible", bindings=frozenset().union(*leaf_bindings))
+    # Only a failed search uses its leaves' cores: their union is the cut.
+    bindings: frozenset[Binding] = frozenset()
+    for node, farkas in leaves:
+        core = _irreducible_core(node, farkas)
+        pivots += core.pivots - farkas.pivots
+        bindings |= row_bindings(meta, core.conflict_core)
+    return outcome("grid_infeasible", bindings=bindings)

@@ -3,6 +3,8 @@
 Every quantity that enters a feasibility decision (weights, path lengths,
 capacities, bandwidths, model coefficients) is a `fractions.Fraction`, so
 strict inequalities are decided exactly instead of at a float tolerance.
+The JSON files (instances, weights, solutions) are written and read here
+too, so numbers cross the file boundary exactly.
 """
 
 from __future__ import annotations
@@ -67,6 +69,81 @@ def json_number(x: Fraction) -> str:
     """A number as JSON text: a bare decimal, or a quoted 'p/q' string."""
     s = format_number(x)
     return json.dumps(s) if "/" in s else s
+
+
+# ---------------------------------------------------------------------------
+# JSON file I/O: the one writer and the one reader of instance, weights and
+# solution files.
+
+
+def write_json(value: object) -> str:
+    """Canonical JSON text of nested dicts, lists, strings, numbers and None.
+
+    A top-level object has one member per line and an array of objects one
+    object per line; everything else goes on one line.  Every number is
+    written by `json_number`, so the bytes are exact and deterministic.
+    """
+    if isinstance(value, dict):
+        rows = [f"  {json.dumps(k)}: {_block(v, '  ')}" for k, v in value.items()]
+        return "{\n" + ",\n".join(rows) + "\n}\n"
+    return _block(value, "") + "\n"
+
+
+def _block(value: object, indent: str) -> str:
+    if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+        rows = [f"{indent}  {_inline(v)}" for v in value]
+        return "[\n" + ",\n".join(rows) + f"\n{indent}]"
+    return _inline(value)
+
+
+def _inline(value: object) -> str:
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join([f"{json.dumps(k)}: {_inline(v)}" for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([_inline(v) for v in value]) + "]"
+    return "null" if value is None else json_number(value)
+
+
+def read_json(text: str, error: type[Exception]) -> object:
+    """Parse JSON text, reading decimals as exact Fractions; bad JSON raises `error`."""
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def read_records(
+    items: object,
+    where: str,
+    fields: tuple[str, str, str],
+    error: type[Exception],
+) -> list[tuple[str, str, Fraction]]:
+    """Read an array of objects, each with two string fields and a number.
+
+    A malformed record raises `error` naming its location, e.g.
+    `links[0]: missing field 'tail'` or `links[0].capacity: not a number`.
+    """
+    if not isinstance(items, list):
+        raise error(f"{where}: must be an array")
+    first, second, number = fields
+    records = []
+    for i, item in enumerate(items):
+        at = f"{where}[{i}]"
+        if not isinstance(item, dict):
+            raise error(f"{at}: must be an object")
+        for name in fields:
+            if name not in item:
+                raise error(f"{at}: missing field {name!r}")
+        if not isinstance(item[first], str) or not isinstance(item[second], str):
+            raise error(f"{at}: {first} and {second} must be strings")
+        try:
+            value = parse_number(item[number], f"{at}.{number}")
+        except ValueError as exc:
+            raise error(str(exc)) from exc
+        records.append((item[first], item[second], value))
+    return records
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Iterator, Sequence
 
 from . import lp, spf
 from .instance import Instance
-from .rational import grid_points, json_number
+from .rational import grid_points, write_json
 from .spf import RoutingForest, WeightVector
 
 
@@ -481,13 +480,6 @@ def master_search(
     stats.setdefault("combinations", 0)
     origins = instance.origins()
     caps = {(l.tail, l.head): l.capacity for l in instance.links}
-    if not origins:
-        empty = RoutingForest(flows={}, paths={})
-        used: dict[str, set[tuple[str, str]]] = {}
-        stats["combinations"] += 1
-        if not any(cut_matches(c, used) for c in cuts):
-            yield empty
-        return
     streams = [_LazyStream(_origin_trees(instance, s)) for s in origins]
     first = [st.get(0) for st in streams]
     if any(t is None for t in first):
@@ -664,49 +656,22 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
 
 
 def solution_to_json(instance: Instance, solution: Solution) -> str:
-    out = ["{\n"]
-    out.append(f'  "status": {json.dumps(solution.status)},\n')
-    if solution.objective is not None:
-        out.append(f'  "objective": {json_number(solution.objective)},\n')
-    else:
-        out.append('  "objective": null,\n')
-    if solution.forest is not None:
-        util = spf.max_utilization(instance, solution.forest)
-        out.append(f'  "max_utilization": {json_number(util)},\n')
-    else:
-        out.append('  "max_utilization": null,\n')
-    if solution.weights is not None:
-        rows = [
-            f'    {{"tail": {json.dumps(t)}, "head": {json.dumps(h)}, '
-            f'"weight": {json_number(w)}}}'
-            for (t, h), w in sorted(solution.weights.values.items())
-        ]
-        out.append('  "weights": [\n' + ",\n".join(rows) + "\n  ],\n")
-    else:
-        out.append('  "weights": null,\n')
-    if solution.forest is not None:
-        rows = []
-        for demand in instance.demands:
-            path = solution.forest.paths[(demand.origin, demand.destination)]
-            rows.append(
-                f'    {{"origin": {json.dumps(demand.origin)}, '
-                f'"destination": {json.dumps(demand.destination)}, '
-                f'"path": {json.dumps(list(path))}}}'
-            )
-        out.append('  "paths": [\n' + ",\n".join(rows) + "\n  ],\n")
-    else:
-        out.append('  "paths": null,\n')
-    d = solution.diagnostics
-    details = ", ".join(
-        f"{json.dumps(k)}: {json.dumps(v) if isinstance(v, str) else json_number(v)}"
-        for k, v in d.details.items()
-    )
-    out.append(
-        '  "diagnostics": {'
-        f'"iterations": {d.iterations}, "cuts_added": {d.cuts_added}, '
-        f'"nodes_explored": {d.nodes_explored}, "wall_time": {d.wall_time:.6f}, '
-        f'"details": {{{details}}}'
-        "}\n"
-    )
-    out.append("}\n")
-    return "".join(out)
+    forest, d = solution.forest, solution.diagnostics
+    return write_json({
+        "status": solution.status,
+        "objective": solution.objective,
+        "max_utilization": None if forest is None else spf.max_utilization(instance, forest),
+        "weights": None if solution.weights is None else spf.weight_records(solution.weights),
+        "paths": None if forest is None else [
+            {"origin": dm.origin, "destination": dm.destination,
+             "path": forest.paths[(dm.origin, dm.destination)]}
+            for dm in instance.demands
+        ],
+        "diagnostics": {
+            "iterations": d.iterations,
+            "cuts_added": d.cuts_added,
+            "nodes_explored": d.nodes_explored,
+            "wall_time": round(Fraction(d.wall_time), 6),
+            "details": d.details,
+        },
+    })

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import operator
 from array import array
@@ -31,7 +30,7 @@ from typing import Iterator
 
 from .instance import Demand, Instance
 from .rational import (
-    format_number, grid_points, json_number, on_grid, parse_number, snap_to_grid,
+    format_number, grid_points, on_grid, read_json, read_records, snap_to_grid, write_json,
 )
 
 
@@ -584,35 +583,25 @@ def forest_from_paths(instance: Instance, paths: dict[tuple[str, str], tuple[str
 # Weight-vector file I/O and the forest report used by the CLI.
 
 
+def weight_records(weights: WeightVector) -> list[dict]:
+    """One {"tail", "head", "weight"} record per link, sorted by link."""
+    return [{"tail": t, "head": h, "weight": w} for (t, h), w in sorted(weights.values.items())]
+
+
 def save_weights(weights: WeightVector) -> str:
-    items = sorted(weights.values.items())
-    rows = [
-        f'  {{"tail": {json.dumps(t)}, "head": {json.dumps(h)}, '
-        f'"weight": {json_number(w)}}}'
-        for (t, h), w in items
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return write_json(weight_records(weights))
 
 
 def load_weights(text: str) -> WeightVector:
-    try:
-        raw = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise InvalidWeightsError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise InvalidWeightsError("weights file must be a JSON array")
+    """Read a weights file; each link may be given once."""
+    records = read_records(
+        read_json(text, InvalidWeightsError), "weights", ("tail", "head", "weight"),
+        InvalidWeightsError,
+    )
     values = {}
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise InvalidWeightsError(f"weights[{i}]: must be an object")
-        try:
-            tail = item["tail"]
-            head = item["head"]
-            weight = parse_number(item["weight"], f"weights[{i}].weight")
-        except KeyError as exc:
-            raise InvalidWeightsError(f"weights[{i}]: missing field {exc}") from exc
-        if not isinstance(tail, str) or not isinstance(head, str):
-            raise InvalidWeightsError(f"weights[{i}]: tail and head must be strings")
+    for i, (tail, head, weight) in enumerate(records):
+        if (tail, head) in values:
+            raise InvalidWeightsError(f"weights[{i}]: duplicate link ({tail!r}, {head!r})")
         values[(tail, head)] = weight
     return WeightVector(values)
 

@@ -134,6 +134,19 @@ def test_verify_non_unique_names_demand(tmp_path, capsys):
     assert "non-unique: demand (s, t)" in capsys.readouterr().out
 
 
+def test_verify_duplicate_weight_is_usage_error(tmp_path, capsys):
+    # s->a given twice must be refused, not read as its last value.
+    inst = write_instance(tmp_path, diamond())
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(
+        '[{"tail": "s", "head": "a", "weight": 1}, {"tail": "a", "head": "t", "weight": 1}, '
+        '{"tail": "s", "head": "b", "weight": 2}, {"tail": "b", "head": "t", "weight": 2}, '
+        '{"tail": "s", "head": "a", "weight": 9}]'
+    )
+    assert main(["verify", inst, str(weights_path)]) == 1
+    assert "error: weights[4]: duplicate link ('s', 'a')" in capsys.readouterr().err
+
+
 def test_verify_capacity_violation_table(tmp_path, capsys):
     instance = mk_instance("ab", [("a", "b", 2)], [("a", "b", 3)])
     inst = write_instance(tmp_path, instance)

@@ -113,6 +113,26 @@ def test_round_trip_non_decimal_rational():
     assert load_instance(text) == inst
 
 
+def test_instance_file_golden_bytes():
+    inst = mk_instance("ab", [("a", "b", Fraction(1, 3)), ("b", "a", Fraction(5, 2))],
+                       [("a", "b", 1)], w_min=Fraction(1, 2), w_max=5, step=Fraction(1, 2))
+    assert save_instance(inst) == (
+        '{\n'
+        '  "nodes": ["a", "b"],\n'
+        '  "links": [\n'
+        '    {"tail": "a", "head": "b", "capacity": "1/3"},\n'
+        '    {"tail": "b", "head": "a", "capacity": 2.5}\n'
+        '  ],\n'
+        '  "demands": [\n'
+        '    {"origin": "a", "destination": "b", "bandwidth": 1}\n'
+        '  ],\n'
+        '  "w_min": 0.5,\n'
+        '  "w_max": 5,\n'
+        '  "weight_resolution": 0.5\n'
+        '}\n'
+    )
+
+
 def test_load_missing_field_names_it():
     with pytest.raises(InstanceParseError, match="w_min"):
         load_instance('{"nodes": ["a"], "links": [], "demands": [], '

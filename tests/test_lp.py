@@ -323,6 +323,25 @@ def test_recover_stage_progression():
     assert spf.routing_from_weights(inst, result.weights) == forest
 
 
+def test_successful_branch_search_computes_no_cores(monkeypatch):
+    # A search that ends on a snap discards its infeasible leaves, so it must
+    # not pay for their irreducible cores.
+    calls = []
+    core = lp._irreducible_core
+
+    def counted(system, phase1):
+        calls.append(phase1)
+        return core(system, phase1)
+
+    monkeypatch.setattr(lp, "_irreducible_core", counted)
+    inst = generate_random_instance(7, 2.2, 6, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    forest = next(solver.master_search(inst))
+    result = recover_weights(inst, forest)
+    assert result.ok and result.stage == "branch"
+    assert result.lp_solves == 8
+    assert calls == []
+
+
 def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
     # A candidate whose search fails on every leaf is cut on the union of the
     # leaves' core bindings: every master candidate that cut matches fails
@@ -391,6 +410,11 @@ def test_cores_irreducible_and_cuts_sound_on_random_instances():
         solved = []
         for forest in forests:
             system, meta = path_length_system(inst, forest, eps, big_M)
+            for name, bindings in meta.items():
+                # A pl_ub row's own binary cancels from its rhs.
+                if name.startswith("pl_ub_"):
+                    i, j = name.split("_")[3:]
+                    assert all(pair != (i, j) for _, pair, _ in bindings)
             solved.append((system, meta, solve_feasibility(system)))
         for k, (forest, (system, meta, result)) in enumerate(zip(forests, solved)):
             if result.feasible:

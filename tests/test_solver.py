@@ -293,6 +293,16 @@ def test_master_cut_excludes_candidate():
     assert remaining[0].paths != first.paths
 
 
+def test_master_demand_free_instance_yields_one_empty_forest():
+    inst = mk_instance("ab", [("a", "b", 1)], [])
+    stats = {}
+    assert list(master_search(inst, stats=stats)) == [RoutingForest({}, {})]
+    assert stats["combinations"] == 1
+    assert list(master_search(inst, cuts=[solver.NoGoodCut(frozenset())])) == []
+    for result in (benders_solve(inst), brute_force_solve(inst)):
+        assert result.status == "Optimal" and result.objective == 0
+
+
 def test_master_emits_nondecreasing_objectives():
     for seed in range(12):
         inst = small_random(seed)

@@ -251,6 +251,28 @@ def test_weights_file_round_trip():
     assert spf.load_weights(spf.save_weights(wv)) == wv
 
 
+def test_weights_file_golden_bytes():
+    wv = WeightVector({("b", "a"): Fraction(1, 3), ("a", "b"): Fraction(5, 2)})
+    assert spf.save_weights(wv) == (
+        '[\n'
+        '  {"tail": "a", "head": "b", "weight": 2.5},\n'
+        '  {"tail": "b", "head": "a", "weight": "1/3"}\n'
+        ']\n'
+    )
+
+
+def test_weights_file_duplicate_link_rejected():
+    text = ('[{"tail": "s", "head": "a", "weight": 1}, '
+            '{"tail": "s", "head": "a", "weight": 9}]')
+    with pytest.raises(spf.InvalidWeightsError, match=r"weights\[1\]: duplicate link"):
+        spf.load_weights(text)
+
+
+def test_weights_file_non_numeric_weight_names_field():
+    with pytest.raises(spf.InvalidWeightsError, match=r"weights\[0\]\.weight"):
+        spf.load_weights('[{"tail": "s", "head": "a", "weight": "heavy"}]')
+
+
 def test_weight_validation_rejects_off_grid_and_missing():
     inst = two_node()
     with pytest.raises(spf.InvalidWeightsError):
