@@ -155,16 +155,15 @@ class Instance:
         )
 
 
-def _reachable_from(instance: Instance, origin: str) -> set[str]:
-    adj = instance.out_links()
+def _reachable_from(adj: dict[str, list[str]], origin: str) -> set[str]:
     seen = {origin}
     frontier = [origin]
     while frontier:
         node = frontier.pop()
-        for link in adj[node]:
-            if link.head not in seen:
-                seen.add(link.head)
-                frontier.append(link.head)
+        for head in adj[node]:
+            if head not in seen:
+                seen.add(head)
+                frontier.append(head)
     return seen
 
 
@@ -214,6 +213,11 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if link.capacity < 0:
             out.append(Violation(where, f"negative capacity {link.capacity}"))
 
+    # Links with an unknown endpoint are reported above and carry no route.
+    adj: dict[str, list[str]] = {node: [] for node in node_set}
+    for link in instance.links:
+        if link.tail in node_set and link.head in node_set:
+            adj[link.tail].append(link.head)
     seen_pairs: set[tuple[str, str]] = set()
     reachable: dict[str, set[str]] = {}
     for k, demand in enumerate(instance.demands):
@@ -236,7 +240,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         # Full strong connectivity is not required, but every demand must be
         # routable at least in principle.
         if demand.origin not in reachable:
-            reachable[demand.origin] = _reachable_from(instance, demand.origin)
+            reachable[demand.origin] = _reachable_from(adj, demand.origin)
         if demand.destination not in reachable[demand.origin]:
             out.append(Violation(where, "destination unreachable from origin"))
     return out

@@ -18,7 +18,9 @@ substitution before they are returned.
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system with the eps and big_M that `models.resolve_params`
 derives from the instance, snap its weights to the grid, and when the snap
-misses the forest, branch and bound on the weight grid.  With eps the gcd of
+misses the forest, branch and bound on the weight grid.  The system is
+OBM's path-length block with the forest's routing binaries fixed, written
+by the models' builder (`path_length_system`).  With eps the gcd of
 w_min and the resolution, the system holds at grid weights exactly when they
 realize the forest, so an integral node is a witness and a search whose
 leaves are all infeasible proves that no grid weights realize the forest.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .instance import Instance
-from .models import Constraint, Variable, resolve_params, table_violations
+from .models import Constraint, Variable, _ModelBuilder, resolve_params, table_violations
 from .rational import grid_size, snap_to_grid
 from . import spf
 from .spf import RoutingForest, WeightVector
@@ -205,8 +207,8 @@ class _Simplex:
                 total += cb * b
         return total
 
-    def _pivot_rows(self, r: int, c: int) -> dict[int, Fraction]:
-        """Normalize row r on column c and eliminate c from the other rows.
+    def _pivot(self, r: int, c: int) -> None:
+        """Normalize row r on column c and eliminate c from the other rows and z.
 
         Only the pivot row's nonzeros are touched, and only in rows with a
         nonzero in column c; an entry that cancels to 0 is deleted.
@@ -240,11 +242,7 @@ class _Simplex:
             if b:
                 self.rhs[rr] += neg * b
         self.basis[r] = c
-        return row
-
-    def _pivot(self, r: int, c: int) -> None:
         factor = self.z[c]
-        row = self._pivot_rows(r, c)
         if factor != 0:
             z = self.z
             for j, a in row.items():
@@ -379,66 +377,38 @@ def path_length_system(
     eps: Fraction,
     big_M: Fraction,
 ) -> tuple[LinearSystem, dict[str, frozenset[Binding]]]:
-    """Instantiate the path-length constraints for fixed routing binaries.
+    """OBM's path-length block with the routing binaries fixed by the forest.
 
-    Returns the system plus row metadata: each row name maps to the
-    (origin, link, value) bindings of the routing binaries that parametrize
-    the row.  A `pl_ub` row on (i, j) depends on every other link into j
-    (its own binary cancels from the rhs), a `pl_lb` row only on (i, j)
-    being used.
+    The rows are built by `models._ModelBuilder`, with each origin's binary
+    `y_<s>_<i>_<j>` fixed at 1 on the forest's links and at 0 elsewhere;
+    eps and big_M must pass `models.resolve_params`.  Returns the system
+    plus row metadata: each row name maps to the (origin, link, value)
+    bindings of the binaries folded into the row.  A `pl_ub` row on (i, j)
+    depends on every other link into j (its own binary cancels from the
+    row), a `pl_lb` row only on (i, j) being used.
 
     The lower-bound rows of unused links are omitted: for any weights that
     satisfy the remaining rows, the exact shortest distances satisfy them
     too, since d_i + w_ij - d_j <= (|N|-1)*w_max < big_M.  So dropping them
     changes no feasibility answer.
     """
-    variables: list[Variable] = []
-    wname: dict[tuple[str, str], str] = {}
-    for link in instance.links:
-        name = f"w_{link.tail}_{link.head}"
-        wname[(link.tail, link.head)] = name
-        variables.append(Variable(name, "continuous", instance.w_min, instance.w_max))
-    lname: dict[tuple[str, str], str] = {}
-    origins = instance.origins()
-    for s in origins:
-        for node in instance.nodes:
-            name = f"l_{s}_{node}"
-            lname[(s, node)] = name
-            ub = Fraction(0) if node == s else None
-            variables.append(Variable(name, "continuous", Fraction(0), ub))
-
-    pairs_into = {
-        node: [(l.tail, l.head) for l in links] for node, links in instance.in_links().items()
-    }
-    rows: list[Constraint] = []
-    meta: dict[str, frozenset[Binding]] = {}
-    for s in origins:
+    pairs = instance.link_pairs()
+    routes: dict[str, dict[tuple[str, str], str]] = {}
+    fixed: dict[str, int] = {}
+    binding: dict[str, Binding] = {}
+    for s in instance.origins():
         used = forest.used_links(s)
-        into = {
-            node: frozenset((s, pair, 1 if pair in used else 0) for pair in pairs)
-            for node, pairs in pairs_into.items()
-        }
-        insum = {node: sum(v for _, _, v in binds) for node, binds in into.items()}
-        for link in instance.links:
-            i, j = link.tail, link.head
-            y = 1 if (i, j) in used else 0
-            gap = insum[j] - y
-            # l_j - l_i - w_ij: at most -eps * gap, and 0 on a used link.
-            terms = (
-                (wname[(i, j)], Fraction(-1)),
-                (lname[(s, i)], Fraction(-1)),
-                (lname[(s, j)], Fraction(1)),
-            )
-            name = f"pl_ub_{s}_{i}_{j}"
-            rows.append(Constraint(name, terms, "<=", -eps * gap))
-            meta[name] = into[j] - {(s, (i, j), y)}
-            if y == 0:
-                continue
-            name = f"pl_lb_{s}_{i}_{j}"
-            rows.append(Constraint(name, terms, ">=", Fraction(0)))
-            meta[name] = frozenset({(s, (i, j), 1)})
-
-    return LinearSystem(tuple(variables), tuple(rows)), meta
+        route = routes[s] = {}
+        for pair in pairs:
+            name = route[pair] = f"y_{s}_{pair[0]}_{pair[1]}"
+            value = fixed[name] = 1 if pair in used else 0
+            binding[name] = (s, pair, value)
+    b = _ModelBuilder(instance, eps, big_M, fixed)
+    b.lengths()
+    for s, route in routes.items():
+        b.path_length(s, s, route)
+    meta = {row: frozenset(binding[v] for v in folded) for row, folded in b.folded.items()}
+    return LinearSystem(tuple(b.variables), tuple(b.constraints)), meta
 
 
 def row_bindings(

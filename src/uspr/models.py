@@ -15,7 +15,10 @@ tables and rendered to LP text:
 Both are built by one `_ModelBuilder`: it declares the weight and length
 variables, and emits one routing tree's conservation rows and path-length
 pairs.  DBM has a tree per demand (routed by `x`), OBM a tree per origin
-(routed by `y`, carrying flow `f`).
+(routed by `y`, carrying flow `f`).  The builder also writes the weight
+recovery subproblem of the decomposition (`lp.path_length_system`): OBM's
+path-length block with every routing binary fixed by a candidate forest,
+each fixed binary folded into its row's right-hand side.
 
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
@@ -42,6 +45,9 @@ from fractions import Fraction
 
 from .instance import Instance, InstanceDims
 from .rational import format_number, frac_gcd, parse_number
+
+
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class ModelParameterError(ValueError):
@@ -154,9 +160,15 @@ class _ModelBuilder:
     Holds one build's instance and link adjacency, and the rows shared by
     both formulations: weights and lengths, and per routing tree the flow
     conservation rows and the path-length pairs.
+
+    `fixed` maps routing binaries to 0 or 1.  A fixed binary is never
+    declared: `row` moves its term into the rhs and records its name in
+    `folded[row name]`.
     """
 
-    def __init__(self, instance: Instance, eps, big_M) -> None:
+    def __init__(
+        self, instance: Instance, eps, big_M, fixed: dict[str, int] | None = None
+    ) -> None:
         self.instance = instance
         self.eps, self.big_M = resolve_params(instance, eps, big_M)
         self.in_links = instance.in_links()
@@ -164,6 +176,8 @@ class _ModelBuilder:
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
+        self.fixed = fixed or {}
+        self.folded: dict[str, list[str]] = {}
 
     def var(self, name: str, kind: str, lb, ub) -> str:
         self.index[name] = len(self.variables)
@@ -171,10 +185,16 @@ class _ModelBuilder:
         return name
 
     def row(self, name: str, coeffs: dict[str, Fraction], sense: str, rhs: Fraction) -> None:
+        if self.fixed:
+            folded = self.folded[name] = [v for v in coeffs if v in self.fixed]
+            for v in folded:
+                if self.fixed[v]:
+                    rhs -= coeffs[v]
+                del coeffs[v]
         terms = tuple(
             (v, c) for v, c in sorted(coeffs.items(), key=lambda kv: self.index[kv[0]]) if c != 0
         )
-        self.constraints.append(Constraint(name, terms, sense, Fraction(rhs)))
+        self.constraints.append(Constraint(name, terms, sense, rhs))
 
     def tree_vars(self, prefix: str, keys, kind: str, lb, ub) -> dict:
         """`<prefix>_<key>_<i>_<j>` for every tree key and link: {key: {(i, j): name}}."""
@@ -218,20 +238,26 @@ class _ModelBuilder:
             self.row(f"fc_{key}_{node}", coeffs, "=", net.get(node, Fraction(0)))
 
     def path_length(self, key, origin: str, route: dict) -> None:
-        """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin."""
+        """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin.
+
+        The `pl_lb` row of a link whose binary is fixed at 0 is not emitted;
+        `lp.path_length_system` says why it is implied.
+        """
         length = self.l[origin]
         for link in self.instance.links:
             i, j = link.tail, link.head
+            q = {length[j]: _ONE, length[i]: _MINUS_ONE, self.w[(i, j)]: _MINUS_ONE}
             # l_j <= l_i + w_ij - eps * (sum_h route_hj - route_ij)
-            coeffs = {length[j]: Fraction(1), length[i]: Fraction(-1), self.w[(i, j)]: Fraction(-1)}
+            coeffs = dict(q)
             for other in self.in_links[j]:
                 if other is not link:
                     coeffs[route[(other.tail, other.head)]] = self.eps
-            self.row(f"pl_ub_{key}_{i}_{j}", coeffs, "<=", Fraction(0))
+            self.row(f"pl_ub_{key}_{i}_{j}", coeffs, "<=", _ZERO)
+            if self.fixed.get(route[(i, j)]) == 0:
+                continue
             # l_j >= l_i + w_ij - M * (1 - route_ij)
-            coeffs = {length[j]: Fraction(1), length[i]: Fraction(-1), self.w[(i, j)]: Fraction(-1)}
-            coeffs[route[(i, j)]] = -self.big_M
-            self.row(f"pl_lb_{key}_{i}_{j}", coeffs, ">=", -self.big_M)
+            q[route[(i, j)]] = -self.big_M
+            self.row(f"pl_lb_{key}_{i}_{j}", q, ">=", -self.big_M)
 
     def model(self, formulation: str, objective) -> LinearModel:
         return LinearModel(

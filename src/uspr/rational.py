@@ -27,6 +27,8 @@ def parse_number(value: object, where: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: not a finite number")
         return Fraction(str(value))
     if isinstance(value, str):
         try:

@@ -386,13 +386,11 @@ def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingFo
     _check_weights(instance, weights)
     cg = CompiledGraph(instance)
     wunits, _scale = scale_weights(instance, weights)
-    flows: dict[str, dict[tuple[str, str], Fraction]] = {}
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
     for origin in instance.origins():
         src = cg.index[origin]
         dist = dijkstra_units(cg, wunits, src)
         counts = count_paths_capped(cg, wunits, dist)
-        tree: dict[tuple[str, str], Fraction] = {}
         for demand in instance.demands_from(origin):
             di = cg.index[demand.destination]
             if dist[di] is None:
@@ -400,12 +398,8 @@ def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingFo
             if counts[di] != 1:
                 raise NonUniqueRoutingError(demand)
             node_path = walk_back_unique(cg, wunits, dist, src, di)
-            names = tuple(instance.nodes[i] for i in node_path)
-            paths[(demand.origin, demand.destination)] = names
-            for a, b in zip(names, names[1:]):
-                tree[(a, b)] = tree.get((a, b), Fraction(0)) + demand.bandwidth
-        flows[origin] = tree
-    return RoutingForest(flows=flows, paths=paths)
+            paths[(origin, demand.destination)] = tuple(instance.nodes[i] for i in node_path)
+    return forest_from_paths(instance, paths)
 
 
 def evaluate_objective(instance: Instance, forest: RoutingForest) -> Fraction:

@@ -147,6 +147,38 @@ def test_verify_duplicate_weight_is_usage_error(tmp_path, capsys):
     assert "error: weights[4]: duplicate link ('s', 'a')" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_name_their_field(tmp_path, capsys):
+    # NaN and +-Infinity parse as JSON floats; each must be refused by name.
+    text = save_instance(diamond())
+    cases = (
+        ("validate", text.replace('"capacity": 10', '"capacity": NaN', 1), "links[0].capacity"),
+        ("validate", text.replace('"w_min": 1', '"w_min": Infinity'), "w_min"),
+    )
+    for command, body, field in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        assert main([command, str(path)]) == 1
+        assert f"error: {field}: not a finite number" in capsys.readouterr().err
+    inst = write_instance(tmp_path, diamond())
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(
+        '[{"tail": "s", "head": "a", "weight": -Infinity}, '
+        '{"tail": "a", "head": "t", "weight": 1}, {"tail": "s", "head": "b", "weight": 2}, '
+        '{"tail": "b", "head": "t", "weight": 2}]'
+    )
+    assert main(["verify", inst, str(weights_path)]) == 1
+    assert "error: weights[0].weight: not a finite number" in capsys.readouterr().err
+
+
+def test_validate_link_with_unknown_endpoint_and_routable_demand(tmp_path, capsys):
+    # Reachability runs over the known links only, so an unknown endpoint is
+    # reported as a violation instead of breaking the reachability check.
+    path = tmp_path / "bad.json"
+    path.write_text(save_instance(diamond()).replace('"head": "t"', '"head": "z"', 1))
+    assert main(["validate", str(path)]) == 2
+    assert "links[1]: unknown head node 'z'" in capsys.readouterr().out
+
+
 def test_verify_capacity_violation_table(tmp_path, capsys):
     instance = mk_instance("ab", [("a", "b", 2)], [("a", "b", 3)])
     inst = write_instance(tmp_path, instance)

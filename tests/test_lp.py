@@ -428,3 +428,73 @@ def test_cores_irreducible_and_cuts_sound_on_random_instances():
                     assert not solved[other][2].feasible
                     other_cut += other != k
     assert infeasible_seen and other_cut
+
+
+def _recovery_candidates():
+    """Master candidates of random, low-capacity and coarse-grid instances."""
+    for seed in range(4):
+        for options in ({}, {"capacity_range": (5, 20)},
+                        {"w_min": 2, "w_max": 5, "weight_resolution": 3}):
+            inst = generate_random_instance(6, 2, 4, seed=seed, **options)
+            yield inst, list(itertools.islice(solver.master_search(inst), 8))
+
+
+def test_path_length_system_is_obm_block_with_fixed_binaries():
+    # Substituting the forest's y values into build_obm's path-length rows
+    # and dropping the pl_lb rows of unused links gives the recovery system;
+    # each row's meta is exactly the binaries substituted into it.
+    seen = 0
+    for inst, forests in _recovery_candidates():
+        eps, big_M = models.resolve_params(inst, None, None)
+        obm = models.build_obm(inst)
+        pl_rows = [c for c in obm.constraints if c.name.startswith("pl_")]
+        for forest in forests:
+            expected = []
+            for c in pl_rows:
+                rhs, terms, substituted = c.rhs, set(), set()
+                for name, coef in c.terms:
+                    if name.startswith("y_"):
+                        _, s, i, j = name.split("_")
+                        value = 1 if (i, j) in forest.used_links(s) else 0
+                        rhs -= coef * value
+                        substituted.add((s, (i, j), value))
+                    else:
+                        terms.add((name, coef))
+                if c.name.startswith("pl_lb_") and {v for _, _, v in substituted} == {0}:
+                    continue
+                expected.append((c.name, frozenset(terms), c.sense, rhs, frozenset(substituted)))
+            system, meta = path_length_system(inst, forest, eps, big_M)
+            got = [(r.name, frozenset(r.terms), r.sense, r.rhs, meta[r.name]) for r in system.rows]
+            assert got == expected
+            assert set(meta) == {r.name for r in system.rows}
+            seen += 1
+    assert seen >= 70
+
+
+def test_path_length_rows_match_linearization_cases():
+    # Over q = l_j - l_i - w_ij, a kept pl_ub row is q <= upper and a kept
+    # pl_lb row q >= lower, for the logic case of its binary pattern.
+    relations = set()
+    for inst, forests in _recovery_candidates():
+        eps, big_M = models.resolve_params(inst, None, None)
+        into = inst.in_links()
+        for forest in forests:
+            system, _ = path_length_system(inst, forest, eps, big_M)
+            for r in system.rows:
+                _, bound, s, i, j = r.name.split("_")
+                used = forest.used_links(s)
+                insum = sum((l.tail, l.head) in used for l in into[j])
+                case = models.linearization_check(int((i, j) in used), insum, eps, big_M)
+                relations.add(case.relation)
+                assert dict(r.terms) == {f"w_{i}_{j}": -1, f"l_{s}_{i}": -1, f"l_{s}_{j}": 1}
+                assert r.rhs == (case.upper if bound == "ub" else case.lower)
+                assert bound == "ub" or case.relation == "equal"
+    assert relations == {"equal", "strict", "slack"}
+
+
+def test_path_length_system_rejects_eps_above_grid_gap():
+    inst = generate_random_instance(5, 2, 3, seed=0, w_min=2, w_max=5, weight_resolution=3)
+    forest = next(solver.master_search(inst))
+    eps, big_M = models.resolve_params(inst, None, None)
+    with pytest.raises(models.ModelParameterError):
+        path_length_system(inst, forest, eps * 2, big_M + eps)
