@@ -4,15 +4,18 @@ Given a fixed routing forest, decide whether link weights inside the bounds
 and per-origin length values exist that satisfy the path-length constraints,
 and recover a concrete grid weight vector when they do.
 
-The solver is the first phase of a sparse primal simplex over
-`fractions.Fraction`: it minimizes the sum of the artificial variables,
-which decides feasibility, and optimizes nothing else.  Each tableau row
-holds only its nonzeros, and a pivot touches only the pivot row's nonzeros
-in the rows that have a nonzero in the entering column.  Bland's
-smallest-index rule picks both the entering and the leaving choice, so
-pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
-the strict inequalities that separate a unique shortest path from a tie must
-not be blurred by floating error.  Feasible results are verified by direct
+The solver is the first phase of a sparse primal simplex in exact integer
+arithmetic: it minimizes the sum of the artificial variables, which decides
+feasibility, and optimizes nothing else.  Each tableau row holds the integer
+numerators of its nonzeros over one positive denominator, in the
+fraction-free style of Edmonds and Bareiss; on the path-length systems,
+whose entries are almost all ±1, nearly every row keeps denominator 1.  A
+pivot touches only the pivot row's nonzeros in the rows that have a nonzero
+in the entering column.  Bland's smallest-index rule picks both the entering
+and the leaving choice, so pivoting is deterministic and cannot cycle.
+Exact arithmetic is the point: the strict inequalities that separate a
+unique shortest path from a tie must not be blurred by floating error.
+Feasible results are read off as `Fraction`s and verified by direct
 substitution before they are returned.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
@@ -100,14 +103,23 @@ def system_violations(system: LinearSystem) -> list[str]:
 # Phase-1 simplex.
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-# Per-solve budgets; exceeding either raises SimplexResourceError.
+# Per-solve budgets; exceeding either raises SimplexResourceError.  MAX_BITS
+# bounds the pivot entry of the integer rows: the bit length of its numerator
+# plus that of its row's denominator.
 MAX_PIVOTS = 200_000
 MAX_BITS = 1_000_000
 
 
 class _Simplex:
+    """Phase 1 over integer rows.
+
+    Row r holds the integer numerators of its nonzero entries, `rhs[r]` its
+    rhs numerator and `den[r] > 0` their one denominator, so the tableau
+    entry (r, j) is rows[r][j] / den[r].  The reduced costs are the integers
+    `z` over the one denominator `zden`.
+    """
+
     def __init__(self, system: LinearSystem):
         problems = system_violations(system)
         if problems:
@@ -117,118 +129,144 @@ class _Simplex:
 
         # Column encoding: every structural variable becomes one or two
         # nonnegative columns, x = base + sum(sign * u).
-        self.col_sign: list[Fraction] = []
+        self.col_sign: list[int] = []
         self.var_base: list[Fraction] = []
         self.var_cols: list[list[int]] = []
-        extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        extra_rows: list[tuple[dict[int, int], str, int, int]] = []
         for v in system.variables:
             cols: list[int] = []
             if v.lb is not None and v.lb == v.ub:
                 base = v.lb  # fixed variable: no column at all
             elif v.lb is not None:
                 base = v.lb
-                cols.append(self._new_col(_ONE))
+                cols.append(self._new_col(1))
                 if v.ub is not None:
-                    extra_rows.append(({cols[0]: _ONE}, "<=", v.ub - v.lb))
+                    num, den = (v.ub - v.lb).as_integer_ratio()
+                    extra_rows.append(({cols[0]: den}, "<=", num, den))
             elif v.ub is not None:
                 base = v.ub
-                cols.append(self._new_col(-_ONE))
+                cols.append(self._new_col(-1))
             else:
                 base = _ZERO
-                cols.append(self._new_col(_ONE))
-                cols.append(self._new_col(-_ONE))
+                cols.append(self._new_col(1))
+                cols.append(self._new_col(-1))
             self.var_base.append(base)
             self.var_cols.append(cols)
         self.n_struct = len(self.col_sign)
 
+        # Each row is scaled by the lcm of its denominators, those of the
+        # products coef * base folded into its rhs included.
         var_index = {v.name: i for i, v in enumerate(system.variables)}
-        raw_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        base_ratio = [base.as_integer_ratio() for base in self.var_base]
+        raw_rows: list[tuple[dict[int, int], str, int, int]] = []
         for row in system.rows:
-            coeffs: dict[int, Fraction] = {}
-            rhs = row.rhs
-            for name, coef in row.terms:
-                vi = var_index[name]
-                rhs -= coef * self.var_base[vi]
+            terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
+            rhs_num, rhs_den = row.rhs.as_integer_ratio()
+            den = rhs_den
+            for vi, (_, cd) in terms:
+                d = cd * base_ratio[vi][1]
+                if d != 1:
+                    den = math.lcm(den, d)
+            rhs = rhs_num * (den // rhs_den)
+            coeffs: dict[int, int] = {}
+            for vi, (cn, cd) in terms:
+                a = cn * (den // cd)
+                bn, bd = base_ratio[vi]
+                if bn:
+                    rhs -= a * bn // bd
                 for c in self.var_cols[vi]:
-                    coeffs[c] = coeffs.get(c, _ZERO) + coef * self.col_sign[c]
-            raw_rows.append((coeffs, row.sense, rhs))
+                    coeffs[c] = coeffs.get(c, 0) + a * self.col_sign[c]
+            raw_rows.append((coeffs, row.sense, rhs, den))
         raw_rows.extend(extra_rows)
 
-        # Sparse rows {column: nonzero coefficient} with the rhs kept apart,
+        # Sparse rows {column: nonzero numerator} with the rhs kept apart,
         # flipped to rhs >= 0.  Each inequality gets a slack column; a row
         # whose slack is not +1 after the flip gets an artificial column,
         # numbered after every slack.  The initial basis is slack or artificial.
-        self.rows: list[dict[int, Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
         slacks: list[int | None] = []
         ncols = self.n_struct
-        for coeffs, sense, rhs in raw_rows:
+        for coeffs, sense, rhs, den in raw_rows:
             row = {c: a for c, a in coeffs.items() if a != 0}
             slack = None
             if sense != "=":
                 slack = ncols
                 ncols += 1
-                row[slack] = _ONE if sense == "<=" else -_ONE
+                row[slack] = den if sense == "<=" else -den
             if rhs < 0:
                 row = {c: -a for c, a in row.items()}
                 rhs = -rhs
             self.rows.append(row)
             self.rhs.append(rhs)
+            self.den.append(den)
             slacks.append(slack)
         self.artificial_start = ncols
         self.basis: list[int] = []
-        for row, slack in zip(self.rows, slacks):
-            if slack is None or row[slack] != _ONE:
+        for row, den, slack in zip(self.rows, self.den, slacks):
+            if slack is None or row[slack] != den:
                 slack = ncols
                 ncols += 1
-                row[slack] = _ONE
+                row[slack] = den
             self.basis.append(slack)
         self.ncols = ncols
         self.initial_basis = list(self.basis)
 
-    def _new_col(self, sign: Fraction) -> int:
+    def _new_col(self, sign: int) -> int:
         self.col_sign.append(sign)
         return len(self.col_sign) - 1
 
-    def _zrow(self, cost: list[Fraction]) -> list[Fraction]:
-        z = list(cost)
-        for row, col in zip(self.rows, self.basis):
+    def _zrow(self, cost: list[int]) -> None:
+        """Reduced costs cost - sum(cost[basis[r]] * row r), over the lcm of
+        the denominators of the rows with a costed basic column."""
+        zden = 1
+        for den, col in zip(self.den, self.basis):
+            if cost[col]:
+                zden = math.lcm(zden, den)
+        z = [cb * zden for cb in cost]
+        for row, den, col in zip(self.rows, self.den, self.basis):
             cb = cost[col]
-            if cb != 0:
+            if cb:
+                m = cb * (zden // den)
                 for j, a in row.items():
-                    z[j] -= cb * a
-        return z
-
-    def _objective_value(self, cost: list[Fraction]) -> Fraction:
-        total = _ZERO
-        for b, col in zip(self.rhs, self.basis):
-            cb = cost[col]
-            if cb != 0:
-                total += cb * b
-        return total
+                    z[j] -= m * a
+        self.z, self.zden = z, zden
 
     def _pivot(self, r: int, c: int) -> None:
         """Normalize row r on column c and eliminate c from the other rows and z.
 
-        Only the pivot row's nonzeros are touched, and only in rows with a
-        nonzero in column c; an entry that cancels to 0 is deleted.
+        The normalized row is row r's numerators over its pivot numerator p,
+        gcd-reduced.  When its denominator is 1, elimination touches only the
+        pivot row's nonzeros, in rows with a nonzero in column c; an entry
+        that cancels to 0 is deleted.  Otherwise each such row is first scaled
+        by that denominator and gcd-reduced after.
         """
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise SimplexResourceError(f"pivot budget {MAX_PIVOTS} exceeded")
-        row = self.rows[r]
-        piv = row[c]
-        if piv.numerator.bit_length() + piv.denominator.bit_length() > MAX_BITS:
+        rows, rhs, dens = self.rows, self.rhs, self.den
+        row = rows[r]
+        p = row[c]  # > 0: the ratio test admits positive entries only
+        if p.bit_length() + dens[r].bit_length() > MAX_BITS:
             raise SimplexResourceError("rational coefficients exceeded the bit budget")
-        if piv != _ONE:
-            inv = _ONE / piv
-            self.rows[r] = row = {j: a * inv for j, a in row.items()}
-            self.rhs[r] *= inv
-        b = self.rhs[r]
-        for rr, other in enumerate(self.rows):
+        b = rhs[r]
+        d = 1
+        if p != 1:
+            g = math.gcd(p, b, *row.values())
+            if g != 1:
+                rows[r] = row = {j: a // g for j, a in row.items()}
+                b //= g
+            d = p // g
+        rhs[r], dens[r] = b, d
+        for rr, other in enumerate(rows):
             factor = other.get(c)
             if factor is None or rr == r:
                 continue
+            if d != 1:
+                rows[rr] = other = {j: a * d for j, a in other.items()}
+                rhs[rr] *= d
+                dens[rr] *= d
             neg = -factor
             for j, a in row.items():
                 if j in other:
@@ -240,40 +278,59 @@ class _Simplex:
                 else:
                     other[j] = neg * a
             if b:
-                self.rhs[rr] += neg * b
+                rhs[rr] += neg * b
+            if d != 1:
+                g = math.gcd(dens[rr], rhs[rr], *other.values())
+                if g != 1:
+                    rows[rr] = {j: a // g for j, a in other.items()}
+                    rhs[rr] //= g
+                    dens[rr] //= g
         self.basis[r] = c
         factor = self.z[c]
-        if factor != 0:
+        if factor:
+            if d != 1:
+                self.z = [x * d for x in self.z]
+                self.zden *= d
             z = self.z
             for j, a in row.items():
                 z[j] -= factor * a
+            if d != 1:
+                g = math.gcd(self.zden, *z)
+                if g != 1:
+                    self.z = [x // g for x in z]
+                    self.zden //= g
 
-    def _minimize(self, cost: list[Fraction]) -> None:
-        self.z = self._zrow(cost)
+    def _minimize(self, cost: list[int]) -> None:
+        """Bland's rule: the first column with a negative reduced cost enters;
+        of the rows with a positive entry in it, the one with the least ratio
+        of rhs to entry leaves, ties to the smallest basic column.  A row's
+        denominator cancels from its ratio, so ratios of numerators compare
+        by cross-multiplication."""
+        self._zrow(cost)
+        rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
             enter = None
-            for j in range(self.ncols):
-                if self.z[j] < 0:
+            for j, zj in enumerate(self.z):
+                if zj < 0:
                     enter = j
                     break
             if enter is None:
                 return
             leave = None
-            best = None
-            for r in range(len(self.rows)):
-                a = self.rows[r].get(enter)
+            for r, row in enumerate(rows):
+                a = row.get(enter)
                 if a is not None and a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
+                    if leave is None:
+                        leave, best_b, best_a = r, rhs[r], a
+                        continue
+                    ours, best = rhs[r] * best_a, best_b * a
+                    if ours < best or (ours == best and basis[r] < basis[leave]):
+                        leave, best_b, best_a = r, rhs[r], a
             if leave is None:  # phase 1's objective is bounded below by 0
                 raise RuntimeError("internal: phase 1 is unbounded")
             self._pivot(leave, enter)
 
-    def _farkas_support(self, cost: list[Fraction]) -> tuple[str, ...]:
+    def _farkas_support(self, cost: list[int]) -> tuple[str, ...]:
         """The system rows used by the dual ray of an infeasible phase 1.
 
         Each row's initial basic column is a unit column, so the ray's entry
@@ -282,25 +339,27 @@ class _Simplex:
         return tuple(
             row.name
             for row, col in zip(self.system.rows, self.initial_basis)
-            if cost[col] != self.z[col]
+            if cost[col] * self.zden != self.z[col]
         )
 
     def solve(self) -> Feasible | Infeasible:
         """Infeasible results carry the unverified Farkas support.
 
-        A feasible phase 1 may leave artificials basic at 0; they carry no
-        structural value, so the assignment is read off as it stands.
+        Phase 1's objective is positive exactly when an artificial column is
+        basic with a positive rhs.  A feasible phase 1 may leave artificials
+        basic at 0; they carry no structural value, so the assignment is read
+        off as it stands.
         """
         if self.artificial_start < self.ncols:
-            cost = [_ZERO] * self.artificial_start
-            cost += [_ONE] * (self.ncols - self.artificial_start)
+            cost = [0] * self.artificial_start + [1] * (self.ncols - self.artificial_start)
             self._minimize(cost)
-            if self._objective_value(cost) > 0:
+            if any(col >= self.artificial_start and b for b, col in zip(self.rhs, self.basis)):
                 return Infeasible(self._farkas_support(cost), self.pivots)
 
-        values = [_ZERO] * self.ncols
-        for b, col in zip(self.rhs, self.basis):
-            values[col] = b
+        values = [_ZERO] * self.n_struct
+        for b, den, col in zip(self.rhs, self.den, self.basis):
+            if col < self.n_struct:
+                values[col] = Fraction(b, den)
         assignment = {}
         for vi, v in enumerate(self.system.variables):
             x = self.var_base[vi]

@@ -89,6 +89,12 @@ class SolverConfig:
     node_limit: int | None = None
     time_limit: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN fails too
+            raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
+
 
 # ---------------------------------------------------------------------------
 # Demand-routing checks and constructions.

@@ -111,6 +111,21 @@ def test_solve_time_limit_zero_exit_three(tmp_path, capsys):
     assert "BoundsExhausted" in capsys.readouterr().out
 
 
+def test_solve_refuses_malformed_limits(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond())
+    for argv, field in (
+        (["--time-limit", "nan"], "time_limit"),
+        (["--time-limit", "-1"], "time_limit"),
+        (["--node-limit", "-3"], "node_limit"),
+        (["--oracle", "--grid-limit", "-1"], "--grid-limit"),
+    ):
+        assert main(["solve", inst, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert captured.out == ""
+    assert main(["solve", inst, "--time-limit", "inf"]) == 0
+
+
 def test_verify_round_trip_from_solver(tmp_path, capsys):
     instance = diamond()
     inst = write_instance(tmp_path, instance)

@@ -261,30 +261,43 @@ def _fourier_motzkin_feasible(variables, rows) -> bool:
     return all(rhs >= 0 for coeffs, rhs in ineqs if not coeffs)
 
 
-def test_simplex_agrees_with_fourier_motzkin():
-    rng = random.Random(1234)
-    feasible_seen = infeasible_seen = 0
-    for _ in range(300):
-        nvars = rng.randint(1, 4)
-        names = [f"v{i}" for i in range(nvars)]
+def _integer(rng, lo, hi):
+    return rng.randint(lo, hi)
+
+
+def _rational(rng, lo, hi):
+    """Denominators 1-6, over three times the integer range."""
+    return Fraction(rng.randint(3 * lo, 3 * hi), rng.randint(1, 6))
+
+
+def _random_systems(seed, count, max_vars, number):
+    """Random systems; number(rng, lo, hi) draws every coefficient, bound and rhs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"v{i}" for i in range(rng.randint(1, max_vars))]
         variables = tuple(
-            var(n, rng.choice([None, rng.randint(-4, 0)]),
-                rng.choice([None, rng.randint(1, 5)]))
+            var(n, rng.choice([None, number(rng, -4, 0)]),
+                rng.choice([None, number(rng, 1, 5)]))
             for n in names
         )
         rows = []
         for r in range(rng.randint(1, 5)):
-            terms = [(n, rng.randint(-3, 3)) for n in names if rng.random() < 0.8]
+            terms = [(n, number(rng, -3, 3)) for n in names if rng.random() < 0.8]
             terms = [(n, c) for n, c in terms if c]
             if not terms:
                 continue
             sense = ("<=", ">=", "=")[rng.randrange(3)]
-            rows.append(row(f"r{r}", terms, sense, rng.randint(-6, 6)))
-        system = LinearSystem(variables, tuple(rows))
+            rows.append(row(f"r{r}", terms, sense, number(rng, -6, 6)))
+        yield LinearSystem(variables, tuple(rows))
+
+
+def _assert_agrees_with_fourier_motzkin(systems):
+    feasible_seen = infeasible_seen = 0
+    for system in systems:
+        variables, rows = system.variables, system.rows
         result = solve_feasibility(system)
         got = result.feasible
-        want = _fourier_motzkin_feasible(variables, rows)
-        assert got == want
+        assert got == _fourier_motzkin_feasible(variables, rows)
         if not got:  # the core is irreducible by the same reference
             core = [r for r in rows if r.name in result.conflict_core]
             assert not _fourier_motzkin_feasible(variables, core)
@@ -295,6 +308,50 @@ def test_simplex_agrees_with_fourier_motzkin():
         feasible_seen += got
         infeasible_seen += not got
     assert feasible_seen > 50 and infeasible_seen > 50
+
+
+def test_simplex_agrees_with_fourier_motzkin():
+    _assert_agrees_with_fourier_motzkin(_random_systems(1234, 300, 4, _integer))
+
+
+def test_simplex_agrees_with_fourier_motzkin_on_rational_systems():
+    # Rows then carry denominators other than 1 and pivot on non-unit entries.
+    _assert_agrees_with_fourier_motzkin(_random_systems(4321, 300, 3, _rational))
+
+
+def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
+    # After each pivot every basic column is a unit column of the tableau (its
+    # numerator equals its row's denominator, and no other row holds it) with
+    # zero reduced cost, and every denominator is positive.
+    pivot = lp._Simplex._pivot
+    non_unit = 0
+
+    def checked(self, r, c):
+        nonlocal non_unit
+        non_unit += self.rows[r][c] != self.den[r]
+        pivot(self, r, c)
+        assert self.zden > 0 and all(d > 0 for d in self.den)
+        for k, (tableau_row, col) in enumerate(zip(self.rows, self.basis)):
+            assert tableau_row[col] == self.den[k] and self.z[col] == 0
+            assert sum(col in other for other in self.rows) == 1
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked)
+    for system in _random_systems(99, 150, 3, _rational):
+        lp._Simplex(system).solve()
+    assert non_unit > 100
+
+
+def test_bit_budget_resource_error(monkeypatch):
+    # x/3 + 2y/5 >= 1 is stored as 5x + 6y - 15s = 15 over the denominator
+    # 15; its first pivot entry, 5 over 15, has 3 + 4 bits.
+    system = LinearSystem(
+        (var("x", 0, 4), var("y", 0, 4)),
+        (row("r", [("x", Fraction(1, 3)), ("y", Fraction(2, 5))], ">=", 1),),
+    )
+    assert lp._Simplex(system).solve().feasible
+    monkeypatch.setattr(lp, "MAX_BITS", 6)
+    with pytest.raises(lp.SimplexResourceError):
+        lp._Simplex(system).solve()
 
 
 def test_pivot_budget_resource_error(monkeypatch):

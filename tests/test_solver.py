@@ -364,10 +364,22 @@ def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
         ((10, 2, 10, 0), F(11229, 100), 56),
         ((10, 2, 10, 1), F(13957, 100), 51),
         ((8, 2, 8, 2), F(11733, 100), 47),
+        ((16, 3, 12, 0), F(8383, 50), 126),
     ):
         result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed))
         assert (result.status, result.objective) == ("Optimal", objective)
         assert result.diagnostics.details["lp_solves"] == 1
+        assert result.diagnostics.details["lp_pivots"] == pivots
+    # A fractional eps (resolution 1/2) gives rows with a denominator of 2;
+    # a coarse grid makes recovery branch over 20 LPs.
+    for shape, options, objective, lp_solves, pivots in (
+        ((6, 2, 5, 3), {"weight_resolution": F(1, 2)}, F(6139, 100), 1, 17),
+        ((7, 2.6, 5, 24), {"w_min": 2, "w_max": 5, "weight_resolution": 3}, F(7241, 100), 20, 1768),
+    ):
+        nodes, degree, demands, seed = shape
+        result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed, **options))
+        assert (result.status, result.objective) == ("Optimal", objective)
+        assert result.diagnostics.details["lp_solves"] == lp_solves
         assert result.diagnostics.details["lp_pivots"] == pivots
 
 
@@ -434,6 +446,21 @@ def test_benders_node_limit_exhausts():
 def test_benders_time_limit_exhausts():
     result = benders_solve(diamond(), SolverConfig(time_limit=0.0))
     assert result.status == "BoundsExhausted"
+
+
+@pytest.mark.parametrize("limits, field", [
+    ({"time_limit": float("nan")}, "time_limit"),
+    ({"time_limit": -1.0}, "time_limit"),
+    ({"node_limit": -3}, "node_limit"),
+])
+def test_solver_config_refuses_malformed_limits(limits, field):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**limits)
+
+
+def test_solver_config_accepts_unbounded_and_zero_limits():
+    assert SolverConfig(time_limit=float("inf"), node_limit=0).time_limit == float("inf")
+    assert benders_solve(diamond(), SolverConfig(time_limit=float("inf"))).status == "Optimal"
 
 
 def test_brute_force_diamond_sixteen_combos():
