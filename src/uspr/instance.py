@@ -34,6 +34,7 @@ safe to share across workers.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -273,8 +274,10 @@ def generate_random_instance(
     """
     if n_nodes < 2:
         raise GenerationError("need at least 2 nodes")
-    if avg_out_degree <= 0 or n_demands <= 0:
-        raise GenerationError("avg_out_degree and n_demands must be positive")
+    if not math.isfinite(avg_out_degree) or avg_out_degree <= 0:
+        raise GenerationError(f"avg_out_degree must be positive and finite, got {avg_out_degree}")
+    if n_demands <= 0:
+        raise GenerationError("n_demands must be positive")
     max_links = n_nodes * (n_nodes - 1)
     target_links = round(avg_out_degree * n_nodes)
     if target_links > max_links:

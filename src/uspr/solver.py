@@ -1,8 +1,7 @@
 """Optimization engines and the routing-structure constructions.
 
 `benders_solve` runs the decomposition loop: an integer master enumerates
-candidate routing forests (per-origin trees combined under the coupling
-capacity constraint) in nondecreasing total-load order, and the weight
+candidate routing forests in nondecreasing total-load order, and the weight
 recovery subproblem decides whether each candidate is realizable as a unique
 shortest-path system.  Unrealizable candidates are excluded with no-good
 cuts, on the bindings of an irreducible infeasible subsystem (or, when only
@@ -11,6 +10,18 @@ because candidates arrive best-first, the first realizable one is optimal.
 `brute_force_solve` is the independent reference: it enumerates every
 weight vector on the grid and keeps the best capacity-feasible
 unique-routing outcome.
+
+The master (`master_search`) is one best-first search over partial
+assignments of a path to each demand.  It drops a partial assignment as
+soon as a link load passes its capacity or two of its paths, of any
+origins, disagree on a segment.  The segment rule is sound.  Let a routed
+s->t path P visit u and then v, under positive weights that make P the
+unique shortest s->t path.  Another u->v path Q no longer than P's u->v
+part would turn P into an s->t walk no longer than P; with its cycles
+removed, that walk is a second shortest s->t path or a shorter one.  So
+P's u->v part is the unique shortest u->v path, every routed path through
+u and then v takes it, and all of them leave u on the same link.  Within
+one origin this gives the rule that each node is entered on one link.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping, the demand-to-origin aggregation (y = max x,
@@ -26,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import lp, spf
 from .instance import Instance
@@ -64,6 +75,10 @@ class DemandRouting:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """`nodes_explored` counts, for `benders_solve`, the complete demand->path
+    assignments the master reached (cut ones included); for
+    `brute_force_solve`, the weight vectors."""
+
     iterations: int = 0
     cuts_added: int = 0
     nodes_explored: int = 0
@@ -375,96 +390,99 @@ def simple_paths(instance: Instance, origin: str, destination: str) -> list[tupl
     return result
 
 
-@dataclass(frozen=True)
-class _OriginTree:
-    load: Fraction
-    paths: dict[tuple[str, str], tuple[str, ...]]
-    flows: dict[tuple[str, str], Fraction]
+def segment_conflict(next_hop: Mapping, path: Sequence) -> bool:
+    """Whether `path` leaves a node u toward a later node v of the path on
+    another link than the one `next_hop[u][v]` records.
 
-
-def _origin_trees(instance: Instance, origin: str) -> Iterator[_OriginTree]:
-    """Per-origin candidate trees in nondecreasing load order (best-first).
-
-    States assign paths to the origin's demands one at a time; a partial
-    assignment is compatible when every node keeps a single incoming link.
-    The completion bound (each unassigned demand at its own minimum load)
-    keeps emissions ordered.
+    `next_hop[u][v]` is the node after u on routed paths that visit u and
+    then v.  In a realizable routing all such paths agree on it (see the
+    module docstring), so a path that disagrees cannot join the routing.
+    Nodes may be any hashable labels.
     """
-    demands = instance.demands_from(origin)
-    caps = {(l.tail, l.head): l.capacity for l in instance.links}
-    path_lists = []
-    for d in demands:
-        paths = simple_paths(instance, origin, d.destination)
-        if not paths:
-            return
-        path_lists.append(paths)
-    min_load = [
-        min(len(p) - 1 for p in paths) * d.bandwidth
-        for d, paths in zip(demands, path_lists)
-    ]
-    suffix_bound = [Fraction(0)] * (len(demands) + 1)
-    for i in range(len(demands) - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + min_load[i]
-
-    counter = itertools.count()
-    start = (Fraction(0) + suffix_bound[0], next(counter), 0, (), {})
-    heap = [start]
-    while heap:
-        bound, _, idx, chosen, inlink = heapq.heappop(heap)
-        if idx == len(demands):
-            flows: dict[tuple[str, str], Fraction] = {}
-            paths: dict[tuple[str, str], tuple[str, ...]] = {}
-            load = Fraction(0)
-            for pos, pi in enumerate(chosen):
-                d = demands[pos]
-                nodes = path_lists[pos][pi]
-                paths[(d.origin, d.destination)] = nodes
-                load += d.bandwidth * (len(nodes) - 1)
-                for a, b in zip(nodes, nodes[1:]):
-                    flows[(a, b)] = flows.get((a, b), Fraction(0)) + d.bandwidth
-            if all(flow <= caps[pair] for pair, flow in flows.items()):
-                yield _OriginTree(load, paths, flows)
-            continue
-        demand = demands[idx]
-        g = bound - suffix_bound[idx]
-        for pi, nodes in enumerate(path_lists[idx]):
-            new_inlink = dict(inlink)
-            ok = True
-            for a, b in zip(nodes, nodes[1:]):
-                if new_inlink.get(b, a) != a:
-                    ok = False
-                    break
-                new_inlink[b] = a
-            if not ok:
-                continue
-            new_g = g + demand.bandwidth * (len(nodes) - 1)
-            heapq.heappush(
-                heap,
-                (
-                    new_g + suffix_bound[idx + 1],
-                    next(counter),
-                    idx + 1,
-                    chosen + (pi,),
-                    new_inlink,
-                ),
-            )
+    for a in range(len(path) - 1):
+        row = next_hop.get(path[a])
+        if row:
+            step = path[a + 1]
+            for v in path[a + 1 :]:
+                hop = row.get(v)
+                if hop is not None and hop != step:
+                    return True
+    return False
 
 
-class _LazyStream:
-    """Memoized pull access over a generator of origin trees."""
+def add_segments(next_hop: Mapping, path: Sequence) -> dict:
+    """A copy of the table that also records every segment of `path`.  The
+    rows of nodes the path does not leave are shared, not copied."""
+    table = dict(next_hop)
+    for a in range(len(path) - 1):
+        u = path[a]
+        table[u] = {**table.get(u, {}), **dict.fromkeys(path[a + 1 :], path[a + 1])}
+    return table
 
-    def __init__(self, gen: Iterator[_OriginTree]):
-        self._gen = gen
-        self._items: list[_OriginTree] = []
-        self._done = False
 
-    def get(self, k: int) -> _OriginTree | None:
-        while len(self._items) <= k and not self._done:
-            try:
-                self._items.append(next(self._gen))
-            except StopIteration:
-                self._done = True
-        return self._items[k] if k < len(self._items) else None
+class _PathStream:
+    """One demand's simple paths in (hops, DFS index) order: the order of
+    `sorted(simple_paths(...), key=len)`.  They are listed one hop count at a
+    time, by a DFS limited to that many hops and pruned by the BFS hop
+    distance to the destination, only as far as the search reads them.
+    Each entry is (node indices, link indices)."""
+
+    def __init__(self, cg: spf.CompiledGraph, dist: list[int], origin: int, destination: int):
+        self.paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._cg, self._dist = cg, dist
+        self._origin, self._destination = origin, destination
+        self._hops = dist[origin]  # len(nodes) when the destination is unreachable
+
+    def get(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        while j >= len(self.paths) and self._hops < len(self._dist):
+            self._list(self._hops)
+            self._hops += 1
+        return self.paths[j] if j < len(self.paths) else None
+
+    def _list(self, hops: int) -> None:
+        out_links, heads = self._cg.out_links, self._cg.heads
+        dist, destination = self._dist, self._destination
+        nodes, links = [self._origin], []
+        on_path = [False] * len(dist)
+        on_path[self._origin] = True
+
+        def visit(u: int, left: int) -> None:
+            if u == destination:
+                self.paths.append((tuple(nodes), tuple(links)))
+                return
+            left -= 1
+            for e in out_links[u]:
+                v = heads[e]
+                if on_path[v] or dist[v] > left or (v == destination and left):
+                    continue
+                nodes.append(v)
+                links.append(e)
+                on_path[v] = True
+                visit(v, left)
+                on_path[v] = False
+                nodes.pop()
+                links.pop()
+
+        visit(self._origin, hops)
+
+
+def _hops_to(cg: spf.CompiledGraph, destination: int) -> list[int]:
+    """BFS hop distance from every node to `destination`; len(nodes) when
+    it cannot be reached."""
+    n = len(cg.nodes)
+    dist = [n] * n
+    dist[destination] = 0
+    frontier = [destination]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in cg.in_links[v]:
+                u = cg.tails[e]
+                if dist[u] == n:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
 
 
 def master_search(
@@ -473,55 +491,140 @@ def master_search(
     incumbent_bound: Fraction | None = None,
     stats: dict | None = None,
 ) -> Iterator[RoutingForest]:
-    """Stream every capacity-feasible routing forest, best objective first.
+    """Stream every capacity-feasible, segment-consistent routing forest,
+    best objective first.
 
-    Per-origin trees are enumerated independently and combined lazily through
-    a sorted-sums merge, so the coupling capacity constraint and the no-good
-    cuts are only checked on emission.  `cuts` is read live: entries appended
-    while iterating suppress later candidates.  An empty stream means the
-    master is infeasible.
+    One best-first search runs over partial assignments of a path to each
+    demand, the demands grouped by origin in `instance.origins()` order and
+    in instance order within an origin.  A state holds the integer link
+    loads (bandwidths scaled by the lcm of their denominators) and the
+    `next_hop[u][v]` table of its paths' segments.  A path may extend a
+    state only if no link load passes floor(capacity * scale) and
+    `segment_conflict` finds no disagreement with the table.  Dropping the
+    other assignments loses no realizable routing: every subpath of a unique
+    shortest path is the unique shortest path between its end nodes, so all
+    routed paths through u and then v share one u->v segment, whatever the
+    weights.  The same holds for the LP of `lp.path_length_system`, whose
+    potentials are tight along the forest and at most the true distances:
+    a forest the rule rejects has an infeasible system.
+
+    A state's bound is its load plus each remaining demand's minimum load
+    (its hop distance times its bandwidth).  A demand's paths come in
+    nondecreasing load, so a pop pushes only the next sibling and the first
+    child (Lawler's rule), and complete assignments leave the heap in
+    nondecreasing load; ties go to the deeper state.  A pushed path is
+    checked only when it is popped, so no path whose bound passes the last
+    emitted load is checked.  `stats["combinations"]` counts the complete
+    assignments reached.  A cut is tested when the last origin it binds is
+    complete, and every cut again on emission: `cuts` is read live, so
+    entries appended while iterating suppress later candidates.  An empty
+    stream means the master is infeasible.
     """
     if stats is None:
         stats = {}
     stats.setdefault("combinations", 0)
     origins = instance.origins()
-    caps = {(l.tail, l.head): l.capacity for l in instance.links}
-    streams = [_LazyStream(_origin_trees(instance, s)) for s in origins]
-    first = [st.get(0) for st in streams]
-    if any(t is None for t in first):
-        return
-    m = len(origins)
-    start_total = sum((t.load for t in first), Fraction(0))
-    heap: list[tuple[Fraction, tuple[int, ...]]] = [(start_total, (0,) * m)]
-    seen = {(0,) * m}
-    while heap:
-        total, idx = heapq.heappop(heap)
-        if incumbent_bound is not None and total > incumbent_bound:
+    origin_pos = {s: p for p, s in enumerate(origins)}
+    cg = spf.CompiledGraph(instance)
+    index = cg.index
+    pairs = instance.link_pairs()
+    demands = [d for s in origins for d in instance.demands_from(s)]
+    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
+    units = [int(d.bandwidth * scale) for d in demands]
+    caps = [math.floor(link.capacity * scale) for link in instance.links]
+    dists: dict[str, list[int]] = {}
+    streams = []
+    for d in demands:
+        if d.destination not in dists:
+            dists[d.destination] = _hops_to(cg, index[d.destination])
+        dist = dists[d.destination]
+        if dist[index[d.origin]] == len(instance.nodes):
             return
-        trees = [streams[i].get(idx[i]) for i in range(m)]
-        stats["combinations"] += 1
-        loads: dict[tuple[str, str], Fraction] = {}
-        for tree in trees:
-            for pair, flow in tree.flows.items():
-                loads[pair] = loads.get(pair, Fraction(0)) + flow
-        feasible = all(load <= caps[pair] for pair, load in loads.items())
-        if feasible:
-            used_by_origin = {s: set(t.flows) for s, t in zip(origins, trees)}
-            if not any(cut_matches(c, used_by_origin) for c in cuts):
-                flows = {s: dict(t.flows) for s, t in zip(origins, trees)}
-                paths: dict[tuple[str, str], tuple[str, ...]] = {}
-                for t in trees:
-                    paths.update(t.paths)
-                yield RoutingForest(flows=flows, paths=paths)
-        for i in range(m):
-            nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
-            if nxt in seen:
+        streams.append(_PathStream(cg, dist, index[d.origin], index[d.destination]))
+    n_demands = len(demands)
+    suffix = [0] * (n_demands + 1)
+    for k in range(n_demands - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + units[k] * dists[demands[k].destination][index[demands[k].origin]]
+    # The origin position completed by assigning demand k, or None.
+    completes = [
+        origin_pos[d.origin] if k + 1 == n_demands or demands[k + 1].origin != d.origin else None
+        for k, d in enumerate(demands)
+    ]
+    limit = None if incumbent_bound is None else incumbent_bound * scale
+    cut_last: list[int] = []  # per cut, the position of the last origin it binds
+
+    def used_by_origin(state) -> dict[str, set[tuple[str, str]]]:
+        used: dict[str, set[tuple[str, str]]] = {}
+        while state[0] is not None:
+            _, k, j = state[:3]
+            used.setdefault(demands[k].origin, set()).update(pairs[e] for e in streams[k].get(j)[1])
+            state = state[0]
+        return used
+
+    def cut_off(state, position: int | None) -> bool:
+        """Whether a cut matches the state; with a position, only the cuts
+        whose last bound origin is at that position are tested."""
+        for cut in cuts[len(cut_last) :]:
+            cut_last.append(max((origin_pos.get(s, -1) for s, _, _ in cut.bindings), default=-1))
+        tested = [c for c, last in zip(cuts, cut_last) if position is None or last == position]
+        if not tested:
+            return False
+        used = used_by_origin(state)
+        return any(cut_matches(c, used) for c in tested)
+
+    def forest(state) -> RoutingForest:
+        paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        while state[0] is not None:
+            _, k, j = state[:3]
+            paths[(demands[k].origin, demands[k].destination)] = tuple(
+                instance.nodes[v] for v in streams[k].get(j)[0]
+            )
+            state = state[0]
+        return spf.forest_from_paths(instance, paths)
+
+    # A state is (parent, demand k, path j, load, link loads, next-hop table);
+    # a heap entry (bound, -k, tiebreak, parent, k, j) stands for extending
+    # `parent` by path j of demand k, which is checked when it is popped.
+    # The root is k = -1.
+    heap: list = []
+    counter = itertools.count()
+
+    def push(parent, k: int, j: int) -> None:
+        path = streams[k].get(j)
+        if path is not None:
+            bound = parent[3] + units[k] * len(path[1]) + suffix[k + 1]
+            heapq.heappush(heap, (bound, -k, next(counter), parent, k, j))
+
+    root = (None, -1, -1, 0, [0] * len(caps), {})
+    heap.append((suffix[0], 1, next(counter), None, -1, -1))
+    while heap:
+        bound, _, _, parent, k, j = heapq.heappop(heap)
+        if limit is not None and bound > limit:
+            return
+        if parent is None:
+            state = root
+        else:
+            push(parent, k, j + 1)
+            nodes, links = streams[k].get(j)
+            loads, unit = parent[4], units[k]
+            if any(loads[e] + unit > caps[e] for e in links) or segment_conflict(parent[5], nodes):
                 continue
-            tree = streams[i].get(idx[i] + 1)
-            if tree is None:
-                continue
-            seen.add(nxt)
-            heapq.heappush(heap, (total - trees[i].load + tree.load, nxt))
+            load = parent[3] + unit * len(links)
+            if k + 1 < n_demands:
+                loads = list(loads)
+                for e in links:
+                    loads[e] += unit
+                state = (parent, k, j, load, loads, add_segments(parent[5], nodes))
+            else:
+                state = (parent, k, j, load, None, None)
+        if k + 1 == n_demands:
+            stats["combinations"] += 1
+            if not cut_off(state, None):
+                yield forest(state)
+            continue
+        if k >= 0 and completes[k] is not None and cut_off(state, completes[k]):
+            continue
+        push(state, k + 1, 0)
 
 
 # ---------------------------------------------------------------------------

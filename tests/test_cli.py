@@ -2,6 +2,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from conftest import coarse_grid_triangle, diamond, mk_instance, two_node
 from uspr import spf
 from uspr.cli import main
@@ -41,6 +43,15 @@ def test_generate_too_many_demands_errors(tmp_path, capsys):
                  "-o", str(tmp_path / "x.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degree", ["inf", "nan"])
+def test_generate_refuses_non_finite_degree(tmp_path, capsys, degree):
+    code = main(["generate", "--nodes", "5", "--degree", degree, "--demands", "3",
+                 "-o", str(tmp_path / "g.json")])
+    assert code == 1
+    assert "avg_out_degree" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_validate_ok_and_violations(tmp_path, capsys):

@@ -16,7 +16,7 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import lp, solver, spf
+from uspr import lp, models, solver, spf
 from uspr.instance import generate_random_instance
 from uspr.rational import grid_points
 from uspr.solver import (
@@ -293,6 +293,23 @@ def test_master_cut_excludes_candidate():
     assert remaining[0].paths != first.paths
 
 
+def test_master_cut_prunes_once_its_origins_are_complete():
+    # A cut binding only origin s stops every assignment with s's first arm
+    # before origin c's paths are tried, so those assignments are never
+    # complete.
+    inst = mk_instance(
+        ["s", "a", "b", "t", "c", "d", "e"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10),
+         ("c", "d", 10), ("c", "e", 10), ("e", "d", 10)],
+        [("s", "t", 1), ("c", "d", 1)],
+    )
+    stats = {}
+    cut = solver.NoGoodCut(frozenset({("s", ("s", "a"), 1)}))
+    remaining = list(master_search(inst, cuts=[cut], stats=stats))
+    assert [c.paths[("s", "t")] for c in remaining] == [("s", "b", "t")] * 2
+    assert stats["combinations"] == 2
+
+
 def test_master_demand_free_instance_yields_one_empty_forest():
     inst = mk_instance("ab", [("a", "b", 1)], [])
     stats = {}
@@ -331,6 +348,102 @@ def test_master_incumbent_bound_stops_stream():
     assert list(master_search(inst, incumbent_bound=F(1))) == []
 
 
+def _breaks_segment_rule(inst, routing):
+    """The master's segment check, applied path by path to a whole routing."""
+    table = {}
+    for nodes in solver.routing_paths(inst, routing).values():
+        if solver.segment_conflict(table, nodes):
+            return True
+        table = solver.add_segments(table, nodes)
+    return False
+
+
+def test_segment_rule_rejects_only_lp_infeasible_forests():
+    # Every routed path through u and then v shares the unique shortest u->v
+    # segment, so a forest that breaks the rule has no feasible
+    # path-length system, on any grid and with any capacities.
+    rejected = feasible = 0
+    for options in ({}, {"capacity_range": (5, 20)},
+                    {"w_min": 2, "w_max": 5, "weight_resolution": 3}):
+        for seed in range(10):
+            inst = generate_random_instance(5, 2, 3, seed=seed, **options)
+            eps, big_M = models.resolve_params(inst, None, None)
+            for routing in all_routings(inst):
+                forest = demand_to_origin(inst, routing)
+                system, _ = lp.path_length_system(inst, forest, eps, big_M)
+                breaks = _breaks_segment_rule(inst, routing)
+                if lp.solve_feasibility(system).feasible:
+                    assert not breaks
+                    feasible += 1
+                else:
+                    rejected += breaks
+    assert rejected and feasible
+
+
+def test_master_emits_every_consistent_routing_once():
+    # The search drops only capacity violations and segment conflicts: its
+    # candidates are exactly the other routings, each once, cheapest first.
+    for options, seed in itertools.product(({}, {"capacity_range": (5, 20)}), range(10)):
+        inst = generate_random_instance(5, 2, 3, seed=seed, **options)
+        expected = sorted(
+            (routing_objective(inst, r), sorted(solver.routing_paths(inst, r).items()))
+            for r in all_routings(inst)
+            if not _breaks_segment_rule(inst, r)
+            and not spf.check_capacity(inst, demand_to_origin(inst, r))
+        )
+        got = [(spf.evaluate_objective(inst, c), sorted(c.paths.items())) for c in master_search(inst)]
+        assert [objective for objective, _ in got] == [objective for objective, _ in expected]
+        assert sorted(got) == expected
+
+
+def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
+    for seed in range(10):
+        inst = generate_random_instance(7, 2.5, 6, seed=seed)
+        cg = spf.CompiledGraph(inst)
+        for d in inst.demands:
+            origin, destination = cg.index[d.origin], cg.index[d.destination]
+            stream = solver._PathStream(cg, solver._hops_to(cg, destination), origin, destination)
+            listed = []
+            while (path := stream.get(len(listed))) is not None:
+                listed.append(tuple(inst.nodes[v] for v in path[0]))
+            assert listed == sorted(solver.simple_paths(inst, d.origin, d.destination), key=len)
+
+
+def test_master_first_candidate_lists_few_paths(monkeypatch):
+    # (24,3,20)s0 has 250 927 simple paths over its demands; the first
+    # candidate (the optimum) needs only the short ones.
+    listed = []
+    list_hops = solver._PathStream._list
+
+    def counted(stream, hops):
+        before = len(stream.paths)
+        list_hops(stream, hops)
+        listed.append(len(stream.paths) - before)
+
+    monkeypatch.setattr(solver._PathStream, "_list", counted)
+    inst = generate_random_instance(24, 3, 20, seed=0)
+    first = next(master_search(inst))
+    assert spf.evaluate_objective(inst, first) == F(7822, 25)
+    assert sum(listed) < 1_000
+
+
+@pytest.mark.parametrize("shape, options, status, objective", [
+    ((9, 2, 8, 12), {}, "Optimal", F(3043, 25)),
+    ((8, 2, 8, 1), {}, "Optimal", F(3004, 25)),
+    ((7, 2.5, 6, 19), {}, "Infeasible", None),
+    ((7, 2, 6, 1), {"capacity_range": (5, 20)}, "Infeasible", None),
+])
+def test_segment_rule_leaves_no_lp_to_cut(shape, options, status, objective):
+    # These answers took 3 to 5 cuts when only one origin's paths were
+    # checked against each other; now the first candidate is optimal, or the
+    # master is empty.
+    nodes, degree, demands, seed = shape
+    result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed, **options))
+    assert (result.status, result.objective) == (status, objective)
+    assert result.diagnostics.details["lp_solves"] == (status == "Optimal")
+    assert result.diagnostics.cuts_added == 0
+
+
 # ---------------------------------------------------------------------------
 # benders_solve / brute_force_solve
 
@@ -349,12 +462,22 @@ def test_benders_fixed_weights_symmetric_infeasible():
 
 
 def test_benders_core_cuts_shorten_the_cut_loop():
-    # A cut on an irreducible core removes later candidates that share it;
-    # cutting only the candidate itself takes nine iterations here.
-    inst = generate_random_instance(7, 2, 6, seed=1, capacity_range=(5, 20))
+    # Every weight is 2, so either arm of the s->t diamond ties with the
+    # other.  A cut on an irreducible core binds only origin s's arm, so it
+    # also removes the later candidate that pairs that arm with c->e->d:
+    # two iterations for four candidates, where cutting only the candidate
+    # itself would take four.
+    inst = mk_instance(
+        ["s", "a", "b", "t", "c", "d", "e"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10),
+         ("c", "d", 10), ("c", "e", 10), ("e", "d", 10)],
+        [("s", "t", 1), ("c", "d", 1)],
+        w_min=2, w_max=2,
+    )
+    assert len(list(master_search(inst))) == 4
     result = benders_solve(inst)
-    assert result.status == "Infeasible"
-    assert result.diagnostics.iterations <= 3
+    assert result.status == brute_force_solve(inst).status == "Infeasible"
+    assert result.diagnostics.iterations == result.diagnostics.cuts_added == 2
 
 
 def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
