@@ -268,9 +268,9 @@ def generate_random_instance(
     The topology is a Hamiltonian cycle over a shuffled node order (which
     makes the graph strongly connected by construction) plus extra arcs
     sampled uniformly without replacement until the link count reaches
-    round(avg_out_degree * n_nodes).  Demands are drawn over distinct ordered
-    node pairs.  Capacities and bandwidths are drawn on a 1/100 lattice of
-    their ranges.
+    round(avg_out_degree * n_nodes), which may not fall below n_nodes.
+    Demands are drawn over distinct ordered node pairs.  Capacities and
+    bandwidths are drawn on a 1/100 lattice of their ranges.
     """
     if n_nodes < 2:
         raise GenerationError("need at least 2 nodes")
@@ -284,6 +284,11 @@ def generate_random_instance(
         raise GenerationError(
             f"avg_out_degree {avg_out_degree} needs {target_links} links; "
             f"only {max_links} ordered pairs exist"
+        )
+    if target_links < n_nodes:
+        raise GenerationError(
+            f"avg_out_degree {avg_out_degree} gives {target_links} links; "
+            f"the Hamiltonian backbone alone has {n_nodes}"
         )
     if n_demands > max_links:
         raise GenerationError(
@@ -327,8 +332,10 @@ def generate_random_instance(
 
     instance = Instance(nodes, links, demands, w_min, w_max, weight_resolution)
     violations = validate_instance(instance)
-    if violations:  # a Hamiltonian backbone keeps this unreachable
-        raise GenerationError(f"generator produced an invalid instance: {violations}")
+    if violations:  # the backbone routes every demand; bad weight bounds land here
+        raise GenerationError(
+            "generator produced an invalid instance: " + "; ".join(str(v) for v in violations)
+        )
     return instance
 
 

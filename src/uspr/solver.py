@@ -22,6 +22,11 @@ removed, that walk is a second shortest s->t path or a shorter one.  So
 P's u->v part is the unique shortest u->v path, every routed path through
 u and then v takes it, and all of them leave u on the same link.  Within
 one origin this gives the rule that each node is entered on one link.
+No-good cuts are tested once per complete assignment, on the forest just
+before it is emitted.
+
+Every `Optimal` answer, from either solver, is re-verified through the
+routing oracle: its weights must route exactly its forest, within capacity.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping, the demand-to-origin aggregation (y = max x,
@@ -37,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from . import lp, spf
 from .instance import Instance
@@ -76,7 +81,7 @@ class DemandRouting:
 @dataclass(frozen=True)
 class Diagnostics:
     """`nodes_explored` counts, for `benders_solve`, the complete demand->path
-    assignments the master reached (cut ones included); for
+    assignments the master reached, those a cut removes included; for
     `brute_force_solve`, the weight vectors."""
 
     iterations: int = 0
@@ -243,11 +248,10 @@ class SubpathViolation:
 def subpath_optimality_check(instance: Instance, routing: DemandRouting) -> list[SubpathViolation]:
     """Nodes entered on more than one link by demands sharing an origin."""
     out = []
-    demand_index = {k: d for k, d in enumerate(instance.demands)}
     for origin in instance.origins():
         entering: dict[str, set[tuple[str, str]]] = {}
-        for k, links in enumerate(routing.links):
-            if demand_index[k].origin != origin:
+        for demand, links in zip(instance.demands, routing.links):
+            if demand.origin != origin:
                 continue
             for i, j in links:
                 entering.setdefault(j, set()).add((i, j))
@@ -292,14 +296,12 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
     problems = _balance_violations(instance, routing)
     if problems:
         raise ConservationError("; ".join(problems))
-    for k, links in enumerate(routing.links):
-        if _find_cycle(links, instance.nodes) is not None:
-            raise RoutingLoopError(f"demand {k}: selection contains a directed cycle")
+    # On a balanced selection the walk raises RoutingLoopError on any cycle.
+    paths = routing_paths(instance, routing)
     violations = subpath_optimality_check(instance, routing)
     if violations:
         v = violations[0]
         raise SubpathOptimalityError(v.origin, v.node)
-    paths = routing_paths(instance, routing)
     forest = spf.forest_from_paths(instance, paths)
     leftover = spf.forest_violations(instance, forest)
     assert not leftover, f"internal: aggregated forest invalid: {leftover}"
@@ -358,10 +360,11 @@ class NoGoodCut:
     bindings: frozenset[tuple[str, tuple[str, str], int]]
 
 
-def cut_matches(cut: NoGoodCut, used_by_origin: dict[str, set[tuple[str, str]]]) -> bool:
+def cut_matches(cut: NoGoodCut, used_by_origin: Mapping[str, Collection[tuple[str, str]]]) -> bool:
+    """Whether the cut forbids a forest whose origin s uses the links
+    `used_by_origin[s]` (a set, or `RoutingForest.flows[s]`)."""
     for s, pair, value in cut.bindings:
-        used = used_by_origin.get(s, set())
-        if (pair in used) != bool(value):
+        if (pair in used_by_origin.get(s, ())) != bool(value):
             return False
     return True
 
@@ -466,25 +469,6 @@ class _PathStream:
         visit(self._origin, hops)
 
 
-def _hops_to(cg: spf.CompiledGraph, destination: int) -> list[int]:
-    """BFS hop distance from every node to `destination`; len(nodes) when
-    it cannot be reached."""
-    n = len(cg.nodes)
-    dist = [n] * n
-    dist[destination] = 0
-    frontier = [destination]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in cg.in_links[v]:
-                u = cg.tails[e]
-                if dist[u] == n:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
 def master_search(
     instance: Instance,
     cuts: Sequence[NoGoodCut] = (),
@@ -515,8 +499,8 @@ def master_search(
     nondecreasing load; ties go to the deeper state.  A pushed path is
     checked only when it is popped, so no path whose bound passes the last
     emitted load is checked.  `stats["combinations"]` counts the complete
-    assignments reached.  A cut is tested when the last origin it binds is
-    complete, and every cut again on emission: `cuts` is read live, so
+    assignments reached, those a cut removes included.  Cuts are tested
+    only on emission, against the complete forest: `cuts` is read live, so
     entries appended while iterating suppress later candidates.  An empty
     stream means the master is infeasible.
     """
@@ -524,10 +508,8 @@ def master_search(
         stats = {}
     stats.setdefault("combinations", 0)
     origins = instance.origins()
-    origin_pos = {s: p for p, s in enumerate(origins)}
     cg = spf.CompiledGraph(instance)
     index = cg.index
-    pairs = instance.link_pairs()
     demands = [d for s in origins for d in instance.demands_from(s)]
     scale = math.lcm(*(d.bandwidth.denominator for d in demands))
     units = [int(d.bandwidth * scale) for d in demands]
@@ -536,7 +518,7 @@ def master_search(
     streams = []
     for d in demands:
         if d.destination not in dists:
-            dists[d.destination] = _hops_to(cg, index[d.destination])
+            dists[d.destination] = spf.hop_distances([index[d.destination]], cg.in_links, cg.tails)
         dist = dists[d.destination]
         if dist[index[d.origin]] == len(instance.nodes):
             return
@@ -545,32 +527,7 @@ def master_search(
     suffix = [0] * (n_demands + 1)
     for k in range(n_demands - 1, -1, -1):
         suffix[k] = suffix[k + 1] + units[k] * dists[demands[k].destination][index[demands[k].origin]]
-    # The origin position completed by assigning demand k, or None.
-    completes = [
-        origin_pos[d.origin] if k + 1 == n_demands or demands[k + 1].origin != d.origin else None
-        for k, d in enumerate(demands)
-    ]
     limit = None if incumbent_bound is None else incumbent_bound * scale
-    cut_last: list[int] = []  # per cut, the position of the last origin it binds
-
-    def used_by_origin(state) -> dict[str, set[tuple[str, str]]]:
-        used: dict[str, set[tuple[str, str]]] = {}
-        while state[0] is not None:
-            _, k, j = state[:3]
-            used.setdefault(demands[k].origin, set()).update(pairs[e] for e in streams[k].get(j)[1])
-            state = state[0]
-        return used
-
-    def cut_off(state, position: int | None) -> bool:
-        """Whether a cut matches the state; with a position, only the cuts
-        whose last bound origin is at that position are tested."""
-        for cut in cuts[len(cut_last) :]:
-            cut_last.append(max((origin_pos.get(s, -1) for s, _, _ in cut.bindings), default=-1))
-        tested = [c for c, last in zip(cuts, cut_last) if position is None or last == position]
-        if not tested:
-            return False
-        used = used_by_origin(state)
-        return any(cut_matches(c, used) for c in tested)
 
     def forest(state) -> RoutingForest:
         paths: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -619,10 +576,9 @@ def master_search(
                 state = (parent, k, j, load, None, None)
         if k + 1 == n_demands:
             stats["combinations"] += 1
-            if not cut_off(state, None):
-                yield forest(state)
-            continue
-        if k >= 0 and completes[k] is not None and cut_off(state, completes[k]):
+            candidate = forest(state)
+            if not any(cut_matches(cut, candidate.flows) for cut in cuts):
+                yield candidate
             continue
         push(state, k + 1, 0)
 
@@ -639,7 +595,7 @@ def _verified_solution(
 ) -> Solution:
     routed = spf.routing_from_weights(instance, weights)
     if routed != forest:
-        raise RuntimeError("internal: recovered weights do not reproduce the forest")
+        raise RuntimeError("internal: the weights do not route the forest")
     if spf.check_capacity(instance, routed):
         raise RuntimeError("internal: accepted forest violates capacity")
     objective = spf.evaluate_objective(instance, routed)
@@ -705,7 +661,8 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     The vectors come from `spf.unique_grid_routings`, whose oracle work is
     sum_s P^|R_s| kernel calls (P grid points, R_s the links that can change
     origin s's paths) rather than one routing per vector; loads, capacity and
-    objective are evaluated once per distinct routing.
+    objective are evaluated once per distinct routing.  The answer's forest
+    is built from the best vector's paths and re-verified through the oracle.
     """
     started = time.perf_counter()
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
@@ -729,8 +686,7 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
             return None
         return objective_units
 
-    best_units: int | None = None
-    best_combo: tuple[int, ...] | None = None
+    best = None  # (objective units, combo, paths)
     evaluated: dict[tuple, int | None] = {}
     for combo, paths in spf.unique_grid_routings(instance, grid_limit):
         if paths in evaluated:
@@ -739,9 +695,8 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
             objective_units = evaluated[paths] = objective_within_capacity(paths)
         if objective_units is None:
             continue
-        if best_units is None or objective_units < best_units:
-            best_units = objective_units
-            best_combo = combo
+        if best is None or objective_units < best[0]:
+            best = (objective_units, combo, paths)
 
     evaluated = len(points) ** n_links
     diagnostics = Diagnostics(
@@ -751,13 +706,18 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
         wall_time=time.perf_counter() - started,
         details={"grid_points": len(points)},
     )
-    if best_combo is None:
+    if best is None:
         return Solution("Infeasible", None, None, None, diagnostics)
+    best_units, best_combo, best_paths = best
     weights = WeightVector({pair: points[i] for pair, i in zip(pairs, best_combo)})
-    forest = spf.routing_from_weights(instance, weights)
-    objective = spf.evaluate_objective(instance, forest)
-    assert objective == Fraction(best_units, dscale)
-    return Solution("Optimal", weights, forest, objective, diagnostics)
+    forest = spf.forest_from_paths(instance, {
+        (d.origin, d.destination): tuple(instance.nodes[v] for v in path)
+        for d, path in zip(instance.demands, best_paths)
+    })
+    solution = _verified_solution(instance, weights, forest, diagnostics)
+    if solution.objective != Fraction(best_units, dscale):
+        raise RuntimeError("internal: oracle objective differs from the grid search's")
+    return solution
 
 
 # ---------------------------------------------------------------------------

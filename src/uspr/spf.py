@@ -225,28 +225,33 @@ def relevant_links(cg: CompiledGraph, src: int, dests: list[int]) -> list[int]:
     capped path count and the unique path are functions of the weights on
     R_s alone.
     """
-    reach = _marked([src], cg.out_links, cg.heads)
-    coreach = _marked(dests, cg.in_links, cg.tails)
+    n = len(cg.nodes)
+    reach = hop_distances([src], cg.out_links, cg.heads)
+    coreach = hop_distances(dests, cg.in_links, cg.tails)
     return [
         e
         for e, (u, v) in enumerate(zip(cg.tails, cg.heads))
-        if reach[u] and v != src and coreach[v]
+        if reach[u] < n and v != src and coreach[v] < n
     ]
 
 
-def _marked(starts: list[int], links: list[list[int]], ends: list[int]) -> list[bool]:
-    """Nodes reachable from `starts` along `links[node]`, stepping to `ends[e]`."""
-    seen = [False] * len(links)
+def hop_distances(starts: list[int], links: list[list[int]], ends: list[int]) -> list[int]:
+    """BFS hop count from the nearest of `starts` to every node, stepping
+    along `links[node]` to `ends[e]`; len(links), the node count, where no
+    start reaches.  Pass out-links and heads to search forward, in-links
+    and tails to search backward."""
+    n = len(links)
+    dist = [n] * n
     for node in starts:
-        seen[node] = True
-    stack = list(starts)
-    while stack:
-        for e in links[stack.pop()]:
-            nxt = ends[e]
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return seen
+        dist[node] = 0
+    queue = list(starts)
+    for node in queue:  # the loop also visits the nodes appended to it
+        for e in links[node]:
+            v = ends[e]
+            if dist[v] == n:
+                dist[v] = dist[node] + 1
+                queue.append(v)
+    return dist
 
 
 def _origin_table(

@@ -54,6 +54,29 @@ def test_generate_refuses_non_finite_degree(tmp_path, capsys, degree):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--w-min", "0"], "w_min"),
+    (["--resolution", "0"], "weight_resolution"),
+    (["--w-min", "5", "--w-max", "2"], "w_max"),
+    (["--w-max", "5.5"], "w_max"),
+])
+def test_generate_names_the_bad_weight_field(tmp_path, capsys, flags, field):
+    code = main(["generate", "--nodes", "3", "--degree", "2", "--demands", "1", *flags,
+                 "-o", str(tmp_path / "g.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "Violation(" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_generate_refuses_degree_below_the_backbone(tmp_path, capsys):
+    code = main(["generate", "--nodes", "3", "--degree", "0.5", "--demands", "1",
+                 "-o", str(tmp_path / "g.json")])
+    assert code == 1
+    assert "avg_out_degree" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_validate_ok_and_violations(tmp_path, capsys):
     good = write_instance(tmp_path, two_node(), "good.json")
     assert main(["validate", good]) == 0
