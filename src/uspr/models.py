@@ -191,9 +191,9 @@ class _ModelBuilder:
                 if self.fixed[v]:
                     rhs -= coeffs[v]
                 del coeffs[v]
-        terms = tuple(
-            (v, c) for v, c in sorted(coeffs.items(), key=lambda kv: self.index[kv[0]]) if c != 0
-        )
+        terms = tuple([
+            (v, c) for v in sorted(coeffs, key=self.index.__getitem__) if (c := coeffs[v])
+        ])
         self.constraints.append(Constraint(name, terms, sense, rhs))
 
     def tree_vars(self, prefix: str, keys, kind: str, lb, ub) -> dict:
@@ -220,7 +220,7 @@ class _ModelBuilder:
         self.l = {
             s: {
                 node: self.var(
-                    f"l_{s}_{node}", "continuous", Fraction(0), Fraction(0) if node == s else None
+                    f"l_{s}_{node}", "continuous", _ZERO, _ZERO if node == s else None
                 )
                 for node in inst.nodes
             }
@@ -232,10 +232,10 @@ class _ModelBuilder:
         for node in self.instance.nodes:
             coeffs: dict[str, Fraction] = {}
             for link in self.in_links[node]:
-                coeffs[flow[(link.tail, link.head)]] = Fraction(1)
+                coeffs[flow[(link.tail, link.head)]] = _ONE
             for link in self.out_links[node]:
-                coeffs[flow[(link.tail, link.head)]] = Fraction(-1)
-            self.row(f"fc_{key}_{node}", coeffs, "=", net.get(node, Fraction(0)))
+                coeffs[flow[(link.tail, link.head)]] = _MINUS_ONE
+            self.row(f"fc_{key}_{node}", coeffs, "=", net.get(node, _ZERO))
 
     def path_length(self, key, origin: str, route: dict) -> None:
         """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin.
@@ -244,6 +244,7 @@ class _ModelBuilder:
         `lp.path_length_system` says why it is implied.
         """
         length = self.l[origin]
+        minus_big_M = -self.big_M
         for link in self.instance.links:
             i, j = link.tail, link.head
             q = {length[j]: _ONE, length[i]: _MINUS_ONE, self.w[(i, j)]: _MINUS_ONE}
@@ -256,8 +257,8 @@ class _ModelBuilder:
             if self.fixed.get(route[(i, j)]) == 0:
                 continue
             # l_j >= l_i + w_ij - M * (1 - route_ij)
-            q[route[(i, j)]] = -self.big_M
-            self.row(f"pl_lb_{key}_{i}_{j}", q, ">=", -self.big_M)
+            q[route[(i, j)]] = minus_big_M
+            self.row(f"pl_lb_{key}_{i}_{j}", q, ">=", minus_big_M)
 
     def model(self, formulation: str, objective) -> LinearModel:
         return LinearModel(
@@ -270,10 +271,10 @@ def build_dbm(instance: Instance, eps=None, big_M=None) -> LinearModel:
     """Demand-based formulation: one routing tree per demand, routed by `x`."""
     b = _ModelBuilder(instance, eps, big_M)
     demands = instance.demands
-    x = b.tree_vars("x", range(len(demands)), "binary", Fraction(0), Fraction(1))
+    x = b.tree_vars("x", range(len(demands)), "binary", _ZERO, _ONE)
     b.lengths()
     for k, demand in enumerate(demands):
-        b.conservation(k, x[k], {demand.destination: Fraction(1), demand.origin: Fraction(-1)})
+        b.conservation(k, x[k], {demand.destination: _ONE, demand.origin: _MINUS_ONE})
     for link in instance.links:
         pair = (link.tail, link.head)
         coeffs = {x[k][pair]: demand.bandwidth for k, demand in enumerate(demands)}
@@ -292,8 +293,8 @@ def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
     and carrying flow `f`."""
     b = _ModelBuilder(instance, eps, big_M)
     origins = instance.origins()
-    y = b.tree_vars("y", origins, "binary", Fraction(0), Fraction(1))
-    f = b.tree_vars("f", origins, "continuous", Fraction(0), None)
+    y = b.tree_vars("y", origins, "binary", _ZERO, _ONE)
+    f = b.tree_vars("f", origins, "continuous", _ZERO, None)
     b.lengths()
     for s in origins:
         net = {d.destination: d.bandwidth for d in instance.demands_from(s)}
@@ -301,31 +302,31 @@ def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
         b.conservation(s, f[s], net)
 
     for s in origins:
-        d_s = instance.origin_bandwidth(s)
+        minus_d_s = -instance.origin_bandwidth(s)
         for link in instance.links:
             pair = (link.tail, link.head)
-            b.row(f"fb_{s}_{link.tail}_{link.head}", {f[s][pair]: Fraction(1), y[s][pair]: -d_s},
-                  "<=", Fraction(0))
+            b.row(f"fb_{s}_{link.tail}_{link.head}", {f[s][pair]: _ONE, y[s][pair]: minus_d_s},
+                  "<=", _ZERO)
 
     for link in instance.links:
-        coeffs = {f[s][(link.tail, link.head)]: Fraction(1) for s in origins}
+        coeffs = {f[s][(link.tail, link.head)]: _ONE for s in origins}
         b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
 
     for s in origins:
         dests = set(instance.destinations_from(s))
         for node in instance.nodes:
-            coeffs = {y[s][(link.tail, link.head)]: Fraction(1) for link in b.in_links[node]}
+            coeffs = {y[s][(link.tail, link.head)]: _ONE for link in b.in_links[node]}
             if node == s:
-                b.row(f"uniq_{s}_{node}", coeffs, "=", Fraction(0))
+                b.row(f"uniq_{s}_{node}", coeffs, "=", _ZERO)
             elif node in dests:
-                b.row(f"uniq_{s}_{node}", coeffs, "=", Fraction(1))
+                b.row(f"uniq_{s}_{node}", coeffs, "=", _ONE)
             else:
-                b.row(f"uniq_{s}_{node}", coeffs, "<=", Fraction(1))
+                b.row(f"uniq_{s}_{node}", coeffs, "<=", _ONE)
 
     for s in origins:
         b.path_length(s, s, y[s])
     return b.model("OBM", (
-        (f[s][(link.tail, link.head)], Fraction(1)) for s in origins for link in instance.links
+        (f[s][(link.tail, link.head)], _ONE) for s in origins for link in instance.links
     ))
 
 
@@ -516,16 +517,11 @@ def structure_report(model: LinearModel) -> StructureReport:
     omitted, so the report reflects the actual block structure of the model.
     """
     seen: dict[str, set[str]] = {}
-    order: list[str] = []
     for c in model.constraints:
         fam = _ROW_FAMILY_LABEL.get(c.name.split("_", 1)[0], c.name)
-        if fam not in seen:
-            seen[fam] = set()
-            order.append(fam)
-        for var, _coef in c.terms:
-            seen[fam].add(var.split("_", 1)[0])
+        seen.setdefault(fam, set()).update([var.split("_", 1)[0] for var, _coef in c.terms])
     couplings = {
-        fam: tuple(v for v in _VAR_FAMILY_ORDER if v in seen[fam]) for fam in order
+        fam: tuple(v for v in _VAR_FAMILY_ORDER if v in families) for fam, families in seen.items()
     }
     return StructureReport(model.formulation, couplings)
 
@@ -598,44 +594,61 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
 # LP text export and the matching reader (used to round-trip in tests).
 
 
-def _format_terms(terms: tuple[tuple[str, Fraction], ...]) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for pos, (var, coef) in enumerate(terms):
-        mag = abs(coef)
-        body = var if mag == 1 else f"{format_number(mag)} {var}"
-        if pos == 0:
-            parts.append(f"- {body}" if coef < 0 else body)
-        else:
-            parts.append(f"- {body}" if coef < 0 else f"+ {body}")
-    return " ".join(parts)
-
-
 def export_lp(model: LinearModel) -> str:
-    """Deterministic LP text; identical models export byte-identical text."""
+    """Deterministic LP text; identical models export byte-identical text.
+
+    Each distinct number is rendered once per call: a coefficient as its
+    `- `/`+ ` prefix and magnitude, a rhs or bound as its `format_number`
+    text, both memoized on (numerator, denominator).
+    """
+    prefixes: dict[tuple[int, int], str] = {}
+    numbers: dict[tuple[int, int], str] = {}
+
+    def terms_text(terms: tuple[tuple[str, Fraction], ...]) -> str:
+        if not terms:
+            return "0"
+        parts = []
+        for var, coef in terms:
+            key = (coef.numerator, coef.denominator)
+            prefix = prefixes.get(key)
+            if prefix is None:
+                mag = abs(coef)
+                prefix = prefixes[key] = (
+                    ("- " if coef < 0 else "+ ") + ("" if mag == 1 else f"{format_number(mag)} ")
+                )
+            parts.append(prefix + var)
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else text
+
+    def number(x: Fraction) -> str:
+        key = (x.numerator, x.denominator)
+        text = numbers.get(key)
+        if text is None:
+            text = numbers[key] = format_number(x)
+        return text
+
     lines = [
         f"\\ formulation: {model.formulation}",
         f"\\ eps: {format_number(model.eps)}",
         f"\\ big_M: {format_number(model.big_M)}",
         "Minimize",
-        f" obj: {_format_terms(model.objective)}",
+        f" obj: {terms_text(model.objective)}",
         "Subject To",
     ]
     for c in model.constraints:
-        lines.append(f" {c.name}: {_format_terms(c.terms)} {c.sense} {format_number(c.rhs)}")
+        lines.append(f" {c.name}: {terms_text(c.terms)} {c.sense} {number(c.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.lb is None and v.ub is None:
             lines.append(f" {v.name} free")
         elif v.lb is not None and v.ub is not None and v.lb == v.ub:
-            lines.append(f" {v.name} = {format_number(v.lb)}")
+            lines.append(f" {v.name} = {number(v.lb)}")
         elif v.ub is None:
-            lines.append(f" {format_number(v.lb)} <= {v.name}")
+            lines.append(f" {number(v.lb)} <= {v.name}")
         elif v.lb is None:
-            lines.append(f" -inf <= {v.name} <= {format_number(v.ub)}")
+            lines.append(f" -inf <= {v.name} <= {number(v.ub)}")
         else:
-            lines.append(f" {format_number(v.lb)} <= {v.name} <= {format_number(v.ub)}")
+            lines.append(f" {number(v.lb)} <= {v.name} <= {number(v.ub)}")
     binaries = [v.name for v in model.variables if v.kind == "binary"]
     if binaries:
         lines.append("Binary")
@@ -649,30 +662,31 @@ class LpParseError(ValueError):
     pass
 
 
+def _lp_number(token: str, where: str) -> Fraction:
+    """One number of LP text; a malformed one raises LpParseError naming its line."""
+    try:
+        return parse_number(token, where)
+    except ValueError as exc:
+        raise LpParseError(str(exc)) from None
+
+
 def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], ...]:
+    """Signed terms; a token starting with a digit, '.' or a sign is a number."""
     terms: list[tuple[str, Fraction]] = []
-    sign = Fraction(1)
+    sign = _ONE
     pending: Fraction | None = None
     for tok in tokens:
         if tok == "+":
-            sign = Fraction(1)
-            continue
-        if tok == "-":
-            sign = Fraction(-1)
-            continue
-        try:
-            value = Fraction(tok)
-            is_number = True
-        except ValueError:
-            is_number = False
-        if is_number:
+            sign = _ONE
+        elif tok == "-":
+            sign = _MINUS_ONE
+        elif tok[0] in "0123456789.+-":
             if pending is not None:
                 raise LpParseError(f"{where}: two consecutive numbers")
-            pending = value
+            pending = _lp_number(tok, where)
         else:
-            coef = sign * (pending if pending is not None else Fraction(1))
-            terms.append((tok, coef))
-            sign = Fraction(1)
+            terms.append((tok, sign * (_ONE if pending is None else pending)))
+            sign = _ONE
             pending = None
     if pending is not None:
         if len(terms) == 0 and pending == 0:
@@ -682,33 +696,38 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], .
 
 
 def parse_lp(text: str) -> LinearModel:
-    """Read LP text produced by export_lp back into a LinearModel."""
+    """Read LP text produced by export_lp back into a LinearModel.
+
+    Raises LpParseError, naming the line, on a malformed line or number; and
+    on a name the tables cannot place: a term on a variable with no Bounds
+    line, a Binary name with no Bounds line, or a name declared twice.
+    """
     formulation = ""
-    eps = Fraction(0)
-    big_M = Fraction(0)
+    eps = _ZERO
+    big_M = _ZERO
     section = None
     objective: tuple[tuple[str, Fraction], ...] = ()
     constraints: list[Constraint] = []
-    bounds: list[tuple[str, Fraction | None, Fraction | None, bool]] = []
-    binaries: set[str] = set()
+    bounds: list[tuple[str, Fraction | None, Fraction | None]] = []
+    binaries: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        where = f"line {lineno}"
         if line.startswith("\\"):
             body = line[1:].strip()
             if body.startswith("formulation:"):
                 formulation = body.split(":", 1)[1].strip()
             elif body.startswith("eps:"):
-                eps = Fraction(body.split(":", 1)[1].strip())
+                eps = _lp_number(body.split(":", 1)[1].strip(), where)
             elif body.startswith("big_M:"):
-                big_M = Fraction(body.split(":", 1)[1].strip())
+                big_M = _lp_number(body.split(":", 1)[1].strip(), where)
             continue
         if line in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
             section = line
             continue
-        where = f"line {lineno}"
         if section == "Minimize":
             if not line.startswith("obj:"):
                 raise LpParseError(f"{where}: expected 'obj:'")
@@ -726,33 +745,41 @@ def parse_lp(text: str) -> LinearModel:
             if sense_pos is None or sense_pos != len(tokens) - 2:
                 raise LpParseError(f"{where}: expected '<terms> <sense> <rhs>'")
             terms = _parse_terms(tokens[:sense_pos], where)
-            constraints.append(
-                Constraint(name.strip(), terms, tokens[sense_pos], Fraction(tokens[-1]))
-            )
+            rhs = _lp_number(tokens[-1], where)
+            constraints.append(Constraint(name.strip(), terms, tokens[sense_pos], rhs))
         elif section == "Bounds":
             tokens = line.split()
             if len(tokens) == 2 and tokens[1] == "free":
-                bounds.append((tokens[0], None, None, False))
+                bounds.append((tokens[0], None, None))
             elif len(tokens) == 3 and tokens[1] == "=":
-                v = Fraction(tokens[2])
-                bounds.append((tokens[0], v, v, False))
+                v = _lp_number(tokens[2], where)
+                bounds.append((tokens[0], v, v))
             elif len(tokens) == 3 and tokens[1] == "<=":
-                lb = None if tokens[0] == "-inf" else Fraction(tokens[0])
-                bounds.append((tokens[2], lb, None, False))
+                lb = None if tokens[0] == "-inf" else _lp_number(tokens[0], where)
+                bounds.append((tokens[2], lb, None))
             elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                lb = None if tokens[0] == "-inf" else Fraction(tokens[0])
-                bounds.append((tokens[2], lb, Fraction(tokens[4]), False))
+                lb = None if tokens[0] == "-inf" else _lp_number(tokens[0], where)
+                bounds.append((tokens[2], lb, _lp_number(tokens[4], where)))
             else:
                 raise LpParseError(f"{where}: unrecognized bounds line {line!r}")
         elif section == "Binary":
-            binaries.add(line)
+            binaries[line] = lineno
         elif section == "End":
             raise LpParseError(f"{where}: content after End")
         else:
             raise LpParseError(f"{where}: content outside any section")
 
+    declared = {name for name, _, _ in bounds}
+    problems = [
+        f"line {lineno}: binary {name!r} has no Bounds line"
+        for name, lineno in binaries.items()
+        if name not in declared
+    ]
     variables = tuple(
         Variable(name, "binary" if name in binaries else "continuous", lb, ub)
-        for name, lb, ub, _ in bounds
+        for name, lb, ub in bounds
     )
+    problems += table_violations(variables, constraints, objective)
+    if problems:
+        raise LpParseError("; ".join(problems))
     return LinearModel(formulation, eps, big_M, variables, tuple(constraints), objective)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,8 +6,9 @@ import pytest
 
 from conftest import coarse_grid_triangle, diamond, mk_instance, small_random, two_node
 from uspr import models
-from uspr.instance import InstanceDims
+from uspr.instance import InstanceDims, generate_random_instance
 from uspr.models import (
+    LpParseError,
     ModelParameterError,
     build_dbm,
     build_obm,
@@ -214,3 +216,74 @@ def test_lp_round_trip_exact():
 def test_lp_round_trip_master():
     m = master_submodel(build_obm(diamond()))
     assert parse_lp(export_lp(m)) == m
+
+
+def test_export_bytes_pinned_on_a_thirds_grid():
+    # eps 1/6 and big_M 149/3 put p/q text into coefficients, rhs and bounds;
+    # the digests were recorded from the per-term Fraction exporter.
+    inst = generate_random_instance(
+        12, 3, 20, w_min=Fraction(1, 2), w_max=Fraction(9, 2),
+        weight_resolution=Fraction(1, 3), seed=0,
+    )
+    obm = build_obm(inst)
+    pinned = (
+        (build_dbm(inst), "1eda55576fe7146ff66fb771b8625447b77165d25d41b73f63409dacb7cb5748"),
+        (obm, "525bbc069867f5a40e4e9f177a326b1a341bca8e465aef11cb0a971b86f0998e"),
+        (master_submodel(obm), "83a0d18f43585ae5d5bc9c60f1f7dd2aca82f7131ca5301a559c0aa528a90331"),
+    )
+    assert (obm.eps, obm.big_M) == (Fraction(1, 6), Fraction(149, 3))
+    for m, digest in pinned:
+        text = export_lp(m)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, m.formulation
+        assert parse_lp(text) == m
+
+
+SMALL_LP = """\\ formulation: T
+Minimize
+ obj: x
+Subject To
+ c: x + y <= 1
+Bounds
+ 0 <= x <= 1
+ 0 <= y
+Binary
+ x
+End
+"""
+
+
+def test_small_lp_parses():
+    m = parse_lp(SMALL_LP)
+    assert [(v.name, v.kind, v.lb, v.ub) for v in m.variables] == [
+        ("x", "binary", 0, 1), ("y", "continuous", 0, None)
+    ]
+    assert m.constraints[0].terms == (("x", 1), ("y", 1))
+
+
+@pytest.mark.parametrize("old, new, line", [
+    (" obj: x", " obj: 1/0 x", 3),
+    (" obj: x", " obj: 2.5.3 x", 3),
+    (" c: x + y", " c: x + 1/0 y", 5),
+    ("<= 1\n", "<= abc\n", 5),
+    ("<= 1\n", "<= 1/0\n", 5),
+    (" 0 <= y", " abc <= y", 8),
+    (" 0 <= x <= 1", " 0 <= x <= 1/0", 7),
+    (" 0 <= x <= 1", " x = 1..0", 7),
+], ids=["objective-1/0", "objective-2.5.3", "row-term", "rhs-abc", "rhs-1/0",
+        "lower-bound", "upper-bound", "fixed-bound"])
+def test_parse_lp_names_the_line_of_a_malformed_number(old, new, line):
+    assert old in SMALL_LP
+    with pytest.raises(LpParseError, match=f"^line {line}: not a number"):
+        parse_lp(SMALL_LP.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (" c: x + y", " c: x + z", "constraint c: references undeclared 'z'"),
+    (" obj: x", " obj: x + z", "objective: references undeclared 'z'"),
+    (" x\nEnd", " x\n z\nEnd", "line 11: binary 'z' has no Bounds line"),
+    (" 0 <= y\n", " 0 <= y\n y free\n", "variable y: declared twice"),
+], ids=["row-term", "objective", "binary", "bounds-twice"])
+def test_parse_lp_refuses_names_it_cannot_place(old, new, message):
+    assert old in SMALL_LP
+    with pytest.raises(LpParseError, match=message):
+        parse_lp(SMALL_LP.replace(old, new, 1))
