@@ -331,31 +331,28 @@ def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
 
 
 def master_submodel(model: LinearModel) -> LinearModel:
-    """The integer master kept by the decomposition split.
+    """The integer master kept by the decomposition split: the variable and
+    row families `_MASTER_FAMILIES` names for the model's formulation.
 
     DBM: routing binaries with flow-conservation and capacity rows (objective
     unchanged).  OBM: routing binaries with the uniqueness rows; the flow
     objective drops with the flow variables.
     """
-    if model.formulation.startswith("DBM"):
-        keep_var = lambda v: v.name.startswith("x_")
-        keep_row = lambda c: c.name.startswith(("fc_", "cap_"))
-        suffix = "DBM_MASTER"
-    elif model.formulation.startswith("OBM"):
-        keep_var = lambda v: v.name.startswith("y_")
-        keep_row = lambda c: c.name.startswith("uniq_")
-        suffix = "OBM_MASTER"
-    else:
+    key = model.formulation[:3]
+    if key not in _MASTER_FAMILIES:
         raise ValueError(f"no master split for formulation {model.formulation!r}")
-    variables = tuple(v for v in model.variables if keep_var(v))
+    var_families, row_families = _MASTER_FAMILIES[key]
+    variables = tuple(
+        v for v in model.variables if _family(v.name, _VAR_FAMILY_LABEL) in var_families
+    )
     names = {v.name for v in variables}
     constraints = tuple(
         Constraint(c.name, tuple((v, k) for v, k in c.terms if v in names), c.sense, c.rhs)
         for c in model.constraints
-        if keep_row(c)
+        if _family(c.name, _ROW_FAMILY_LABEL) in row_families
     )
     objective = tuple((v, k) for v, k in model.objective if v in names)
-    return LinearModel(suffix, model.eps, model.big_M, variables, constraints, objective)
+    return LinearModel(f"{key}_MASTER", model.eps, model.big_M, variables, constraints, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +372,16 @@ _ROW_FAMILY_LABEL = {
     "fb": "flow_bound",
     "uniq": "uniqueness",
 }
+# The families each master keeps: (variable families, row families).
+_MASTER_FAMILIES = {
+    "DBM": ({"routing"}, {"flow_conservation", "capacity"}),
+    "OBM": ({"routing"}, {"uniqueness"}),
+}
+
+
+def _family(name: str, labels: dict[str, str]) -> str:
+    """The family label of a variable or row name: its tag before the first `_`."""
+    return labels.get(name.partition("_")[0], name)
 
 
 @dataclass(frozen=True)
@@ -403,6 +410,15 @@ class SizeReport:
     note: str
 
 
+def _restrict(table: SizeTable, label: str, var_families, row_families) -> SizeTable:
+    """`table` with only the given variable and row families, in its order."""
+    return SizeTable(
+        label,
+        {fam: n for fam, n in table.variables.items() if fam in var_families},
+        {fam: n for fam, n in table.constraints.items() if fam in row_families},
+    )
+
+
 def size_report(dims: InstanceDims) -> SizeReport:
     """Closed-form variable/constraint counts for both formulations.
 
@@ -418,11 +434,6 @@ def size_report(dims: InstanceDims) -> SizeReport:
         {"routing": D * L, "weight": L, "length": S * n},
         {"flow_conservation": D * n, "capacity": L, "path_length": 2 * D * L},
     )
-    dbm_master = SizeTable(
-        "DBM master",
-        {"routing": D * L},
-        {"flow_conservation": D * n, "capacity": L},
-    )
     obm = SizeTable(
         "OBM original (all families)",
         {"routing": S * L, "flow": S * L, "weight": L, "length": S * n},
@@ -434,21 +445,12 @@ def size_report(dims: InstanceDims) -> SizeReport:
             "path_length": 2 * S * L,
         },
     )
-    obm_reduced = SizeTable(
-        "OBM original (binary+flow variables, master+bound constraint families)",
-        {"routing": S * L, "flow": S * L},
-        {
-            "flow_conservation": S * n,
-            "flow_bound": S * L,
-            "capacity": L,
-            "uniqueness": S * n,
-        },
+    obm_reduced = _restrict(
+        obm, "OBM original (binary+flow variables, master+bound constraint families)",
+        {"routing", "flow"}, obm.constraints.keys() - {"path_length"},
     )
-    obm_master = SizeTable(
-        "OBM master",
-        {"routing": S * L},
-        {"uniqueness": S * n},
-    )
+    dbm_master = _restrict(dbm, "DBM master", *_MASTER_FAMILIES["DBM"])
+    obm_master = _restrict(obm, "OBM master", *_MASTER_FAMILIES["OBM"])
     note = (
         "note: the two OBM accountings disagree "
         f"({obm.total_variables}/{obm.total_constraints} vs "
@@ -463,11 +465,11 @@ def model_counts(model: LinearModel) -> SizeTable:
     """Actual per-family counts of a built model, keyed like size_report."""
     variables: dict[str, int] = {}
     for v in model.variables:
-        fam = _VAR_FAMILY_LABEL.get(v.name.split("_", 1)[0], v.name)
+        fam = _family(v.name, _VAR_FAMILY_LABEL)
         variables[fam] = variables.get(fam, 0) + 1
     constraints: dict[str, int] = {}
     for c in model.constraints:
-        fam = _ROW_FAMILY_LABEL.get(c.name.split("_", 1)[0], c.name)
+        fam = _family(c.name, _ROW_FAMILY_LABEL)
         constraints[fam] = constraints.get(fam, 0) + 1
     return SizeTable(model.formulation, variables, constraints)
 
@@ -501,9 +503,6 @@ def render_size_report(report: SizeReport, fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 # Structure report: which variable families each constraint family touches.
 
-_VAR_FAMILY_ORDER = ("x", "y", "f", "w", "l")
-
-
 @dataclass(frozen=True)
 class StructureReport:
     formulation: str
@@ -518,10 +517,10 @@ def structure_report(model: LinearModel) -> StructureReport:
     """
     seen: dict[str, set[str]] = {}
     for c in model.constraints:
-        fam = _ROW_FAMILY_LABEL.get(c.name.split("_", 1)[0], c.name)
+        fam = _family(c.name, _ROW_FAMILY_LABEL)
         seen.setdefault(fam, set()).update([var.split("_", 1)[0] for var, _coef in c.terms])
     couplings = {
-        fam: tuple(v for v in _VAR_FAMILY_ORDER if v in families) for fam, families in seen.items()
+        fam: tuple(v for v in _VAR_FAMILY_LABEL if v in families) for fam, families in seen.items()
     }
     return StructureReport(model.formulation, couplings)
 

@@ -304,7 +304,8 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
         raise SubpathOptimalityError(v.origin, v.node)
     forest = spf.forest_from_paths(instance, paths)
     leftover = spf.forest_violations(instance, forest)
-    assert not leftover, f"internal: aggregated forest invalid: {leftover}"
+    if leftover:
+        raise RuntimeError(f"internal: aggregated forest invalid: {leftover}")
     return forest
 
 

@@ -11,6 +11,11 @@ positive weights the tight-edge graph is acyclic and ordered by distance, so
 the count is a single linear pass and stays polynomial; it is validated
 against exhaustive path enumeration in the tests.
 
+A routing forest is its demands' paths: each origin's flows are the
+bandwidths of its demands' paths summed per link (`forest_from_paths`, the
+one builder every producer uses), and `forest_violations` checks a forest
+against its own paths.
+
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
 an origin's routing depends only on the weights of the links that can lie
 on its paths, so each origin is routed once per grid setting of those links
@@ -24,6 +29,7 @@ import itertools
 import math
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -92,9 +98,10 @@ class PathLengths:
 class RoutingForest:
     """Per-origin routing trees with aggregated flows plus per-demand paths.
 
-    `flows[s][(i, j)]` is the total bandwidth of demands from origin s carried
-    by link (i, j); a link is "used" by s exactly when it has an entry.
     `paths[(s, t)]` is the node sequence routing the demand s -> t.
+    `flows[s][(i, j)]` is the paths' bandwidths summed per origin and link:
+    the total bandwidth of the demands from s whose paths use (i, j).  A
+    link is "used" by s exactly when it has an entry.
     """
 
     flows: dict[str, dict[tuple[str, str], Fraction]]
@@ -493,74 +500,47 @@ def inv_cap_weights(instance: Instance) -> WeightVector:
 
 
 def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
-    """Check every routing-forest invariant; empty list means valid."""
-    out = []
+    """Check a forest against its own paths; an empty list means valid.
+
+    Three steps.  Each demand has one path, a simple path of instance links
+    from its origin to its destination; no path is keyed to a non-demand
+    and no tree belongs to a non-origin.  Each origin's flows are its paths'
+    bandwidths summed per link, as `forest_from_paths` builds them.  No
+    origin's tree enters a node on two links.  Flow conservation, flows in
+    (0, d_s], an unentered root and one entering link per destination all
+    follow.  Path problems end the check, as flows are compared only
+    against valid paths.
+    """
     origins = instance.origins()
-    for origin in forest.flows:
-        if origin not in origins:
-            out.append(f"origin {origin!r}: no demands originate here")
-    for origin in origins:
-        if origin not in forest.flows:
-            out.append(f"origin {origin!r}: tree missing")
-            continue
-        tree = forest.flows[origin]
-        d_s = instance.origin_bandwidth(origin)
-        pairs = set(instance.link_pairs())
-        in_used: dict[str, list[tuple[str, str]]] = {}
-        for pair, flow in tree.items():
-            if pair not in pairs:
-                out.append(f"origin {origin!r}: {pair} is not an instance link")
-                continue
-            if flow <= 0:
-                out.append(f"origin {origin!r}: link {pair} has non-positive flow {flow}")
-            if flow > d_s:
-                out.append(
-                    f"origin {origin!r}: link {pair} flow {flow} exceeds origin total {d_s}"
-                )
-            in_used.setdefault(pair[1], []).append(pair)
-        dests = set(instance.destinations_from(origin))
-        for node in instance.nodes:
-            indeg = len(in_used.get(node, []))
-            if node == origin and indeg != 0:
-                out.append(f"origin {origin!r}: root has {indeg} used incoming links")
-            elif node in dests and indeg != 1:
-                out.append(
-                    f"origin {origin!r}: destination {node!r} has {indeg} used incoming links"
-                )
-            elif node != origin and node not in dests and indeg > 1:
-                out.append(f"origin {origin!r}: node {node!r} has {indeg} used incoming links")
-        # Flow conservation with the origin supply d_s and sinks d_k.
-        sink = {d.destination: d.bandwidth for d in instance.demands_from(origin)}
-        for node in instance.nodes:
-            inflow = sum((f for (i, j), f in tree.items() if j == node), Fraction(0))
-            outflow = sum((f for (i, j), f in tree.items() if i == node), Fraction(0))
-            expected = -d_s if node == origin else sink.get(node, Fraction(0))
-            if inflow - outflow != expected:
-                out.append(
-                    f"origin {origin!r}: flow balance at {node!r} is "
-                    f"{inflow - outflow}, expected {expected}"
-                )
+    out = [f"origin {o!r}: no demands originate here" for o in forest.flows if o not in origins]
     wanted = {(d.origin, d.destination) for d in instance.demands}
-    for key in forest.paths:
-        if key not in wanted:
-            out.append(f"path {key}: no such demand")
+    out += [f"path {key}: no such demand" for key in forest.paths if key not in wanted]
+    pairs = set(instance.link_pairs())
     for demand in instance.demands:
         key = (demand.origin, demand.destination)
         path = forest.paths.get(key)
         if path is None:
             out.append(f"path {key}: missing")
-            continue
-        if len(path) < 2 or path[0] != demand.origin or path[-1] != demand.destination:
+        elif len(path) < 2 or path[0] != demand.origin or path[-1] != demand.destination:
             out.append(f"path {key}: endpoints do not match the demand")
-            continue
-        if len(set(path)) != len(path):
+        elif len(set(path)) != len(path):
             out.append(f"path {key}: repeats a node")
-        tree = forest.flows.get(demand.origin, {})
-        for a, b in zip(path, path[1:]):
-            if (a, b) not in tree:
-                out.append(f"path {key}: uses link ({a!r}, {b!r}) absent from the tree")
-            elif tree[(a, b)] < demand.bandwidth:
-                out.append(f"path {key}: link ({a!r}, {b!r}) carries less than the demand")
+        elif not pairs.issuperset(zip(path, path[1:])):
+            out.append(f"path {key}: uses a link that is not an instance link")
+    if out:
+        return out
+    for origin, want in forest_from_paths(instance, forest.paths).flows.items():
+        tree = forest.flows.get(origin)
+        if tree is None:
+            out.append(f"origin {origin!r}: tree missing")
+        else:
+            for pair in sorted(tree.keys() | want.keys()):
+                if tree.get(pair) != want.get(pair):
+                    out.append(f"origin {origin!r}: link {pair} has flow {tree.get(pair)}, "
+                               f"its paths carry {want.get(pair)}")
+        for node, n in Counter(j for _i, j in want).items():
+            if n > 1:
+                out.append(f"origin {origin!r}: node {node!r} is entered on {n} links")
     return out
 
 

@@ -39,26 +39,22 @@ def test_two_node_obm_counts():
     assert model_violations(m) == []
 
 
-def expected_families(dims, formulation):
-    report = size_report(dims)
-    table = report.dbm if formulation == "DBM" else report.obm
-    return table
-
-
-def assert_family_match(instance, model, formulation):
-    table = expected_families(instance.dims(), formulation)
+def assert_family_match(model, table):
+    """The built model's family counts are the table's non-zero families."""
     actual = model_counts(model)
-    expected_vars = {k: v for k, v in table.variables.items() if v}
-    expected_cons = {k: v for k, v in table.constraints.items() if v}
-    assert actual.variables == expected_vars
-    assert actual.constraints == expected_cons
+    assert actual.variables == {k: v for k, v in table.variables.items() if v}
+    assert actual.constraints == {k: v for k, v in table.constraints.items() if v}
 
 
 def test_builders_match_formulas_family_by_family():
     for seed in range(20):
         inst = small_random(seed)
-        assert_family_match(inst, build_dbm(inst), "DBM")
-        assert_family_match(inst, build_obm(inst), "OBM")
+        report = size_report(inst.dims())
+        dbm, obm = build_dbm(inst), build_obm(inst)
+        assert_family_match(dbm, report.dbm)
+        assert_family_match(obm, report.obm)
+        assert_family_match(master_submodel(dbm), report.dbm_master)
+        assert_family_match(master_submodel(obm), report.obm_master)
 
 
 def test_size_report_reference_dims():

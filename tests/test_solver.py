@@ -134,6 +134,14 @@ def test_demand_to_origin_single_demand():
     assert forest.flows["s"] == {("s", "b"): F(1), ("b", "t"): F(1)}
 
 
+def test_demand_to_origin_raises_when_its_forest_fails_the_check(monkeypatch):
+    # An explicit raise, so the check also holds under `python -O`.
+    monkeypatch.setattr(spf, "forest_violations", lambda inst, forest: ["planted problem"])
+    routing = DemandRouting((pathset(("s", "b"), ("b", "t")),))
+    with pytest.raises(RuntimeError, match="internal: .*planted problem"):
+        demand_to_origin(diamond(), routing)
+
+
 def test_demand_to_origin_rejects_divergent_entries():
     inst = mk_instance(
         ["s", "a", "b", "m", "t"],

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diamond, mk_instance, small_random, triangle, two_node
+from conftest import diamond, mk_instance, random_cycle, small_random, triangle, two_node
 from uspr import spf
-from uspr.solver import simple_paths
+from uspr.instance import generate_random_instance
+from uspr.solver import DemandRouting, simple_paths, subpath_optimality_check
 from uspr.spf import (
     NonUniqueRoutingError,
     RoutingForest,
@@ -134,6 +135,88 @@ def test_used_links_are_tight_and_trees_have_unique_inlinks():
                 assert lengths[j] == lengths[i] + wv.values[(i, j)]
                 indeg[j] = indeg.get(j, 0) + 1
             assert all(v == 1 for v in indeg.values())
+
+
+ST, SA = ("s", "t"), ("s", "a")
+PATHS = {ST: ("s", "t"), SA: ("s", "a")}
+FLOWS = {ST: 1, SA: 2}
+
+
+def forest_instance():
+    """Demands s->t and s->a, each with its direct link; a <-> b, s -> b and
+    a -> t besides, and no b -> t."""
+    return mk_instance(
+        ["s", "a", "b", "t"],
+        [("s", "a", 10), ("s", "b", 10), ("a", "b", 10), ("b", "a", 10),
+         ("a", "t", 10), ("s", "t", 10)],
+        [("s", "t", 1), ("s", "a", 2)],
+    )
+
+
+@pytest.mark.parametrize("paths, flows, problem", [
+    ({ST: ("s", "t")}, {"s": FLOWS}, "path ('s', 'a'): missing"),
+    ({**PATHS, ("a", "t"): ("a", "t")}, {"s": FLOWS}, "path ('a', 't'): no such demand"),
+    ({**PATHS, ST: ("s", "a")}, {"s": FLOWS}, "path ('s', 't'): endpoints do not match"),
+    ({**PATHS, ST: ("s", "a", "b", "a", "t")}, {"s": FLOWS}, "path ('s', 't'): repeats a node"),
+    ({**PATHS, ST: ("s", "b", "t")}, {"s": FLOWS}, "path ('s', 't'): uses a link that is not"),
+    (PATHS, {"s": FLOWS, "a": {}}, "origin 'a': no demands originate here"),
+    (PATHS, {}, "origin 's': tree missing"),
+    (PATHS, {"s": {**FLOWS, SA: 1}}, "link ('s', 'a') has flow 1, its paths carry 2"),
+    (PATHS, {"s": {**FLOWS, ("a", "t"): 0}}, "link ('a', 't') has flow 0, its paths carry None"),
+    ({**PATHS, ST: ("s", "b", "a", "t")},
+     {"s": {("s", "b"): 1, ("b", "a"): 1, ("a", "t"): 1, SA: 2}},
+     "origin 's': node 'a' is entered on 2 links"),
+], ids=[
+    "missing path", "path for no demand", "wrong endpoints", "repeated node",
+    "non-instance link", "tree for a non-origin", "missing tree", "flow below its paths",
+    "zero-flow entry", "node entered twice",
+])
+def test_forest_violations_names_each_broken_invariant(paths, flows, problem):
+    inst = forest_instance()
+    assert spf.forest_violations(inst, spf.forest_from_paths(inst, PATHS)) == []
+    flows = {s: {pair: Fraction(v) for pair, v in tree.items()} for s, tree in flows.items()}
+    report = spf.forest_violations(inst, RoutingForest(flows, paths))
+    assert any(problem in line for line in report), report
+
+
+def test_forest_violations_rejects_a_flow_cycle_no_path_carries():
+    inst = mk_instance(
+        ["s", "a", "b", "t"], [("s", "t", 10), ("a", "b", 10), ("b", "a", 10)], [("s", "t", 1)]
+    )
+    one = Fraction(1)
+    forest = RoutingForest({"s": {ST: one, ("a", "b"): one, ("b", "a"): one}}, {ST: ("s", "t")})
+    assert spf.evaluate_objective(inst, forest) == 3  # where the path carries 1
+    assert spf.forest_violations(inst, forest) == [
+        "origin 's': link ('a', 'b') has flow 1, its paths carry None",
+        "origin 's': link ('b', 'a') has flow 1, its paths carry None",
+    ]
+
+
+def test_forest_violations_agrees_with_subpath_optimality_and_sees_added_cycles():
+    # Every combination of per-demand simple paths: the forest built from it
+    # passes exactly when the routing is sub-path optimal.  A positive-flow
+    # cycle off a passing tree's links makes it fail.
+    rng = random.Random(14)
+    instances = [small_random(seed) for seed in range(40)]
+    instances += [generate_random_instance(5, 2, 5, seed=seed) for seed in range(20)]
+    counts = {"passed": 0, "failed": 0, "cycled": 0}
+    for inst in instances:
+        keys = [(d.origin, d.destination) for d in inst.demands]
+        for combo in itertools.product(*(simple_paths(inst, *key) for key in keys)):
+            forest = spf.forest_from_paths(inst, dict(zip(keys, combo)))
+            routing = DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in combo))
+            valid = spf.forest_violations(inst, forest) == []
+            assert valid == (subpath_optimality_check(inst, routing) == [])
+            counts["passed" if valid else "failed"] += 1
+            origin = rng.choice(inst.origins())
+            cycle = random_cycle(inst, rng, avoid=forest.used_links(origin))
+            if not valid or cycle is None:
+                continue
+            tree = {**forest.flows[origin], **{pair: Fraction(1) for pair in cycle}}
+            cycled = RoutingForest({**forest.flows, origin: tree}, forest.paths)
+            assert spf.forest_violations(inst, cycled) != []
+            counts["cycled"] += 1
+    assert min(counts.values()) >= 500, counts
 
 
 def test_triangle_property_of_lengths():
