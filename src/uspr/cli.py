@@ -234,12 +234,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     instance = _load(args.instance)
-    if args.formulation == "dbm":
-        model = models.build_dbm(instance, args.eps, args.big_m)
-    else:
-        model = models.build_obm(instance, args.eps, args.big_m)
-    if args.master:
-        model = models.master_submodel(model)
+    build = models.build_dbm if args.formulation == "dbm" else models.build_obm
+    model = build(instance, args.eps, args.big_m, master=args.master)
     text = models.export_lp(model)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -304,14 +300,12 @@ def _cmd_report(args) -> int:
         out.append(models.render_size_report(models.size_report(dims), args.format))
     if args.instance is not None:
         instance = _load(args.instance)
+        sizes = models.size_report(instance.dims())
         if args.dims is None:
-            out.append(
-                models.render_size_report(models.size_report(instance.dims()), args.format)
-            )
-        dbm = models.build_dbm(instance)
-        obm = models.build_obm(instance)
-        out.append(models.render_structure_report(models.structure_report(dbm), args.format))
-        out.append(models.render_structure_report(models.structure_report(obm), args.format))
+            out.append(models.render_size_report(sizes, args.format))
+        for formulation, table in (("DBM", sizes.dbm), ("OBM", sizes.obm)):
+            structure = models.structure_report(formulation, table)
+            out.append(models.render_structure_report(structure, args.format))
         rows = _baseline_rows(instance, args.no_solver)
         if args.format == "tsv":
             lines = ["method\tstatus\tobjective\tmax_utilization"]

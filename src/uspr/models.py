@@ -18,7 +18,10 @@ pairs.  DBM has a tree per demand (routed by `x`), OBM a tree per origin
 (routed by `y`, carrying flow `f`).  The builder also writes the weight
 recovery subproblem of the decomposition (`lp.path_length_system`): OBM's
 path-length block with every routing binary fixed by a candidate forest,
-each fixed binary folded into its row's right-hand side.
+each fixed binary folded into its row's right-hand side.  With `master`, a
+builder emits only its formulation's `_MASTER_FAMILIES`, and the structure
+report is read from the declared `_COUPLINGS`, so neither needs the full
+model.
 
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
@@ -164,10 +167,14 @@ class _ModelBuilder:
     `fixed` maps routing binaries to 0 or 1.  A fixed binary is never
     declared: `row` moves its term into the rhs and records its name in
     `folded[row name]`.
+
+    `families`, when given, is a `_MASTER_FAMILIES` entry: the builders then
+    emit only the variable and row families it names (`emits`).
     """
 
     def __init__(
-        self, instance: Instance, eps, big_M, fixed: dict[str, int] | None = None
+        self, instance: Instance, eps, big_M, fixed: dict[str, int] | None = None,
+        families: tuple[set[str], set[str]] | None = None,
     ) -> None:
         self.instance = instance
         self.eps, self.big_M = resolve_params(instance, eps, big_M)
@@ -178,6 +185,11 @@ class _ModelBuilder:
         self.constraints: list[Constraint] = []
         self.fixed = fixed or {}
         self.folded: dict[str, list[str]] = {}
+        self.families = None if families is None else families[0] | families[1]
+
+    def emits(self, family: str) -> bool:
+        """Whether this build declares the variable or row family `family`."""
+        return self.families is None or family in self.families
 
     def var(self, name: str, kind: str, lb, ub) -> str:
         self.index[name] = len(self.variables)
@@ -267,66 +279,84 @@ class _ModelBuilder:
         )
 
 
-def build_dbm(instance: Instance, eps=None, big_M=None) -> LinearModel:
-    """Demand-based formulation: one routing tree per demand, routed by `x`."""
-    b = _ModelBuilder(instance, eps, big_M)
+def build_dbm(instance: Instance, eps=None, big_M=None, master: bool = False) -> LinearModel:
+    """Demand-based formulation: one routing tree per demand, routed by `x`.
+
+    With `master`, only the DBM master's families: the model
+    `master_submodel` would keep, without building the rest.
+    """
+    b = _ModelBuilder(instance, eps, big_M, families=_MASTER_FAMILIES["DBM"] if master else None)
     demands = instance.demands
     x = b.tree_vars("x", range(len(demands)), "binary", _ZERO, _ONE)
-    b.lengths()
-    for k, demand in enumerate(demands):
-        b.conservation(k, x[k], {demand.destination: _ONE, demand.origin: _MINUS_ONE})
-    for link in instance.links:
-        pair = (link.tail, link.head)
-        coeffs = {x[k][pair]: demand.bandwidth for k, demand in enumerate(demands)}
-        b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
-    for k, demand in enumerate(demands):
-        b.path_length(k, demand.origin, x[k])
-    return b.model("DBM", (
+    if b.emits("weight"):
+        b.lengths()
+    if b.emits("flow_conservation"):
+        for k, demand in enumerate(demands):
+            b.conservation(k, x[k], {demand.destination: _ONE, demand.origin: _MINUS_ONE})
+    if b.emits("capacity"):
+        for link in instance.links:
+            pair = (link.tail, link.head)
+            coeffs = {x[k][pair]: demand.bandwidth for k, demand in enumerate(demands)}
+            b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
+    if b.emits("path_length"):
+        for k, demand in enumerate(demands):
+            b.path_length(k, demand.origin, x[k])
+    return b.model("DBM_MASTER" if master else "DBM", (
         (x[k][(link.tail, link.head)], demand.bandwidth)
         for k, demand in enumerate(demands)
         for link in instance.links
     ))
 
 
-def build_obm(instance: Instance, eps=None, big_M=None) -> LinearModel:
+def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) -> LinearModel:
     """Origin-based formulation: one routing tree per origin, routed by `y`
-    and carrying flow `f`."""
-    b = _ModelBuilder(instance, eps, big_M)
+    and carrying flow `f`.
+
+    With `master`, only the OBM master's families: the model
+    `master_submodel` would keep, without building the rest.
+    """
+    b = _ModelBuilder(instance, eps, big_M, families=_MASTER_FAMILIES["OBM"] if master else None)
     origins = instance.origins()
     y = b.tree_vars("y", origins, "binary", _ZERO, _ONE)
-    f = b.tree_vars("f", origins, "continuous", _ZERO, None)
-    b.lengths()
-    for s in origins:
-        net = {d.destination: d.bandwidth for d in instance.demands_from(s)}
-        net[s] = -instance.origin_bandwidth(s)
-        b.conservation(s, f[s], net)
+    f = b.tree_vars("f", origins, "continuous", _ZERO, None) if b.emits("flow") else {}
+    if b.emits("weight"):
+        b.lengths()
+    if b.emits("flow_conservation"):
+        for s in origins:
+            net = {d.destination: d.bandwidth for d in instance.demands_from(s)}
+            net[s] = -instance.origin_bandwidth(s)
+            b.conservation(s, f[s], net)
 
-    for s in origins:
-        minus_d_s = -instance.origin_bandwidth(s)
+    if b.emits("flow_bound"):
+        for s in origins:
+            minus_d_s = -instance.origin_bandwidth(s)
+            for link in instance.links:
+                pair = (link.tail, link.head)
+                b.row(f"fb_{s}_{link.tail}_{link.head}",
+                      {f[s][pair]: _ONE, y[s][pair]: minus_d_s}, "<=", _ZERO)
+
+    if b.emits("capacity"):
         for link in instance.links:
-            pair = (link.tail, link.head)
-            b.row(f"fb_{s}_{link.tail}_{link.head}", {f[s][pair]: _ONE, y[s][pair]: minus_d_s},
-                  "<=", _ZERO)
+            coeffs = {f[s][(link.tail, link.head)]: _ONE for s in origins}
+            b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
 
-    for link in instance.links:
-        coeffs = {f[s][(link.tail, link.head)]: _ONE for s in origins}
-        b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
+    if b.emits("uniqueness"):
+        for s in origins:
+            dests = set(instance.destinations_from(s))
+            for node in instance.nodes:
+                coeffs = {y[s][(link.tail, link.head)]: _ONE for link in b.in_links[node]}
+                if node == s:
+                    b.row(f"uniq_{s}_{node}", coeffs, "=", _ZERO)
+                elif node in dests:
+                    b.row(f"uniq_{s}_{node}", coeffs, "=", _ONE)
+                else:
+                    b.row(f"uniq_{s}_{node}", coeffs, "<=", _ONE)
 
-    for s in origins:
-        dests = set(instance.destinations_from(s))
-        for node in instance.nodes:
-            coeffs = {y[s][(link.tail, link.head)]: _ONE for link in b.in_links[node]}
-            if node == s:
-                b.row(f"uniq_{s}_{node}", coeffs, "=", _ZERO)
-            elif node in dests:
-                b.row(f"uniq_{s}_{node}", coeffs, "=", _ONE)
-            else:
-                b.row(f"uniq_{s}_{node}", coeffs, "<=", _ONE)
-
-    for s in origins:
-        b.path_length(s, s, y[s])
-    return b.model("OBM", (
-        (f[s][(link.tail, link.head)], _ONE) for s in origins for link in instance.links
+    if b.emits("path_length"):
+        for s in origins:
+            b.path_length(s, s, y[s])
+    return b.model("OBM_MASTER" if master else "OBM", (
+        (f[s][(link.tail, link.head)], _ONE) for s in f for link in instance.links
     ))
 
 
@@ -336,7 +366,9 @@ def master_submodel(model: LinearModel) -> LinearModel:
 
     DBM: routing binaries with flow-conservation and capacity rows (objective
     unchanged).  OBM: routing binaries with the uniqueness rows; the flow
-    objective drops with the flow variables.
+    objective drops with the flow variables.  `build_dbm`/`build_obm` with
+    `master=True` build the same model without the rest; this filter is
+    their reference.
     """
     key = model.formulation[:3]
     if key not in _MASTER_FAMILIES:
@@ -376,6 +408,22 @@ _ROW_FAMILY_LABEL = {
 _MASTER_FAMILIES = {
     "DBM": ({"routing"}, {"flow_conservation", "capacity"}),
     "OBM": ({"routing"}, {"uniqueness"}),
+}
+# Per formulation, the variable families (by name prefix) that each row
+# family's rows have terms on, in the order the builder emits them.
+_COUPLINGS = {
+    "DBM": {
+        "flow_conservation": ("x",),
+        "capacity": ("x",),
+        "path_length": ("x", "w", "l"),
+    },
+    "OBM": {
+        "flow_conservation": ("f",),
+        "flow_bound": ("y", "f"),
+        "capacity": ("f",),
+        "uniqueness": ("y",),
+        "path_length": ("y", "w", "l"),
+    },
 }
 
 
@@ -509,20 +557,21 @@ class StructureReport:
     couplings: dict[str, tuple[str, ...]]
 
 
-def structure_report(model: LinearModel) -> StructureReport:
+def structure_report(formulation: str, sizes: SizeTable) -> StructureReport:
     """Per constraint family, the variable families its rows touch.
 
-    Families with no rows (e.g. flow conservation in a demand-free model) are
-    omitted, so the report reflects the actual block structure of the model.
+    Read from `_COUPLINGS` and the formulation's `size_report` table, with no
+    model built: a row family is listed only when it has rows, and a variable
+    family only when it has variables.  Every declared coefficient is nonzero
+    (bandwidths, eps and big_M are positive and no link is a self-loop), so
+    this is what a scan of the built model's rows finds.
     """
-    seen: dict[str, set[str]] = {}
-    for c in model.constraints:
-        fam = _family(c.name, _ROW_FAMILY_LABEL)
-        seen.setdefault(fam, set()).update([var.split("_", 1)[0] for var, _coef in c.terms])
     couplings = {
-        fam: tuple(v for v in _VAR_FAMILY_LABEL if v in families) for fam, families in seen.items()
+        fam: tuple(v for v in touched if sizes.variables[_VAR_FAMILY_LABEL[v]])
+        for fam, touched in _COUPLINGS[formulation].items()
+        if sizes.constraints[fam]
     }
-    return StructureReport(model.formulation, couplings)
+    return StructureReport(formulation, couplings)
 
 
 def render_structure_report(report: StructureReport, fmt: str = "text") -> str:

@@ -1,13 +1,14 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import coarse_grid_triangle, diamond, mk_instance, two_node
-from uspr import spf
+from uspr import models, spf
 from uspr.cli import main
-from uspr.instance import save_instance
+from uspr.instance import generate_random_instance, save_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -256,6 +257,36 @@ def test_export_obm_master_row_count(tmp_path, capsys):
     assert len(rows) == dims.n_origins * dims.n_nodes
 
 
+@pytest.mark.parametrize("formulation", ["dbm", "obm"])
+@pytest.mark.parametrize("flags, eps, big_M", [
+    ([], None, None),
+    (["--eps", "1/4", "--big-m", "200"], Fraction(1, 4), Fraction(200)),
+])
+def test_export_master_writes_the_master_submodel(tmp_path, capsys, formulation, flags, eps, big_M):
+    instance = generate_random_instance(
+        8, 2.5, 10, w_min=Fraction(1, 2), w_max=3, weight_resolution=Fraction(1, 2), seed=1,
+    )
+    inst = write_instance(tmp_path, instance)
+    out = tmp_path / "master.lp"
+    argv = ["export", inst, "--formulation", formulation, "--master", "-o", str(out), *flags]
+    assert main(argv) == 0
+    build = models.build_dbm if formulation == "dbm" else models.build_obm
+    model = models.master_submodel(build(instance, eps, big_M))
+    assert out.read_text(encoding="utf-8") == models.export_lp(model)
+    assert capsys.readouterr().out == (
+        f"wrote {out}: {len(model.variables)} variables {len(model.constraints)} constraints\n"
+    )
+
+
+def test_export_master_checks_eps(tmp_path, capsys):
+    inst = write_instance(tmp_path, two_node())
+    for formulation in ("dbm", "obm"):
+        assert main(["export", inst, "--formulation", formulation, "--master", "--eps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps must satisfy")
+
+
 def test_export_unknown_formulation_usage_error(tmp_path, capsys):
     inst = write_instance(tmp_path, two_node())
     assert main(["export", inst, "--formulation", "mip"]) == 1
@@ -294,6 +325,18 @@ def test_report_tsv_format(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "model\tvariables\tconstraints" in printed
     assert "method\tstatus\tobjective\tmax_utilization" in printed
+
+
+@pytest.mark.parametrize("name, instance", [
+    ("diamond", diamond()),
+    ("demand_free", mk_instance("ab", [("a", "b", 10)], [])),
+])
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+def test_report_matches_golden(tmp_path, capsys, name, instance, fmt):
+    inst = write_instance(tmp_path, instance)
+    assert main(["report", inst, "--no-solver", "--format", fmt]) == 0
+    golden = GOLDEN / f"report_{name}_{fmt}.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 def test_report_requires_input(capsys):

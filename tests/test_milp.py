@@ -70,6 +70,21 @@ def test_milp_formulations_agree_with_benders(build):
             assert objective <= float(reference.objective) + 1e-6
 
 
+def test_masters_relax_their_formulations():
+    # A master drops rows of its formulation, so its optimum is a lower bound;
+    # the OBM master keeps no flow and has the empty objective.
+    for inst in CASES:
+        reference = benders_solve(inst)
+        full = solve_milp(build_dbm(inst))
+        dbm_master = solve_milp(build_dbm(inst, master=True))
+        obm_master = solve_milp(build_obm(inst, master=True))
+        for master in (dbm_master, obm_master):
+            assert master is not None or reference.status == "Infeasible", inst
+        if full is not None:
+            assert dbm_master is not None and dbm_master <= full + 1e-6, inst
+        assert obm_master in (None, 0), inst
+
+
 def test_coarse_grid_triangle_is_optimal_four():
     inst = coarse_grid_triangle()
     assert benders_solve(inst).objective == 4

@@ -25,6 +25,35 @@ from uspr.models import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def thirds_grid():
+    """(12,3,20)s0 on the grid 1/2..9/2 step 1/3: eps 1/6 and big_M 149/3."""
+    return generate_random_instance(
+        12, 3, 20, w_min=Fraction(1, 2), w_max=Fraction(9, 2),
+        weight_resolution=Fraction(1, 3), seed=0,
+    )
+
+
+def row_scan(model):
+    """Per row family, the variable families (name prefixes) its rows have
+    terms on, in row order: the reference for `structure_report`."""
+    seen: dict[str, set[str]] = {}
+    for c in model.constraints:
+        fam = models._family(c.name, models._ROW_FAMILY_LABEL)
+        seen.setdefault(fam, set()).update(var.split("_", 1)[0] for var, _coef in c.terms)
+    return {
+        fam: tuple(v for v in models._VAR_FAMILY_LABEL if v in families)
+        for fam, families in seen.items()
+    }
+
+
+def structure_cases():
+    yield from (small_random(seed) for seed in range(20))
+    yield thirds_grid()
+    yield mk_instance("ab", [("a", "b", 10)], [])  # demand-free
+    yield mk_instance("ab", [], [])  # link-free
+    yield mk_instance([], [], [])  # no nodes
+
+
 def test_two_node_dbm_counts():
     m = build_dbm(two_node())
     assert len(m.variables) == 4
@@ -80,6 +109,19 @@ def test_size_report_zero_dims():
         assert table.total_constraints == 0
 
 
+def test_master_builds_equal_the_master_submodel():
+    for inst in (*structure_cases(), diamond(), coarse_grid_triangle()):
+        for build in (build_dbm, build_obm):
+            assert build(inst, master=True) == master_submodel(build(inst)), inst
+    for eps, big_M in ((Fraction(1, 12), 100), (Fraction(1, 6), Fraction(301, 6))):
+        for build in (build_dbm, build_obm):
+            master = build(thirds_grid(), eps, big_M, master=True)
+            assert master == master_submodel(build(thirds_grid(), eps, big_M))
+            assert (master.eps, master.big_M) == (eps, big_M)
+    with pytest.raises(ModelParameterError):
+        build_dbm(two_node(), eps=2, master=True)
+
+
 def test_master_submodels_match_reference_counts():
     inst = diamond()
     d = inst.dims()
@@ -101,8 +143,8 @@ def test_empty_demand_model_is_degenerate():
     text = export_lp(m)
     assert " obj: 0" in text
     assert "Bounds" in text
-    report = structure_report(m)
-    assert list(report.couplings) == ["capacity"]
+    assert row_scan(m) == {"capacity": ()}
+    assert structure_report("DBM", size_report(inst.dims()).dbm).couplings == row_scan(m)
 
 
 def test_eps_big_m_validation():
@@ -123,8 +165,18 @@ def test_eps_big_m_validation():
     assert build_obm(coarse, eps=1).eps == 1
 
 
+def test_structure_report_matches_a_row_scan():
+    for inst in structure_cases():
+        sizes = size_report(inst.dims())
+        for formulation, build, table in (("DBM", build_dbm, sizes.dbm),
+                                          ("OBM", build_obm, sizes.obm)):
+            report = structure_report(formulation, table)
+            assert report.formulation == formulation
+            assert report.couplings == row_scan(build(inst)), (formulation, inst)
+
+
 def test_structure_report_dbm_families():
-    report = structure_report(build_dbm(diamond()))
+    report = structure_report("DBM", size_report(diamond().dims()).dbm)
     assert report.couplings == {
         "flow_conservation": ("x",),
         "capacity": ("x",),
@@ -133,7 +185,7 @@ def test_structure_report_dbm_families():
 
 
 def test_structure_report_obm_families():
-    report = structure_report(build_obm(diamond()))
+    report = structure_report("OBM", size_report(diamond().dims()).obm)
     assert report.couplings == {
         "flow_conservation": ("f",),
         "flow_bound": ("y", "f"),
@@ -216,16 +268,19 @@ def test_lp_round_trip_master():
 
 def test_export_bytes_pinned_on_a_thirds_grid():
     # eps 1/6 and big_M 149/3 put p/q text into coefficients, rhs and bounds;
-    # the digests were recorded from the per-term Fraction exporter.
-    inst = generate_random_instance(
-        12, 3, 20, w_min=Fraction(1, 2), w_max=Fraction(9, 2),
-        weight_resolution=Fraction(1, 3), seed=0,
-    )
-    obm = build_obm(inst)
+    # the digests were recorded from the per-term Fraction exporter, and the
+    # DBM master's from `master_submodel` before the master-only build.
+    inst = thirds_grid()
+    dbm, obm = build_dbm(inst), build_obm(inst)
+    dbm_master = "75b3de160ca5809e8c61010b4d2413795db77f1f264265cdea3698bdcf02b7bc"
+    obm_master = "83a0d18f43585ae5d5bc9c60f1f7dd2aca82f7131ca5301a559c0aa528a90331"
     pinned = (
-        (build_dbm(inst), "1eda55576fe7146ff66fb771b8625447b77165d25d41b73f63409dacb7cb5748"),
+        (dbm, "1eda55576fe7146ff66fb771b8625447b77165d25d41b73f63409dacb7cb5748"),
+        (master_submodel(dbm), dbm_master),
+        (build_dbm(inst, master=True), dbm_master),
         (obm, "525bbc069867f5a40e4e9f177a326b1a341bca8e465aef11cb0a971b86f0998e"),
-        (master_submodel(obm), "83a0d18f43585ae5d5bc9c60f1f7dd2aca82f7131ca5301a559c0aa528a90331"),
+        (master_submodel(obm), obm_master),
+        (build_obm(inst, master=True), obm_master),
     )
     assert (obm.eps, obm.big_M) == (Fraction(1, 6), Fraction(149, 3))
     for m, digest in pinned:
