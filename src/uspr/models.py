@@ -606,7 +606,7 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
     `link_used` is the routing binary on (i, j); `incoming_sum` is the total
     of routing binaries over all links into j (including (i, j)).  The
     returned interval is exactly the feasible set of the linearized pair for
-    that pattern and is asserted to match the logic form:
+    that pattern and is checked against the logic form:
 
       used            -> q = 0             (equality)
       merge, unused   -> q <= -eps         (strict)
@@ -627,14 +627,13 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
     upper = -eps * (incoming_sum - link_used)
     lower = -big_M * (1 - link_used)
     if link_used == 1:
-        relation = "equal"
-        assert lower == upper == 0
+        relation, expected = "equal", (0, 0)
     elif incoming_sum == 1:
-        relation = "strict"
-        assert upper == -eps and lower == -big_M
+        relation, expected = "strict", (-big_M, -eps)
     else:
-        relation = "slack"
-        assert upper == 0 and lower == -big_M
+        relation, expected = "slack", (-big_M, 0)
+    if (lower, upper) != expected:
+        raise RuntimeError(f"internal: {relation} case has interval [{lower}, {upper}]")
     return PathLengthCase(relation, lower, upper)
 
 

@@ -29,9 +29,9 @@ Every `Optimal` answer, from either solver, is re-verified through the
 routing oracle: its weights must route exactly its forest, within capacity.
 
 The module also implements the structure mappings used by the property
-suites: loop stripping, the demand-to-origin aggregation (y = max x,
-f = sum d*x), the backward path-assigning walk from destination to origin,
-and the per-origin sub-path optimality check.
+suites: loop stripping and path extraction by one forward walk per demand,
+the demand-to-origin aggregation (y = max x, f = sum d*x), the backward
+path-assigning walk from destination to origin, and the sub-path check.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import heapq
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, Sequence
@@ -136,104 +137,74 @@ def _balance_violations(instance: Instance, routing: DemandRouting) -> list[str]
         ]
     link_set = set(instance.link_pairs())
     for k, (demand, links) in enumerate(zip(instance.demands, routing.links)):
+        net: Counter[str] = Counter()
         for pair in links:
             if pair not in link_set:
                 out.append(f"demand {k}: {pair} is not an instance link")
+            net[pair[1]] += 1
+            net[pair[0]] -= 1
+        ends = {demand.origin: -1, demand.destination: 1}
         for node in instance.nodes:
-            inflow = sum(1 for (i, j) in links if j == node)
-            outflow = sum(1 for (i, j) in links if i == node)
-            if node == demand.origin:
-                expected = -1
-            elif node == demand.destination:
-                expected = 1
-            else:
-                expected = 0
-            if inflow - outflow != expected:
+            expected = ends.get(node, 0)
+            if net[node] != expected:
                 out.append(
-                    f"demand {k}: balance at {node!r} is {inflow - outflow}, "
+                    f"demand {k}: balance at {node!r} is {net[node]}, "
                     f"expected {expected}"
                 )
     return out
 
 
-def _find_cycle(
-    links: frozenset[tuple[str, str]], node_order: Sequence[str]
-) -> list[tuple[str, str]] | None:
-    adj: dict[str, list[str]] = {}
-    for i, j in sorted(links):
-        adj.setdefault(i, []).append(j)
-    color: dict[str, str] = {}
-    for start in node_order:
-        if color.get(start) is not None or start not in adj:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(start, iter(adj.get(start, [])))]
-        color[start] = "gray"
-        path = [start]
-        while stack:
-            node, neighbors = stack[-1]
-            advanced = False
-            for nxt in neighbors:
-                state = color.get(nxt)
-                if state == "gray":
-                    at = path.index(nxt)
-                    cycle_nodes = path[at:] + [nxt]
-                    return list(zip(cycle_nodes, cycle_nodes[1:]))
-                if state is None:
-                    color[nxt] = "gray"
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj.get(nxt, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = "black"
-                path.pop()
-                stack.pop()
-    return None
+def _walks(instance: Instance, routing: DemandRouting) -> list[list[str]]:
+    """Each demand's loop-free origin -> destination path through its
+    selection; raises ConservationError on an unbalanced selection.
+
+    The walk starts at the origin and leaves each node on its smallest
+    unused link.  When it re-enters a node already on its path, it cuts that
+    loop out.  It stops at the destination.  Every node it enters, other
+    than the destination, has as many selected links out as in (the origin
+    has one more), so an unused link out is always left and the walk
+    reaches the destination.  The links it leaves off its path are balanced
+    at every node, so they are directed cycles.
+    """
+    problems = _balance_violations(instance, routing)
+    if problems:
+        raise ConservationError("; ".join(problems))
+    walks = []
+    for demand, links in zip(instance.demands, routing.links):
+        unused: dict[str, list[str]] = {}
+        for i, j in sorted(links, reverse=True):
+            unused.setdefault(i, []).append(j)
+        path = [demand.origin]
+        while path[-1] != demand.destination:
+            node = unused[path[-1]].pop()
+            if node in path:
+                del path[path.index(node) + 1 :]
+            else:
+                path.append(node)
+        walks.append(path)
+    return walks
 
 
 def strip_loops(instance: Instance, routing: DemandRouting) -> DemandRouting:
     """Remove every directed cycle from each demand's link selection.
 
-    Requires flow conservation (cycles allowed); removal preserves it, and
-    the routing objective strictly decreases whenever something was removed.
+    Requires flow conservation (cycles allowed).  Each demand keeps the
+    path of its walk (`_walks`), so the result is balanced and the objective
+    strictly decreases whenever something was removed.  Where cycles touch
+    the path, several loop-free paths are left, and the walk's is kept.
     """
-    problems = _balance_violations(instance, routing)
-    if problems:
-        raise ConservationError("; ".join(problems))
-    stripped = []
-    for links in routing.links:
-        current = set(links)
-        while True:
-            cycle = _find_cycle(frozenset(current), instance.nodes)
-            if cycle is None:
-                break
-            current.difference_update(cycle)
-        stripped.append(frozenset(current))
-    return DemandRouting(tuple(stripped))
+    return DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in _walks(instance, routing)))
 
 
 def routing_paths(instance: Instance, routing: DemandRouting) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Per-demand node sequences; requires loop-free path-form selections."""
+    """Per-demand node sequences.  Raises ConservationError on an unbalanced
+    selection and RoutingLoopError on a balanced one that holds a directed
+    cycle: one with more links than its walk (`_walks`)."""
     out = {}
-    for k, (demand, links) in enumerate(zip(instance.demands, routing.links)):
-        succ: dict[str, list[str]] = {}
-        for i, j in sorted(links):
-            succ.setdefault(i, []).append(j)
-        path = [demand.origin]
-        seen = {demand.origin}
-        while path[-1] != demand.destination:
-            nexts = succ.get(path[-1], [])
-            if len(nexts) != 1:
-                raise RoutingLoopError(
-                    f"demand {k}: node {path[-1]!r} has {len(nexts)} outgoing links"
-                )
-            nxt = nexts[0]
-            if nxt in seen:
-                raise RoutingLoopError(f"demand {k}: cycle through {nxt!r}")
-            seen.add(nxt)
-            path.append(nxt)
+    walks = _walks(instance, routing)
+    for k, (demand, links, path) in enumerate(zip(instance.demands, routing.links, walks)):
         if len(links) != len(path) - 1:
-            raise RoutingLoopError(f"demand {k}: selection is larger than its path")
+            raise RoutingLoopError(f"demand {k}: the selection holds a directed cycle")
         out[(demand.origin, demand.destination)] = tuple(path)
     return out
 
@@ -293,10 +264,6 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
     its flow is the bandwidth sum of the demands using it.  Requires a
     loop-free, conservation-satisfying, sub-path-optimal routing.
     """
-    problems = _balance_violations(instance, routing)
-    if problems:
-        raise ConservationError("; ".join(problems))
-    # On a balanced selection the walk raises RoutingLoopError on any cycle.
     paths = routing_paths(instance, routing)
     violations = subpath_optimality_check(instance, routing)
     if violations:
@@ -470,6 +437,15 @@ class _PathStream:
         visit(self._origin, hops)
 
 
+def _load_units(instance: Instance, demands: Sequence) -> tuple[int, list[int], list[int]]:
+    """(scale, demand units, capacity units), scale the lcm of the bandwidth
+    denominators.  Loads are integers, so a load passes a capacity exactly
+    when it passes floor(capacity * scale)."""
+    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
+    units = [int(d.bandwidth * scale) for d in demands]
+    return scale, units, [math.floor(link.capacity * scale) for link in instance.links]
+
+
 def master_search(
     instance: Instance,
     cuts: Sequence[NoGoodCut] = (),
@@ -512,9 +488,7 @@ def master_search(
     cg = spf.CompiledGraph(instance)
     index = cg.index
     demands = [d for s in origins for d in instance.demands_from(s)]
-    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
-    units = [int(d.bandwidth * scale) for d in demands]
-    caps = [math.floor(link.capacity * scale) for link in instance.links]
+    scale, units, caps = _load_units(instance, demands)
     dists: dict[str, list[int]] = {}
     streams = []
     for d in demands:
@@ -670,10 +644,7 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     pairs = instance.link_pairs()
     index = instance.node_index()
     edge_of = {(index[t], index[h]): e for e, (t, h) in enumerate(pairs)}
-    dscale = math.lcm(*(d.bandwidth.denominator for d in instance.demands))
-    demand_units = [int(d.bandwidth * dscale) for d in instance.demands]
-    # Loads are integers, so load > capacity exactly when load > floor(capacity).
-    cap_units = [math.floor(l.capacity * dscale) for l in instance.links]
+    dscale, demand_units, cap_units = _load_units(instance, instance.demands)
     n_links = len(pairs)
 
     def objective_within_capacity(paths) -> int | None:
@@ -688,12 +659,11 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
         return objective_units
 
     best = None  # (objective units, combo, paths)
-    evaluated: dict[tuple, int | None] = {}
+    objectives: dict[tuple, int | None] = {}
     for combo, paths in spf.unique_grid_routings(instance, grid_limit):
-        if paths in evaluated:
-            objective_units = evaluated[paths]
-        else:
-            objective_units = evaluated[paths] = objective_within_capacity(paths)
+        if paths not in objectives:
+            objectives[paths] = objective_within_capacity(paths)
+        objective_units = objectives[paths]
         if objective_units is None:
             continue
         if best is None or objective_units < best[0]:

@@ -215,7 +215,8 @@ def walk_back_unique(
             for e in cg.in_links[node]
             if dist[cg.tails[e]] is not None and dist[cg.tails[e]] + wunits[e] == dist[node]
         ]
-        assert len(tight) == 1, "walk on a non-unique shortest-path DAG"
+        if len(tight) != 1:
+            raise RuntimeError("internal: walk on a non-unique shortest-path DAG")
         node = cg.tails[tight[0]]
         path.append(node)
     path.reverse()

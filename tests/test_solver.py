@@ -98,11 +98,34 @@ def test_strip_randomized_loop_injection():
             + routing.links[k + 1:]
         )
         stripped = strip_loops(inst, looped)
-        for links in stripped.links:
-            assert solver._find_cycle(links, inst.nodes) is None
+        solver.routing_paths(inst, stripped)  # raises on any cycle left
         assert solver._balance_violations(inst, stripped) == []
         assert routing_objective(inst, stripped) < routing_objective(inst, looped)
     assert done >= 50
+
+
+@pytest.mark.parametrize("links, kept", [
+    # Cycles a-c-t-a and t-a-b-t both touch the path: two loop-free paths
+    # are left, and the walk leaves a on its smallest link, to b.
+    ([("s", "a"), ("a", "b"), ("b", "t"), ("a", "c"), ("c", "t"), ("t", "a")],
+     ("s", "a", "b", "t")),
+    # A cycle through the origin: the walk leaves s to a, re-enters s, cuts
+    # s-a-s out and leaves s again, to t.
+    ([("s", "a"), ("a", "s"), ("s", "t")], ("s", "t")),
+    # A cycle through the destination: the walk stops on reaching t.
+    ([("s", "a"), ("a", "t"), ("t", "b"), ("b", "t")], ("s", "a", "t")),
+])
+def test_strip_keeps_the_path_of_the_walk(links, kept):
+    names = ["s", "a", "b", "c", "t"]
+    inst = mk_instance(
+        names, [(u, v, 10) for u in names for v in names if u != v], [("s", "t", 1)]
+    )
+    looped = DemandRouting((frozenset(links),))
+    stripped = strip_loops(inst, looped)
+    assert stripped.links[0] == frozenset(zip(kept, kept[1:]))
+    assert solver.routing_paths(inst, stripped) == {("s", "t"): kept}
+    with pytest.raises(RoutingLoopError):
+        solver.routing_paths(inst, looped)
 
 
 # ---------------------------------------------------------------------------

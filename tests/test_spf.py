@@ -55,6 +55,15 @@ def test_count_diamond_broken_tie():
     assert spf.count_shortest_paths(inst, wv, "s", "t") == 1
 
 
+def test_walk_back_refuses_a_tied_diamond():
+    # An explicit raise, so the check also holds under `python -O`.
+    cg = spf.CompiledGraph(diamond())
+    wunits = [1] * len(cg.tails)
+    dist = spf.dijkstra_units(cg, wunits, cg.index["s"])
+    with pytest.raises(RuntimeError, match="internal: .*non-unique"):
+        spf.walk_back_unique(cg, wunits, dist, cg.index["s"], cg.index["t"])
+
+
 def test_count_single_link():
     inst = two_node()
     assert spf.count_shortest_paths(inst, WeightVector({("a", "b"): Fraction(2)}), "a", "b") == 1
