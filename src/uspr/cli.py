@@ -188,8 +188,6 @@ def _cmd_solve(args) -> int:
     instance = _load(args.instance)
     if args.oracle:
         grid_limit = spf.GRID_LIMIT if args.grid_limit is None else args.grid_limit
-        if grid_limit < 0:
-            raise ValueError(f"--grid-limit must be >= 0, got {grid_limit}")
         result = solver.brute_force_solve(instance, grid_limit=grid_limit)
     else:
         config = solver.SolverConfig(node_limit=args.node_limit, time_limit=args.time_limit)

@@ -109,11 +109,14 @@ def _inline(value: object) -> str:
 
 
 def read_json(text: str, error: type[Exception]) -> object:
-    """Parse JSON text, reading decimals as exact Fractions; bad JSON raises `error`."""
+    """Parse JSON text, reading decimals as exact Fractions; bad JSON, or
+    JSON nested deeper than the parser's recursion limit, raises `error`."""
     try:
         return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise error(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error("not valid JSON: nested too deeply to parse") from exc
 
 
 def read_records(

@@ -9,7 +9,7 @@ the grid fails, on the union of those of the branch-and-bound leaves);
 because candidates arrive best-first, the first realizable one is optimal.
 `brute_force_solve` is the independent reference: it enumerates every
 weight vector on the grid and keeps the best capacity-feasible
-unique-routing outcome.
+unique-routing outcome.  Both judge a routing only through `spf`.
 
 The master (`master_search`) is one best-first search over partial
 assignments of a path to each demand.  It drops a partial assignment as
@@ -30,8 +30,9 @@ routing oracle: its weights must route exactly its forest, within capacity.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping and path extraction by one forward walk per demand,
-the demand-to-origin aggregation (y = max x, f = sum d*x), the backward
-path-assigning walk from destination to origin, and the sub-path check.
+the demand-to-origin aggregation (y = max x, f = sum d*x), the read-out of
+each demand's path from a forest `spf.forest_violations` accepts, and the
+sub-path check.
 """
 
 from __future__ import annotations
@@ -277,44 +278,18 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
 
 
 def origin_to_demand(instance: Instance, forest: RoutingForest) -> DemandRouting:
-    """Extract per-demand selections by walking trees backward.
+    """Each demand's path, as its link set.
 
-    For each demand the walk starts at the destination and repeatedly takes
-    the single used incoming link of the origin's tree until it reaches the
-    origin; malformed trees (no incoming link, several, or a cycle) raise
-    MalformedForestError.
+    A forest that `spf.forest_violations` rejects raises
+    MalformedForestError listing the violations.  On an accepted forest
+    every tree link lies on a path and no node is entered on two links, so
+    walking a tree backward from a destination follows the demand's path.
     """
-    selections = []
-    for demand in instance.demands:
-        used = forest.used_links(demand.origin)
-        incoming: dict[str, list[tuple[str, str]]] = {}
-        for i, j in used:
-            incoming.setdefault(j, []).append((i, j))
-        node = demand.destination
-        visited = {node}
-        chosen: list[tuple[str, str]] = []
-        while node != demand.origin:
-            links = incoming.get(node, [])
-            if not links:
-                raise MalformedForestError(
-                    f"origin {demand.origin!r}: node {node!r} has no used incoming link"
-                )
-            if len(links) > 1:
-                raise MalformedForestError(
-                    f"origin {demand.origin!r}: node {node!r} has several used "
-                    "incoming links"
-                )
-            link = links[0]
-            chosen.append(link)
-            node = link[0]
-            if node in visited:
-                raise MalformedForestError(
-                    f"origin {demand.origin!r}: cycle detected while assigning the "
-                    f"path of demand ({demand.origin!r} -> {demand.destination!r})"
-                )
-            visited.add(node)
-        selections.append(frozenset(chosen))
-    return DemandRouting(tuple(selections))
+    violations = spf.forest_violations(instance, forest)
+    if violations:
+        raise MalformedForestError("; ".join(violations))
+    paths = [forest.paths[(d.origin, d.destination)] for d in instance.demands]
+    return DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in paths))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +412,6 @@ class _PathStream:
         visit(self._origin, hops)
 
 
-def _load_units(instance: Instance, demands: Sequence) -> tuple[int, list[int], list[int]]:
-    """(scale, demand units, capacity units), scale the lcm of the bandwidth
-    denominators.  Loads are integers, so a load passes a capacity exactly
-    when it passes floor(capacity * scale)."""
-    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
-    units = [int(d.bandwidth * scale) for d in demands]
-    return scale, units, [math.floor(link.capacity * scale) for link in instance.links]
-
-
 def master_search(
     instance: Instance,
     cuts: Sequence[NoGoodCut] = (),
@@ -488,7 +454,11 @@ def master_search(
     cg = spf.CompiledGraph(instance)
     index = cg.index
     demands = [d for s in origins for d in instance.demands_from(s)]
-    scale, units, caps = _load_units(instance, demands)
+    # Loads are integers in 1/scale units, so a load passes a capacity
+    # exactly when it passes floor(capacity * scale).
+    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
+    units = [int(d.bandwidth * scale) for d in demands]
+    caps = [math.floor(link.capacity * scale) for link in instance.links]
     dists: dict[str, list[int]] = {}
     streams = []
     for d in demands:
@@ -633,43 +603,26 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     weight vector, lexicographically over the fixed link order, keeping the
     first vector attaining the minimum objective.
 
-    The vectors come from `spf.unique_grid_routings`, whose oracle work is
+    The forests come from `spf.unique_grid_routings`, whose oracle work is
     sum_s P^|R_s| kernel calls (P grid points, R_s the links that can change
-    origin s's paths) rather than one routing per vector; loads, capacity and
-    objective are evaluated once per distinct routing.  The answer's forest
-    is built from the best vector's paths and re-verified through the oracle.
+    origin s's paths) rather than one routing per vector.  It yields each
+    distinct forest once, with its first vector, in the order of those
+    vectors; so keeping the first strictly better capacity-feasible forest,
+    judged by `spf.check_capacity` and `spf.evaluate_objective`, keeps the
+    first vector of the minimum.  The answer is re-verified through the
+    oracle.
     """
     started = time.perf_counter()
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     pairs = instance.link_pairs()
-    index = instance.node_index()
-    edge_of = {(index[t], index[h]): e for e, (t, h) in enumerate(pairs)}
-    dscale, demand_units, cap_units = _load_units(instance, instance.demands)
-    n_links = len(pairs)
-
-    def objective_within_capacity(paths) -> int | None:
-        loads = [0] * n_links
-        objective_units = 0
-        for units, node_path in zip(demand_units, paths):
-            objective_units += units * (len(node_path) - 1)
-            for a, b in zip(node_path, node_path[1:]):
-                loads[edge_of[(a, b)]] += units
-        if any(load > cap for load, cap in zip(loads, cap_units)):
-            return None
-        return objective_units
-
-    best = None  # (objective units, combo, paths)
-    objectives: dict[tuple, int | None] = {}
-    for combo, paths in spf.unique_grid_routings(instance, grid_limit):
-        if paths not in objectives:
-            objectives[paths] = objective_within_capacity(paths)
-        objective_units = objectives[paths]
-        if objective_units is None:
+    best = None  # (objective, combo, forest)
+    for combo, forest in spf.unique_grid_routings(instance, grid_limit):
+        if spf.check_capacity(instance, forest):
             continue
-        if best is None or objective_units < best[0]:
-            best = (objective_units, combo, paths)
-
-    evaluated = len(points) ** n_links
+        objective = spf.evaluate_objective(instance, forest)
+        if best is None or objective < best[0]:
+            best = (objective, combo, forest)
+    evaluated = len(points) ** len(pairs)
     diagnostics = Diagnostics(
         iterations=evaluated,
         cuts_added=0,
@@ -679,16 +632,9 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     )
     if best is None:
         return Solution("Infeasible", None, None, None, diagnostics)
-    best_units, best_combo, best_paths = best
-    weights = WeightVector({pair: points[i] for pair, i in zip(pairs, best_combo)})
-    forest = spf.forest_from_paths(instance, {
-        (d.origin, d.destination): tuple(instance.nodes[v] for v in path)
-        for d, path in zip(instance.demands, best_paths)
-    })
-    solution = _verified_solution(instance, weights, forest, diagnostics)
-    if solution.objective != Fraction(best_units, dscale):
-        raise RuntimeError("internal: oracle objective differs from the grid search's")
-    return solution
+    _objective, combo, forest = best
+    weights = WeightVector({pair: points[i] for pair, i in zip(pairs, combo)})
+    return _verified_solution(instance, weights, forest, diagnostics)
 
 
 # ---------------------------------------------------------------------------

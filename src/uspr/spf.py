@@ -13,13 +13,15 @@ against exhaustive path enumeration in the tests.
 
 A routing forest is its demands' paths: each origin's flows are the
 bandwidths of its demands' paths summed per link (`forest_from_paths`, the
-one builder every producer uses), and `forest_violations` checks a forest
-against its own paths.
+one builder every producer uses).  This module is the one place that
+judges a forest: `forest_violations` checks it against its own paths, and
+`check_capacity` and `evaluate_objective` evaluate it.
 
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
 an origin's routing depends only on the weights of the links that can lie
 on its paths, so each origin is routed once per grid setting of those links
-and every grid vector combines the tabulated outcomes.
+and every grid vector combines the tabulated outcomes.  It yields each
+distinct forest once, with the first grid vector that routes it.
 """
 
 from __future__ import annotations
@@ -292,13 +294,14 @@ def _origin_table(
 
 def unique_grid_routings(
     instance: Instance, limit: int
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Every grid weight vector under which each demand has a unique shortest path.
+) -> Iterator[tuple[tuple[int, ...], RoutingForest]]:
+    """Each forest that some grid weight vector routes uniquely, once.
 
-    Vectors run lexicographically over the fixed link order and are given as
-    index tuples into `grid_points(w_min, w_max, weight_resolution)`; each
-    comes with every demand's node-index path, in demand order, as a tuple
-    of tuples that all vectors with the same routing share.  Raises
+    A forest comes with the lexicographically first grid vector (over the
+    fixed link order) under which every demand has a unique shortest path
+    along it, given as an index tuple into `grid_points(w_min, w_max,
+    weight_resolution)`; forests come in the order of those vectors.
+    Raises ValueError unless `limit` is a non-negative int, and
     GridSearchLimitError when the grid holds more than `limit` vectors.
 
     The enumeration is factored by origin.  Each origin s's outcome depends
@@ -306,7 +309,11 @@ def unique_grid_routings(
     is tabulated once over the P^|R_s| settings of R_s, P being the number
     of grid points; each vector then looks up one table entry per origin.
     The oracle kernels run sum_s P^|R_s| <= |origins| * P^|L| times in all.
+    Outcome ids are interned per origin, so each distinct tuple of them is
+    one distinct forest, built once.
     """
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise ValueError(f"grid_limit must be a non-negative integer, got {limit!r}")
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     n_links = len(instance.links)
     total = len(points) ** n_links
@@ -317,35 +324,36 @@ def unique_grid_routings(
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]
-    origins = []  # (strides over all links, outcome table, outcomes, demand indices)
+    origins = []  # (strides over all links, outcome table, outcomes, demand keys)
     for origin in instance.origins():
         src = cg.index[origin]
-        members = [k for k, d in enumerate(instance.demands) if d.origin == origin]
-        dests = [cg.index[instance.demands[k].destination] for k in members]
+        keys = [(origin, d.destination) for d in instance.demands_from(origin)]
+        dests = [cg.index[t] for _s, t in keys]
         rel = relevant_links(cg, src, dests)
         strides = [0] * n_links
         for k, e in enumerate(rel):
             strides[e] = len(points) ** (len(rel) - 1 - k)
         table, outcomes = _origin_table(cg, point_units, src, dests, rel)
-        origins.append((strides, table, outcomes, members))
-    routings: dict[tuple[int, ...], tuple] = {}
+        origins.append((strides, table, outcomes, keys))
+    seen: set[tuple[int, ...]] = set()
     for combo in itertools.product(range(len(points)), repeat=n_links):
         key = []
-        for strides, table, _outcomes, _members in origins:
+        for strides, table, _outcomes, _keys in origins:
             outcome_id = table[sum(map(operator.mul, combo, strides))]
             if not outcome_id:
                 break
             key.append(outcome_id)
         else:
             key = tuple(key)
-            paths = routings.get(key)
-            if paths is None:
-                merged: list = [None] * len(instance.demands)
-                for (_strides, _table, outcomes, members), outcome_id in zip(origins, key):
-                    for k, path in zip(members, outcomes[outcome_id]):
-                        merged[k] = path
-                paths = routings[key] = tuple(merged)
-            yield combo, paths
+            if key in seen:
+                continue
+            seen.add(key)
+            paths = {
+                demand: tuple(instance.nodes[v] for v in path)
+                for (_strides, _table, outcomes, keys), outcome_id in zip(origins, key)
+                for demand, path in zip(keys, outcomes[outcome_id])
+            }
+            yield combo, forest_from_paths(instance, paths)
 
 
 # ---------------------------------------------------------------------------

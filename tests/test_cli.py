@@ -152,7 +152,7 @@ def test_solve_refuses_malformed_limits(tmp_path, capsys):
         (["--time-limit", "nan"], "time_limit"),
         (["--time-limit", "-1"], "time_limit"),
         (["--node-limit", "-3"], "node_limit"),
-        (["--oracle", "--grid-limit", "-1"], "--grid-limit"),
+        (["--oracle", "--grid-limit", "-1"], "grid_limit"),
     ):
         assert main(["solve", inst, *argv]) == 1
         captured = capsys.readouterr()
@@ -377,6 +377,17 @@ def test_node_ids_that_collide_in_model_names_rejected(tmp_path, capsys):
     assert "node id" in capsys.readouterr().err
     assert main(["export", inst, "--formulation", "obm"]) == 1
     assert "node id" in capsys.readouterr().err
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond())
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["validate", str(deep)], ["verify", inst, str(deep)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_incomplete_weights_is_usage_error(tmp_path, capsys):

@@ -161,6 +161,8 @@ def test_load_surfaces_validation_violations():
 def test_load_rejects_bad_json():
     with pytest.raises(InstanceParseError):
         load_instance("{not json")
+    with pytest.raises(InstanceParseError, match="nested too deeply"):
+        load_instance("[" * 100_000 + "]" * 100_000)
 
 
 def test_derived_sets_recomputed():

@@ -243,27 +243,48 @@ def test_origin_to_demand_adjacent_destination():
 
 
 def test_origin_to_demand_malformed_forests():
+    # The walk's three defects: a path node no tree link enters, a node
+    # entered on two links, and a cycle.
     inst = diamond()
-    no_inlink = RoutingForest(flows={"s": {("s", "a"): F(1)}}, paths={})
-    with pytest.raises(MalformedForestError, match="no used incoming"):
-        origin_to_demand(inst, no_inlink)
-    two_inlinks = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1), ("s", "b"): F(1), ("b", "t"): F(1)}},
-        paths={},
+    no_inlink = RoutingForest(
+        flows={"s": {("s", "a"): F(1)}}, paths={("s", "t"): ("s", "a", "t")}
     )
-    with pytest.raises(MalformedForestError, match="several"):
-        origin_to_demand(inst, two_inlinks)
+    with pytest.raises(MalformedForestError,
+                       match=r"link \('a', 't'\) has flow None, its paths carry 1"):
+        origin_to_demand(inst, no_inlink)
+    two_demands = mk_instance(
+        ["s", "a", "b", "t"],
+        [("s", "a", 1), ("a", "t", 1), ("s", "b", 1), ("b", "t", 1), ("b", "a", 1)],
+        [("s", "t", 1), ("s", "a", 1)],
+    )
+    two_inlinks = RoutingForest(
+        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1), ("s", "b"): F(1), ("b", "a"): F(1)}},
+        paths={("s", "t"): ("s", "a", "t"), ("s", "a"): ("s", "b", "a")},
+    )
+    with pytest.raises(MalformedForestError, match="node 'a' is entered on 2 links"):
+        origin_to_demand(two_demands, two_inlinks)
     cyc = mk_instance(
         ["s", "a", "b", "t"],
         [("s", "a", 1), ("a", "b", 1), ("b", "a", 1), ("a", "t", 1), ("b", "t", 1)],
         [("s", "t", 1)],
     )
     cyclic = RoutingForest(
-        flows={"s": {("a", "b", ): F(1), ("b", "a"): F(1), ("b", "t"): F(1)}},
-        paths={},
+        flows={"s": {("s", "a"): F(1), ("a", "b"): F(1), ("b", "a"): F(1), ("a", "t"): F(1)}},
+        paths={("s", "t"): ("s", "a", "b", "a", "t")},
     )
-    with pytest.raises(MalformedForestError, match="cycle"):
+    with pytest.raises(MalformedForestError, match=r"path \('s', 't'\): repeats a node"):
         origin_to_demand(cyc, cyclic)
+
+
+def test_origin_to_demand_refuses_flows_that_are_not_its_paths():
+    # The flows take s-b-t, the path s-a-t: a backward walk over the flows
+    # would read s-b-t, but the forest is not its paths.
+    forest = RoutingForest(
+        flows={"s": {("s", "b"): F(1), ("b", "t"): F(1)}},
+        paths={("s", "t"): ("s", "a", "t")},
+    )
+    with pytest.raises(MalformedForestError, match=r"link \('s', 'b'\) has flow 1"):
+        origin_to_demand(diamond(), forest)
 
 
 def complete_digraph(names, demands):

@@ -353,6 +353,11 @@ def test_weights_file_golden_bytes():
     )
 
 
+def test_weights_file_nested_past_the_recursion_limit_rejected():
+    with pytest.raises(spf.InvalidWeightsError, match="nested too deeply"):
+        spf.load_weights("[" * 100_000 + "]" * 100_000)
+
+
 def test_weights_file_duplicate_link_rejected():
     text = ('[{"tail": "s", "head": "a", "weight": 1}, '
             '{"tail": "s", "head": "a", "weight": 9}]')
@@ -376,8 +381,8 @@ def test_weight_validation_rejects_off_grid_and_missing():
 
 
 def test_unique_grid_routings_matches_oracle_point_by_point():
-    # Every grid vector is yielded exactly when the public oracle routes all
-    # demands uniquely, with the same paths, in lexicographic order.
+    # Each forest the public oracle routes uniquely on the grid is yielded
+    # once, with the first vector routing it, in the order of those vectors.
     for inst in (diamond(w_min=1, w_max=3), small_random(7), small_random(10)):
         points = [Fraction(p) for p in range(1, int(inst.w_max) + 1)]
         pairs = inst.link_pairs()
@@ -388,18 +393,20 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
                 forest = spf.routing_from_weights(inst, weights)
             except (NonUniqueRoutingError, spf.UnreachableDemandError):
                 continue
-            expected.append((combo, [list(forest.paths[(d.origin, d.destination)])
-                                     for d in inst.demands]))
-        got = [
-            (combo, [[inst.nodes[i] for i in path] for path in paths])
-            for combo, paths in spf.unique_grid_routings(inst, 10**6)
-        ]
-        assert got == expected
+            if all(forest != seen for _combo, seen in expected):
+                expected.append((combo, forest))
+        assert list(spf.unique_grid_routings(inst, 10**6)) == expected
 
 
 def test_unique_grid_routings_limit_refusal():
     with pytest.raises(spf.GridSearchLimitError, match="exceed grid_limit 3"):
         next(spf.unique_grid_routings(diamond(), 3))
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1, True, 10.0])
+def test_unique_grid_routings_refuses_a_limit_that_is_no_count(limit):
+    with pytest.raises(ValueError, match="grid_limit must be a non-negative integer"):
+        next(spf.unique_grid_routings(diamond(), limit))
 
 
 def test_relevant_links_exclude_links_into_origin_and_dead_ends():
