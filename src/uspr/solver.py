@@ -599,24 +599,28 @@ def benders_solve(instance: Instance, config: SolverConfig | None = None) -> Sol
 
 
 def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> Solution:
-    """Exhaustive reference: evaluate the routing oracle on every admissible
-    weight vector, lexicographically over the fixed link order, keeping the
-    first vector attaining the minimum objective.
+    """Exhaustive reference: the best capacity-feasible unique routing over
+    every admissible weight vector, lexicographically over the fixed link
+    order, keeping the first vector attaining the minimum objective.
 
-    The forests come from `spf.unique_grid_routings`, whose oracle work is
-    sum_s P^|R_s| kernel calls (P grid points, R_s the links that can change
-    origin s's paths) rather than one routing per vector.  It yields each
-    distinct forest once, with its first vector, in the order of those
-    vectors; so keeping the first strictly better capacity-feasible forest,
-    judged by `spf.check_capacity` and `spf.evaluate_objective`, keeps the
-    first vector of the minimum.  The answer is re-verified through the
-    oracle.
+    The forests come from `spf.unique_grid_routings`.  It routes each origin
+    once per grid setting of the links that can change its paths, sum_s
+    P^|R_s| oracle runs (P grid points), rather than once per vector, and
+    its sweep skips every set of vectors that can route no new forest.  It
+    yields each distinct forest once, with its first vector, in the order
+    of those vectors; so keeping the first strictly better capacity-feasible
+    forest, judged by `spf.check_capacity` and `spf.evaluate_objective`,
+    keeps the first vector of the minimum.  The answer is re-verified
+    through the oracle.  `iterations` and `nodes_explored` count the P^|L|
+    vectors decided; `details` gives P and the sweep's `settings` and
+    `visited` counters.
     """
     started = time.perf_counter()
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     pairs = instance.link_pairs()
     best = None  # (objective, combo, forest)
-    for combo, forest in spf.unique_grid_routings(instance, grid_limit):
+    stats: dict = {}
+    for combo, forest in spf.unique_grid_routings(instance, grid_limit, stats):
         if spf.check_capacity(instance, forest):
             continue
         objective = spf.evaluate_objective(instance, forest)
@@ -628,7 +632,7 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
         cuts_added=0,
         nodes_explored=evaluated,
         wall_time=time.perf_counter() - started,
-        details={"grid_points": len(points)},
+        details={"grid_points": len(points), **stats},
     )
     if best is None:
         return Solution("Infeasible", None, None, None, diagnostics)

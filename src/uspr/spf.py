@@ -5,11 +5,14 @@ resolution grid; internally they are scaled to integers (by the common
 denominator of the weight values), so distance comparisons and uniqueness
 checks never involve an epsilon.
 
-Uniqueness is decided by counting shortest paths over the tight-edge DAG
-(dist[j] == dist[i] + w_ij), with the count capped at two.  With strictly
-positive weights the tight-edge graph is acyclic and ordered by distance, so
-the count is a single linear pass and stays polynomial; it is validated
-against exhaustive path enumeration in the tests.
+Uniqueness is decided by counting shortest paths, capped at two, in the
+same heap pass that finds the distances (`dijkstra_units`).  With strictly
+positive weights every node's shortest-path predecessors settle before it,
+so its count is final when it settles: a strictly shorter path copies its
+tail's count, an equal one makes it two.  The pass also records the link
+that last reached each node, which the unique path walks back along.  The
+counts are validated against a second pass over the tight-link DAG
+(`count_paths_capped`) and against exhaustive path enumeration in the tests.
 
 A routing forest is its demands' paths: each origin's flows are the
 bandwidths of its demands' paths summed per link (`forest_from_paths`, the
@@ -20,12 +23,14 @@ judges a forest: `forest_violations` checks it against its own paths, and
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
 an origin's routing depends only on the weights of the links that can lie
 on its paths, so each origin is routed once per grid setting of those links
-and every grid vector combines the tabulated outcomes.  It yields each
-distinct forest once, with the first grid vector that routes it.
+and every grid vector combines the tabulated outcomes.  A depth-first sweep
+over the vectors skips each prefix below which no new forest lies.  It
+yields each distinct forest once, with the first grid vector that routes it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -164,26 +169,48 @@ def scale_weights(instance: Instance, weights: WeightVector) -> tuple[list[int],
     return [int(w * scale) for w in ordered], scale
 
 
-def dijkstra_units(cg: CompiledGraph, wunits: list[int], src: int) -> list:
-    """Exact integer Dijkstra; unreachable entries are None."""
-    dist: list = [None] * len(cg.nodes)
+def dijkstra_units(cg: CompiledGraph, wunits: list[int], src: int) -> tuple[list, list, list]:
+    """Exact integer Dijkstra that also decides uniqueness, in one heap pass.
+
+    Returns (dist, counts, pred).  dist is None where unreachable.  counts
+    holds each node's shortest-path count capped at 2: a strictly shorter
+    path copies its tail's count, an equal one sets it to 2.  Weights are
+    positive, so a node's count is final when it settles, before it relaxes
+    its out-links.  pred holds the link that last lowered each node's distance,
+    -1 at the source and at unreachable nodes; it is the last link of the
+    shortest path wherever the count is 1.
+    """
+    n = len(cg.nodes)
+    dist: list = [None] * n
+    counts = [0] * n
+    pred = [-1] * n
     dist[src] = 0
+    counts[src] = 1
+    heads, out_links = cg.heads, cg.out_links
     heap = [(0, src)]
     while heap:
         d, node = heapq.heappop(heap)
         if d != dist[node]:
             continue
-        for e in cg.out_links[node]:
+        count = counts[node]
+        for e in out_links[node]:
             nd = d + wunits[e]
-            head = cg.heads[e]
-            if dist[head] is None or nd < dist[head]:
+            head = heads[e]
+            old = dist[head]
+            if old is None or nd < old:
                 dist[head] = nd
+                counts[head] = count
+                pred[head] = e
                 heapq.heappush(heap, (nd, head))
-    return dist
+            elif nd == old:
+                counts[head] = 2
+    return dist, counts, pred
 
 
 def count_paths_capped(cg: CompiledGraph, wunits: list[int], dist: list) -> list[int]:
-    """Shortest-path counts from the Dijkstra source, capped at 2 per node."""
+    """Shortest-path counts from the Dijkstra source, capped at 2 per node,
+    by a second pass over the tight-link DAG.  The reference for the counts
+    `dijkstra_units` keeps as it settles nodes."""
     order = sorted(
         (i for i in range(len(cg.nodes)) if dist[i] is not None),
         key=lambda i: (dist[i], i),
@@ -206,20 +233,16 @@ def count_paths_capped(cg: CompiledGraph, wunits: list[int], dist: list) -> list
 
 
 def walk_back_unique(
-    cg: CompiledGraph, wunits: list[int], dist: list, src: int, dest: int
+    cg: CompiledGraph, counts: list[int], pred: list[int], src: int, dest: int
 ) -> list[int]:
-    """Node-index sequence of the unique shortest path (caller checked count==1)."""
+    """Node-index sequence of the unique shortest src -> dest path, following
+    the `pred` links of `dijkstra_units`; every node on it must count 1."""
     path = [dest]
     node = dest
     while node != src:
-        tight = [
-            e
-            for e in cg.in_links[node]
-            if dist[cg.tails[e]] is not None and dist[cg.tails[e]] + wunits[e] == dist[node]
-        ]
-        if len(tight) != 1:
+        if counts[node] != 1:
             raise RuntimeError("internal: walk on a non-unique shortest-path DAG")
-        node = cg.tails[tight[0]]
+        node = cg.tails[pred[node]]
         path.append(node)
     path.reverse()
     return path
@@ -280,20 +303,38 @@ def _origin_table(
     for setting in itertools.product(point_units, repeat=len(rel)):
         for e, w in zip(rel, setting):
             wunits[e] = w
-        dist = dijkstra_units(cg, wunits, src)
-        counts = count_paths_capped(cg, wunits, dist)
+        _dist, counts, pred = dijkstra_units(cg, wunits, src)
         outcome: tuple | None = ()
         for dest in dests:
-            if dist[dest] is None or counts[dest] != 1:
+            if counts[dest] != 1:
                 outcome = None
                 break
-            outcome += (tuple(walk_back_unique(cg, wunits, dist, src, dest)),)
+            outcome += (tuple(walk_back_unique(cg, counts, pred, src, dest)),)
         table.append(ids.setdefault(outcome, len(ids)))
     return table, list(ids)
 
 
+def _block_masks(table: array, n_points: int, depth: int) -> list[list[int]]:
+    """masks[f][p]: the outcome ids in the table block whose first f setting
+    digits spell p in base n_points, as bits (bit i for id i)."""
+    masks = [[1 << i for i in table]]
+    for _ in range(depth):
+        finer = masks[-1]
+        masks.append([
+            functools.reduce(operator.or_, finer[p:p + n_points])
+            for p in range(0, len(finer), n_points)
+        ])
+    masks.reverse()
+    return masks
+
+
+def _mask_ids(mask: int) -> list[int]:
+    """The nonzero outcome ids in a block mask."""
+    return [i for i in range(1, mask.bit_length()) if mask >> i & 1]
+
+
 def unique_grid_routings(
-    instance: Instance, limit: int
+    instance: Instance, limit: int, stats: dict | None = None
 ) -> Iterator[tuple[tuple[int, ...], RoutingForest]]:
     """Each forest that some grid weight vector routes uniquely, once.
 
@@ -307,16 +348,31 @@ def unique_grid_routings(
     The enumeration is factored by origin.  Each origin s's outcome depends
     only on the weights of its relevant links R_s (`relevant_links`), so it
     is tabulated once over the P^|R_s| settings of R_s, P being the number
-    of grid points; each vector then looks up one table entry per origin.
-    The oracle kernels run sum_s P^|R_s| <= |origins| * P^|L| times in all.
+    of grid points: sum_s P^|R_s| <= |origins| * P^|L| oracle runs in all.
     Outcome ids are interned per origin, so each distinct tuple of them is
     one distinct forest, built once.
+
+    The vectors are then swept depth first, in lexicographic order, one
+    link per level.  A prefix of a vector selects one contiguous block of
+    each origin's table, since R_s is ascending.  The sweep skips the
+    vectors below a prefix when some origin has only id 0 in its block, or
+    when every combination of the blocks' nonzero ids is already in `seen`:
+    no unseen forest lies below.  That check is skipped when the
+    combinations outnumber `seen`.  A prefix whose blocks each hold one id,
+    and that id nonzero, routes one forest, first with the remaining links
+    at index 0.  A link in no R_s changes no outcome and stays at index 0.
+
+    `stats["settings"]` receives the oracle runs, sum_s P^|R_s|, and
+    `stats["visited"]` the prefixes the sweep examined.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
         raise ValueError(f"grid_limit must be a non-negative integer, got {limit!r}")
+    if stats is None:
+        stats = {}
     points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
+    n_points = len(points)
     n_links = len(instance.links)
-    total = len(points) ** n_links
+    total = n_points ** n_links
     if total > limit:
         raise GridSearchLimitError(
             f"{total} weight combinations exceed grid_limit {limit}"
@@ -324,36 +380,60 @@ def unique_grid_routings(
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]
-    origins = []  # (strides over all links, outcome table, outcomes, demand keys)
+    origins = []  # (outcomes, demand keys)
+    blocks = []  # per origin, `_block_masks` of its table
+    # depends[e]: (origin number, position of e in R_s plus one) for each R_s holding e
+    depends: list[list[tuple[int, int]]] = [[] for _ in range(n_links)]
+    stats["settings"] = 0
     for origin in instance.origins():
         src = cg.index[origin]
         keys = [(origin, d.destination) for d in instance.demands_from(origin)]
         dests = [cg.index[t] for _s, t in keys]
         rel = relevant_links(cg, src, dests)
-        strides = [0] * n_links
-        for k, e in enumerate(rel):
-            strides[e] = len(points) ** (len(rel) - 1 - k)
+        for f, e in enumerate(rel, 1):
+            depends[e].append((len(origins), f))
         table, outcomes = _origin_table(cg, point_units, src, dests, rel)
-        origins.append((strides, table, outcomes, keys))
+        stats["settings"] += len(table)
+        origins.append((outcomes, keys))
+        blocks.append(_block_masks(table, n_points, len(rel)))
+    swept = [e for e in range(n_links) if depends[e]]
     seen: set[tuple[int, ...]] = set()
-    for combo in itertools.product(range(len(points)), repeat=n_links):
-        key = []
-        for strides, table, _outcomes, _keys in origins:
-            outcome_id = table[sum(map(operator.mul, combo, strides))]
-            if not outcome_id:
-                break
-            key.append(outcome_id)
-        else:
-            key = tuple(key)
-            if key in seen:
-                continue
-            seen.add(key)
-            paths = {
-                demand: tuple(instance.nodes[v] for v in path)
-                for (_strides, _table, outcomes, keys), outcome_id in zip(origins, key)
-                for demand, path in zip(keys, outcomes[outcome_id])
-            }
-            yield combo, forest_from_paths(instance, paths)
+    combo = [0] * n_links
+    stats["visited"] = 0
+
+    def sweep(level: int, prefixes: list[int], masks: list[int]):
+        stats["visited"] += 1
+        if not all(m >> 1 for m in masks):  # some origin never routes uniquely
+            return
+        if all(m & (m - 1) == 0 for m in masks):  # one forest, under every vector
+            key = tuple(m.bit_length() - 1 for m in masks)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(combo), key
+            return
+        size = math.prod((m >> 1).bit_count() for m in masks)
+        if size <= len(seen) and all(
+            key in seen for key in itertools.product(*map(_mask_ids, masks))
+        ):  # no unseen forest
+            return
+        e = swept[level]
+        for digit in range(n_points):
+            combo[e] = digit
+            child_prefixes, child_masks = prefixes[:], masks[:]
+            for o, f in depends[e]:
+                p = prefixes[o] * n_points + digit
+                child_prefixes[o] = p
+                child_masks[o] = blocks[o][f][p]
+            yield from sweep(level + 1, child_prefixes, child_masks)
+        combo[e] = 0
+
+    for combo_found, key in sweep(0, [0] * len(origins), [b[0][0] for b in blocks]):
+        paths = {
+            demand: tuple(instance.nodes[v] for v in path)
+            for (outcomes, keys), outcome_id in zip(origins, key)
+            for demand, path in zip(keys, outcomes[outcome_id])
+        }
+        yield combo_found, forest_from_paths(instance, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +447,7 @@ def shortest_path_lengths(instance: Instance, weights: WeightVector, origin: str
         raise ValueError(f"unknown origin {origin!r}")
     cg = CompiledGraph(instance)
     wunits, scale = scale_weights(instance, weights)
-    dist = dijkstra_units(cg, wunits, cg.index[origin])
+    dist, _counts, _pred = dijkstra_units(cg, wunits, cg.index[origin])
     out = {
         node: Fraction(dist[i], scale)
         for i, node in enumerate(instance.nodes)
@@ -392,10 +472,10 @@ def count_shortest_paths(
         return 1
     cg = CompiledGraph(instance)
     wunits, _scale = scale_weights(instance, weights)
-    dist = dijkstra_units(cg, wunits, cg.index[origin])
-    if dist[cg.index[destination]] is None:
+    _dist, counts, _pred = dijkstra_units(cg, wunits, cg.index[origin])
+    if not counts[cg.index[destination]]:
         raise UnreachablePathError(origin, destination)
-    return count_paths_capped(cg, wunits, dist)[cg.index[destination]]
+    return counts[cg.index[destination]]
 
 
 def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingForest:
@@ -410,15 +490,14 @@ def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingFo
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
     for origin in instance.origins():
         src = cg.index[origin]
-        dist = dijkstra_units(cg, wunits, src)
-        counts = count_paths_capped(cg, wunits, dist)
+        _dist, counts, pred = dijkstra_units(cg, wunits, src)
         for demand in instance.demands_from(origin):
             di = cg.index[demand.destination]
-            if dist[di] is None:
+            if not counts[di]:
                 raise UnreachableDemandError(demand)
             if counts[di] != 1:
                 raise NonUniqueRoutingError(demand)
-            node_path = walk_back_unique(cg, wunits, dist, src, di)
+            node_path = walk_back_unique(cg, counts, pred, src, di)
             paths[(origin, demand.destination)] = tuple(instance.nodes[i] for i in node_path)
     return forest_from_paths(instance, paths)
 
@@ -544,9 +623,12 @@ def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
             out.append(f"origin {origin!r}: tree missing")
         else:
             for pair in sorted(tree.keys() | want.keys()):
-                if tree.get(pair) != want.get(pair):
-                    out.append(f"origin {origin!r}: link {pair} has flow {tree.get(pair)}, "
-                               f"its paths carry {want.get(pair)}")
+                have, carried = tree.get(pair), want.get(pair)
+                if have != carried:
+                    have = "no flow" if have is None else f"flow {have}"
+                    carried = "no flow" if carried is None else carried
+                    out.append(f"origin {origin!r}: link {pair} has {have}, "
+                               f"its paths carry {carried}")
         for node, n in Counter(j for _i, j in want).items():
             if n > 1:
                 out.append(f"origin {origin!r}: node {node!r} is entered on {n} links")

@@ -250,7 +250,7 @@ def test_origin_to_demand_malformed_forests():
         flows={"s": {("s", "a"): F(1)}}, paths={("s", "t"): ("s", "a", "t")}
     )
     with pytest.raises(MalformedForestError,
-                       match=r"link \('a', 't'\) has flow None, its paths carry 1"):
+                       match=r"link \('a', 't'\) has no flow, its paths carry 1"):
         origin_to_demand(inst, no_inlink)
     two_demands = mk_instance(
         ["s", "a", "b", "t"],
@@ -775,6 +775,16 @@ def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
     assert len(calls) == 4**6 + 2 * 4**7 + 3
 
 
+def test_brute_force_sweep_skips_the_vectors_with_no_new_forest():
+    # Same instance: the tables take 4^6 + 2 * 4^7 settings, and the sweep
+    # decides all 4^8 vectors from a few dozen prefixes.
+    result = brute_force_solve(generate_random_instance(5, 1.6, 4, w_max=4, seed=0))
+    details = result.diagnostics.details
+    assert result.diagnostics.nodes_explored == 4**8
+    assert details["settings"] == 4**6 + 2 * 4**7
+    assert details["visited"] < 4**8 // 100
+
+
 def test_oracle_equivalence_sample():
     for seed in range(30):
         inst = small_random(seed, tight=seed % 5 == 0)
@@ -813,7 +823,7 @@ def test_solution_json_round_trip_fields():
     assert raw["diagnostics"]["details"] == {"lp_solves": 1, "lp_pivots": 3}
     oracle = brute_force_solve(inst)
     raw = json.loads(solver.solution_to_json(inst, oracle))
-    assert raw["diagnostics"]["details"] == {"grid_points": 10}
+    assert raw["diagnostics"]["details"] == {"grid_points": 10, "settings": 10**4, "visited": 61}
 
 
 def test_branch_limit_in_recovery_ends_bounds_exhausted(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from conftest import diamond, mk_instance, random_cycle, small_random, triangle, two_node
 from uspr import spf
 from uspr.instance import generate_random_instance
+from uspr.rational import grid_points
 from uspr.solver import DemandRouting, simple_paths, subpath_optimality_check
 from uspr.spf import (
     NonUniqueRoutingError,
@@ -58,10 +59,30 @@ def test_count_diamond_broken_tie():
 def test_walk_back_refuses_a_tied_diamond():
     # An explicit raise, so the check also holds under `python -O`.
     cg = spf.CompiledGraph(diamond())
-    wunits = [1] * len(cg.tails)
-    dist = spf.dijkstra_units(cg, wunits, cg.index["s"])
+    _dist, counts, pred = spf.dijkstra_units(cg, [1] * len(cg.tails), cg.index["s"])
+    assert counts[cg.index["t"]] == 2
     with pytest.raises(RuntimeError, match="internal: .*non-unique"):
-        spf.walk_back_unique(cg, wunits, dist, cg.index["s"], cg.index["t"])
+        spf.walk_back_unique(cg, counts, pred, cg.index["s"], cg.index["t"])
+
+
+def test_dijkstra_counts_match_the_tight_dag_count():
+    # The counts kept as nodes settle equal a second pass over the tight
+    # links, and every node counted once walks back along tight links.
+    rng = random.Random(11)
+    for seed in range(40):
+        inst = small_random(seed, max_nodes=7)
+        cg = spf.CompiledGraph(inst)
+        link_of = {pair: e for e, pair in enumerate(zip(cg.tails, cg.heads))}
+        wunits = [rng.randint(1, 3) for _ in cg.tails]
+        for src in range(len(cg.nodes)):
+            dist, counts, pred = spf.dijkstra_units(cg, wunits, src)
+            assert counts == spf.count_paths_capped(cg, wunits, dist)
+            for dest in range(len(cg.nodes)):
+                if counts[dest] != 1:
+                    continue
+                path = spf.walk_back_unique(cg, counts, pred, src, dest)
+                assert (path[0], path[-1]) == (src, dest)
+                assert sum(wunits[link_of[step]] for step in zip(path, path[1:])) == dist[dest]
 
 
 def test_count_single_link():
@@ -77,7 +98,8 @@ def test_count_unreachable_is_an_error():
 
 
 def test_count_matches_enumeration_small():
-    # Exhaustive simple-path enumeration as the independent oracle.
+    # Exhaustive simple-path enumeration as the independent oracle, of the
+    # counts and of the routing: each demand's unique minimum simple path.
     rng = random.Random(7)
     for seed in range(40):
         inst = small_random(seed, max_nodes=6)
@@ -85,6 +107,7 @@ def test_count_matches_enumeration_small():
             p: Fraction(rng.randint(1, max(1, int(inst.w_max))))
             for p in inst.link_pairs()
         })
+        unique = {}
         for demand in inst.demands:
             paths = simple_paths(inst, demand.origin, demand.destination)
             lengths = []
@@ -94,6 +117,13 @@ def test_count_matches_enumeration_small():
             expected = min(2, sum(1 for v in lengths if v == best))
             got = spf.count_shortest_paths(inst, wv, demand.origin, demand.destination)
             assert got == expected
+            if expected == 1:
+                unique[(demand.origin, demand.destination)] = paths[lengths.index(best)]
+        if len(unique) == len(inst.demands):
+            assert spf.routing_from_weights(inst, wv).paths == unique
+        else:
+            with pytest.raises(NonUniqueRoutingError):
+                spf.routing_from_weights(inst, wv)
 
 
 def test_routing_diamond():
@@ -171,7 +201,7 @@ def forest_instance():
     (PATHS, {"s": FLOWS, "a": {}}, "origin 'a': no demands originate here"),
     (PATHS, {}, "origin 's': tree missing"),
     (PATHS, {"s": {**FLOWS, SA: 1}}, "link ('s', 'a') has flow 1, its paths carry 2"),
-    (PATHS, {"s": {**FLOWS, ("a", "t"): 0}}, "link ('a', 't') has flow 0, its paths carry None"),
+    (PATHS, {"s": {**FLOWS, ("a", "t"): 0}}, "link ('a', 't') has flow 0, its paths carry no flow"),
     ({**PATHS, ST: ("s", "b", "a", "t")},
      {"s": {("s", "b"): 1, ("b", "a"): 1, ("a", "t"): 1, SA: 2}},
      "origin 's': node 'a' is entered on 2 links"),
@@ -196,8 +226,8 @@ def test_forest_violations_rejects_a_flow_cycle_no_path_carries():
     forest = RoutingForest({"s": {ST: one, ("a", "b"): one, ("b", "a"): one}}, {ST: ("s", "t")})
     assert spf.evaluate_objective(inst, forest) == 3  # where the path carries 1
     assert spf.forest_violations(inst, forest) == [
-        "origin 's': link ('a', 'b') has flow 1, its paths carry None",
-        "origin 's': link ('b', 'a') has flow 1, its paths carry None",
+        "origin 's': link ('a', 'b') has flow 1, its paths carry no flow",
+        "origin 's': link ('b', 'a') has flow 1, its paths carry no flow",
     ]
 
 
@@ -383,8 +413,30 @@ def test_weight_validation_rejects_off_grid_and_missing():
 def test_unique_grid_routings_matches_oracle_point_by_point():
     # Each forest the public oracle routes uniquely on the grid is yielded
     # once, with the first vector routing it, in the order of those vectors.
-    for inst in (diamond(w_min=1, w_max=3), small_random(7), small_random(10)):
-        points = [Fraction(p) for p in range(1, int(inst.w_max) + 1)]
+    # Three routes s -> t on the grid {1, 3/2, 2}, beside a link t -> s on
+    # no path of s: s has three outcomes and (t, s) lies in no R_s.
+    three_routes = mk_instance(
+        ["s", "a", "b", "c", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10),
+         ("s", "c", 10), ("c", "t", 10), ("t", "s", 10)],
+        [("s", "t", 1)],
+        w_max=2, step=Fraction(1, 2),
+    )
+    cg = spf.CompiledGraph(three_routes)
+    assert 6 not in spf.relevant_links(cg, cg.index["s"], [cg.index["t"]])
+    assert len(list(spf.unique_grid_routings(three_routes, 10**6))) == 3
+    instances = [
+        diamond(w_min=1, w_max=3), small_random(7), small_random(10), three_routes,
+        *(generate_random_instance(3, 2, 2, w_max=3, seed=seed) for seed in range(8)),
+        *(generate_random_instance(3, 2, 3, w_min=2, w_max=5, weight_resolution=Fraction(3, 2),
+                                   seed=seed) for seed in range(4)),
+        *(generate_random_instance(4, 1.75, 2, w_max=3, seed=seed) for seed in (3, 5, 6)),
+        *(generate_random_instance(4, 2.5, 2, w_max=2, seed=seed) for seed in (3, 7)),
+        *(generate_random_instance(3, 2, 3, w_max=4, seed=seed) for seed in (0, 3)),
+        generate_random_instance(3, 2, 2, w_max=2, weight_resolution=Fraction(1, 2), seed=0),
+    ]
+    for inst in instances:
+        points = grid_points(inst.w_min, inst.w_max, inst.weight_resolution)
         pairs = inst.link_pairs()
         expected = []
         for combo in itertools.product(range(len(points)), repeat=len(pairs)):
