@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None,
                    help="decomposition only: master candidate limit (default: no limit)")
     p.add_argument("--time-limit", type=float, default=None,
-                   help="decomposition only: wall-time limit in seconds (default: no limit)")
+                   help="decomposition only: wall-time limit in seconds, checked before "
+                        "each master candidate, so a started weight recovery finishes "
+                        "(default: no limit)")
     p.add_argument("--grid-limit", type=int, default=None,
                    help=f"--oracle only: weight-vector limit (default: {spf.GRID_LIMIT})")
 

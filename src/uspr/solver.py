@@ -30,9 +30,9 @@ routing oracle: its weights must route exactly its forest, within capacity.
 
 The module also implements the structure mappings used by the property
 suites: loop stripping and path extraction by one forward walk per demand,
-the demand-to-origin aggregation (y = max x, f = sum d*x), the read-out of
-each demand's path from a forest `spf.forest_violations` accepts, and the
-sub-path check.
+the demand-to-origin mapping (a forest of the demands' paths), its inverse
+(each demand's path as its link set, from a forest `spf.forest_violations`
+accepts), and the sub-path check.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Limits of a decomposition solve.  eps and big_M are not settable: every
-    solve derives them from the instance (`models.resolve_params`).  Weight
+    """Limits of a decomposition solve.  Both are checked before each master
+    candidate, so a weight recovery that has started always finishes and
+    can overrun `time_limit`.  eps and big_M are not settable: every solve
+    derives them from the instance (`models.resolve_params`).  Weight
     recovery's branch-node budget is the constant `lp.MAX_BRANCH_NODES`."""
 
     node_limit: int | None = None
@@ -259,18 +261,14 @@ def demand_routing_violations(instance: Instance, routing: DemandRouting) -> lis
 
 
 def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingForest:
-    """Aggregate per-demand selections into per-origin trees.
-
-    A used link of the tree is any link used by some demand of the origin;
-    its flow is the bandwidth sum of the demands using it.  Requires a
-    loop-free, conservation-satisfying, sub-path-optimal routing.
-    """
+    """The forest of the demands' paths.  Requires a loop-free,
+    conservation-satisfying, sub-path-optimal routing."""
     paths = routing_paths(instance, routing)
     violations = subpath_optimality_check(instance, routing)
     if violations:
         v = violations[0]
         raise SubpathOptimalityError(v.origin, v.node)
-    forest = spf.forest_from_paths(instance, paths)
+    forest = RoutingForest(paths)
     leftover = spf.forest_violations(instance, forest)
     if leftover:
         raise RuntimeError(f"internal: aggregated forest invalid: {leftover}")
@@ -278,13 +276,9 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
 
 
 def origin_to_demand(instance: Instance, forest: RoutingForest) -> DemandRouting:
-    """Each demand's path, as its link set.
-
-    A forest that `spf.forest_violations` rejects raises
-    MalformedForestError listing the violations.  On an accepted forest
-    every tree link lies on a path and no node is entered on two links, so
-    walking a tree backward from a destination follows the demand's path.
-    """
+    """Each demand's path, as its link set.  A forest that
+    `spf.forest_violations` rejects raises MalformedForestError listing the
+    violations."""
     violations = spf.forest_violations(instance, forest)
     if violations:
         raise MalformedForestError("; ".join(violations))
@@ -305,7 +299,7 @@ class NoGoodCut:
 
 def cut_matches(cut: NoGoodCut, used_by_origin: Mapping[str, Collection[tuple[str, str]]]) -> bool:
     """Whether the cut forbids a forest whose origin s uses the links
-    `used_by_origin[s]` (a set, or `RoutingForest.flows[s]`)."""
+    `used_by_origin[s]`, as `RoutingForest.used_links(s)` reads them."""
     for s, pair, value in cut.bindings:
         if (pair in used_by_origin.get(s, ())) != bool(value):
             return False
@@ -482,7 +476,7 @@ def master_search(
                 instance.nodes[v] for v in streams[k].get(j)[0]
             )
             state = state[0]
-        return spf.forest_from_paths(instance, paths)
+        return RoutingForest(paths)
 
     # A state is (parent, demand k, path j, load, link loads, next-hop table);
     # a heap entry (bound, -k, tiebreak, parent, k, j) stands for extending
@@ -522,7 +516,8 @@ def master_search(
         if k + 1 == n_demands:
             stats["combinations"] += 1
             candidate = forest(state)
-            if not any(cut_matches(cut, candidate.flows) for cut in cuts):
+            used = {s: candidate.used_links(s) for s in origins}
+            if not any(cut_matches(cut, used) for cut in cuts):
                 yield candidate
             continue
         push(state, k + 1, 0)

@@ -14,11 +14,12 @@ that last reached each node, which the unique path walks back along.  The
 counts are validated against a second pass over the tight-link DAG
 (`count_paths_capped`) and against exhaustive path enumeration in the tests.
 
-A routing forest is its demands' paths: each origin's flows are the
-bandwidths of its demands' paths summed per link (`forest_from_paths`, the
-one builder every producer uses).  This module is the one place that
-judges a forest: `forest_violations` checks it against its own paths, and
-`check_capacity` and `evaluate_objective` evaluate it.
+A routing forest is its demands' paths and nothing else.  An origin uses a
+link when one of its demands' paths does, and its flow there is the summed
+bandwidth of those demands (`origin_flows`, the one place flows are
+derived).  This module is the one place that judges a forest:
+`forest_violations` checks its paths, and `check_capacity` and
+`evaluate_objective` evaluate it.
 
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
 an origin's routing depends only on the weights of the links that can lie
@@ -103,29 +104,26 @@ class PathLengths:
 
 @dataclass(frozen=True)
 class RoutingForest:
-    """Per-origin routing trees with aggregated flows plus per-demand paths.
+    """Per-demand routing paths: `paths[(s, t)]` is the node sequence routing
+    the demand s -> t.  Origin s's tree is the union of its demands' paths;
+    `origin_flows` sums their bandwidths per link."""
 
-    `paths[(s, t)]` is the node sequence routing the demand s -> t.
-    `flows[s][(i, j)]` is the paths' bandwidths summed per origin and link:
-    the total bandwidth of the demands from s whose paths use (i, j).  A
-    link is "used" by s exactly when it has an entry.
-    """
-
-    flows: dict[str, dict[tuple[str, str], Fraction]]
     paths: dict[tuple[str, str], tuple[str, ...]]
 
     def used_links(self, origin: str) -> set[tuple[str, str]]:
-        return set(self.flows.get(origin, {}))
+        """The links on the paths of `origin`'s demands."""
+        return {
+            pair for (s, _t), path in self.paths.items() if s == origin
+            for pair in zip(path, path[1:])
+        }
 
 
 def weight_violations(instance: Instance, weights: WeightVector) -> list[str]:
-    out = []
-    pairs = set(instance.link_pairs())
-    for pair in pairs:
-        if pair not in weights.values:
-            out.append(f"link {pair}: missing weight")
+    pairs = instance.link_pairs()
+    out = [f"link {pair}: missing weight" for pair in pairs if pair not in weights.values]
+    known = set(pairs)
     for pair, value in weights.values.items():
-        if pair not in pairs:
+        if pair not in known:
             out.append(f"link {pair}: not an instance link")
         elif not on_grid(value, instance.w_min, instance.w_max, instance.weight_resolution):
             out.append(f"link {pair}: weight {value} is not an admissible grid point")
@@ -433,7 +431,7 @@ def unique_grid_routings(
             for (outcomes, keys), outcome_id in zip(origins, key)
             for demand, path in zip(keys, outcomes[outcome_id])
         }
-        yield combo_found, forest_from_paths(instance, paths)
+        yield combo_found, RoutingForest(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +497,26 @@ def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingFo
                 raise NonUniqueRoutingError(demand)
             node_path = walk_back_unique(cg, counts, pred, src, di)
             paths[(origin, demand.destination)] = tuple(instance.nodes[i] for i in node_path)
-    return forest_from_paths(instance, paths)
+    return RoutingForest(paths)
+
+
+def origin_flows(instance: Instance, forest: RoutingForest) -> dict[str, dict[tuple[str, str], Fraction]]:
+    """Per origin, each link on its demands' paths with the summed bandwidth
+    of the demands whose paths use it.  Origins come in `instance.origins()`
+    order, links as the paths, in demand order, first reach them.  A demand
+    with no path adds nothing; paths keyed to no demand are not read."""
+    flows: dict[str, dict[tuple[str, str], Fraction]] = {o: {} for o in instance.origins()}
+    for demand in instance.demands:
+        path = forest.paths.get((demand.origin, demand.destination), ())
+        tree = flows[demand.origin]
+        for pair in zip(path, path[1:]):
+            tree[pair] = tree.get(pair, Fraction(0)) + demand.bandwidth
+    return flows
 
 
 def evaluate_objective(instance: Instance, forest: RoutingForest) -> Fraction:
     """Total carried load: the sum of all per-origin link flows."""
-    total = Fraction(0)
-    for tree in forest.flows.values():
-        for flow in tree.values():
-            total += flow
-    return total
+    return sum(link_loads(instance, forest).values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -522,9 +530,10 @@ class CapacityViolation:
         return self.load - self.capacity
 
 
-def link_loads(forest: RoutingForest) -> dict[tuple[str, str], Fraction]:
+def link_loads(instance: Instance, forest: RoutingForest) -> dict[tuple[str, str], Fraction]:
+    """Per link, the summed flows of all origins."""
     loads: dict[tuple[str, str], Fraction] = {}
-    for tree in forest.flows.values():
+    for tree in origin_flows(instance, forest).values():
         for pair, flow in tree.items():
             loads[pair] = loads.get(pair, Fraction(0)) + flow
     return loads
@@ -532,7 +541,7 @@ def link_loads(forest: RoutingForest) -> dict[tuple[str, str], Fraction]:
 
 def check_capacity(instance: Instance, forest: RoutingForest) -> list[CapacityViolation]:
     """Every link whose carried load strictly exceeds its capacity."""
-    loads = link_loads(forest)
+    loads = link_loads(instance, forest)
     out = []
     for link in instance.links:
         load = loads.get((link.tail, link.head), Fraction(0))
@@ -543,7 +552,7 @@ def check_capacity(instance: Instance, forest: RoutingForest) -> list[CapacityVi
 
 def max_utilization(instance: Instance, forest: RoutingForest) -> Fraction:
     """max over links of load/capacity; 0 when nothing is loaded."""
-    loads = link_loads(forest)
+    loads = link_loads(instance, forest)
     best = Fraction(0)
     caps = {(l.tail, l.head): l.capacity for l in instance.links}
     for pair, load in loads.items():
@@ -588,21 +597,17 @@ def inv_cap_weights(instance: Instance) -> WeightVector:
 
 
 def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
-    """Check a forest against its own paths; an empty list means valid.
+    """Check a forest's paths; an empty list means valid.
 
-    Three steps.  Each demand has one path, a simple path of instance links
-    from its origin to its destination; no path is keyed to a non-demand
-    and no tree belongs to a non-origin.  Each origin's flows are its paths'
-    bandwidths summed per link, as `forest_from_paths` builds them.  No
-    origin's tree enters a node on two links.  Flow conservation, flows in
-    (0, d_s], an unentered root and one entering link per destination all
-    follow.  Path problems end the check, as flows are compared only
-    against valid paths.
+    Two steps.  Each demand has one path, a simple path of instance links
+    from its origin to its destination, and no path is keyed to a
+    non-demand.  Then no origin's tree, the union of its demands' paths,
+    enters a node on two links.  Flow conservation, flows in (0, d_s], an
+    unentered root and one entering link per destination all follow.  Path
+    problems end the check.  Messages come in demand order.
     """
-    origins = instance.origins()
-    out = [f"origin {o!r}: no demands originate here" for o in forest.flows if o not in origins]
     wanted = {(d.origin, d.destination) for d in instance.demands}
-    out += [f"path {key}: no such demand" for key in forest.paths if key not in wanted]
+    out = [f"path {key}: no such demand" for key in forest.paths if key not in wanted]
     pairs = set(instance.link_pairs())
     for demand in instance.demands:
         key = (demand.origin, demand.destination)
@@ -617,36 +622,11 @@ def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
             out.append(f"path {key}: uses a link that is not an instance link")
     if out:
         return out
-    for origin, want in forest_from_paths(instance, forest.paths).flows.items():
-        tree = forest.flows.get(origin)
-        if tree is None:
-            out.append(f"origin {origin!r}: tree missing")
-        else:
-            for pair in sorted(tree.keys() | want.keys()):
-                have, carried = tree.get(pair), want.get(pair)
-                if have != carried:
-                    have = "no flow" if have is None else f"flow {have}"
-                    carried = "no flow" if carried is None else carried
-                    out.append(f"origin {origin!r}: link {pair} has {have}, "
-                               f"its paths carry {carried}")
-        for node, n in Counter(j for _i, j in want).items():
+    for origin, tree in origin_flows(instance, forest).items():
+        for node, n in Counter(j for _i, j in tree).items():
             if n > 1:
                 out.append(f"origin {origin!r}: node {node!r} is entered on {n} links")
     return out
-
-
-def forest_from_paths(instance: Instance, paths: dict[tuple[str, str], tuple[str, ...]]) -> RoutingForest:
-    """Aggregate per-demand node paths into per-origin trees with flows."""
-    flows: dict[str, dict[tuple[str, str], Fraction]] = {o: {} for o in instance.origins()}
-    by_key = {(d.origin, d.destination): d for d in instance.demands}
-    for key, path in paths.items():
-        demand = by_key.get(key)
-        if demand is None:
-            raise ValueError(f"path {key}: no such demand")
-        tree = flows[demand.origin]
-        for a, b in zip(path, path[1:]):
-            tree[(a, b)] = tree.get((a, b), Fraction(0)) + demand.bandwidth
-    return RoutingForest(flows=flows, paths=dict(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +666,7 @@ def render_forest(instance: Instance, forest: RoutingForest) -> str:
             f"demand {demand.origin}->{demand.destination} "
             f"(bandwidth {format_number(demand.bandwidth)}): {route}"
         )
-    for origin in instance.origins():
-        tree = forest.flows.get(origin, {})
+    for origin, tree in origin_flows(instance, forest).items():
         lines.append(f"origin {origin}:")
         for (a, b), flow in sorted(tree.items()):
             lines.append(f"  link {a}->{b} flow {format_number(flow)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from uspr import spf
 from uspr.instance import Demand, Instance, Link, generate_random_instance
 from uspr.solver import DemandRouting
 
@@ -164,8 +165,7 @@ def assert_endpoint_conditions(instance: Instance, routing: DemandRouting, fores
         in_at_dest = sum(1 for (_, j) in links if j == demand.destination)
         out_at_dest = sum(1 for (i, _) in links if i == demand.destination)
         assert (in_at_dest, out_at_dest) == (1, 0)
-    for origin in instance.origins():
-        tree = forest.flows[origin]
+    for origin, tree in spf.origin_flows(instance, forest).items():
         inflow = sum((f for (i, j), f in tree.items() if j == origin), Fraction(0))
         outflow = sum((f for (i, j), f in tree.items() if i == origin), Fraction(0))
         assert inflow == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_routings, diamond, small_random, two_node
+from conftest import all_routings, diamond, mk_instance, small_random, two_node
 from uspr import lp, models, solver, spf
 from uspr.instance import generate_random_instance
 from uspr.lp import (
@@ -180,10 +180,7 @@ def test_recover_single_link_trivial():
 
 def test_recover_forced_long_path_with_fixed_weights_infeasible():
     inst = diamond(w_min=2, w_max=2)
-    forced = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
+    forced = RoutingForest({("s", "t"): ("s", "a", "t")})
     result = recover_weights(inst, forced)
     assert result.status == "lp_infeasible" and result.bindings
     cut = solver.NoGoodCut(result.bindings)
@@ -198,13 +195,14 @@ def test_recover_forced_long_path_with_fixed_weights_infeasible():
 
 def test_recover_subpath_violating_forest_always_infeasible():
     # Two used incoming links at one node for the same origin contradict the
-    # strict/equality pair regardless of the weights.
-    inst = diamond()
-    bad = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1),
-                     ("s", "b"): F(1), ("b", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
+    # strict/equality pair regardless of the weights: s's paths enter a from
+    # s and from b.
+    inst = mk_instance(
+        ["s", "a", "b", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "a", 10)],
+        [("s", "t", 1), ("s", "a", 1)],
     )
+    bad = RoutingForest({("s", "t"): ("s", "a", "t"), ("s", "a"): ("s", "b", "a")})
     assert recover_weights(inst, bad).status == "lp_infeasible"
 
 

@@ -1,20 +1,25 @@
 """Differential test: the exported DBM/OBM, solved by HiGHS, against benders.
 
-scipy is an optional test dependency; the module skips when it is missing.
+Each model is solved as the LP text `uspr export` writes for it, read back
+by `parse_lp`, so HiGHS checks the exported bytes.  scipy is an optional
+test dependency; the module skips when it is missing.
 """
 
 import pytest
 
 from conftest import coarse_grid_triangle, small_random
-from uspr.models import build_dbm, build_obm
+from uspr.models import build_dbm, build_obm, export_lp, parse_lp
 from uspr.solver import benders_solve
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
 
 
-def solve_milp(model):
-    """Minimize the model with HiGHS; None when it is infeasible."""
+def solve_milp(built):
+    """Minimize the built model's exported text with HiGHS; None when it is
+    infeasible.  The text must read back as the built model."""
+    model = parse_lp(export_lp(built))
+    assert model == built
     index = {v.name: k for k, v in enumerate(model.variables)}
     n = len(index)
     cost = np.zeros(n)

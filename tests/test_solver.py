@@ -144,8 +144,7 @@ def test_demand_to_origin_aggregates_flows():
     inst = shared_link_instance()
     routing = DemandRouting((pathset(("s", "a")), pathset(("s", "a"), ("a", "t"))))
     forest = demand_to_origin(inst, routing)
-    assert forest.flows["s"][("s", "a")] == 3
-    assert forest.flows["s"][("a", "t")] == 2
+    assert spf.origin_flows(inst, forest) == {"s": {("s", "a"): 3, ("a", "t"): 2}}
     assert spf.forest_violations(inst, forest) == []
 
 
@@ -154,7 +153,7 @@ def test_demand_to_origin_single_demand():
     routing = DemandRouting((pathset(("s", "b"), ("b", "t")),))
     forest = demand_to_origin(inst, routing)
     assert forest.paths[("s", "t")] == ("s", "b", "t")
-    assert forest.flows["s"] == {("s", "b"): F(1), ("b", "t"): F(1)}
+    assert spf.origin_flows(inst, forest) == {"s": {("s", "b"): F(1), ("b", "t"): F(1)}}
 
 
 def test_demand_to_origin_raises_when_its_forest_fails_the_check(monkeypatch):
@@ -226,41 +225,25 @@ def test_subpath_check_single_demand_empty():
 
 def test_origin_to_demand_diamond():
     inst = diamond()
-    forest = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
+    forest = RoutingForest({("s", "t"): ("s", "a", "t")})
     routing = origin_to_demand(inst, forest)
     assert routing.links == (pathset(("s", "a"), ("a", "t")),)
 
 
 def test_origin_to_demand_adjacent_destination():
     inst = two_node()
-    forest = RoutingForest(
-        flows={"a": {("a", "b"): F(1)}}, paths={("a", "b"): ("a", "b")}
-    )
+    forest = RoutingForest({("a", "b"): ("a", "b")})
     assert origin_to_demand(inst, forest).links == (pathset(("a", "b")),)
 
 
 def test_origin_to_demand_malformed_forests():
-    # The walk's three defects: a path node no tree link enters, a node
-    # entered on two links, and a cycle.
-    inst = diamond()
-    no_inlink = RoutingForest(
-        flows={"s": {("s", "a"): F(1)}}, paths={("s", "t"): ("s", "a", "t")}
-    )
-    with pytest.raises(MalformedForestError,
-                       match=r"link \('a', 't'\) has no flow, its paths carry 1"):
-        origin_to_demand(inst, no_inlink)
+    # A node entered on two links, and a path with a cycle.
     two_demands = mk_instance(
         ["s", "a", "b", "t"],
         [("s", "a", 1), ("a", "t", 1), ("s", "b", 1), ("b", "t", 1), ("b", "a", 1)],
         [("s", "t", 1), ("s", "a", 1)],
     )
-    two_inlinks = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "t"): F(1), ("s", "b"): F(1), ("b", "a"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t"), ("s", "a"): ("s", "b", "a")},
-    )
+    two_inlinks = RoutingForest({("s", "t"): ("s", "a", "t"), ("s", "a"): ("s", "b", "a")})
     with pytest.raises(MalformedForestError, match="node 'a' is entered on 2 links"):
         origin_to_demand(two_demands, two_inlinks)
     cyc = mk_instance(
@@ -268,23 +251,9 @@ def test_origin_to_demand_malformed_forests():
         [("s", "a", 1), ("a", "b", 1), ("b", "a", 1), ("a", "t", 1), ("b", "t", 1)],
         [("s", "t", 1)],
     )
-    cyclic = RoutingForest(
-        flows={"s": {("s", "a"): F(1), ("a", "b"): F(1), ("b", "a"): F(1), ("a", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "b", "a", "t")},
-    )
+    cyclic = RoutingForest({("s", "t"): ("s", "a", "b", "a", "t")})
     with pytest.raises(MalformedForestError, match=r"path \('s', 't'\): repeats a node"):
         origin_to_demand(cyc, cyclic)
-
-
-def test_origin_to_demand_refuses_flows_that_are_not_its_paths():
-    # The flows take s-b-t, the path s-a-t: a backward walk over the flows
-    # would read s-b-t, but the forest is not its paths.
-    forest = RoutingForest(
-        flows={"s": {("s", "b"): F(1), ("b", "t"): F(1)}},
-        paths={("s", "t"): ("s", "a", "t")},
-    )
-    with pytest.raises(MalformedForestError, match=r"link \('s', 'b'\) has flow 1"):
-        origin_to_demand(diamond(), forest)
 
 
 def complete_digraph(names, demands):
@@ -383,7 +352,7 @@ def test_master_cut_prunes_once_its_origins_are_complete():
 def test_master_demand_free_instance_yields_one_empty_forest():
     inst = mk_instance("ab", [("a", "b", 1)], [])
     stats = {}
-    assert list(master_search(inst, stats=stats)) == [RoutingForest({}, {})]
+    assert list(master_search(inst, stats=stats)) == [RoutingForest({})]
     assert stats["combinations"] == 1
     assert list(master_search(inst, cuts=[solver.NoGoodCut(frozenset())])) == []
     for result in (benders_solve(inst), brute_force_solve(inst)):
@@ -464,6 +433,30 @@ def test_master_emits_every_consistent_routing_once():
         got = [(spf.evaluate_objective(inst, c), sorted(c.paths.items())) for c in master_search(inst)]
         assert [objective for objective, _ in got] == [objective for objective, _ in expected]
         assert sorted(got) == expected
+
+
+def test_master_and_grid_forests_derive_their_objective_and_flows():
+    # A forest stores only its paths.  The objective summed over its flows
+    # is its routing's, and each origin's flows meet OBM's `fc` rows: at
+    # every node, inflow minus outflow is the node's net demand.
+    checked = 0
+    for seed in range(40):
+        inst = small_random(seed)
+        forests = list(master_search(inst))
+        forests += [f for _combo, f in spf.unique_grid_routings(inst, spf.GRID_LIMIT)]
+        for forest in forests:
+            routing = origin_to_demand(inst, forest)
+            assert spf.evaluate_objective(inst, forest) == routing_objective(inst, routing)
+            for origin, tree in spf.origin_flows(inst, forest).items():
+                net = {d.destination: d.bandwidth for d in inst.demands_from(origin)}
+                net[origin] = -inst.origin_bandwidth(origin)
+                balance = dict.fromkeys(inst.nodes, F(0))
+                for (i, j), flow in tree.items():
+                    balance[j] += flow
+                    balance[i] -= flow
+                assert balance == {node: net.get(node, F(0)) for node in inst.nodes}
+            checked += 1
+    assert checked > 100, checked
 
 
 def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
@@ -750,7 +743,7 @@ def test_brute_force_matches_naive_reference_loop():
         assert (got.status, got.objective, got.weights, got.forest,
                 got.diagnostics.iterations) == naive_brute_force(inst)
     assert brute_force_solve(over_capacity).status == "Infeasible"
-    loads = spf.link_loads(brute_force_solve(load_at_capacity).forest)
+    loads = spf.link_loads(load_at_capacity, brute_force_solve(load_at_capacity).forest)
     assert loads[("s", "a")] == F(3, 2) and loads[("a", "t")] == 2
     zero = brute_force_solve(zero_demand)
     assert zero.objective == 0
@@ -849,7 +842,7 @@ def test_brute_force_rejects_weights_that_route_another_forest(monkeypatch):
     def wrong(instance, weights):
         forest = route(instance, weights)
         other = _other_diamond_path(forest.paths[("s", "t")])
-        return spf.forest_from_paths(instance, {("s", "t"): other})
+        return RoutingForest({("s", "t"): other})
 
     monkeypatch.setattr(spf, "routing_from_weights", wrong)
     with pytest.raises(RuntimeError):
