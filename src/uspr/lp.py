@@ -19,14 +19,14 @@ Feasible results are read off as `Fraction`s and verified by direct
 substitution before they are returned.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
-path-length system with the eps and big_M that `models.resolve_params`
-derives from the instance, snap its weights to the grid, and when the snap
-misses the forest, branch and bound on the weight grid.  The system is
-OBM's path-length block with the forest's routing binaries fixed, written
-by the models' builder (`path_length_system`).  With eps the gcd of
-w_min and the resolution, the system holds at grid weights exactly when they
-realize the forest, so an integral node is a witness and a search whose
-leaves are all infeasible proves that no grid weights realize the forest.
+path-length system, snap its weights to the grid, and when the snap misses
+the forest, branch and bound on the weight grid.  The system is OBM's
+path-length block with the forest's routing binaries fixed, written by the
+models' builder with the eps and big_M it derives from the instance
+(`path_length_system`).  With eps the gcd of w_min and the resolution, the
+system holds at grid weights exactly when they realize the forest, so an
+integral node is a witness and a search whose leaves are all infeasible
+proves that no grid weights realize the forest.
 `lp_infeasible` (the continuous system has no solution) is reported
 distinctly from `grid_infeasible` (it has solutions, but none on the grid).
 
@@ -42,13 +42,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .instance import Instance
-from .models import Constraint, Variable, _ModelBuilder, resolve_params, table_violations
+from .models import Binding, Constraint, Variable, _ModelBuilder, table_violations
 from .rational import grid_size, snap_to_grid
 from . import spf
 from .spf import RoutingForest, WeightVector
-
-# A routing binary fixed by a forest: (origin, link, 0 or 1).
-Binding = tuple[str, tuple[str, str], int]
 
 
 class SimplexResourceError(RuntimeError):
@@ -431,43 +428,31 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
 
 
 def path_length_system(
-    instance: Instance,
-    forest: RoutingForest,
-    eps: Fraction,
-    big_M: Fraction,
+    instance: Instance, forest: RoutingForest
 ) -> tuple[LinearSystem, dict[str, frozenset[Binding]]]:
     """OBM's path-length block with the routing binaries fixed by the forest.
 
-    The rows are built by `models._ModelBuilder`, with each origin's binary
-    `y_<s>_<i>_<j>` fixed at 1 on the forest's links and at 0 elsewhere;
-    eps and big_M must pass `models.resolve_params`.  Returns the system
-    plus row metadata: each row name maps to the (origin, link, value)
-    bindings of the binaries folded into the row.  A `pl_ub` row on (i, j)
-    depends on every other link into j (its own binary cancels from the
-    row), a `pl_lb` row only on (i, j) being used.
+    The rows are built by `models._ModelBuilder` with the instance's eps and
+    big_M, each origin's binary on a link bound to 1 on the forest's links
+    and to 0 elsewhere.  The system's first |L| variables are the link
+    weights, in instance link order.  Returns the system plus row metadata:
+    each row name maps to the (origin, link, value) bindings folded into the
+    row.  A `pl_ub` row on (i, j) depends on every other link into j (its
+    own binary cancels from the row), a `pl_lb` row only on (i, j) being
+    used.
 
     The lower-bound rows of unused links are omitted: for any weights that
     satisfy the remaining rows, the exact shortest distances satisfy them
     too, since d_i + w_ij - d_j <= (|N|-1)*w_max < big_M.  So dropping them
     changes no feasibility answer.
     """
+    b = _ModelBuilder(instance, fixed=True)
+    b.lengths()
     pairs = instance.link_pairs()
-    routes: dict[str, dict[tuple[str, str], str]] = {}
-    fixed: dict[str, int] = {}
-    binding: dict[str, Binding] = {}
     for s in instance.origins():
         used = forest.used_links(s)
-        route = routes[s] = {}
-        for pair in pairs:
-            name = route[pair] = f"y_{s}_{pair[0]}_{pair[1]}"
-            value = fixed[name] = 1 if pair in used else 0
-            binding[name] = (s, pair, value)
-    b = _ModelBuilder(instance, eps, big_M, fixed)
-    b.lengths()
-    for s, route in routes.items():
-        b.path_length(s, s, route)
-    meta = {row: frozenset(binding[v] for v in folded) for row, folded in b.folded.items()}
-    return LinearSystem(tuple(b.variables), tuple(b.constraints)), meta
+        b.path_length(s, s, {pair: (s, pair, 1 if pair in used else 0) for pair in pairs})
+    return LinearSystem(tuple(b.variables), tuple(b.constraints)), b.bindings
 
 
 def row_bindings(
@@ -514,14 +499,16 @@ class WeightRecovery:
         return self.status == "ok"
 
 
-def _snap_vector(instance: Instance, assignment: dict[str, Fraction]) -> WeightVector:
-    values = {}
-    for link in instance.links:
-        raw = assignment[f"w_{link.tail}_{link.head}"]
-        values[(link.tail, link.head)] = snap_to_grid(
-            raw, instance.w_min, instance.w_max, instance.weight_resolution
+def _snap_vector(
+    instance: Instance, system: LinearSystem, assignment: dict[str, Fraction]
+) -> WeightVector:
+    """The system's link weights (its first |L| variables) snapped to the grid."""
+    return WeightVector({
+        (link.tail, link.head): snap_to_grid(
+            assignment[weight.name], instance.w_min, instance.w_max, instance.weight_resolution
         )
-    return WeightVector(values)
+        for link, weight in zip(instance.links, system.variables)
+    })
 
 
 def _matches_forest(instance: Instance, weights: WeightVector, forest: RoutingForest) -> bool:
@@ -537,8 +524,8 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
 
     Write each weight as w_e = w_min + res*n_e, with n_e an integer in
     [0, N] and N = grid size - 1.  With eps = gcd(w_min, res), the instance's
-    default (`models.resolve_params`), `path_length_system` is feasible at
-    grid weights exactly when those weights realize the forest:
+    default, `path_length_system` is feasible at grid weights exactly when
+    those weights realize the forest:
 
     - if it is feasible, the potentials l are at most the true distances d
       (every link has a `pl_ub` row and l_s = 0) and equal them along the
@@ -555,7 +542,9 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     then w_e >= w_min + res*ceil(n_e), unless that passes the last grid
     point.  Every node tries the snap ("branch").  By the argument above an
     LP point with every weight on the grid realizes the forest, so it ends
-    the search.  Branching changes variable bounds only, which depend on no
+    the search.  The system's first |L| variables are the link weights, in
+    instance link order, so a link's position there is its branch variable.
+    Branching changes variable bounds only, which depend on no
     routing binary: each leaf is infeasible on its core's rows alone, so
     every forest sharing the union of the leaves' `row_bindings` fails the
     same tree, and the union is a sound no-good cut.  The root is solved by
@@ -566,11 +555,10 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.
     """
-    eps, big_M = resolve_params(instance, None, None)
-    system, meta = path_length_system(instance, forest, eps, big_M)
+    system, meta = path_length_system(instance, forest)
     w_min, res = instance.w_min, instance.weight_resolution
     last = grid_size(w_min, instance.w_max, res) - 1
-    position = {v.name: k for k, v in enumerate(system.variables)}
+    weights = system.variables[: len(instance.links)]
     lp_solves = pivots = 0
     leaves: list[tuple[LinearSystem, Infeasible]] = []
 
@@ -591,17 +579,15 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
                 return outcome("lp_infeasible", bindings=row_bindings(meta, result.conflict_core))
             leaves.append((node, result))
             continue
-        snapped = _snap_vector(instance, result.assignment)
+        snapped = _snap_vector(instance, system, result.assignment)
         if _matches_forest(instance, snapped, forest):
             return outcome("ok", snapped, "direct" if lp_solves == 1 else "branch")
-        for link in instance.links:
-            name = f"w_{link.tail}_{link.head}"
-            n = (result.assignment[name] - w_min) / res
+        for k, weight in enumerate(weights):
+            n = (result.assignment[weight.name] - w_min) / res
             if n.denominator != 1:
                 break
         else:
             raise RuntimeError("internal: on-grid LP weights do not realize the forest")
-        k = position[name]
         if math.ceil(n) <= last:
             up = replace(variables[k], lb=w_min + res * math.ceil(n))
             stack.append(variables[:k] + (up,) + variables[k + 1 :])

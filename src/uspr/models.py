@@ -17,8 +17,9 @@ variables, and emits one routing tree's conservation rows and path-length
 pairs.  DBM has a tree per demand (routed by `x`), OBM a tree per origin
 (routed by `y`, carrying flow `f`).  The builder also writes the weight
 recovery subproblem of the decomposition (`lp.path_length_system`): OBM's
-path-length block with every routing binary fixed by a candidate forest,
-each fixed binary folded into its row's right-hand side.  With `master`, a
+path-length block with every routing binary replaced by a candidate forest's
+binding (origin, link, 0 or 1), each binding folded into its row's
+right-hand side and recorded as that row's.  With `master`, a
 builder emits only its formulation's `_MASTER_FAMILIES`, and the structure
 report is read from the declared `_COUPLINGS`, so neither needs the full
 model.
@@ -51,6 +52,9 @@ from .rational import format_number, frac_gcd, parse_number
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+# A routing binary fixed by a forest: (origin, link, 0 or 1).
+Binding = tuple[str, tuple[str, str], int]
 
 
 class ModelParameterError(ValueError):
@@ -164,16 +168,17 @@ class _ModelBuilder:
     both formulations: weights and lengths, and per routing tree the flow
     conservation rows and the path-length pairs.
 
-    `fixed` maps routing binaries to 0 or 1.  A fixed binary is never
-    declared: `row` moves its term into the rhs and records its name in
-    `folded[row name]`.
+    With `fixed`, a routing tree's binaries are bindings: its route maps
+    each link to a `Binding` instead of a variable name.  `row` folds the
+    binding terms into the rhs (a binding at 1 subtracts its coefficient, one
+    at 0 leaves the rhs alone) and records them in `bindings[row name]`.
 
     `families`, when given, is a `_MASTER_FAMILIES` entry: the builders then
     emit only the variable and row families it names (`emits`).
     """
 
     def __init__(
-        self, instance: Instance, eps, big_M, fixed: dict[str, int] | None = None,
+        self, instance: Instance, eps=None, big_M=None, fixed: bool = False,
         families: tuple[set[str], set[str]] | None = None,
     ) -> None:
         self.instance = instance
@@ -183,8 +188,8 @@ class _ModelBuilder:
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
-        self.fixed = fixed or {}
-        self.folded: dict[str, list[str]] = {}
+        self.fixed = fixed
+        self.bindings: dict[str, frozenset[Binding]] = {}
         self.families = None if families is None else families[0] | families[1]
 
     def emits(self, family: str) -> bool:
@@ -196,13 +201,16 @@ class _ModelBuilder:
         self.variables.append(Variable(name, kind, lb, ub))
         return name
 
-    def row(self, name: str, coeffs: dict[str, Fraction], sense: str, rhs: Fraction) -> None:
+    def row(
+        self, name: str, coeffs: dict[str | Binding, Fraction], sense: str, rhs: Fraction
+    ) -> None:
         if self.fixed:
-            folded = self.folded[name] = [v for v in coeffs if v in self.fixed]
-            for v in folded:
-                if self.fixed[v]:
+            bound = [v for v in coeffs if type(v) is tuple]
+            for v in bound:
+                if v[2]:
                     rhs -= coeffs[v]
                 del coeffs[v]
+            self.bindings[name] = frozenset(bound)
         terms = tuple([
             (v, c) for v in sorted(coeffs, key=self.index.__getitem__) if (c := coeffs[v])
         ])
@@ -252,7 +260,7 @@ class _ModelBuilder:
     def path_length(self, key, origin: str, route: dict) -> None:
         """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin.
 
-        The `pl_lb` row of a link whose binary is fixed at 0 is not emitted;
+        The `pl_lb` row of a link bound to 0 is not emitted;
         `lp.path_length_system` says why it is implied.
         """
         length = self.l[origin]
@@ -266,7 +274,7 @@ class _ModelBuilder:
                 if other is not link:
                     coeffs[route[(other.tail, other.head)]] = self.eps
             self.row(f"pl_ub_{key}_{i}_{j}", coeffs, "<=", _ZERO)
-            if self.fixed.get(route[(i, j)]) == 0:
+            if self.fixed and not route[(i, j)][2]:
                 continue
             # l_j >= l_i + w_ij - M * (1 - route_ij)
             q[route[(i, j)]] = minus_big_M

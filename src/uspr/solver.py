@@ -141,7 +141,7 @@ def _balance_violations(instance: Instance, routing: DemandRouting) -> list[str]
     link_set = set(instance.link_pairs())
     for k, (demand, links) in enumerate(zip(instance.demands, routing.links)):
         net: Counter[str] = Counter()
-        for pair in links:
+        for pair in sorted(links):
             if pair not in link_set:
                 out.append(f"demand {k}: {pair} is not an instance link")
             net[pair[1]] += 1

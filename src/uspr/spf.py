@@ -466,8 +466,6 @@ def count_shortest_paths(
     idx = instance.node_index()
     if origin not in idx or destination not in idx:
         raise ValueError("unknown origin or destination node")
-    if origin == destination:
-        return 1
     cg = CompiledGraph(instance)
     wunits, _scale = scale_weights(instance, weights)
     _dist, counts, _pred = dijkstra_units(cg, wunits, cg.index[origin])

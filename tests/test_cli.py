@@ -229,6 +229,44 @@ def test_validate_link_with_unknown_endpoint_and_routable_demand(tmp_path, capsy
     assert "links[1]: unknown head node 'z'" in capsys.readouterr().out
 
 
+_TWO_NODE_TEXT = (
+    '{"nodes": ["a", "b"], "links": [{"tail": "a", "head": "b", "capacity": 10}], '
+    '"demands": [{"origin": "a", "destination": "b", "bandwidth": 1}], '
+    '"w_min": 1, "w_max": 10, "weight_resolution": 1}'
+)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ('"links": [', '"links": [{"tail": "x", "head": "b", "capacity": 1}, ',
+     "links[0]: unknown tail node 'x'"),
+    ('"origin": "a"', '"origin": "x"', "demands[0]: unknown origin node 'x'"),
+    ('"destination": "b"', '"destination": "x"', "demands[0]: unknown destination node 'x'"),
+    ('["a", "b"]', '["a", "b", "a"]', "nodes[2]: duplicate node id 'a'"),
+    ('"bandwidth": 1', '"bandwidth": 0', "demands[0]: bandwidth must be positive, got 0"),
+])
+def test_validate_prints_each_violation(tmp_path, capsys, old, new, line):
+    path = tmp_path / "bad.json"
+    path.write_text(_TWO_NODE_TEXT.replace(old, new, 1))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (_TWO_NODE_TEXT, f"[{_TWO_NODE_TEXT}]", "top level must be a JSON object"),
+    ('["a", "b"]', '["a", 1]', "nodes: must be an array of string ids"),
+    ('"links": [{"tail": "a", "head": "b", "capacity": 10}]', '"links": {}',
+     "links: must be an array"),
+    ('[{"tail": "a", "head": "b", "capacity": 10}]', '["ab"]', "links[0]: must be an object"),
+    ('"tail": "a"', '"tail": 1', "links[0]: tail and head must be strings"),
+    ('"head": "b"', '"head": null', "links[0]: tail and head must be strings"),
+])
+def test_validate_refuses_malformed_text(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.json"
+    path.write_text(_TWO_NODE_TEXT.replace(old, new, 1))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_capacity_violation_table(tmp_path, capsys):
     instance = mk_instance("ab", [("a", "b", 2)], [("a", "b", 3)])
     inst = write_instance(tmp_path, instance)

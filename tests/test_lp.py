@@ -154,11 +154,13 @@ def test_recover_weights_diamond():
     assert spf.routing_from_weights(inst, result.weights) == forest
 
 
-def test_recover_diamond_system_feasible_with_half_eps():
+def test_recover_diamond_system_admits_hand_witness():
     inst = diamond()
     forest = forest_via(inst, {("s", "a"): F(1), ("a", "t"): F(1),
                                ("s", "b"): F(1), ("b", "t"): F(2)})
-    system, _ = path_length_system(inst, forest, Fraction(1, 2), F(31))
+    system, _ = path_length_system(inst, forest)
+    # the weights come first, in instance link order
+    assert [v.name for v in system.variables[:4]] == ["w_s_a", "w_a_t", "w_s_b", "w_b_t"]
     result = solve_feasibility(system)
     assert result.feasible
     # the hand witness is admissible for this system
@@ -368,10 +370,10 @@ def test_recover_stage_progression():
     # weights it finds are verified through the oracle.
     inst = generate_random_instance(4, 1.5, 3, w_min=2, w_max=5, weight_resolution=3, seed=4)
     forest = next(solver.master_search(inst))
-    system, _ = path_length_system(inst, forest, *models.resolve_params(inst, None, None))
+    system, _ = path_length_system(inst, forest)
     root = solve_feasibility(system)
     assert root.feasible
-    assert not lp._matches_forest(inst, lp._snap_vector(inst, root.assignment), forest)
+    assert not lp._matches_forest(inst, lp._snap_vector(inst, system, root.assignment), forest)
     result = recover_weights(inst, forest)
     assert result.ok and result.stage == "branch"
     assert result.lp_solves == 6
@@ -450,9 +452,9 @@ def test_vacuous_rows_do_not_change_answers():
     feasible_seen = infeasible_seen = 0
     for seed in range(15):
         inst = small_random(seed)
-        eps, big_M = models.resolve_params(inst, None, None)
+        _, big_M = models.resolve_params(inst, None, None)
         for forest in itertools.islice(master_search(inst), 4):
-            system, _ = path_length_system(inst, forest, eps, big_M)
+            system, _ = path_length_system(inst, forest)
             slim = solve_feasibility(system).feasible
             full = solve_feasibility(
                 _with_vacuous_rows(inst, forest, system, big_M)
@@ -469,11 +471,10 @@ def test_cores_irreducible_and_cuts_sound_on_random_instances():
     infeasible_seen = other_cut = 0
     for seed in range(7):
         inst = generate_random_instance(5, 2, 3, seed=seed, capacity_range=(5, 20))
-        eps, big_M = models.resolve_params(inst, None, None)
         forests = _cheapest_forests(inst, 8)
         solved = []
         for forest in forests:
-            system, meta = path_length_system(inst, forest, eps, big_M)
+            system, meta = path_length_system(inst, forest)
             for name, bindings in meta.items():
                 # A pl_ub row's own binary cancels from its rhs.
                 if name.startswith("pl_ub_"):
@@ -509,7 +510,6 @@ def test_path_length_system_is_obm_block_with_fixed_binaries():
     # each row's meta is exactly the binaries substituted into it.
     seen = 0
     for inst, forests in _recovery_candidates():
-        eps, big_M = models.resolve_params(inst, None, None)
         obm = models.build_obm(inst)
         pl_rows = [c for c in obm.constraints if c.name.startswith("pl_")]
         for forest in forests:
@@ -527,7 +527,7 @@ def test_path_length_system_is_obm_block_with_fixed_binaries():
                 if c.name.startswith("pl_lb_") and {v for _, _, v in substituted} == {0}:
                     continue
                 expected.append((c.name, frozenset(terms), c.sense, rhs, frozenset(substituted)))
-            system, meta = path_length_system(inst, forest, eps, big_M)
+            system, meta = path_length_system(inst, forest)
             got = [(r.name, frozenset(r.terms), r.sense, r.rhs, meta[r.name]) for r in system.rows]
             assert got == expected
             assert set(meta) == {r.name for r in system.rows}
@@ -543,7 +543,7 @@ def test_path_length_rows_match_linearization_cases():
         eps, big_M = models.resolve_params(inst, None, None)
         into = inst.in_links()
         for forest in forests:
-            system, _ = path_length_system(inst, forest, eps, big_M)
+            system, _ = path_length_system(inst, forest)
             for r in system.rows:
                 _, bound, s, i, j = r.name.split("_")
                 used = forest.used_links(s)
@@ -554,11 +554,3 @@ def test_path_length_rows_match_linearization_cases():
                 assert r.rhs == (case.upper if bound == "ub" else case.lower)
                 assert bound == "ub" or case.relation == "equal"
     assert relations == {"equal", "strict", "slack"}
-
-
-def test_path_length_system_rejects_eps_above_grid_gap():
-    inst = generate_random_instance(5, 2, 3, seed=0, w_min=2, w_max=5, weight_resolution=3)
-    forest = next(solver.master_search(inst))
-    eps, big_M = models.resolve_params(inst, None, None)
-    with pytest.raises(models.ModelParameterError):
-        path_length_system(inst, forest, eps * 2, big_M + eps)

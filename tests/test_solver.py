@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import lp, models, solver, spf
+from uspr import lp, solver, spf
 from uspr.instance import generate_random_instance
 from uspr.rational import grid_points
 from uspr.solver import (
@@ -102,6 +106,68 @@ def test_strip_randomized_loop_injection():
         assert solver._balance_violations(inst, stripped) == []
         assert routing_objective(inst, stripped) < routing_objective(inst, looped)
     assert done >= 50
+
+
+# Four links the diamond lacks, in a balanced s -> t selection.
+_FOREIGN_SELECTION = (("s", "t"), ("a", "b"), ("b", "a"), ("t", "b"), ("b", "t"))
+_FOREIGN_MESSAGE = "; ".join(
+    f"demand 0: {pair} is not an instance link"
+    for pair in (("a", "b"), ("b", "a"), ("s", "t"), ("t", "b"))
+)
+
+
+def test_non_instance_links_are_listed_in_sorted_order():
+    inst = diamond()
+    routing = DemandRouting((frozenset(_FOREIGN_SELECTION),))
+    for check in (strip_loops, solver.routing_paths, demand_to_origin):
+        with pytest.raises(ConservationError) as info:
+            check(inst, routing)
+        assert str(info.value) == _FOREIGN_MESSAGE
+
+
+def test_conservation_message_does_not_depend_on_the_hash_seed():
+    # A frozenset of string pairs iterates in hash order, which changes with
+    # the hash seed; the message must not.
+    script = (
+        "from conftest import diamond\n"
+        "from uspr.solver import ConservationError, DemandRouting, strip_loops\n"
+        f"routing = DemandRouting((frozenset({_FOREIGN_SELECTION!r}),))\n"
+        "try:\n"
+        "    strip_loops(diamond(), routing)\n"
+        "except ConservationError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join([str(Path(solver.__file__).parents[1]), str(Path(__file__).parent)])
+    for seed in "1234":
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == _FOREIGN_MESSAGE + "\n"
+
+
+def test_demand_routing_violations_messages():
+    inst = diamond()
+    assert demand_routing_violations(inst, DemandRouting(())) == [
+        "routing covers 0 demands, instance has 1"
+    ]
+    over = DemandRouting((pathset(("s", "a"), ("a", "t")),))
+    assert demand_routing_violations(diamond(cap=Fraction(1, 2)), over) == [
+        "link ('s', 'a'): load 1 exceeds capacity 1/2",
+        "link ('a', 't'): load 1 exceeds capacity 1/2",
+    ]
+    # Two demands from s enter t on different links.
+    inst = mk_instance(
+        "sabtu",
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10), ("t", "u", 10)],
+        [("s", "t", 1), ("s", "u", 1)],
+    )
+    split = DemandRouting((
+        pathset(("s", "a"), ("a", "t")),
+        pathset(("s", "b"), ("b", "t"), ("t", "u")),
+    ))
+    assert demand_routing_violations(inst, split) == [
+        "origin 's': node 't' entered via 2 links"
+    ]
 
 
 @pytest.mark.parametrize("links, kept", [
@@ -406,10 +472,9 @@ def test_segment_rule_rejects_only_lp_infeasible_forests():
                     {"w_min": 2, "w_max": 5, "weight_resolution": 3}):
         for seed in range(10):
             inst = generate_random_instance(5, 2, 3, seed=seed, **options)
-            eps, big_M = models.resolve_params(inst, None, None)
             for routing in all_routings(inst):
                 forest = demand_to_origin(inst, routing)
-                system, _ = lp.path_length_system(inst, forest, eps, big_M)
+                system, _ = lp.path_length_system(inst, forest)
                 breaks = _breaks_segment_rule(inst, routing)
                 if lp.solve_feasibility(system).feasible:
                     assert not breaks

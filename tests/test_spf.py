@@ -90,6 +90,11 @@ def test_count_single_link():
     assert spf.count_shortest_paths(inst, WeightVector({("a", "b"): Fraction(2)}), "a", "b") == 1
 
 
+def test_count_origin_to_itself_is_one():
+    inst = diamond()
+    assert spf.count_shortest_paths(inst, uniform_weights(inst), "s", "s") == 1
+
+
 def test_count_unreachable_is_an_error():
     inst = mk_instance("abc", [("a", "b", 1), ("c", "a", 1)], [("a", "b", 1)])
     wv = uniform_weights(inst)
