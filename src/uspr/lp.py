@@ -16,17 +16,20 @@ and the leaving choice, so pivoting is deterministic and cannot cycle.
 Exact arithmetic is the point: the strict inequalities that separate a
 unique shortest path from a tie must not be blurred by floating error.
 Feasible results are read off as `Fraction`s and verified by direct
-substitution before they are returned.
+substitution, in integers over one common denominator, before they are
+returned.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system, snap its weights to the grid, and when the snap misses
 the forest, branch and bound on the weight grid.  The system is OBM's
 path-length block with the forest's routing binaries fixed, written by the
 models' builder with the eps and big_M it derives from the instance
-(`path_length_system`).  With eps the gcd of w_min and the resolution, the
-system holds at grid weights exactly when they realize the forest, so an
-integral node is a witness and a search whose leaves are all infeasible
-proves that no grid weights realize the forest.
+(`path_length_system`), which fixes the weight of each link that no tree
+uses at w_max.  That changes no feasibility answer, adds no binding to a
+cut, and gives the simplex fewer columns.  With eps the gcd of w_min and
+the resolution, the system holds at grid weights exactly when they realize
+the forest, so an integral node is a witness and a search whose leaves are
+all infeasible proves that no grid weights realize the forest.
 `lp_infeasible` (the continuous system has no solution) is reported
 distinctly from `grid_infeasible` (it has solutions, but none on the grid).
 
@@ -368,15 +371,32 @@ class _Simplex:
 
 
 def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) -> None:
+    """Check every bound and row by substitution, exactly and in integers.
+
+    Every value is put over one common denominator D, as the numerator
+    `num[name]`.  A bound b is checked as num * den(b) against num(b) * D; a
+    row is scaled by the lcm m of its own coefficient and rhs denominators,
+    so its lhs is the integer sum of (coef * m) * num and its rhs
+    (rhs * m) * D.
+    """
+    D = math.lcm(*(x.denominator for x in assignment.values()))
+    num = {name: x.numerator * (D // x.denominator) for name, x in assignment.items()}
     for v in system.variables:
-        x = assignment[v.name]
-        if v.lb is not None and x < v.lb or v.ub is not None and x > v.ub:
-            raise RuntimeError(f"internal: bound on {v.name} violated by {x}")
+        x = num[v.name]
+        lb, ub = v.lb, v.ub
+        if (lb is not None and x * lb.denominator < lb.numerator * D
+                or ub is not None and x * ub.denominator > ub.numerator * D):
+            raise RuntimeError(f"internal: bound on {v.name} violated by {assignment[v.name]}")
     for row in system.rows:
-        lhs = sum((coef * assignment[name] for name, coef in row.terms), _ZERO)
-        ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs if row.sense == ">=" else lhs == row.rhs
+        rhs = row.rhs
+        m = math.lcm(rhs.denominator, *(coef.denominator for _, coef in row.terms))
+        lhs = sum(coef.numerator * (m // coef.denominator) * num[name] for name, coef in row.terms)
+        b = rhs.numerator * (m // rhs.denominator) * D
+        ok = lhs <= b if row.sense == "<=" else lhs >= b if row.sense == ">=" else lhs == b
         if not ok:
-            raise RuntimeError(f"internal: row {row.name} violated ({lhs} {row.sense} {row.rhs})")
+            raise RuntimeError(
+                f"internal: row {row.name} violated ({Fraction(lhs, m * D)} {row.sense} {rhs})"
+            )
 
 
 def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
@@ -445,14 +465,31 @@ def path_length_system(
     satisfy the remaining rows, the exact shortest distances satisfy them
     too, since d_i + w_ij - d_j <= (|N|-1)*w_max < big_M.  So dropping them
     changes no feasibility answer.
+
+    Presolve: the weight of a link that no origin's tree uses is fixed at
+    w_max (lb = ub), and the simplex gives it no column.  This changes no
+    feasibility answer either.  Such a link has no `pl_lb` row, and raising
+    its weight to w_max in a solution only loosens its `pl_ub` rows, the
+    only rows that mention it, with the potentials kept.  w_max is a grid
+    point, so the same holds on the grid.  The same argument runs on any
+    subset of the rows: a set of rows that is infeasible with such a weight
+    at w_max is infeasible with it anywhere in [w_min, w_max].  So a core
+    does not depend on the fixed bound, and its cut needs no binding of
+    the fixed link (see `row_bindings`).
     """
     b = _ModelBuilder(instance, fixed=True)
     b.lengths()
     pairs = instance.link_pairs()
+    used_by_any: set[tuple[str, str]] = set()
     for s in instance.origins():
         used = forest.used_links(s)
+        used_by_any |= used
         b.path_length(s, s, {pair: (s, pair, 1 if pair in used else 0) for pair in pairs})
-    return LinearSystem(tuple(b.variables), tuple(b.constraints)), b.bindings
+    variables = b.variables
+    for k, pair in enumerate(pairs):
+        if pair not in used_by_any:
+            variables[k] = replace(variables[k], lb=instance.w_max)
+    return LinearSystem(tuple(variables), tuple(b.constraints)), b.bindings
 
 
 def row_bindings(
@@ -462,7 +499,11 @@ def row_bindings(
     """The (origin, link, value) assignments that parametrize the given rows.
 
     Any forest agreeing with these bindings instantiates identical rows, so
-    an infeasible core's bindings are a sound no-good pattern.
+    an infeasible core's bindings are a sound no-good pattern.  This holds
+    for a core that mentions a weight the presolve fixed at w_max too: with
+    that weight back in [w_min, w_max] the core stays infeasible, as
+    `path_length_system` shows, so the core depends on no binding of the
+    fixed link, and another forest may use that link and still be cut.
     """
     return frozenset().union(*(meta[name] for name in row_names))
 
@@ -482,9 +523,11 @@ class WeightRecovery:
     the forest), or "branch_limit" (the search stopped after
     MAX_BRANCH_NODES branch nodes).  "lp_infeasible" carries the
     `row_bindings` of the root's core, "grid_infeasible" their union over the
-    leaves' cores.  stage: "direct" (the root's snap) or "branch".
-    `lp_solves` counts the nodes solved; `pivots` counts every simplex pivot,
-    those of the cores' deletion passes included.
+    leaves' cores.  A core may mention a weight the presolve fixed at w_max;
+    it adds no binding of that link (`row_bindings` says why).  stage:
+    "direct" (the root's snap) or "branch".  `lp_solves` counts the nodes
+    solved; `pivots` counts every simplex pivot, those of the cores'
+    deletion passes included.  A fixed weight has no simplex column.
     """
 
     status: str
@@ -522,6 +565,10 @@ def _matches_forest(instance: Instance, weights: WeightVector, forest: RoutingFo
 def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery:
     """Find grid weights whose unique shortest paths reproduce the forest.
 
+    The system comes presolved: each weight that no tree uses is fixed at
+    w_max, which changes no answer below (`path_length_system` proves it)
+    and is never branched on, since w_max is a grid point.
+
     Write each weight as w_e = w_min + res*n_e, with n_e an integer in
     [0, N] and N = grid size - 1.  With eps = gcd(w_min, res), the instance's
     default, `path_length_system` is feasible at grid weights exactly when
@@ -547,10 +594,13 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     Branching changes variable bounds only, which depend on no
     routing binary: each leaf is infeasible on its core's rows alone, so
     every forest sharing the union of the leaves' `row_bindings` fails the
-    same tree, and the union is a sound no-good cut.  The root is solved by
-    `solve_feasibility`, whose core an infeasible root needs; branch nodes
-    run the simplex alone, and only a search that fails shrinks its leaves'
-    Farkas supports to irreducible cores.
+    same tree, and the union is a sound no-good cut.  A fixed weight in a
+    leaf's core needs no binding: at any grid point of such a forest, the
+    branched weights lie in some leaf's box, and that leaf's core is
+    infeasible whatever a fixed weight's value in [w_min, w_max].  The root
+    is solved by `solve_feasibility`, whose core an infeasible root needs;
+    branch nodes run the simplex alone, and only a search that fails shrinks
+    its leaves' Farkas supports to irreducible cores.
 
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.

@@ -113,20 +113,6 @@ def table_violations(variables, constraints, objective) -> list[str]:
     return out
 
 
-def model_violations(model: LinearModel) -> list[str]:
-    out = table_violations(model.variables, model.constraints, model.objective)
-    for v in model.variables:
-        if v.kind == "binary" and (v.lb != 0 or v.ub != 1):
-            out.append(f"variable {v.name}: binary must be bounded [0, 1]")
-        if v.kind not in ("binary", "continuous"):
-            out.append(f"variable {v.name}: unknown kind {v.kind!r}")
-    for c in model.constraints:
-        for var, coef in c.terms:
-            if coef == 0:
-                out.append(f"constraint {c.name}: keeps a zero coefficient on {var!r}")
-    return out
-
-
 def default_eps(instance: Instance) -> Fraction:
     """The smallest positive gap two grid path lengths can have.
 
@@ -515,19 +501,6 @@ def size_report(dims: InstanceDims) -> SizeReport:
         "path-length rows."
     )
     return SizeReport(dims, dbm, dbm_master, obm, obm_reduced, obm_master, note)
-
-
-def model_counts(model: LinearModel) -> SizeTable:
-    """Actual per-family counts of a built model, keyed like size_report."""
-    variables: dict[str, int] = {}
-    for v in model.variables:
-        fam = _family(v.name, _VAR_FAMILY_LABEL)
-        variables[fam] = variables.get(fam, 0) + 1
-    constraints: dict[str, int] = {}
-    for c in model.constraints:
-        fam = _family(c.name, _ROW_FAMILY_LABEL)
-        constraints[fam] = constraints.get(fam, 0) + 1
-    return SizeTable(model.formulation, variables, constraints)
 
 
 def render_size_report(report: SizeReport, fmt: str = "text") -> str:

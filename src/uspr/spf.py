@@ -637,6 +637,13 @@ def weight_records(weights: WeightVector) -> list[dict]:
 
 
 def save_weights(weights: WeightVector) -> str:
+    """The weights file `load_weights` reads, and `uspr verify` with it.
+
+    No command writes this file: `uspr solve` writes the solution JSON,
+    whose "weights" array holds the same records.  The library keeps it as
+    the one writer of the format, for callers that compute weights
+    themselves.
+    """
     return write_json(weight_records(weights))
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from uspr import spf
+from uspr import models, spf
 from uspr.instance import Demand, Instance, Link, generate_random_instance
+from uspr.models import LinearModel, SizeTable
 from uspr.solver import DemandRouting
 
 
@@ -202,3 +203,17 @@ def random_cycle(instance: Instance, rng: random.Random, avoid) -> list[tuple[st
         if not ok:
             continue
     return None
+
+
+def model_counts(model: LinearModel) -> SizeTable:
+    """Actual per-family counts of a built model, keyed like `size_report`:
+    the reference its closed-form tables are checked against."""
+    variables: dict[str, int] = {}
+    for v in model.variables:
+        fam = models._family(v.name, models._VAR_FAMILY_LABEL)
+        variables[fam] = variables.get(fam, 0) + 1
+    constraints: dict[str, int] = {}
+    for c in model.constraints:
+        fam = models._family(c.name, models._ROW_FAMILY_LABEL)
+        constraints[fam] = constraints.get(fam, 0) + 1
+    return SizeTable(model.formulation, variables, constraints)

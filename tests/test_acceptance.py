@@ -22,6 +22,7 @@ from conftest import (
     assert_endpoint_conditions,
     diamond,
     mk_instance,
+    model_counts,
     random_cycle,
     random_tree_routing,
     small_random,
@@ -29,7 +30,7 @@ from conftest import (
 )
 from uspr import lp, models, solver, spf
 from uspr.instance import InstanceDims, generate_random_instance
-from uspr.models import build_dbm, build_obm, linearization_check, model_counts, size_report
+from uspr.models import build_dbm, build_obm, linearization_check, size_report
 from uspr.rational import grid_points
 from uspr.solver import (
     DemandRouting,

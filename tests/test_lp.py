@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -341,6 +342,47 @@ def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
     assert non_unit > 100
 
 
+def test_substitution_check_is_exact_on_a_one_third_grid_system():
+    # eps = 1/3, and the weights and potentials are thirds: s->a->t (8/3)
+    # beats s->b->t (3) by exactly eps, so rows with the rhs -1/3 are tight.
+    inst = mk_instance(
+        ["s", "a", "b", "t"],
+        [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10)],
+        [("s", "t", 1), ("b", "t", 1)],
+        w_min=1, w_max=2, step=F("1/3"),
+    )
+    weights = {("s", "a"): F("4/3"), ("a", "t"): F("4/3"), ("s", "b"): F(2), ("b", "t"): F(1)}
+    forest = forest_via(inst, weights)
+    system, _ = path_length_system(inst, forest)
+    assert models.resolve_params(inst, None, None)[0] == F("1/3")
+    assignment = {"w_%s_%s" % pair: w for pair, w in weights.items()}
+    assignment.update({
+        "l_s_s": F(0), "l_s_a": F("4/3"), "l_s_b": F(2), "l_s_t": F("8/3"),
+        "l_b_s": F(0), "l_b_a": F(0), "l_b_b": F(0), "l_b_t": F(1),
+    })
+    rows = {r.name: r for r in system.rows}
+    for name in ("pl_ub_s_b_t", "pl_ub_b_a_t"):
+        lhs = sum(coef * assignment[n] for n, coef in rows[name].terms)
+        assert lhs == rows[name].rhs == F("-1/3")
+    lp._verify_assignment(system, assignment)
+
+    # Over the common denominator 21, each change breaks one row by 1/21.
+    for name, delta, message in (
+        ("w_b_t", F("1/21"), "row pl_lb_b_b_t violated (-1/21 >= 0)"),
+        ("l_s_b", F("-1/21"), "row pl_ub_s_b_t violated (-2/7 <= -1/3)"),
+    ):
+        broken = dict(assignment, **{name: assignment[name] + delta})
+        with pytest.raises(RuntimeError) as error:
+            lp._verify_assignment(system, broken)
+        assert str(error.value) == "internal: " + message
+
+    # w_s_b is fixed at w_max by the presolve, w_s_a is at most w_max and
+    # l_s_a at least 0.
+    for name, value in (("w_s_b", F("5/3")), ("w_s_a", F("7/3")), ("l_s_a", F("-1/3"))):
+        with pytest.raises(RuntimeError, match=f"bound on {name} violated by {value}"):
+            lp._verify_assignment(system, dict(assignment, **{name: value}))
+
+
 def test_bit_budget_resource_error(monkeypatch):
     # x/3 + 2y/5 >= 1 is stored as 5x + 6y - 15s = 15 over the denominator
     # 15; its first pivot entry, 5 over 15, has 3 + 4 bits.
@@ -366,9 +408,9 @@ def test_pivot_budget_resource_error(monkeypatch):
 
 def test_recover_stage_progression():
     # Grid {2, 5}: the root's LP weights snap to a vector that misses the
-    # first master candidate, so recovery must branch (five nodes); the
+    # first master candidate, so recovery must branch (three nodes); the
     # weights it finds are verified through the oracle.
-    inst = generate_random_instance(4, 1.5, 3, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    inst = generate_random_instance(5, 2, 4, w_min=2, w_max=5, weight_resolution=3, seed=9)
     forest = next(solver.master_search(inst))
     system, _ = path_length_system(inst, forest)
     root = solve_feasibility(system)
@@ -376,7 +418,7 @@ def test_recover_stage_progression():
     assert not lp._matches_forest(inst, lp._snap_vector(inst, system, root.assignment), forest)
     result = recover_weights(inst, forest)
     assert result.ok and result.stage == "branch"
-    assert result.lp_solves == 6
+    assert result.lp_solves == 4
     assert spf.routing_from_weights(inst, result.weights) == forest
 
 
@@ -384,19 +426,28 @@ def test_successful_branch_search_computes_no_cores(monkeypatch):
     # A search that ends on a snap discards its infeasible leaves, so it must
     # not pay for their irreducible cores.
     calls = []
+    leaves = 0
     core = lp._irreducible_core
+    solve = lp._Simplex.solve
 
     def counted(system, phase1):
         calls.append(phase1)
         return core(system, phase1)
 
+    def solved(self):
+        nonlocal leaves
+        result = solve(self)
+        leaves += not result.feasible
+        return result
+
     monkeypatch.setattr(lp, "_irreducible_core", counted)
-    inst = generate_random_instance(7, 2.2, 6, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    monkeypatch.setattr(lp._Simplex, "solve", solved)
+    inst = generate_random_instance(6, 2, 5, w_min=2, w_max=5, weight_resolution=3, seed=6)
     forest = next(solver.master_search(inst))
     result = recover_weights(inst, forest)
     assert result.ok and result.stage == "branch"
-    assert result.lp_solves == 8
-    assert calls == []
+    assert result.lp_solves == 7
+    assert leaves == 1 and calls == []
 
 
 def _cheapest_forests(inst, count):
@@ -493,6 +544,101 @@ def test_cores_irreducible_and_cuts_sound_on_random_instances():
                     assert not solved[other][2].feasible
                     other_cut += other != k
     assert infeasible_seen and other_cut
+
+
+def _recover_without_presolve(monkeypatch, inst, forest):
+    """Recovery on the system with every weight back in [w_min, w_max]."""
+    presolved = lp.path_length_system
+
+    def full(instance, forest):
+        system, meta = presolved(instance, forest)
+        k = len(instance.links)
+        weights = tuple(
+            dataclasses.replace(v, lb=instance.w_min) for v in system.variables[:k]
+        )
+        return LinearSystem(weights + system.variables[k:], system.rows), meta
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "path_length_system", full)
+        return recover_weights(inst, forest)
+
+
+def test_presolve_fixes_exactly_the_unused_weights_at_w_max():
+    for inst, forests in _recovery_candidates():
+        for forest in forests:
+            system, _ = path_length_system(inst, forest)
+            used = set().union(*(forest.used_links(s) for s in inst.origins()))
+            for pair, weight in zip(inst.link_pairs(), system.variables):
+                lb = inst.w_min if pair in used else inst.w_max
+                assert (weight.name, weight.lb, weight.ub) == (
+                    "w_%s_%s" % pair, lb, inst.w_max
+                )
+
+
+def test_presolved_cuts_sound_and_fail_the_same_candidates(monkeypatch):
+    # With unused weights fixed at w_max, every candidate fails exactly when
+    # it fails without the presolve, with the same status, and no cut
+    # matches a forest that some grid weights route uniquely.
+    instances = [small_random(seed) for seed in range(12)]
+    instances.append(generate_random_instance(5, 2, 4, w_min=5, w_max=9, weight_resolution=4, seed=10))
+    for seed in range(4):
+        instances.append(generate_random_instance(
+            5, 2, 4, w_min=2, w_max=5, weight_resolution=3, seed=seed))
+        instances.append(generate_random_instance(
+            4, 1.5, 3, w_min=1, w_max=2, weight_resolution=F("1/3"), seed=seed))
+    statuses = set()
+    for inst in instances:
+        routed = [
+            {s: forest.used_links(s) for s in inst.origins()}
+            for _, forest in spf.unique_grid_routings(inst, spf.GRID_LIMIT)
+        ]
+        for forest in _cheapest_forests(inst, 12):
+            result = recover_weights(inst, forest)
+            reference = _recover_without_presolve(monkeypatch, inst, forest)
+            assert result.status == reference.status
+            assert result.ok == ({s: forest.used_links(s) for s in inst.origins()} in routed)
+            statuses.add(result.status)
+            if not result.ok:
+                cut = solver.NoGoodCut(result.bindings)
+                assert result.bindings and not any(solver.cut_matches(cut, r) for r in routed)
+    assert statuses == {"ok", "lp_infeasible", "grid_infeasible"}
+
+
+def test_core_on_a_fixed_weight_needs_no_binding_of_its_link():
+    # Origin s routes s->a->b->t past the direct link s->t, which no tree
+    # uses, so w_s_t is fixed at w_max = 2.  The core compares the path with
+    # that link and mentions w_s_t.  Every row that mentions a fixed weight
+    # is its own pl_ub row, which w_max loosens most, so the core is
+    # infeasible on [w_min, w_max] too.  Its cut therefore needs no binding
+    # of s->t, and it rightly matches a forest in which x uses s->t.
+    inst = mk_instance(
+        ["x", "s", "a", "b", "t"],
+        [("x", "s", 10), ("s", "t", 10), ("s", "a", 10), ("a", "b", 10), ("b", "t", 10)],
+        [("s", "t", 1), ("x", "t", 1)],
+        w_min=1, w_max=2,
+    )
+    forest = RoutingForest({("s", "t"): ("s", "a", "b", "t"), ("x", "t"): ("x", "s", "a", "b", "t")})
+    other = RoutingForest({("s", "t"): ("s", "a", "b", "t"), ("x", "t"): ("x", "s", "t")})
+    system, meta = path_length_system(inst, forest)
+    fixed = {v.name: v for v in system.variables if v.name == "w_s_t"}["w_s_t"]
+    assert fixed.lb == fixed.ub == inst.w_max
+    result = solve_feasibility(system)
+    assert not result.feasible
+    core = [r for r in system.rows if r.name in result.conflict_core]
+    assert any(name == "w_s_t" for r in core for name, _ in r.terms)
+    relaxed = tuple(
+        dataclasses.replace(v, lb=inst.w_min) if v is fixed else v for v in system.variables
+    )
+    assert not solve_feasibility(LinearSystem(relaxed, tuple(core))).feasible
+
+    recovery = recover_weights(inst, forest)
+    assert recovery.status == "lp_infeasible"
+    assert recovery.bindings == lp.row_bindings(meta, result.conflict_core)
+    assert all(pair != ("s", "t") for _, pair, _ in recovery.bindings)
+    used = {s: other.used_links(s) for s in inst.origins()}
+    assert ("s", "t") in used["x"]
+    assert solver.cut_matches(solver.NoGoodCut(recovery.bindings), used)
+    assert recover_weights(inst, other).status == "lp_infeasible"
 
 
 def _recovery_candidates():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import coarse_grid_triangle, diamond, mk_instance, small_random, two_node
+from conftest import coarse_grid_triangle, diamond, mk_instance, model_counts, small_random, two_node
 from uspr import models
 from uspr.instance import InstanceDims, generate_random_instance
 from uspr.models import (
@@ -15,8 +15,6 @@ from uspr.models import (
     export_lp,
     linearization_check,
     master_submodel,
-    model_counts,
-    model_violations,
     parse_lp,
     size_report,
     structure_report,
@@ -52,6 +50,22 @@ def structure_cases():
     yield mk_instance("ab", [("a", "b", 10)], [])  # demand-free
     yield mk_instance("ab", [], [])  # link-free
     yield mk_instance([], [], [])  # no nodes
+
+
+def model_violations(model):
+    """Problems of a built model beyond `models.table_violations`: binaries
+    bounded [0, 1], known variable kinds, and no zero coefficient kept."""
+    out = models.table_violations(model.variables, model.constraints, model.objective)
+    for v in model.variables:
+        if v.kind == "binary" and (v.lb != 0 or v.ub != 1):
+            out.append(f"variable {v.name}: binary must be bounded [0, 1]")
+        if v.kind not in ("binary", "continuous"):
+            out.append(f"variable {v.name}: unknown kind {v.kind!r}")
+    for c in model.constraints:
+        for var, coef in c.terms:
+            if coef == 0:
+                out.append(f"constraint {c.name}: keeps a zero coefficient on {var!r}")
+    return out
 
 
 def test_two_node_dbm_counts():

@@ -611,22 +611,24 @@ def test_benders_core_cuts_shorten_the_cut_loop():
 
 def test_benders_sparse_simplex_keeps_objectives_and_pivot_counts():
     # One feasible LP per answer; the pivot counts pin Bland's rule, so any
-    # change to the entering or leaving choice shows here.
+    # change to the entering or leaving choice shows here.  They also pin
+    # the presolve: a weight no tree uses is fixed at w_max and has no column.
     for (nodes, degree, demands, seed), objective, pivots in (
-        ((10, 2, 10, 0), F(11229, 100), 56),
-        ((10, 2, 10, 1), F(13957, 100), 51),
-        ((8, 2, 8, 2), F(11733, 100), 47),
-        ((16, 3, 12, 0), F(8383, 50), 126),
+        ((10, 2, 10, 0), F(11229, 100), 45),
+        ((10, 2, 10, 1), F(13957, 100), 45),
+        ((8, 2, 8, 2), F(11733, 100), 39),
+        ((16, 3, 12, 0), F(8383, 50), 91),
     ):
         result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed))
         assert (result.status, result.objective) == ("Optimal", objective)
         assert result.diagnostics.details["lp_solves"] == 1
         assert result.diagnostics.details["lp_pivots"] == pivots
     # A fractional eps (resolution 1/2) gives rows with a denominator of 2;
-    # a coarse grid makes recovery branch over 20 LPs.
+    # a coarse grid makes recovery branch over 16 LPs (two candidates, one
+    # cut).  A fixed weight is on the grid, so it is never branched on.
     for shape, options, objective, lp_solves, pivots in (
-        ((6, 2, 5, 3), {"weight_resolution": F(1, 2)}, F(6139, 100), 1, 17),
-        ((7, 2.6, 5, 24), {"w_min": 2, "w_max": 5, "weight_resolution": 3}, F(7241, 100), 20, 1768),
+        ((6, 2, 5, 3), {"weight_resolution": F(1, 2)}, F(6139, 100), 1, 14),
+        ((7, 2.6, 5, 24), {"w_min": 2, "w_max": 5, "weight_resolution": 3}, F(7241, 100), 16, 1292),
     ):
         nodes, degree, demands, seed = shape
         result = benders_solve(generate_random_instance(nodes, degree, demands, seed=seed, **options))
@@ -878,17 +880,18 @@ def test_solution_json_round_trip_fields():
     assert len(raw["weights"]) == 4
     assert raw["paths"][0]["path"][0] == "s"
     assert raw["diagnostics"]["iterations"] == 1
-    assert raw["diagnostics"]["details"] == {"lp_solves": 1, "lp_pivots": 3}
+    # The unused link b->t is fixed at w_max, so the LP has one column less.
+    assert raw["diagnostics"]["details"] == {"lp_solves": 1, "lp_pivots": 2}
     oracle = brute_force_solve(inst)
     raw = json.loads(solver.solution_to_json(inst, oracle))
     assert raw["diagnostics"]["details"] == {"grid_points": 10, "settings": 10**4, "visited": 61}
 
 
 def test_branch_limit_in_recovery_ends_bounds_exhausted(monkeypatch):
-    # The first candidate needs five branch nodes; a budget of one must end
+    # The first candidate needs three branch nodes; a budget of one must end
     # the solve with an answer instead of an overrun.
     monkeypatch.setattr(lp, "MAX_BRANCH_NODES", 1)
-    inst = generate_random_instance(4, 1.5, 3, w_min=2, w_max=5, weight_resolution=3, seed=4)
+    inst = generate_random_instance(5, 2, 4, w_min=2, w_max=5, weight_resolution=3, seed=9)
     result = benders_solve(inst)
     assert result.status == "BoundsExhausted"
     assert result.diagnostics.details["reason"] == "branch_limit"
