@@ -20,7 +20,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .rational import format_number, parse_number
+from .rational import format_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,9 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return parse_number(text, "argument")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 class _HelpFormatter(argparse.HelpFormatter):

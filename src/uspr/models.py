@@ -27,7 +27,10 @@ model.
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
 `l_<s>_<i>`.  Components are joined with underscores, which is unambiguous
-because node ids match `[A-Za-z0-9]+`.
+because node ids match `[A-Za-z0-9]+`.  They are declared in that order,
+per tree in link order (lengths in node order).  Emitters list every row's
+terms in that order, so no row is sorted; no coefficient is zero (eps, big_M
+and bandwidths are positive, no link is a self-loop), so none is dropped.
 
 Constraint names carry a family tag: `fc_*` flow conservation, `cap_*`
 capacity, `fb_*` flow bound, `uniq_*` uniqueness, `pl_ub_*`/`pl_lb_*` the
@@ -148,11 +151,14 @@ def resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
 
 
 class _ModelBuilder:
-    """Accumulates variables/rows; keeps term order = declaration order.
+    """Accumulates variables/rows; emitters pass terms in declaration order.
 
     Holds one build's instance and link adjacency, and the rows shared by
     both formulations: weights and lengths, and per routing tree the flow
-    conservation rows and the path-length pairs.
+    conservation rows and the path-length pairs.  All trees share the
+    `incidence` (per node, its links in link order, +1 in, -1 out) and
+    `shapes` (per link, the other links into its head, its ends in node
+    order) that put the `fc` and `pl` terms in order.
 
     With `fixed`, a routing tree's binaries are bindings: its route maps
     each link to a `Binding` instead of a variable name.  `row` folds the
@@ -170,9 +176,19 @@ class _ModelBuilder:
         self.instance = instance
         self.eps, self.big_M = resolve_params(instance, eps, big_M)
         self.in_links = instance.in_links()
-        self.out_links = instance.out_links()
+        self.incidence: dict[str, list] = {node: [] for node in instance.nodes}
+        for link in instance.links:
+            pair = (link.tail, link.head)
+            self.incidence[link.tail].append((pair, _MINUS_ONE))
+            self.incidence[link.head].append((pair, _ONE))
+        index = instance.node_index()
+        self.shapes = [
+            ((link.tail, link.head),
+             [(o.tail, o.head) for o in self.in_links[link.head] if o is not link],
+             sorted([(link.tail, _MINUS_ONE), (link.head, _ONE)], key=lambda e: index[e[0]]))
+            for link in instance.links
+        ]
         self.variables: list[Variable] = []
-        self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
         self.fixed = fixed
         self.bindings: dict[str, frozenset[Binding]] = {}
@@ -183,24 +199,18 @@ class _ModelBuilder:
         return self.families is None or family in self.families
 
     def var(self, name: str, kind: str, lb, ub) -> str:
-        self.index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, lb, ub))
         return name
 
-    def row(
-        self, name: str, coeffs: dict[str | Binding, Fraction], sense: str, rhs: Fraction
-    ) -> None:
-        if self.fixed:
-            bound = [v for v in coeffs if type(v) is tuple]
-            for v in bound:
+    def row(self, name: str, terms: list, sense: str, rhs: Fraction) -> None:
+        if self.fixed:  # bindings lead: routing binaries are declared first
+            bound = [v for v, _ in terms if type(v) is tuple]
+            for v, c in terms[:len(bound)]:
                 if v[2]:
-                    rhs -= coeffs[v]
-                del coeffs[v]
+                    rhs -= c
             self.bindings[name] = frozenset(bound)
-        terms = tuple([
-            (v, c) for v in sorted(coeffs, key=self.index.__getitem__) if (c := coeffs[v])
-        ])
-        self.constraints.append(Constraint(name, terms, sense, rhs))
+            terms = terms[len(bound):]
+        self.constraints.append(Constraint(name, tuple(terms), sense, rhs))
 
     def tree_vars(self, prefix: str, keys, kind: str, lb, ub) -> dict:
         """`<prefix>_<key>_<i>_<j>` for every tree key and link: {key: {(i, j): name}}."""
@@ -235,13 +245,9 @@ class _ModelBuilder:
 
     def conservation(self, key, flow: dict, net: dict) -> None:
         """`fc_<key>_<node>`: inflow - outflow of one tree = net.get(node, 0)."""
-        for node in self.instance.nodes:
-            coeffs: dict[str, Fraction] = {}
-            for link in self.in_links[node]:
-                coeffs[flow[(link.tail, link.head)]] = _ONE
-            for link in self.out_links[node]:
-                coeffs[flow[(link.tail, link.head)]] = _MINUS_ONE
-            self.row(f"fc_{key}_{node}", coeffs, "=", net.get(node, _ZERO))
+        for node, links in self.incidence.items():
+            self.row(f"fc_{key}_{node}", [(flow[pair], c) for pair, c in links],
+                     "=", net.get(node, _ZERO))
 
     def path_length(self, key, origin: str, route: dict) -> None:
         """`pl_ub_<key>_<i>_<j>`/`pl_lb_<key>_<i>_<j>` of one tree rooted at origin.
@@ -251,20 +257,16 @@ class _ModelBuilder:
         """
         length = self.l[origin]
         minus_big_M = -self.big_M
-        for link in self.instance.links:
-            i, j = link.tail, link.head
-            q = {length[j]: _ONE, length[i]: _MINUS_ONE, self.w[(i, j)]: _MINUS_ONE}
+        for (i, j), others, ends in self.shapes:
+            common = [(self.w[(i, j)], _MINUS_ONE)] + [(length[n], c) for n, c in ends]
             # l_j <= l_i + w_ij - eps * (sum_h route_hj - route_ij)
-            coeffs = dict(q)
-            for other in self.in_links[j]:
-                if other is not link:
-                    coeffs[route[(other.tail, other.head)]] = self.eps
-            self.row(f"pl_ub_{key}_{i}_{j}", coeffs, "<=", _ZERO)
+            self.row(f"pl_ub_{key}_{i}_{j}", [(route[o], self.eps) for o in others] + common,
+                     "<=", _ZERO)
             if self.fixed and not route[(i, j)][2]:
                 continue
             # l_j >= l_i + w_ij - M * (1 - route_ij)
-            q[route[(i, j)]] = minus_big_M
-            self.row(f"pl_lb_{key}_{i}_{j}", q, ">=", minus_big_M)
+            self.row(f"pl_lb_{key}_{i}_{j}", [(route[(i, j)], minus_big_M)] + common,
+                     ">=", minus_big_M)
 
     def model(self, formulation: str, objective) -> LinearModel:
         return LinearModel(
@@ -290,8 +292,8 @@ def build_dbm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
     if b.emits("capacity"):
         for link in instance.links:
             pair = (link.tail, link.head)
-            coeffs = {x[k][pair]: demand.bandwidth for k, demand in enumerate(demands)}
-            b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
+            terms = [(x[k][pair], demand.bandwidth) for k, demand in enumerate(demands)]
+            b.row(f"cap_{link.tail}_{link.head}", terms, "<=", link.capacity)
     if b.emits("path_length"):
         for k, demand in enumerate(demands):
             b.path_length(k, demand.origin, x[k])
@@ -327,24 +329,21 @@ def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
             for link in instance.links:
                 pair = (link.tail, link.head)
                 b.row(f"fb_{s}_{link.tail}_{link.head}",
-                      {f[s][pair]: _ONE, y[s][pair]: minus_d_s}, "<=", _ZERO)
+                      [(y[s][pair], minus_d_s), (f[s][pair], _ONE)], "<=", _ZERO)
 
     if b.emits("capacity"):
         for link in instance.links:
-            coeffs = {f[s][(link.tail, link.head)]: _ONE for s in origins}
-            b.row(f"cap_{link.tail}_{link.head}", coeffs, "<=", link.capacity)
+            terms = [(f[s][(link.tail, link.head)], _ONE) for s in origins]
+            b.row(f"cap_{link.tail}_{link.head}", terms, "<=", link.capacity)
 
     if b.emits("uniqueness"):
         for s in origins:
             dests = set(instance.destinations_from(s))
             for node in instance.nodes:
-                coeffs = {y[s][(link.tail, link.head)]: _ONE for link in b.in_links[node]}
-                if node == s:
-                    b.row(f"uniq_{s}_{node}", coeffs, "=", _ZERO)
-                elif node in dests:
-                    b.row(f"uniq_{s}_{node}", coeffs, "=", _ONE)
-                else:
-                    b.row(f"uniq_{s}_{node}", coeffs, "<=", _ONE)
+                terms = [(y[s][(link.tail, link.head)], _ONE) for link in b.in_links[node]]
+                sense, rhs = (("=", _ZERO) if node == s
+                              else ("=", _ONE) if node in dests else ("<=", _ONE))
+                b.row(f"uniq_{s}_{node}", terms, sense, rhs)
 
     if b.emits("path_length"):
         for s in origins:
@@ -625,23 +624,24 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
 def export_lp(model: LinearModel) -> str:
     """Deterministic LP text; identical models export byte-identical text.
 
-    Each distinct number is rendered once per call: a coefficient as its
-    `- `/`+ ` prefix and magnitude, a rhs or bound as its `format_number`
-    text, both memoized on (numerator, denominator).
+    A coefficient's `- `/`+ ` prefix and magnitude, and a rhs's or bound's
+    `format_number` text, are memoized per number object (`id`): sound, as
+    the model keeps every number alive for the whole call.  The builders
+    share a few `Fraction`s across all rows; a `parse_lp` model's equal
+    numbers are distinct objects, each formatted again.
     """
-    prefixes: dict[tuple[int, int], str] = {}
-    numbers: dict[tuple[int, int], str] = {}
+    prefixes: dict[int, str] = {}
+    numbers: dict[int, str] = {}
 
     def terms_text(terms: tuple[tuple[str, Fraction], ...]) -> str:
         if not terms:
             return "0"
         parts = []
         for var, coef in terms:
-            key = (coef.numerator, coef.denominator)
-            prefix = prefixes.get(key)
+            prefix = prefixes.get(id(coef))
             if prefix is None:
                 mag = abs(coef)
-                prefix = prefixes[key] = (
+                prefix = prefixes[id(coef)] = (
                     ("- " if coef < 0 else "+ ") + ("" if mag == 1 else f"{format_number(mag)} ")
                 )
             parts.append(prefix + var)
@@ -649,10 +649,9 @@ def export_lp(model: LinearModel) -> str:
         return text[2:] if text[0] == "+" else text
 
     def number(x: Fraction) -> str:
-        key = (x.numerator, x.denominator)
-        text = numbers.get(key)
+        text = numbers.get(id(x))
         if text is None:
-            text = numbers[key] = format_number(x)
+            text = numbers[id(x)] = format_number(x)
         return text
 
     lines = [

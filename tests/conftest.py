@@ -3,7 +3,8 @@
 Instances used across modules: a 2-node single link, a triangle with a
 shortcut, the same triangle on the coarse grid {2, 5}, the 4-node diamond
 (two parallel 2-hop routes), and seeded random instances kept small enough
-for exhaustive grid enumeration.
+for exhaustive grid enumeration.  Test references for the models module:
+`model_counts` and `ReferenceBuilder`.
 """
 
 from __future__ import annotations
@@ -217,3 +218,33 @@ def model_counts(model: LinearModel) -> SizeTable:
         fam = models._family(c.name, models._ROW_FAMILY_LABEL)
         constraints[fam] = constraints.get(fam, 0) + 1
     return SizeTable(model.formulation, variables, constraints)
+
+
+class ReferenceBuilder(models._ModelBuilder):
+    """`_ModelBuilder` whose `row` orders terms itself: it sorts a row's
+    terms by declaration position and drops zero coefficients, as the
+    builder once did for every row.  Models built with it (patched in for
+    `models._ModelBuilder` and `lp._ModelBuilder`) are the reference the
+    emitted term order is checked against."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.index: dict[str, int] = {}
+        super().__init__(*args, **kwargs)
+
+    def var(self, name, kind, lb, ub):
+        self.index[name] = len(self.variables)
+        return super().var(name, kind, lb, ub)
+
+    def row(self, name, terms, sense, rhs):
+        coeffs = dict(terms)
+        if self.fixed:
+            bound = [v for v in coeffs if type(v) is tuple]
+            for v in bound:
+                if v[2]:
+                    rhs -= coeffs[v]
+                del coeffs[v]
+            self.bindings[name] = frozenset(bound)
+        ordered = tuple(
+            (v, c) for v in sorted(coeffs, key=self.index.__getitem__) if (c := coeffs[v])
+        )
+        self.constraints.append(models.Constraint(name, ordered, sense, rhs))

@@ -465,6 +465,25 @@ def test_export_eps_above_gcd_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error:") and "gcd(w_min, weight_resolution)" in captured.err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("export", "--eps", "nan"),
+    ("export", "--big-m", "1/0"),
+    ("generate", "--w-min", "abc"),
+])
+def test_bad_number_option_names_the_option_once(tmp_path, capsys, command, option, value):
+    if command == "export":
+        argv = ["export", write_instance(tmp_path, two_node()), "--formulation", "dbm"]
+    else:
+        argv = ["generate", "--nodes", "3", "--degree", "1", "--demands", "1",
+                "-o", str(tmp_path / "g.json")]
+    assert main([*argv, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"uspr {command}: error: argument {option}: not a number: {value!r}"
+    )
+
+
 def test_solve_derives_eps_from_the_instance(tmp_path, capsys):
     inst = write_instance(tmp_path, coarse_grid_triangle())
     assert main(["solve", inst]) == 0

@@ -1,15 +1,28 @@
 import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import coarse_grid_triangle, diamond, mk_instance, model_counts, small_random, two_node
-from uspr import models
+from conftest import (
+    ReferenceBuilder,
+    coarse_grid_triangle,
+    diamond,
+    mk_instance,
+    model_counts,
+    random_tree_routing,
+    small_random,
+    two_node,
+)
+from uspr import lp, models, solver
 from uspr.instance import InstanceDims, generate_random_instance
 from uspr.models import (
+    Constraint,
+    LinearModel,
     LpParseError,
     ModelParameterError,
+    Variable,
     build_dbm,
     build_obm,
     export_lp,
@@ -301,6 +314,104 @@ def test_export_bytes_pinned_on_a_thirds_grid():
         text = export_lp(m)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, m.formulation
         assert parse_lp(text) == m
+
+
+
+def twelve_node():
+    """(12,3,20)s0 on the default grid 1..10."""
+    return generate_random_instance(12, 3, 20, seed=0)
+
+
+def test_export_bytes_pinned_on_a_twelve_node_instance():
+    # Recorded at commit 3262365, before rows were emitted in declaration
+    # order and the export memo was keyed by object.
+    inst = twelve_node()
+    pinned = (
+        (build_dbm(inst), "be94844de033dd7194495aec21bfa5516910f37a55cff2f4d3dec53d45dbdf07"),
+        (build_obm(inst), "e45ddf86d669a1194a49b49af9734251a16500888c85d44a5e89574a00d94618"),
+        (build_obm(inst, master=True),
+         "229734f4a575aba4f6324b8fb9be16cfcac542980e6a6093e0968e25f622e08f"),
+    )
+    for m, digest in pinned:
+        assert hashlib.sha256(export_lp(m).encode("utf-8")).hexdigest() == digest, m.formulation
+
+
+def test_export_of_distinct_equal_numbers_matches_shared_ones():
+    # The export memo is keyed by object: a parsed model's equal numbers are
+    # distinct objects, so every lookup of its own misses and formats again.
+    for inst in (thirds_grid(), twelve_node()):
+        for m in (build_dbm(inst), build_obm(inst)):
+            text = export_lp(m)
+            assert export_lp(parse_lp(text)) == text, m.formulation
+
+    def hand_model(number):
+        return LinearModel(
+            "T", number(1, 6), number(149, 3),
+            (Variable("x", "continuous", number(0, 1), number(9, 2)),
+             Variable("y", "continuous", number(-1, 3), None)),
+            (Constraint("a", (("x", number(-1, 6)), ("y", number(1, 1))), "<=", number(9, 2)),
+             Constraint("b", (("x", number(-1, 6)), ("y", number(-1, 6))), ">=", number(-1, 3))),
+            (("x", number(149, 3)), ("y", number(1, 1))),
+        )
+
+    memo: dict[tuple[int, int], Fraction] = {}
+    shared = hand_model(lambda p, q: memo.setdefault((p, q), Fraction(p, q)))
+    distinct = hand_model(Fraction)
+    assert distinct.constraints[0].terms[0][1] is not distinct.constraints[1].terms[0][1]
+    assert shared.constraints[0].terms[0][1] is shared.constraints[1].terms[0][1]
+    assert distinct == shared
+    assert export_lp(distinct) == export_lp(shared)
+    assert "a: - 1/6 x + y <= 4.5" in export_lp(distinct)
+
+
+def term_order_cases():
+    """A thirds grid, a coarse grid {2, 5} and the default grid; each has a
+    node with three or more in-links and links whose tail follows its head."""
+    yield thirds_grid()
+    yield generate_random_instance(8, 3, 10, w_min=2, w_max=5, weight_resolution=3, seed=21)
+    yield generate_random_instance(7, 2.5, 8, seed=3)
+
+
+def assert_declaration_order(variables, constraints):
+    position = {v.name: k for k, v in enumerate(variables)}
+    for c in constraints:
+        at = [position[var] for var, _ in c.terms]
+        assert at == sorted(set(at)), f"{c.name}: terms out of declaration order"
+        assert all(coef != 0 for _, coef in c.terms), f"{c.name}: zero coefficient"
+
+
+def test_rows_are_emitted_in_declaration_order(monkeypatch):
+    # `ReferenceBuilder` sorts each row by declaration position and drops
+    # zeros; the builder relies on its emitters to need neither.
+    for inst in term_order_cases():
+        index = inst.node_index()
+        assert max(len(links) for links in inst.in_links().values()) >= 3
+        assert any(index[l.tail] > index[l.head] for l in inst.links)
+        rng = random.Random(0)
+        forests = [solver.demand_to_origin(inst, random_tree_routing(inst, rng))
+                   for _ in range(3)]
+
+        def builds():
+            for build in (build_dbm, build_obm):
+                for master in (False, True):
+                    yield build(inst, master=master)
+            for forest in forests:
+                yield lp.path_length_system(inst, forest)
+
+        built = list(builds())
+        with monkeypatch.context() as patched:
+            patched.setattr(models, "_ModelBuilder", ReferenceBuilder)
+            patched.setattr(lp, "_ModelBuilder", ReferenceBuilder)
+            reference = list(builds())
+        for got, want in zip(built, reference, strict=True):
+            if isinstance(got, LinearModel):
+                assert got == want, got.formulation
+                assert_declaration_order(got.variables, got.constraints)
+            else:
+                (system, meta), (ref_system, ref_meta) = got, want
+                assert system == ref_system
+                assert meta == ref_meta
+                assert_declaration_order(system.variables, system.rows)
 
 
 SMALL_LP = """\\ formulation: T
