@@ -19,10 +19,9 @@ pairs.  DBM has a tree per demand (routed by `x`), OBM a tree per origin
 recovery subproblem of the decomposition (`lp.path_length_system`): OBM's
 path-length block with every routing binary replaced by a candidate forest's
 binding (origin, link, 0 or 1), each binding folded into its row's
-right-hand side and recorded as that row's.  With `master`, a
-builder emits only its formulation's `_MASTER_FAMILIES`, and the structure
-report is read from the declared `_COUPLINGS`, so neither needs the full
-model.
+right-hand side and recorded as that row's.  Every family is declared once,
+in `_families`: the size tables, the structure report (no model built), the
+name-to-family maps and the master split (a builder's `master`) all read it.
 
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
@@ -165,8 +164,8 @@ class _ModelBuilder:
     binding terms into the rhs (a binding at 1 subtracts its coefficient, one
     at 0 leaves the rhs alone) and records them in `bindings[row name]`.
 
-    `families`, when given, is a `_MASTER_FAMILIES` entry: the builders then
-    emit only the variable and row families it names (`emits`).
+    `families`, when given, is a `_MASTER_FAMILIES` entry, read from
+    `_families`: the builders then emit only the families it names (`emits`).
     """
 
     def __init__(
@@ -355,7 +354,7 @@ def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
 
 def master_submodel(model: LinearModel) -> LinearModel:
     """The integer master kept by the decomposition split: the variable and
-    row families `_MASTER_FAMILIES` names for the model's formulation.
+    row families that the formulation's `_families` declaration marks kept.
 
     DBM: routing binaries with flow-conservation and capacity rows (objective
     unchanged).  OBM: routing binaries with the uniqueness rows; the flow
@@ -381,42 +380,53 @@ def master_submodel(model: LinearModel) -> LinearModel:
 
 
 # ---------------------------------------------------------------------------
-# Size accounting.
+# The family declaration and size accounting.
 
-_VAR_FAMILY_LABEL = {
-    "x": "routing",
-    "y": "routing",
-    "f": "flow",
-    "w": "weight",
-    "l": "length",
-}
-_ROW_FAMILY_LABEL = {
-    "fc": "flow_conservation",
-    "cap": "capacity",
-    "pl": "path_length",
-    "fb": "flow_bound",
-    "uniq": "uniqueness",
-}
-# The families each master keeps: (variable families, row families).
+def _families(dims: InstanceDims = InstanceDims(0, 0, 0, 0)) -> dict[str, tuple[list, list]]:
+    """Per formulation, its (variable, row) families in report order, each
+    counted in closed form at `dims` (at zero by default).
+
+    Each family is declared once, with an entry per formulation that has it:
+    a variable family comes out as `(label, name prefix, count, kept)` and a
+    row family as `(label, name tag, count, kept, touches)`.  `kept` says
+    whether the formulation's master keeps the family; `touches` lists the
+    prefixes of the variable families its rows have terms on, in the order
+    the builder emits them.
+    """
+    n, L, D, S = dims.n_nodes, dims.n_links, dims.n_demands, dims.n_origins
+    variables = (
+        ("routing", {"DBM": ("x", D * L, True), "OBM": ("y", S * L, True)}),
+        ("flow", {"OBM": ("f", S * L, False)}),
+        ("weight", dict.fromkeys(("DBM", "OBM"), ("w", L, False))),
+        ("length", dict.fromkeys(("DBM", "OBM"), ("l", S * n, False))),
+    )
+    rows = (
+        ("flow_conservation", {"DBM": ("fc", D * n, True, ("x",)),
+                               "OBM": ("fc", S * n, False, ("f",))}),
+        ("flow_bound", {"OBM": ("fb", S * L, False, ("y", "f"))}),
+        ("capacity", {"DBM": ("cap", L, True, ("x",)), "OBM": ("cap", L, False, ("f",))}),
+        ("uniqueness", {"OBM": ("uniq", S * n, True, ("y",))}),
+        ("path_length", {"DBM": ("pl", 2 * D * L, False, ("x", "w", "l")),
+                         "OBM": ("pl", 2 * S * L, False, ("y", "w", "l"))}),
+    )
+    return {
+        formulation: tuple(
+            [(label, *per[formulation]) for label, per in families if formulation in per]
+            for families in (variables, rows)
+        )
+        for formulation in ("DBM", "OBM")
+    }
+
+
+# Read from `_families`: name prefix or tag -> family label, and per
+# formulation the (variable, row) family labels its master keeps.
+_VAR_FAMILY_LABEL, _ROW_FAMILY_LABEL = (
+    {tag: label for declared in _families().values() for label, tag, *_ in declared[i]}
+    for i in (0, 1)
+)
 _MASTER_FAMILIES = {
-    "DBM": ({"routing"}, {"flow_conservation", "capacity"}),
-    "OBM": ({"routing"}, {"uniqueness"}),
-}
-# Per formulation, the variable families (by name prefix) that each row
-# family's rows have terms on, in the order the builder emits them.
-_COUPLINGS = {
-    "DBM": {
-        "flow_conservation": ("x",),
-        "capacity": ("x",),
-        "path_length": ("x", "w", "l"),
-    },
-    "OBM": {
-        "flow_conservation": ("f",),
-        "flow_bound": ("y", "f"),
-        "capacity": ("f",),
-        "uniqueness": ("y",),
-        "path_length": ("y", "w", "l"),
-    },
+    formulation: tuple({label for label, _tag, _n, kept, *_ in fams if kept} for fams in declared)
+    for formulation, declared in _families().items()
 }
 
 
@@ -469,22 +479,10 @@ def size_report(dims: InstanceDims) -> SizeReport:
     the master/bound/conservation/capacity rows.  Both are emitted, labeled,
     with the discrepancy flagged in `note`.
     """
-    n, L, D, S = dims.n_nodes, dims.n_links, dims.n_demands, dims.n_origins
-    dbm = SizeTable(
-        "DBM original",
-        {"routing": D * L, "weight": L, "length": S * n},
-        {"flow_conservation": D * n, "capacity": L, "path_length": 2 * D * L},
-    )
-    obm = SizeTable(
-        "OBM original (all families)",
-        {"routing": S * L, "flow": S * L, "weight": L, "length": S * n},
-        {
-            "flow_conservation": S * n,
-            "flow_bound": S * L,
-            "capacity": L,
-            "uniqueness": S * n,
-            "path_length": 2 * S * L,
-        },
+    declared = _families(dims)
+    dbm, obm = (
+        SizeTable(label, *({fam: n for fam, _tag, n, *_ in fams} for fams in declared[key]))
+        for key, label in (("DBM", "DBM original"), ("OBM", "OBM original (all families)"))
     )
     obm_reduced = _restrict(
         obm, "OBM original (binary+flow variables, master+bound constraint families)",
@@ -540,7 +538,7 @@ class StructureReport:
 def structure_report(formulation: str, sizes: SizeTable) -> StructureReport:
     """Per constraint family, the variable families its rows touch.
 
-    Read from `_COUPLINGS` and the formulation's `size_report` table, with no
+    Read from `_families` and the formulation's `size_report` table, with no
     model built: a row family is listed only when it has rows, and a variable
     family only when it has variables.  Every declared coefficient is nonzero
     (bandwidths, eps and big_M are positive and no link is a self-loop), so
@@ -548,7 +546,7 @@ def structure_report(formulation: str, sizes: SizeTable) -> StructureReport:
     """
     couplings = {
         fam: tuple(v for v in touched if sizes.variables[_VAR_FAMILY_LABEL[v]])
-        for fam, touched in _COUPLINGS[formulation].items()
+        for fam, _tag, _count, _kept, touched in _families()[formulation][1]
         if sizes.constraints[fam]
     }
     return StructureReport(formulation, couplings)

@@ -48,7 +48,7 @@ from typing import Collection, Iterator, Mapping, Sequence
 
 from . import lp, spf
 from .instance import Instance
-from .rational import grid_points, write_json
+from .rational import grid_points, grid_size, write_json
 from .spf import RoutingForest, WeightVector
 
 
@@ -380,30 +380,44 @@ class _PathStream:
         return self.paths[j] if j < len(self.paths) else None
 
     def _list(self, hops: int) -> None:
+        """Append the paths of exactly `hops` links, in DFS order.  The DFS
+        keeps one out-link iterator per path node on an explicit stack, so a
+        path may be longer than the interpreter's recursion limit."""
         out_links, heads = self._cg.out_links, self._cg.heads
-        dist, destination = self._dist, self._destination
+        dist, destination, paths = self._dist, self._destination, self.paths
+        if self._origin == destination:
+            paths.append(((destination,), ()))
+            return
         nodes, links = [self._origin], []
         on_path = [False] * len(dist)
         on_path[self._origin] = True
-
-        def visit(u: int, left: int) -> None:
-            if u == destination:
-                self.paths.append((tuple(nodes), tuple(links)))
-                return
-            left -= 1
-            for e in out_links[u]:
+        it = iter(out_links[self._origin])
+        stack = [it]
+        left = hops - 1  # links left after the next one
+        while True:
+            for e in it:
                 v = heads[e]
-                if on_path[v] or dist[v] > left or (v == destination and left):
+                if on_path[v] or dist[v] > left:
+                    continue
+                if v == destination:
+                    if not left:
+                        paths.append(((*nodes, v), (*links, e)))
                     continue
                 nodes.append(v)
                 links.append(e)
                 on_path[v] = True
-                visit(v, left)
-                on_path[v] = False
-                nodes.pop()
+                it = iter(out_links[v])
+                stack.append(it)
+                left -= 1
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    return
+                it = stack[-1]
+                left += 1
+                on_path[nodes.pop()] = False
                 links.pop()
-
-        visit(self._origin, hops)
 
 
 def master_search(
@@ -611,7 +625,6 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     `visited` counters.
     """
     started = time.perf_counter()
-    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     pairs = instance.link_pairs()
     best = None  # (objective, combo, forest)
     stats: dict = {}
@@ -621,17 +634,19 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
         objective = spf.evaluate_objective(instance, forest)
         if best is None or objective < best[0]:
             best = (objective, combo, forest)
-    evaluated = len(points) ** len(pairs)
+    n_points = grid_size(instance.w_min, instance.w_max, instance.weight_resolution)
+    evaluated = n_points ** len(pairs)
     diagnostics = Diagnostics(
         iterations=evaluated,
         cuts_added=0,
         nodes_explored=evaluated,
         wall_time=time.perf_counter() - started,
-        details={"grid_points": len(points), **stats},
+        details={"grid_points": n_points, **stats},
     )
     if best is None:
         return Solution("Infeasible", None, None, None, diagnostics)
     _objective, combo, forest = best
+    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
     weights = WeightVector({pair: points[i] for pair, i in zip(pairs, combo)})
     return _verified_solution(instance, weights, forest, diagnostics)
 

@@ -44,7 +44,8 @@ from typing import Iterator
 
 from .instance import Demand, Instance
 from .rational import (
-    format_number, grid_points, on_grid, read_json, read_records, snap_to_grid, write_json,
+    format_number, grid_points, grid_size, on_grid, read_json, read_records, snap_to_grid,
+    write_json,
 )
 
 
@@ -367,14 +368,15 @@ def unique_grid_routings(
         raise ValueError(f"grid_limit must be a non-negative integer, got {limit!r}")
     if stats is None:
         stats = {}
-    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
-    n_points = len(points)
+    grid = (instance.w_min, instance.w_max, instance.weight_resolution)
+    n_points = grid_size(*grid)
     n_links = len(instance.links)
     total = n_points ** n_links
-    if total > limit:
+    if total > limit:  # before the grid is built: a wide one would not fit
         raise GridSearchLimitError(
             f"{total} weight combinations exceed grid_limit {limit}"
         )
+    points = grid_points(*grid)
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]

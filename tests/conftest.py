@@ -64,10 +64,10 @@ def coarse_grid_triangle() -> Instance:
     )
 
 
-def path_graph(n=3, cap=10) -> Instance:
+def path_graph(n=3, cap=10, w_max=10) -> Instance:
     nodes = [f"p{i}" for i in range(n)]
     links = [(nodes[i], nodes[i + 1], cap) for i in range(n - 1)]
-    return mk_instance(nodes, links, [(nodes[0], nodes[-1], 1)])
+    return mk_instance(nodes, links, [(nodes[0], nodes[-1], 1)], w_max=w_max)
 
 
 def small_random(seed: int, max_nodes: int = 5, max_grid: int = 3,

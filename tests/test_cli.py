@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import coarse_grid_triangle, diamond, mk_instance, two_node
-from uspr import models, spf
+from conftest import coarse_grid_triangle, diamond, mk_instance, path_graph, two_node
+from uspr import models, solver, spf
 from uspr.cli import main
 from uspr.instance import generate_random_instance, save_instance
 
@@ -132,6 +132,30 @@ def test_solve_grid_limit_requires_oracle(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --grid-limit")
     assert main(["solve", inst, "--oracle", "--grid-limit", "10"]) == 3
     assert "exceed grid_limit 10" in capsys.readouterr().err
+
+
+def test_oracle_refuses_a_wide_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("grid_points called before the grid_limit check")
+
+    monkeypatch.setattr(spf, "grid_points", unbuilt)
+    monkeypatch.setattr(solver, "grid_points", unbuilt)
+    wide = mk_instance("ab", [("a", "b", 10)], [("a", "b", 1)], w_max=2_000_000)
+    message = "2000000 weight combinations exceed grid_limit 10"
+    with pytest.raises(spf.GridSearchLimitError) as refused:
+        solver.brute_force_solve(wide, grid_limit=10)
+    assert str(refused.value) == message
+    inst = write_instance(tmp_path, wide)
+    assert main(["solve", inst, "--oracle", "--grid-limit", "10"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    inst = write_instance(tmp_path, path_graph(1005, w_max=2))
+    assert main(["solve", inst]) == 0
+    captured = capsys.readouterr()
+    assert "status=Optimal objective=1004 " in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_solve_infeasible_exit_two(tmp_path, capsys):

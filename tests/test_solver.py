@@ -538,6 +538,12 @@ def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
             assert listed == sorted(solver.simple_paths(inst, d.origin, d.destination), key=len)
 
 
+def test_benders_solves_a_path_longer_than_the_recursion_limit():
+    result = benders_solve(path_graph(1005, w_max=2))
+    assert result.status == "Optimal"
+    assert result.objective == 1004
+
+
 def test_master_first_candidate_lists_few_paths(monkeypatch):
     # (24,3,20)s0 has 250 927 simple paths over its demands; the first
     # candidate (the optimum) needs only the short ones.
