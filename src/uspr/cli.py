@@ -20,7 +20,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .rational import format_number
+from .rational import format_number, parse_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,10 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    # No location: argparse names the option in front of the message.
+    return parse_number(text, "", argparse.ArgumentTypeError)
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -123,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report closed-form sizes for these cardinalities")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     p.add_argument("--no-solver", action="store_true",
-                   help="skip the optimal solve in the baseline table")
+                   help="skip the optimal solve in the baseline table; that solve has "
+                        "no time, node or memory limit, so this keeps report bounded")
     return parser
 
 

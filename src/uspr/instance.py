@@ -385,15 +385,10 @@ def load_instance(text: str) -> Instance:
         InstanceParseError,
     ))
 
-    try:
-        w_min = parse_number(_require(raw, "w_min", "instance"), "w_min")
-        w_max = parse_number(_require(raw, "w_max", "instance"), "w_max")
-        resolution = parse_number(
-            _require(raw, "weight_resolution", "instance"), "weight_resolution"
-        )
-    except ValueError as exc:
-        raise InstanceParseError(str(exc)) from exc
-
+    w_min, w_max, resolution = (
+        parse_number(_require(raw, field, "instance"), field, InstanceParseError)
+        for field in ("w_min", "w_max", "weight_resolution")
+    )
     instance = Instance(nodes, links, demands, w_min, w_max, resolution)
     violations = validate_instance(instance)
     if violations:

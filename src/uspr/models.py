@@ -687,14 +687,6 @@ class LpParseError(ValueError):
     pass
 
 
-def _lp_number(token: str, where: str) -> Fraction:
-    """One number of LP text; a malformed one raises LpParseError naming its line."""
-    try:
-        return parse_number(token, where)
-    except ValueError as exc:
-        raise LpParseError(str(exc)) from None
-
-
 def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], ...]:
     """Signed terms; a token starting with a digit, '.' or a sign is a number."""
     terms: list[tuple[str, Fraction]] = []
@@ -708,7 +700,7 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], .
         elif tok[0] in "0123456789.+-":
             if pending is not None:
                 raise LpParseError(f"{where}: two consecutive numbers")
-            pending = _lp_number(tok, where)
+            pending = parse_number(tok, where, LpParseError)
         else:
             terms.append((tok, sign * (_ONE if pending is None else pending)))
             sign = _ONE
@@ -746,9 +738,9 @@ def parse_lp(text: str) -> LinearModel:
             if body.startswith("formulation:"):
                 formulation = body.split(":", 1)[1].strip()
             elif body.startswith("eps:"):
-                eps = _lp_number(body.split(":", 1)[1].strip(), where)
+                eps = parse_number(body.split(":", 1)[1].strip(), where, LpParseError)
             elif body.startswith("big_M:"):
-                big_M = _lp_number(body.split(":", 1)[1].strip(), where)
+                big_M = parse_number(body.split(":", 1)[1].strip(), where, LpParseError)
             continue
         if line in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
             section = line
@@ -770,21 +762,21 @@ def parse_lp(text: str) -> LinearModel:
             if sense_pos is None or sense_pos != len(tokens) - 2:
                 raise LpParseError(f"{where}: expected '<terms> <sense> <rhs>'")
             terms = _parse_terms(tokens[:sense_pos], where)
-            rhs = _lp_number(tokens[-1], where)
+            rhs = parse_number(tokens[-1], where, LpParseError)
             constraints.append(Constraint(name.strip(), terms, tokens[sense_pos], rhs))
         elif section == "Bounds":
             tokens = line.split()
             if len(tokens) == 2 and tokens[1] == "free":
                 bounds.append((tokens[0], None, None))
             elif len(tokens) == 3 and tokens[1] == "=":
-                v = _lp_number(tokens[2], where)
+                v = parse_number(tokens[2], where, LpParseError)
                 bounds.append((tokens[0], v, v))
             elif len(tokens) == 3 and tokens[1] == "<=":
-                lb = None if tokens[0] == "-inf" else _lp_number(tokens[0], where)
+                lb = None if tokens[0] == "-inf" else parse_number(tokens[0], where, LpParseError)
                 bounds.append((tokens[2], lb, None))
             elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                lb = None if tokens[0] == "-inf" else _lp_number(tokens[0], where)
-                bounds.append((tokens[2], lb, _lp_number(tokens[4], where)))
+                lb = None if tokens[0] == "-inf" else parse_number(tokens[0], where, LpParseError)
+                bounds.append((tokens[2], lb, parse_number(tokens[4], where, LpParseError)))
             else:
                 raise LpParseError(f"{where}: unrecognized bounds line {line!r}")
         elif section == "Binary":

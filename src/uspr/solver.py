@@ -306,30 +306,6 @@ def cut_matches(cut: NoGoodCut, used_by_origin: Mapping[str, Collection[tuple[st
     return True
 
 
-def simple_paths(instance: Instance, origin: str, destination: str) -> list[tuple[str, ...]]:
-    """All simple paths origin -> destination, in deterministic DFS order."""
-    out_links = instance.out_links()
-    result: list[tuple[str, ...]] = []
-    path = [origin]
-    on_path = {origin}
-
-    def visit(node: str) -> None:
-        if node == destination:
-            result.append(tuple(path))
-            return
-        for link in out_links[node]:
-            if link.head in on_path:
-                continue
-            path.append(link.head)
-            on_path.add(link.head)
-            visit(link.head)
-            path.pop()
-            on_path.remove(link.head)
-
-    visit(origin)
-    return result
-
-
 def segment_conflict(next_hop: Mapping, path: Sequence) -> bool:
     """Whether `path` leaves a node u toward a later node v of the path on
     another link than the one `next_hop[u][v]` records.
@@ -361,11 +337,12 @@ def add_segments(next_hop: Mapping, path: Sequence) -> dict:
 
 
 class _PathStream:
-    """One demand's simple paths in (hops, DFS index) order: the order of
-    `sorted(simple_paths(...), key=len)`.  They are listed one hop count at a
-    time, by a DFS limited to that many hops and pruned by the BFS hop
-    distance to the destination, only as far as the search reads them.
-    Each entry is (node indices, link indices)."""
+    """One demand's simple paths by hop count, and paths of equal hop count
+    in the order a depth-first search from the origin, following each
+    node's out-links in instance order, reaches them.  They are listed one
+    hop count at a time, by a DFS limited to that many hops and pruned by
+    the BFS hop distance to the destination, only as far as the search
+    reads them.  Each entry is (node indices, link indices)."""
 
     def __init__(self, cg: spf.CompiledGraph, dist: list[int], origin: int, destination: int):
         self.paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

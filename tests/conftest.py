@@ -4,7 +4,8 @@ Instances used across modules: a 2-node single link, a triangle with a
 shortcut, the same triangle on the coarse grid {2, 5}, the 4-node diamond
 (two parallel 2-hop routes), and seeded random instances kept small enough
 for exhaustive grid enumeration.  Test references for the models module:
-`model_counts` and `ReferenceBuilder`.
+`model_counts` and `ReferenceBuilder`; for the solver's path lister:
+`simple_paths`.
 """
 
 from __future__ import annotations
@@ -127,12 +128,39 @@ def random_tree_routing(instance: Instance, rng: random.Random) -> DemandRouting
     return DemandRouting(tuple(selections))
 
 
+def simple_paths(instance: Instance, origin: str, destination: str) -> list[tuple[str, ...]]:
+    """All simple paths origin -> destination, in DFS order (out-links in
+    instance order).  The reference for `solver._PathStream`, which lists
+    the same paths by hop count; it recurses once per hop, so small
+    instances only."""
+    out_links = instance.out_links()
+    result: list[tuple[str, ...]] = []
+    path = [origin]
+    on_path = {origin}
+
+    def visit(node: str) -> None:
+        if node == destination:
+            result.append(tuple(path))
+            return
+        for link in out_links[node]:
+            if link.head in on_path:
+                continue
+            path.append(link.head)
+            on_path.add(link.head)
+            visit(link.head)
+            path.pop()
+            on_path.remove(link.head)
+
+    visit(origin)
+    return result
+
+
 def all_routings(instance: Instance, cap: int = 5000) -> list[DemandRouting]:
     """Every sub-path-optimal loop-free routing (per-demand simple paths,
     filtered for per-origin in-link consistency).  Exhaustive; small use only."""
     import itertools
 
-    from uspr.solver import simple_paths, subpath_optimality_check
+    from uspr.solver import subpath_optimality_check
 
     per_demand = []
     for d in instance.demands:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,6 +509,46 @@ def test_bad_number_option_names_the_option_once(tmp_path, capsys, command, opti
     assert captured.err.splitlines()[-1] == (
         f"uspr {command}: error: argument {option}: not a number: {value!r}"
     )
+
+
+def run_uspr(*argv: str) -> subprocess.CompletedProcess:
+    """`uspr` in a process of its own, killed after 10 s, so that a hang
+    fails the test instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "uspr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+
+
+HOSTILE = "1e30000000"  # over 20 s to build as a Fraction; "1e99999999999" never finishes
+
+
+@pytest.mark.parametrize("case", [
+    "instance-decimal", "instance-string", "instance-huge", "weights", "w-max", "eps",
+])
+def test_hostile_exponent_exits_one_at_once(tmp_path, case):
+    text = save_instance(diamond())
+    inst = write_instance(tmp_path, diamond())
+    bad = tmp_path / "bad.json"
+    argv = ["validate", str(bad)]
+    if case == "instance-decimal":
+        bad.write_text(text.replace('"w_max": 10', f'"w_max": {HOSTILE}'))
+    elif case == "instance-string":
+        bad.write_text(text.replace('"w_max": 10', f'"w_max": "{HOSTILE}"'))
+    elif case == "instance-huge":
+        bad.write_text(text.replace('"capacity": 10', '"capacity": 1e-99999999999', 1))
+    elif case == "weights":
+        bad.write_text(f'[{{"tail": "s", "head": "a", "weight": {HOSTILE}}}]')
+        argv = ["verify", inst, str(bad)]
+    elif case == "w-max":
+        argv = ["generate", "--nodes", "3", "--degree", "1", "--demands", "1",
+                "--w-max", HOSTILE, "-o", str(tmp_path / "g.json")]
+    else:
+        argv = ["export", inst, "--formulation", "obm", "--eps", "1e-99999999999"]
+    proc = run_uspr(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "decimal exponent outside -4300..4300" in errors[0], proc.stderr
 
 
 def test_solve_derives_eps_from_the_instance(tmp_path, capsys):

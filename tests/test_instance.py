@@ -1,5 +1,7 @@
-import pytest
+import json
 from fractions import Fraction
+
+import pytest
 
 from conftest import mk_instance, two_node
 from uspr.instance import (
@@ -163,6 +165,49 @@ def test_load_rejects_bad_json():
         load_instance("{not json")
     with pytest.raises(InstanceParseError, match="nested too deeply"):
         load_instance("[" * 100_000 + "]" * 100_000)
+
+
+# Refused by the exponent bound alone: without it these build in
+# milliseconds, so a lost bound fails the test instead of stalling it.
+_EXPONENT_CASES = [
+    ('"w_max": 10', '"w_max": 1e4301', "JSON number"),
+    ('"w_max": 10', '"w_max": "1e4301"', "w_max"),
+    ('"w_min": 1', '"w_min": "1e-4301"', "w_min"),
+    ('"capacity": 10', '"capacity": 2.5E+04301', "JSON number"),
+    ('"capacity": 10', '"capacity": "1e43_01"', r"links\[0\]\.capacity"),
+]
+
+
+@pytest.mark.parametrize("old, new, where", _EXPONENT_CASES,
+                         ids=["decimal", "string", "negative", "capital-e", "underscore"])
+def test_load_refuses_a_decimal_exponent_past_the_digit_limit(old, new, where):
+    text = save_instance(two_node())
+    assert old in text
+    with pytest.raises(InstanceParseError, match=f"^{where}: decimal exponent outside -4300..4300"):
+        load_instance(text.replace(old, new, 1))
+
+
+def test_load_reads_a_decimal_exponent_at_the_digit_limit():
+    text = save_instance(two_node()).replace('"w_max": 10', '"w_max": 1e4300', 1)
+    assert load_instance(text).w_max == 10**4300
+    text = save_instance(two_node()).replace(
+        '"weight_resolution": 1', '"weight_resolution": "1e-0004300"', 1)
+    assert load_instance(text).weight_resolution == Fraction(1, 10**4300)
+
+
+@pytest.mark.parametrize("field", ['"capacity": 10', '"w_max": 10'])
+def test_load_refuses_a_5000_digit_integer(field):
+    text = save_instance(two_node())
+    big = field.split(": ")[0] + ": " + "9" * 5000
+    with pytest.raises(InstanceParseError, match="more than 4300 digits: '9{19}[.][.][.]$"):
+        load_instance(text.replace(field, big, 1))
+
+
+def test_load_shows_a_short_prefix_of_a_bad_value():
+    text = save_instance(two_node()).replace('"capacity": 10', f'"capacity": {json.dumps(["x"] * 100_000)}', 1)
+    with pytest.raises(InstanceParseError) as caught:
+        load_instance(text)
+    assert str(caught.value) == "links[0].capacity: expected a number, got ['x', 'x', 'x', 'x',..."
 
 
 def test_derived_sets_recomputed():

@@ -1,4 +1,5 @@
-"""Differential test: the exported DBM/OBM, solved by HiGHS, against benders.
+"""Differential test: the exported DBM/OBM, solved by HiGHS, against benders,
+on 41 small cases and, for OBM, on a ladder of (20,3,16) seeds.
 
 Each model is solved as the LP text `uspr export` writes for it, read back
 by `parse_lp`, so HiGHS checks the exported bytes.  scipy is an optional
@@ -8,6 +9,7 @@ test dependency; the module skips when it is missing.
 import pytest
 
 from conftest import coarse_grid_triangle, small_random
+from uspr.instance import generate_random_instance
 from uspr.models import build_dbm, build_obm, export_lp, parse_lp
 from uspr.solver import benders_solve
 
@@ -55,24 +57,38 @@ CASES = [small_random(seed, tight=seed % 5 == 0) for seed in range(40)]
 CASES.append(coarse_grid_triangle())
 
 
+def assert_agrees_with_benders(inst, build):
+    """HiGHS on the exported model against benders: the statuses agree, and
+    the objectives are equal when recovery needed no branch node; with
+    branch nodes benders' objective is at least HiGHS's."""
+    reference = benders_solve(inst)
+    # Recovery nodes past one per candidate are branch nodes; without
+    # them every candidate was settled by the continuous system alone.
+    d = reference.diagnostics
+    branch_nodes = d.details["lp_solves"] - d.iterations
+    objective = solve_milp(build(inst))
+    assert (objective is None) == (
+        reference.status == "Infeasible" and branch_nodes == 0
+    ), inst
+    if reference.status != "Optimal":
+        return
+    if branch_nodes == 0:
+        assert objective == pytest.approx(float(reference.objective), abs=1e-6)
+    else:
+        assert objective <= float(reference.objective) + 1e-6
+
+
 @pytest.mark.parametrize("build", [build_dbm, build_obm], ids=["dbm", "obm"])
 def test_milp_formulations_agree_with_benders(build):
     for inst in CASES:
-        reference = benders_solve(inst)
-        # Recovery nodes past one per candidate are branch nodes; without
-        # them every candidate was settled by the continuous system alone.
-        d = reference.diagnostics
-        branch_nodes = d.details["lp_solves"] - d.iterations
-        objective = solve_milp(build(inst))
-        assert (objective is None) == (
-            reference.status == "Infeasible" and branch_nodes == 0
-        ), inst
-        if reference.status != "Optimal":
-            continue
-        if branch_nodes == 0:
-            assert objective == pytest.approx(float(reference.objective), abs=1e-6)
-        else:
-            assert objective <= float(reference.objective) + 1e-6
+        assert_agrees_with_benders(inst, build)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_obm_agrees_with_benders_at_working_scale(seed):
+    # (20,3,16): the master and recovery do real work here, and both sides
+    # take well under a second per seed.
+    assert_agrees_with_benders(generate_random_instance(20, 3, 16, seed=seed), build_obm)
 
 
 def test_masters_relax_their_formulations():

@@ -454,6 +454,19 @@ def test_parse_lp_names_the_line_of_a_malformed_number(old, new, line):
         parse_lp(SMALL_LP.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("formulation: T\n", "formulation: T\n\\ eps: 1e-4301\n", 2),
+    (" obj: x", " obj: 1e4301 x", 3),
+    (" c: x + y", " c: x + 2E+9999 y", 5),
+    ("<= 1\n", "<= -1e-4301\n", 5),
+    (" 0 <= x <= 1", " 0 <= x <= 1e4_301", 7),
+], ids=["eps-header", "objective", "row-term", "rhs", "upper-bound"])
+def test_parse_lp_refuses_a_decimal_exponent_past_the_digit_limit(old, new, line):
+    assert old in SMALL_LP
+    with pytest.raises(LpParseError, match=f"^line {line}: decimal exponent outside -4300..4300"):
+        parse_lp(SMALL_LP.replace(old, new, 1))
+
+
 @pytest.mark.parametrize("old, new, message", [
     (" c: x + y", " c: x + z", "constraint c: references undeclared 'z'"),
     (" obj: x", " obj: x + z", "objective: references undeclared 'z'"),

@@ -18,6 +18,7 @@ from conftest import (
     path_graph,
     random_cycle,
     random_tree_routing,
+    simple_paths,
     small_random,
     two_node,
 )
@@ -535,7 +536,7 @@ def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
             listed = []
             while (path := stream.get(len(listed))) is not None:
                 listed.append(tuple(inst.nodes[v] for v in path[0]))
-            assert listed == sorted(solver.simple_paths(inst, d.origin, d.destination), key=len)
+            assert listed == sorted(simple_paths(inst, d.origin, d.destination), key=len)
 
 
 def test_benders_solves_a_path_longer_than_the_recursion_limit():

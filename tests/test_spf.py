@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diamond, mk_instance, small_random, triangle, two_node
+from conftest import diamond, mk_instance, simple_paths, small_random, triangle, two_node
 from uspr import spf
 from uspr.instance import generate_random_instance
 from uspr.rational import grid_points
-from uspr.solver import DemandRouting, simple_paths, subpath_optimality_check
+from uspr.solver import DemandRouting, subpath_optimality_check
 from uspr.spf import (
     NonUniqueRoutingError,
     RoutingForest,
@@ -397,6 +397,17 @@ def test_weights_file_duplicate_link_rejected():
 def test_weights_file_non_numeric_weight_names_field():
     with pytest.raises(spf.InvalidWeightsError, match=r"weights\[0\]\.weight"):
         spf.load_weights('[{"tail": "s", "head": "a", "weight": "heavy"}]')
+
+
+@pytest.mark.parametrize("weight, message", [
+    ("1e4301", "JSON number: decimal exponent outside -4300..4300"),
+    ('"1e-4301"', r"weights\[0\]\.weight: decimal exponent outside -4300..4300"),
+    ("7" * 5000, "JSON number: more than 4300 digits"),
+    ('"' + "7" * 5000 + '"', r"weights\[0\]\.weight: more than 4300 digits"),
+], ids=["decimal-exponent", "string-exponent", "json-integer", "string-integer"])
+def test_weights_file_refuses_numbers_past_the_digit_limit(weight, message):
+    with pytest.raises(spf.InvalidWeightsError, match=f"^{message}"):
+        spf.load_weights(f'[{{"tail": "s", "head": "a", "weight": {weight}}}]')
 
 
 def test_weight_validation_rejects_off_grid_and_missing():
