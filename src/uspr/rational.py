@@ -16,10 +16,13 @@ import math
 import re
 from fractions import Fraction
 
-# The most digits Python reads as one integer (its default
+# The most digits Python reads or writes as one integer (its default
 # `sys.get_int_max_str_digits()`), and so the largest decimal exponent read:
 # building 10**e takes seconds at e = 10**7, and never ends a few digits on.
+# No numerator or denominator read has more, so every number read can be
+# written back.
 MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
@@ -30,43 +33,72 @@ def parse_number(
     '2.5e-3', '1/3') as an exact Fraction.
 
     Anything else raises `error`, with a message that starts with `where`
-    (unless it is empty) and shows at most a short prefix of the value.
-    Text with a decimal exponent above `MAX_DIGITS` is refused before any
-    power of ten is built; a run of more digits than that, Python refuses.
-    Floats are accepted only for programmatic convenience and are read
-    through their shortest decimal repr, so `0.1` means exactly 1/10.
+    (unless it is empty) and shows at most a short prefix of the value:
+    text as a string literal, a JSON value as JSON text.  Text with a
+    decimal exponent above `MAX_DIGITS` is refused before any power of ten
+    is built, and text or an int whose numerator or denominator would have
+    more than `MAX_DIGITS` digits is refused too, so that every number read
+    can be written back.  A Fraction is taken as it is: every Fraction read
+    from a file has passed here as text.  Floats are accepted only for
+    programmatic convenience and are read through their shortest decimal
+    repr, so `0.1` means exactly 1/10.
     """
     if isinstance(value, Fraction):
         return value
+    number = None
     if isinstance(value, str):
         # Digits alone, as in every JSON integer, have no exponent, and int()
-        # reads them in half the time of Fraction's text parser.
+        # reads them in half the time of Fraction's text parser; it refuses
+        # more than MAX_DIGITS of them itself.
         plain = value.isdecimal()
         exponent = None if plain else _EXPONENT.search(value)
         if exponent and float(exponent[1]) > MAX_DIGITS:
             why = f"decimal exponent outside -{MAX_DIGITS}..{MAX_DIGITS}, the digit limit:"
         else:
             try:
-                return Fraction(int(value) if plain else value)
+                if plain:
+                    return Fraction(int(value))
+                number = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 too_long = any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", value))
                 why = f"more than {MAX_DIGITS} digits:" if too_long else "not a number:"
     elif isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        number = Fraction(value)
     elif isinstance(value, float) and math.isfinite(value):
-        return Fraction(str(value))
+        return Fraction(str(value))  # 17 digits at most, exponent within -324..308
     else:
         why = "not a finite number:" if isinstance(value, float) else "expected a number, got"
-    shown = repr(value)
+    if number is not None:
+        numerator, denominator = number.as_integer_ratio()
+        if -_TOO_LONG < numerator < _TOO_LONG and denominator < _TOO_LONG:
+            return number
+        why = f"more than {MAX_DIGITS} digits"
+        if not isinstance(value, str):  # a number too long to show
+            raise error(f"{where}: {why}" if where else why)
+        why += ":"
+    shown = repr(value) if isinstance(value, str) else _inline(value, _shown_leaf)
     why += f" {shown if len(shown) <= 24 else shown[:20] + '...'}"
     raise error(f"{where}: {why}" if where else why)
+
+
+def _shown_leaf(value: object) -> str:
+    """A scalar of a refused value as JSON text: exact decimal numbers,
+    true/false and NaN/Infinity as the JSON file spells them, and a value
+    JSON cannot hold as Python shows it."""
+    if isinstance(value, (bool, float)):
+        return json.dumps(value)
+    if isinstance(value, (int, Fraction)):
+        return format_number(value)
+    return repr(value)
 
 
 def format_number(x: Fraction) -> str:
     """Render a Fraction as a minimal exact decimal ('3', '0.5', '-2.25').
 
     Values whose denominator contains primes other than 2 and 5 have no finite
-    decimal expansion and fall back to the exact 'p/q' form.
+    decimal expansion and fall back to the exact 'p/q' form, and so do values
+    whose decimal has more than `MAX_DIGITS` digits, which `parse_number`
+    would refuse.
     """
     x = Fraction(x)
     if x.denominator == 1:
@@ -83,8 +115,10 @@ def format_number(x: Fraction) -> str:
     if den != 1:
         return f"{x.numerator}/{x.denominator}"
     digits = max(twos, fives)
-    scaled = x * 10**digits
-    body = str(abs(int(scaled))).rjust(digits + 1, "0")
+    scaled = abs(x.numerator) * 10**digits // x.denominator
+    if digits >= MAX_DIGITS or scaled >= _TOO_LONG:  # more digits than are read
+        return f"{x.numerator}/{x.denominator}"
+    body = str(scaled).rjust(digits + 1, "0")
     head, tail = body[:-digits], body[-digits:]
     tail = tail.rstrip("0")
     sign = "-" if x < 0 else ""
@@ -122,14 +156,16 @@ def _block(value: object, indent: str) -> str:
     return _inline(value)
 
 
-def _inline(value: object) -> str:
+def _inline(value: object, leaf=json_number) -> str:
+    """One line of JSON text, each scalar other than a string or None
+    written by `leaf`."""
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        return "{" + ", ".join([f"{json.dumps(k)}: {_inline(v)}" for k, v in value.items()]) + "}"
+        return "{" + ", ".join([f"{json.dumps(k)}: {_inline(v, leaf)}" for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join([_inline(v) for v in value]) + "]"
-    return "null" if value is None else json_number(value)
+        return "[" + ", ".join([_inline(v, leaf) for v in value]) + "]"
+    return "null" if value is None else leaf(value)
 
 
 def read_json(text: str, error: type[Exception]) -> object:

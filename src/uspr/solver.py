@@ -336,67 +336,6 @@ def add_segments(next_hop: Mapping, path: Sequence) -> dict:
     return table
 
 
-class _PathStream:
-    """One demand's simple paths by hop count, and paths of equal hop count
-    in the order a depth-first search from the origin, following each
-    node's out-links in instance order, reaches them.  They are listed one
-    hop count at a time, by a DFS limited to that many hops and pruned by
-    the BFS hop distance to the destination, only as far as the search
-    reads them.  Each entry is (node indices, link indices)."""
-
-    def __init__(self, cg: spf.CompiledGraph, dist: list[int], origin: int, destination: int):
-        self.paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._cg, self._dist = cg, dist
-        self._origin, self._destination = origin, destination
-        self._hops = dist[origin]  # len(nodes) when the destination is unreachable
-
-    def get(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        while j >= len(self.paths) and self._hops < len(self._dist):
-            self._list(self._hops)
-            self._hops += 1
-        return self.paths[j] if j < len(self.paths) else None
-
-    def _list(self, hops: int) -> None:
-        """Append the paths of exactly `hops` links, in DFS order.  The DFS
-        keeps one out-link iterator per path node on an explicit stack, so a
-        path may be longer than the interpreter's recursion limit."""
-        out_links, heads = self._cg.out_links, self._cg.heads
-        dist, destination, paths = self._dist, self._destination, self.paths
-        if self._origin == destination:
-            paths.append(((destination,), ()))
-            return
-        nodes, links = [self._origin], []
-        on_path = [False] * len(dist)
-        on_path[self._origin] = True
-        it = iter(out_links[self._origin])
-        stack = [it]
-        left = hops - 1  # links left after the next one
-        while True:
-            for e in it:
-                v = heads[e]
-                if on_path[v] or dist[v] > left:
-                    continue
-                if v == destination:
-                    if not left:
-                        paths.append(((*nodes, v), (*links, e)))
-                    continue
-                nodes.append(v)
-                links.append(e)
-                on_path[v] = True
-                it = iter(out_links[v])
-                stack.append(it)
-                left -= 1
-                break
-            else:
-                stack.pop()
-                if not stack:
-                    return
-                it = stack[-1]
-                left += 1
-                on_path[nodes.pop()] = False
-                links.pop()
-
-
 def master_search(
     instance: Instance,
     cuts: Sequence[NoGoodCut] = (),
@@ -452,7 +391,7 @@ def master_search(
         dist = dists[d.destination]
         if dist[index[d.origin]] == len(instance.nodes):
             return
-        streams.append(_PathStream(cg, dist, index[d.origin], index[d.destination]))
+        streams.append(spf.PathStream(cg, dist, index[d.origin], index[d.destination]))
     n_demands = len(demands)
     suffix = [0] * (n_demands + 1)
     for k in range(n_demands - 1, -1, -1):
@@ -589,10 +528,13 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     every admissible weight vector, lexicographically over the fixed link
     order, keeping the first vector attaining the minimum objective.
 
-    The forests come from `spf.unique_grid_routings`.  It routes each origin
-    once per grid setting of the links that can change its paths, sum_s
-    P^|R_s| oracle runs (P grid points), rather than once per vector, and
-    its sweep skips every set of vectors that can route no new forest.  It
+    The forests come from `spf.unique_grid_routings`.  It tabulates each
+    origin's outcome once per grid setting of the links that can change its
+    paths, sum_s P^|R_s| entries (P grid points), rather than once per
+    vector.  The entries come from each demand's candidate paths, listed
+    once, whose lengths are updated link by link; no entry runs Dijkstra,
+    except the single entry of a one-point grid.  The sweep skips every set
+    of vectors that can route no new forest.  It
     yields each distinct forest once, with its first vector, in the order
     of those vectors; so keeping the first strictly better capacity-feasible
     forest, judged by `spf.check_capacity` and `spf.evaluate_objective`,

@@ -23,10 +23,16 @@ derived).  This module is the one place that judges a forest:
 
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
 an origin's routing depends only on the weights of the links that can lie
-on its paths, so each origin is routed once per grid setting of those links
-and every grid vector combines the tabulated outcomes.  A depth-first sweep
-over the vectors skips each prefix below which no new forest lies.  It
-yields each distinct forest once, with the first grid vector that routes it.
+on its paths, so each origin's outcome is tabulated once per grid setting
+of those links and every grid vector combines the tabulated outcomes.  The
+tables run no Dijkstra: each demand's candidate paths, its simple paths
+short enough to be shortest somewhere on the grid, are listed once
+(`PathStream`, the master's path lister too), and a depth-first walk over
+the settings updates only the lengths of the candidates on the link that
+changes.  On a one-point grid the one entry is one Dijkstra run instead.
+A depth-first sweep over the vectors skips each prefix below which no new
+forest lies.  It yields each distinct forest once, with the first grid
+vector that routes it.
 """
 
 from __future__ import annotations
@@ -138,9 +144,8 @@ def _check_weights(instance: Instance, weights: WeightVector) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compiled integer-unit core.  Shared by the public operations and by the
-# weight-grid enumeration, which calls it once per origin and grid setting of
-# that origin's relevant links.
+# Compiled integer-unit core.  Shared by the public operations, the master's
+# path lists and the weight-grid enumeration.
 
 
 class CompiledGraph:
@@ -286,30 +291,161 @@ def hop_distances(starts: list[int], links: list[list[int]], ends: list[int]) ->
     return dist
 
 
+class PathStream:
+    """One demand's simple paths by hop count, and paths of equal hop count
+    in the order a depth-first search from the origin, following each
+    node's out-links in instance order, reaches them.  They are listed one
+    hop count at a time, by a DFS limited to that many hops and pruned by
+    the BFS hop distance to the destination, only as far as the reader
+    asks.  Each entry is (node indices, link indices).  The master reads
+    the paths one at a time (`get`), a grid table all of a few hops at once
+    (`within`)."""
+
+    def __init__(self, cg: CompiledGraph, dist: list[int], origin: int, destination: int):
+        self.paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._cg, self._dist = cg, dist
+        self._origin, self._destination = origin, destination
+        self._hops = dist[origin]  # len(nodes) when the destination is unreachable
+
+    def get(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        while j >= len(self.paths) and self._hops < len(self._dist):
+            self._list(self._hops)
+            self._hops += 1
+        return self.paths[j] if j < len(self.paths) else None
+
+    def within(self, hops: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Every path of at most `hops` links."""
+        while self._hops <= hops and self._hops < len(self._dist):
+            self._list(self._hops)
+            self._hops += 1
+        return [path for path in self.paths if len(path[1]) <= hops]
+
+    def _list(self, hops: int) -> None:
+        """Append the paths of exactly `hops` links, in DFS order.  The DFS
+        keeps one out-link iterator per path node on an explicit stack, so a
+        path may be longer than the interpreter's recursion limit."""
+        out_links, heads = self._cg.out_links, self._cg.heads
+        dist, destination, paths = self._dist, self._destination, self.paths
+        if self._origin == destination:
+            paths.append(((destination,), ()))
+            return
+        nodes, links = [self._origin], []
+        on_path = [False] * len(dist)
+        on_path[self._origin] = True
+        it = iter(out_links[self._origin])
+        stack = [it]
+        left = hops - 1  # links left after the next one
+        while True:
+            for e in it:
+                v = heads[e]
+                if on_path[v] or dist[v] > left:
+                    continue
+                if v == destination:
+                    if not left:
+                        paths.append(((*nodes, v), (*links, e)))
+                    continue
+                nodes.append(v)
+                links.append(e)
+                on_path[v] = True
+                it = iter(out_links[v])
+                stack.append(it)
+                left -= 1
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    return
+                it = stack[-1]
+                left += 1
+                on_path[nodes.pop()] = False
+                links.pop()
+
+
 def _origin_table(
     cg: CompiledGraph, point_units: list[int], src: int, dests: list[int], rel: list[int]
 ) -> tuple[array, list]:
     """One origin's outcome for every grid setting of its relevant links.
 
-    Settings run lexicographically over `rel`; the links outside it stay at
-    the first grid point.  The table holds an outcome id per setting; id 0
-    is "some demand unreachable or not unique", any other id indexes the
-    returned outcomes: the demands' node-index paths, in `dests` order.
+    Settings run lexicographically over `rel`.  The table holds an outcome
+    id per setting; id 0 is "some demand unreachable or not unique", any
+    other id indexes the returned outcomes: the demands' node-index paths,
+    in `dests` order.
+
+    No entry runs Dijkstra.  Each demand's candidates are its simple paths
+    of at most floor(w_max * h / w_min) links, h its BFS hop distance: a
+    longer path is longer than the h-hop one at w_max, so never shortest,
+    tie included.  Every candidate lies inside `rel`.  The sweep walks the
+    settings depth first, one link of `rel` per level, and adds a level's
+    weight change to the lengths of the candidates on its link only.  A
+    demand is decided at the deepest level one of its candidates touches:
+    unique when exactly one candidate has the least length.  A tie, or a
+    demand with no candidate, makes the whole block below id 0; once every
+    demand is decided, the block below holds one outcome.
+
+    With one grid point the table has one entry while the candidates can
+    be exponentially many, so that entry is one Dijkstra run instead.  With
+    two or more, distinct candidates have distinct link sets, so a demand
+    has at most 2^|rel| <= P^|rel| of them: no more than the table holds.
     """
+    n_points, depth = len(point_units), len(rel)
     ids: dict = {None: 0}
-    table = array("I")
-    wunits = [point_units[0]] * len(cg.tails)
-    for setting in itertools.product(point_units, repeat=len(rel)):
-        for e, w in zip(rel, setting):
-            wunits[e] = w
-        _dist, counts, pred = dijkstra_units(cg, wunits, src)
+    if n_points == 1:
+        _dist, counts, pred = dijkstra_units(cg, point_units * len(cg.tails), src)
         outcome: tuple | None = ()
         for dest in dests:
             if counts[dest] != 1:
                 outcome = None
                 break
             outcome += (tuple(walk_back_unique(cg, counts, pred, src, dest)),)
-        table.append(ids.setdefault(outcome, len(ids)))
+        return array("I", [ids.setdefault(outcome, len(ids))]), list(ids)
+    first, last = point_units[0], point_units[-1]
+    block = [n_points ** (depth - level) for level in range(depth + 1)]
+    level_of = {e: level for level, e in enumerate(rel)}
+    lengths = []  # per demand, its candidates' lengths under the current prefix
+    candidates = []  # per demand, its candidates' node paths
+    touched: list[list[tuple[list[int], int]]] = [[] for _ in rel]  # per level, (lengths, j)
+    decided: list[list[int]] = [[] for _ in range(depth + 1)]  # demands, by deciding level
+    for k, dest in enumerate(dests):
+        dist = hop_distances([dest], cg.in_links, cg.tails)
+        if dist[src] == len(dist):  # unreachable: no setting routes it
+            return array("I", [0]) * block[0], list(ids)
+        paths = PathStream(cg, dist, src, dest).within(last * dist[src] // first)
+        lens = [first * len(links) for _nodes, links in paths]
+        for j, (_nodes, links) in enumerate(paths):
+            for e in links:
+                touched[level_of[e]].append((lens, j))
+        lengths.append(lens)
+        candidates.append([nodes for nodes, _links in paths])
+        decided[max(level_of[e] for _nodes, links in paths for e in links) + 1].append(k)
+    final = max(level for level in range(depth + 1) if decided[level])
+    winners: list = [None] * len(dests)
+    table = array("I")
+    steps = [b - a for a, b in zip(point_units, point_units[1:])]
+    reset = first - last
+
+    def sweep(level: int) -> None:
+        for k in decided[level]:
+            lens = lengths[k]
+            least = min(lens)
+            if lens.count(least) > 1:
+                table.extend(array("I", [0]) * block[level])
+                return
+            winners[k] = candidates[k][lens.index(least)]
+        if level == final:
+            outcome = ids.setdefault(tuple(winners), len(ids))
+            table.extend(array("I", [outcome]) * block[level])
+            return
+        links = touched[level]
+        sweep(level + 1)
+        for step in steps:
+            for lens, j in links:
+                lens[j] += step
+            sweep(level + 1)
+        for lens, j in links:
+            lens[j] += reset
+
+    sweep(0)
+    del sweep  # it holds itself through its closure: free its lists now, not at a collection
     return table, list(ids)
 
 
@@ -347,9 +483,14 @@ def unique_grid_routings(
     The enumeration is factored by origin.  Each origin s's outcome depends
     only on the weights of its relevant links R_s (`relevant_links`), so it
     is tabulated once over the P^|R_s| settings of R_s, P being the number
-    of grid points: sum_s P^|R_s| <= |origins| * P^|L| oracle runs in all.
-    Outcome ids are interned per origin, so each distinct tuple of them is
-    one distinct forest, built once.
+    of grid points: sum_s P^|R_s| <= |origins| * P^|L| table entries in
+    all.  No entry runs Dijkstra (`_origin_table`): each demand's candidate
+    paths are listed once, and a depth-first walk over the settings moves
+    one link's weight at a time and updates the lengths of the candidates
+    on that link alone.  With P = 1 the one entry per origin is one
+    Dijkstra run, since the candidates can be exponentially many.  Outcome
+    ids are interned per origin, so each distinct tuple of them is one
+    distinct forest, built once.
 
     The vectors are then swept depth first, in lexicographic order, one
     link per level.  A prefix of a vector selects one contiguous block of
@@ -361,7 +502,7 @@ def unique_grid_routings(
     and that id nonzero, routes one forest, first with the remaining links
     at index 0.  A link in no R_s changes no outcome and stays at index 0.
 
-    `stats["settings"]` receives the oracle runs, sum_s P^|R_s|, and
+    `stats["settings"]` receives the table entries, sum_s P^|R_s|, and
     `stats["visited"]` the prefixes the sweep examined.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
@@ -434,6 +575,7 @@ def unique_grid_routings(
             for demand, path in zip(keys, outcomes[outcome_id])
         }
         yield combo_found, RoutingForest(paths)
+    del sweep  # as in `_origin_table`: free the block masks now, not at a collection
 
 
 # ---------------------------------------------------------------------------

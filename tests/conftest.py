@@ -4,13 +4,16 @@ Instances used across modules: a 2-node single link, a triangle with a
 shortcut, the same triangle on the coarse grid {2, 5}, the 4-node diamond
 (two parallel 2-hop routes), and seeded random instances kept small enough
 for exhaustive grid enumeration.  Test references for the models module:
-`model_counts` and `ReferenceBuilder`; for the solver's path lister:
-`simple_paths`.
+`model_counts` and `ReferenceBuilder`; for the path lister:
+`simple_paths`; for the grid oracle's per-origin tables:
+`reference_origin_table`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from fractions import Fraction
 
 from uspr import models, spf
@@ -63,6 +66,18 @@ def coarse_grid_triangle() -> Instance:
         [("s", "t", 2)],
         w_min=2, w_max=5, step=3,
     )
+
+
+def diamond_chain(n: int, weight=1) -> Instance:
+    """n diamonds in a row on the one-point grid {weight}: the demand
+    v0 -> v<n> has 2^n simple paths, all of one length."""
+    nodes = [f"v{i}" for i in range(n + 1)]
+    links = []
+    for i in range(n):
+        for mid in (f"a{i}", f"b{i}"):
+            nodes.append(mid)
+            links += [(f"v{i}", mid, 10), (mid, f"v{i + 1}", 10)]
+    return mk_instance(nodes, links, [("v0", f"v{n}", 1)], w_min=weight, w_max=weight)
 
 
 def path_graph(n=3, cap=10, w_max=10) -> Instance:
@@ -130,7 +145,7 @@ def random_tree_routing(instance: Instance, rng: random.Random) -> DemandRouting
 
 def simple_paths(instance: Instance, origin: str, destination: str) -> list[tuple[str, ...]]:
     """All simple paths origin -> destination, in DFS order (out-links in
-    instance order).  The reference for `solver._PathStream`, which lists
+    instance order).  The reference for `spf.PathStream`, which lists
     the same paths by hop count; it recurses once per hop, so small
     instances only."""
     out_links = instance.out_links()
@@ -155,11 +170,33 @@ def simple_paths(instance: Instance, origin: str, destination: str) -> list[tupl
     return result
 
 
+def reference_origin_table(
+    cg: spf.CompiledGraph, point_units: list[int], src: int, dests: list[int], rel: list[int]
+) -> tuple[array, list]:
+    """`spf._origin_table` by one Dijkstra run and walk-back per setting:
+    the reference its candidate-path sweep is checked against.  Settings
+    run lexicographically over `rel`, the other links at the first grid
+    point; id 0 is "some demand unreachable or not unique"."""
+    ids: dict = {None: 0}
+    table = array("I")
+    wunits = [point_units[0]] * len(cg.tails)
+    for setting in itertools.product(point_units, repeat=len(rel)):
+        for e, w in zip(rel, setting):
+            wunits[e] = w
+        _dist, counts, pred = spf.dijkstra_units(cg, wunits, src)
+        outcome: tuple | None = ()
+        for dest in dests:
+            if counts[dest] != 1:
+                outcome = None
+                break
+            outcome += (tuple(spf.walk_back_unique(cg, counts, pred, src, dest)),)
+        table.append(ids.setdefault(outcome, len(ids)))
+    return table, list(ids)
+
+
 def all_routings(instance: Instance, cap: int = 5000) -> list[DemandRouting]:
     """Every sub-path-optimal loop-free routing (per-demand simple paths,
     filtered for per-origin in-link consistency).  Exhaustive; small use only."""
-    import itertools
-
     from uspr.solver import subpath_optimality_check
 
     per_demand = []

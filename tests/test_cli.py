@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import coarse_grid_triangle, diamond, mk_instance, path_graph, two_node
+from conftest import coarse_grid_triangle, diamond, diamond_chain, mk_instance, path_graph, two_node
 from uspr import models, solver, spf
 from uspr.cli import main
 from uspr.instance import generate_random_instance, save_instance
@@ -164,6 +165,14 @@ def test_solve_path_longer_than_the_recursion_limit(tmp_path, capsys):
 def test_solve_infeasible_exit_two(tmp_path, capsys):
     inst = write_instance(tmp_path, diamond(w_min=2, w_max=2))
     assert main(["solve", inst]) == 2
+    assert "status=Infeasible" in capsys.readouterr().out
+
+
+def test_oracle_answers_a_one_point_grid_of_2_to_the_30_ties_at_once(tmp_path, capsys):
+    inst = write_instance(tmp_path, diamond_chain(30))
+    started = time.perf_counter()
+    assert main(["solve", inst, "--oracle"]) == 2
+    assert time.perf_counter() - started < 1
     assert "status=Infeasible" in capsys.readouterr().out
 
 
@@ -549,6 +558,28 @@ def test_hostile_exponent_exits_one_at_once(tmp_path, case):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and "decimal exponent outside -4300..4300" in errors[0], proc.stderr
+
+
+@pytest.mark.parametrize("case, message", [
+    ("generate", "argument --w-max: more than 4300 digits: '1e4300'"),
+    ("export-number", "JSON number: more than 4300 digits: '1e4300'"),
+    ("export-string", "w_max: more than 4300 digits: '1e4300'"),
+])
+def test_a_number_past_the_writer_limit_is_refused_by_name(tmp_path, capsys, case, message):
+    # 10**4300 has 4301 digits, one more than Python writes as text.
+    if case == "generate":
+        argv = ["generate", "--nodes", "3", "--degree", "1", "--demands", "1",
+                "--w-max", "1e4300", "-o", str(tmp_path / "g.json")]
+    else:
+        value = "1e4300" if case == "export-number" else '"1e4300"'
+        bad = tmp_path / "bad.json"
+        bad.write_text(save_instance(diamond()).replace('"w_max": 10', f'"w_max": {value}'))
+        argv = ["export", str(bad), "--formulation", "dbm"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_solve_derives_eps_from_the_instance(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import mk_instance, two_node
+from uspr.rational import parse_number
 from uspr.instance import (
     GenerationError,
     InstanceDims,
@@ -188,11 +190,45 @@ def test_load_refuses_a_decimal_exponent_past_the_digit_limit(old, new, where):
 
 
 def test_load_reads_a_decimal_exponent_at_the_digit_limit():
-    text = save_instance(two_node()).replace('"w_max": 10', '"w_max": 1e4300', 1)
-    assert load_instance(text).w_max == 10**4300
+    # 10**4299 has 4300 digits, the most a numerator or denominator may have.
+    text = save_instance(two_node()).replace('"w_max": 10', '"w_max": 1e4299', 1)
+    assert load_instance(text).w_max == 10**4299
     text = save_instance(two_node()).replace(
-        '"weight_resolution": 1', '"weight_resolution": "1e-0004300"', 1)
-    assert load_instance(text).weight_resolution == Fraction(1, 10**4300)
+        '"weight_resolution": 1', '"weight_resolution": "1e-0004299"', 1)
+    assert load_instance(text).weight_resolution == Fraction(1, 10**4299)
+
+
+@pytest.mark.parametrize("new, message", [
+    ('"w_max": 1e4300', "JSON number: more than 4300 digits: '1e4300'"),
+    ('"w_max": "1e4300"', "w_max: more than 4300 digits: '1e4300'"),
+    ('"weight_resolution": "1e-4300"', "weight_resolution: more than 4300 digits: '1e-4300'"),
+    ('"weight_resolution": "1/' + "7" * 4301 + '"', "weight_resolution: more than 4300 digits"),
+], ids=["json-number", "numerator", "denominator", "p/q"])
+def test_load_refuses_a_number_the_writer_could_not_write(new, message):
+    text = save_instance(two_node())
+    old = new.split(":")[0] + (": 10" if "w_max" in new else ": 1")
+    assert old in text
+    with pytest.raises(InstanceParseError, match="^" + re.escape(message)):
+        load_instance(text.replace(old, new, 1))
+
+
+def test_parse_number_refuses_an_int_past_the_digit_limit():
+    assert parse_number(10**4300 - 1, "w_max") == 10**4300 - 1
+    with pytest.raises(ValueError, match="^w_max: more than 4300 digits$"):
+        parse_number(-(10**4300), "w_max")
+
+
+def test_numbers_of_4300_digits_round_trip():
+    # Each value's numerator and denominator has at most 4300 digits; the
+    # last two have no decimal of 4300 digits, so they are written as p/q.
+    values = [Fraction(10**4300 - 1), Fraction(1, 10**4299), Fraction(10**4300 - 1, 10**4299),
+              Fraction(1, 2**5000), Fraction(7**5000, 5**6000)]
+    for value in values:
+        inst = two_node(cap=value)
+        text = save_instance(inst)
+        assert load_instance(text) == inst
+        assert save_instance(load_instance(text)) == text
+    assert str(10**4300 - 1) in save_instance(two_node(cap=10**4300 - 1))
 
 
 @pytest.mark.parametrize("field", ['"capacity": 10', '"w_max": 10'])
@@ -207,7 +243,21 @@ def test_load_shows_a_short_prefix_of_a_bad_value():
     text = save_instance(two_node()).replace('"capacity": 10', f'"capacity": {json.dumps(["x"] * 100_000)}', 1)
     with pytest.raises(InstanceParseError) as caught:
         load_instance(text)
-    assert str(caught.value) == "links[0].capacity: expected a number, got ['x', 'x', 'x', 'x',..."
+    assert str(caught.value) == 'links[0].capacity: expected a number, got ["x", "x", "x", "x",...'
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("[0]", "[0]"),
+    ('{"c": [2.50, true, null]}', '{"c": [2.5, true, null]}'),
+    ('[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]', "[0.1, 0.2, 0.3, 0.4,..."),
+    ("[1e-7]", "[0.0000001]"),
+    ("[NaN]", "[NaN]"),
+])
+def test_load_shows_a_bad_value_as_json_text(value, shown):
+    text = save_instance(two_node()).replace('"capacity": 10', f'"capacity": {value}', 1)
+    with pytest.raises(InstanceParseError) as caught:
+        load_instance(text)
+    assert str(caught.value) == f"links[0].capacity: expected a number, got {shown}"
 
 
 def test_derived_sets_recomputed():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from conftest import (
     assert_endpoint_conditions,
     coarse_grid_triangle,
     diamond,
+    diamond_chain,
     mk_instance,
     path_graph,
     random_cycle,
@@ -532,7 +534,7 @@ def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
         for d in inst.demands:
             origin, destination = cg.index[d.origin], cg.index[d.destination]
             dist = spf.hop_distances([destination], cg.in_links, cg.tails)
-            stream = solver._PathStream(cg, dist, origin, destination)
+            stream = spf.PathStream(cg, dist, origin, destination)
             listed = []
             while (path := stream.get(len(listed))) is not None:
                 listed.append(tuple(inst.nodes[v] for v in path[0]))
@@ -549,14 +551,14 @@ def test_master_first_candidate_lists_few_paths(monkeypatch):
     # (24,3,20)s0 has 250 927 simple paths over its demands; the first
     # candidate (the optimum) needs only the short ones.
     listed = []
-    list_hops = solver._PathStream._list
+    list_hops = spf.PathStream._list
 
     def counted(stream, hops):
         before = len(stream.paths)
         list_hops(stream, hops)
         listed.append(len(stream.paths) - before)
 
-    monkeypatch.setattr(solver._PathStream, "_list", counted)
+    monkeypatch.setattr(spf.PathStream, "_list", counted)
     inst = generate_random_instance(24, 3, 20, seed=0)
     first = next(master_search(inst))
     assert spf.evaluate_objective(inst, first) == F(7822, 25)
@@ -826,8 +828,9 @@ def test_brute_force_matches_naive_reference_loop():
 
 def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
     # (5, 1.6, 4) s0 on the grid 1..4: the three origins' relevant links
-    # number 6, 7 and 7, so the tables take 4^6 + 4^7 + 4^7 Dijkstra calls,
-    # plus one per origin to re-route the optimum; 4^8 = 65 536 vectors.
+    # number 6, 7 and 7, so the tables hold 4^6 + 4^7 + 4^7 settings, each
+    # decided from candidate paths without Dijkstra; the one Dijkstra call
+    # per origin re-routes the optimum; 4^8 = 65 536 vectors.
     calls = []
     dijkstra = spf.dijkstra_units
 
@@ -839,7 +842,18 @@ def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
     result = brute_force_solve(generate_random_instance(5, 1.6, 4, w_max=4, seed=0))
     assert (result.status, result.objective) == ("Optimal", F(2677, 100))
     assert result.diagnostics.iterations == 4**8
-    assert len(calls) == 4**6 + 2 * 4**7 + 3
+    assert result.diagnostics.details["settings"] == 4**6 + 2 * 4**7
+    assert len(calls) == 3
+
+
+def test_brute_force_answers_a_one_point_grid_of_2_to_the_30_ties_at_once():
+    # With one grid point each origin's table is one Dijkstra run, never a
+    # listing of the 2^30 candidate paths.
+    started = time.perf_counter()
+    result = brute_force_solve(diamond_chain(30))
+    assert time.perf_counter() - started < 1
+    assert (result.status, result.diagnostics.details) == (
+        "Infeasible", {"grid_points": 1, "settings": 1, "visited": 1})
 
 
 def test_brute_force_sweep_skips_the_vectors_with_no_new_forest():

@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import diamond, mk_instance, simple_paths, small_random, triangle, two_node
+from conftest import (
+    diamond, mk_instance, path_graph, reference_origin_table, simple_paths, small_random,
+    triangle, two_node,
+)
 from uspr import spf
 from uspr.instance import generate_random_instance
-from uspr.rational import grid_points
+from uspr.rational import grid_points, grid_size
 from uspr.solver import DemandRouting, subpath_optimality_check
 from uspr.spf import (
     NonUniqueRoutingError,
@@ -471,6 +475,53 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
             if all(forest != seen for _combo, seen in expected):
                 expected.append((combo, forest))
         assert list(spf.unique_grid_routings(inst, 10**6)) == expected
+
+
+def origin_tables(inst, tabulate):
+    """Each origin's (table, outcomes) by `tabulate`, on the grid in the
+    integer units `unique_grid_routings` gives it."""
+    cg = spf.CompiledGraph(inst)
+    points = grid_points(inst.w_min, inst.w_max, inst.weight_resolution)
+    scale = math.lcm(*(p.denominator for p in points))
+    units = [int(p * scale) for p in points]
+    out = []
+    for origin in inst.origins():
+        src = cg.index[origin]
+        dests = [cg.index[d.destination] for d in inst.demands_from(origin)]
+        table, outcomes = tabulate(cg, units, src, dests, spf.relevant_links(cg, src, dests))
+        out.append((table.tolist(), outcomes))
+    return out
+
+
+def test_origin_tables_match_one_dijkstra_per_setting():
+    # s reaches b but not t: every entry is id 0.
+    unreachable = mk_instance(
+        "sabt", [("s", "a", 10), ("a", "b", 10), ("t", "a", 10)],
+        [("s", "b", 1), ("s", "t", 1)], w_max=3,
+    )
+    assert origin_tables(unreachable, spf._origin_table) == [([0] * 3**2, [None])]
+    # t -> b and b -> a are relevant links of s on no simple s -> t path.
+    off_path = mk_instance(
+        "sabt", [("s", "a", 10), ("a", "t", 10), ("t", "b", 10), ("b", "a", 10)],
+        [("s", "t", 1)], w_max=3,
+    )
+    assert len(origin_tables(off_path, spf._origin_table)[0][0]) == 3**4
+    # A single candidate each (two_node, path_graph), and one grid point,
+    # one entry per table (w_min = w_max).
+    instances = [unreachable, off_path, two_node(), path_graph(4, w_max=3), triangle(w_max=3),
+                 diamond(w_min=2, w_max=2), triangle(w_min=2, w_max=2)]
+    grids = [(1, 2, Fraction(1, 2)), (1, 2, Fraction(1, 3)), (2, 5, Fraction(3, 2)),
+             (1, 3, 1), (2, 5, 3)]
+    for seed in range(150):
+        w_min, w_max, step = grids[seed % len(grids)]
+        inst = generate_random_instance(3 + seed % 4, 1.5 + seed % 2 * 0.5, 1 + seed % 4,
+                                        w_min=w_min, w_max=w_max, weight_resolution=step,
+                                        seed=seed)
+        if grid_size(w_min, w_max, step) ** len(inst.links) <= 20_000:
+            instances.append(inst)
+    assert len(instances) > 100
+    for inst in instances:
+        assert origin_tables(inst, spf._origin_table) == origin_tables(inst, reference_origin_table)
 
 
 def test_unique_grid_routings_limit_refusal():
