@@ -41,10 +41,13 @@ def parse_number(
     can be written back.  A Fraction is taken as it is: every Fraction read
     from a file has passed here as text.  Floats are accepted only for
     programmatic convenience and are read through their shortest decimal
-    repr, so `0.1` means exactly 1/10.
+    repr, so `0.1` means exactly 1/10.  A JSON number that `read_json`
+    refused is refused here as its text would be, under `where`.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, _Refused):
+        value = value.text
     number = None
     if isinstance(value, str):
         # Digits alone, as in every JSON integer, have no exponent, and int()
@@ -168,13 +171,29 @@ def _inline(value: object, leaf=json_number) -> str:
     return "null" if value is None else leaf(value)
 
 
+class _Refused:
+    """A JSON number `parse_number` refused, kept as its text, so that the
+    refusal names the field that reads it, as it does for a string."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:  # as the file spells it, where a refusal shows it
+        return self.text
+
+
 def read_json(text: str, error: type[Exception]) -> object:
     """Parse JSON text, reading every number through `parse_number`, so as
-    an exact Fraction; bad JSON, a number `parse_number` refuses, or JSON
-    nested deeper than the parser's recursion limit, raises `error`."""
+    an exact Fraction; bad JSON, or JSON nested deeper than the parser's
+    recursion limit, raises `error`.  A number `parse_number` refuses is
+    refused when its field is read through `parse_number`, with the field's
+    name and the message its text as a JSON string would get."""
 
-    def number(text: str) -> Fraction:
-        return parse_number(text, "JSON number", error)
+    def number(text: str) -> Fraction | _Refused:
+        try:
+            return parse_number(text)
+        except ValueError:
+            return _Refused(text)
 
     try:
         return json.loads(text, parse_float=number, parse_int=number)

@@ -387,7 +387,7 @@ def master_search(
     streams = []
     for d in demands:
         if d.destination not in dists:
-            dists[d.destination] = spf.hop_distances([index[d.destination]], cg.in_links, cg.tails)
+            dists[d.destination] = spf.hop_distances(cg, index[d.destination])
         dist = dists[d.destination]
         if dist[index[d.origin]] == len(instance.nodes):
             return
@@ -528,15 +528,15 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     every admissible weight vector, lexicographically over the fixed link
     order, keeping the first vector attaining the minimum objective.
 
-    The forests come from `spf.unique_grid_routings`.  It tabulates each
-    origin's outcome once per grid setting of the links that can change its
-    paths, sum_s P^|R_s| entries (P grid points), rather than once per
-    vector.  The entries come from each demand's candidate paths, listed
-    once, whose lengths are updated link by link; no entry runs Dijkstra,
-    except the single entry of a one-point grid.  The sweep skips every set
-    of vectors that can route no new forest.  It
-    yields each distinct forest once, with its first vector, in the order
-    of those vectors; so keeping the first strictly better capacity-feasible
+    The forests come from `spf.unique_grid_routings`.  It lists each
+    demand's candidate paths once, and tabulates each origin's outcome
+    once per grid setting of C_s, the links of its demands' candidates:
+    sum_s P^|C_s| entries (P grid points), rather than one per vector.
+    The candidates' lengths are updated link by link; no entry runs
+    Dijkstra, except the single entry of a one-point grid.  The sweep skips
+    every set of vectors that can route no new forest.  It yields each
+    distinct forest once, with its first vector, in the order of those
+    vectors; so keeping the first strictly better capacity-feasible
     forest, judged by `spf.check_capacity` and `spf.evaluate_objective`,
     keeps the first vector of the minimum.  The answer is re-verified
     through the oracle.  `iterations` and `nodes_explored` count the P^|L|

@@ -21,18 +21,18 @@ derived).  This module is the one place that judges a forest:
 `forest_violations` checks its paths, and `check_capacity` and
 `evaluate_objective` evaluate it.
 
-The weight-grid enumeration (`unique_grid_routings`) is factored by origin:
-an origin's routing depends only on the weights of the links that can lie
-on its paths, so each origin's outcome is tabulated once per grid setting
-of those links and every grid vector combines the tabulated outcomes.  The
-tables run no Dijkstra: each demand's candidate paths, its simple paths
-short enough to be shortest somewhere on the grid, are listed once
-(`PathStream`, the master's path lister too), and a depth-first walk over
-the settings updates only the lengths of the candidates on the link that
-changes.  On a one-point grid the one entry is one Dijkstra run instead.
-A depth-first sweep over the vectors skips each prefix below which no new
-forest lies.  It yields each distinct forest once, with the first grid
-vector that routes it.
+The weight-grid enumeration (`unique_grid_routings`) is factored by origin.
+Each demand's candidate paths, its simple paths short enough to be
+shortest somewhere on the grid, are listed once (`PathStream`, the
+master's path lister too).  An origin's routing depends only on the
+weights of the links of its demands' candidate paths, so each origin's
+outcome is tabulated once per grid setting of those links and every grid
+vector combines the tabulated outcomes.  The tables run no Dijkstra: a
+depth-first walk over the settings updates only the lengths of the
+candidates on the link that changes.  On a one-point grid the one entry is
+one Dijkstra run instead.  A depth-first sweep over the vectors skips each
+prefix below which no new forest lies.  It yields each distinct forest
+once, with the first grid vector that routes it.
 """
 
 from __future__ import annotations
@@ -252,39 +252,16 @@ def walk_back_unique(
     return path
 
 
-def relevant_links(cg: CompiledGraph, src: int, dests: list[int]) -> list[int]:
-    """R_s: the links (u, v) with u reachable from `src`, v != src and v
-    reaching some node of `dests`, ascending.
-
-    Every simple src -> t path to a destination t uses only these links,
-    and with positive weights shortest paths are simple and no link into
-    src is ever tight.  So for every demand from src, the distance, the
-    capped path count and the unique path are functions of the weights on
-    R_s alone.
-    """
+def hop_distances(cg: CompiledGraph, dest: int) -> list[int]:
+    """BFS hop count from every node to `dest`, along the links backward;
+    the node count where `dest` is unreachable."""
     n = len(cg.nodes)
-    reach = hop_distances([src], cg.out_links, cg.heads)
-    coreach = hop_distances(dests, cg.in_links, cg.tails)
-    return [
-        e
-        for e, (u, v) in enumerate(zip(cg.tails, cg.heads))
-        if reach[u] < n and v != src and coreach[v] < n
-    ]
-
-
-def hop_distances(starts: list[int], links: list[list[int]], ends: list[int]) -> list[int]:
-    """BFS hop count from the nearest of `starts` to every node, stepping
-    along `links[node]` to `ends[e]`; len(links), the node count, where no
-    start reaches.  Pass out-links and heads to search forward, in-links
-    and tails to search backward."""
-    n = len(links)
     dist = [n] * n
-    for node in starts:
-        dist[node] = 0
-    queue = list(starts)
+    dist[dest] = 0
+    queue = [dest]
     for node in queue:  # the loop also visits the nodes appended to it
-        for e in links[node]:
-            v = ends[e]
+        for e in cg.in_links[node]:
+            v = cg.tails[e]
             if dist[v] == n:
                 dist[v] = dist[node] + 1
                 queue.append(v)
@@ -362,32 +339,34 @@ class PathStream:
 
 
 def _origin_table(
-    cg: CompiledGraph, point_units: list[int], src: int, dests: list[int], rel: list[int]
-) -> tuple[array, list]:
-    """One origin's outcome for every grid setting of its relevant links.
+    cg: CompiledGraph, point_units: list[int], src: int, dests: list[int]
+) -> tuple[array, list, list[int]]:
+    """One origin's outcome for every grid setting of its axis: the links
+    of its demands' candidate paths, ascending.
 
-    Settings run lexicographically over `rel`.  The table holds an outcome
-    id per setting; id 0 is "some demand unreachable or not unique", any
-    other id indexes the returned outcomes: the demands' node-index paths,
-    in `dests` order.
+    Returns (table, outcomes, axis).  Settings run lexicographically over
+    the axis.  The table holds an outcome id per setting; id 0 is "some
+    demand unreachable or not unique", any other id indexes the outcomes:
+    the demands' node-index paths, in `dests` order.
 
     No entry runs Dijkstra.  Each demand's candidates are its simple paths
     of at most floor(w_max * h / w_min) links, h its BFS hop distance: a
     longer path is longer than the h-hop one at w_max, so never shortest,
-    tie included.  Every candidate lies inside `rel`.  The sweep walks the
-    settings depth first, one link of `rel` per level, and adds a level's
-    weight change to the lengths of the candidates on its link only.  A
-    demand is decided at the deepest level one of its candidates touches:
-    unique when exactly one candidate has the least length.  A tie, or a
-    demand with no candidate, makes the whole block below id 0; once every
-    demand is decided, the block below holds one outcome.
+    tie included.  The sweep walks the settings depth first, one axis link
+    per level, and adds a level's weight change to the lengths of the
+    candidates on its link only.  A demand is decided at the deepest level
+    one of its candidates touches: unique when exactly one candidate has
+    the least length.  A tie makes the whole block below id 0; at the last
+    level every demand is decided and the entry holds one outcome.  An
+    unreachable demand gives the one entry 0 over an empty axis.
 
-    With one grid point the table has one entry while the candidates can
-    be exponentially many, so that entry is one Dijkstra run instead.  With
-    two or more, distinct candidates have distinct link sets, so a demand
-    has at most 2^|rel| <= P^|rel| of them: no more than the table holds.
+    With one grid point the table has one entry, over an empty axis, while
+    the candidates can be exponentially many, so that entry is one
+    Dijkstra run instead.  With two or more, distinct candidates have
+    distinct link sets, so a demand has at most 2^|axis| <= P^|axis| of
+    them: no more than the table holds.
     """
-    n_points, depth = len(point_units), len(rel)
+    n_points = len(point_units)
     ids: dict = {None: 0}
     if n_points == 1:
         _dist, counts, pred = dijkstra_units(cg, point_units * len(cg.tails), src)
@@ -397,27 +376,28 @@ def _origin_table(
                 outcome = None
                 break
             outcome += (tuple(walk_back_unique(cg, counts, pred, src, dest)),)
-        return array("I", [ids.setdefault(outcome, len(ids))]), list(ids)
+        return array("I", [ids.setdefault(outcome, len(ids))]), list(ids), []
     first, last = point_units[0], point_units[-1]
-    block = [n_points ** (depth - level) for level in range(depth + 1)]
-    level_of = {e: level for level, e in enumerate(rel)}
-    lengths = []  # per demand, its candidates' lengths under the current prefix
-    candidates = []  # per demand, its candidates' node paths
-    touched: list[list[tuple[list[int], int]]] = [[] for _ in rel]  # per level, (lengths, j)
-    decided: list[list[int]] = [[] for _ in range(depth + 1)]  # demands, by deciding level
-    for k, dest in enumerate(dests):
-        dist = hop_distances([dest], cg.in_links, cg.tails)
+    candidates = []  # per demand, its candidates as (node indices, link indices)
+    for dest in dests:
+        dist = hop_distances(cg, dest)
         if dist[src] == len(dist):  # unreachable: no setting routes it
-            return array("I", [0]) * block[0], list(ids)
-        paths = PathStream(cg, dist, src, dest).within(last * dist[src] // first)
+            return array("I", [0]), list(ids), []
+        candidates.append(PathStream(cg, dist, src, dest).within(last * dist[src] // first))
+    axis = sorted({e for paths in candidates for _nodes, links in paths for e in links})
+    depth = len(axis)
+    block = [n_points ** (depth - level) for level in range(depth + 1)]
+    level_of = {e: level for level, e in enumerate(axis)}
+    lengths = []  # per demand, its candidates' lengths under the current prefix
+    touched: list[list[tuple[list[int], int]]] = [[] for _ in axis]  # per level, (lengths, j)
+    decided: list[list[int]] = [[] for _ in range(depth + 1)]  # demands, by deciding level
+    for k, paths in enumerate(candidates):
         lens = [first * len(links) for _nodes, links in paths]
         for j, (_nodes, links) in enumerate(paths):
             for e in links:
                 touched[level_of[e]].append((lens, j))
         lengths.append(lens)
-        candidates.append([nodes for nodes, _links in paths])
         decided[max(level_of[e] for _nodes, links in paths for e in links) + 1].append(k)
-    final = max(level for level in range(depth + 1) if decided[level])
     winners: list = [None] * len(dests)
     table = array("I")
     steps = [b - a for a, b in zip(point_units, point_units[1:])]
@@ -430,10 +410,9 @@ def _origin_table(
             if lens.count(least) > 1:
                 table.extend(array("I", [0]) * block[level])
                 return
-            winners[k] = candidates[k][lens.index(least)]
-        if level == final:
-            outcome = ids.setdefault(tuple(winners), len(ids))
-            table.extend(array("I", [outcome]) * block[level])
+            winners[k] = candidates[k][lens.index(least)][0]
+        if level == depth:
+            table.append(ids.setdefault(tuple(winners), len(ids)))
             return
         links = touched[level]
         sweep(level + 1)
@@ -446,7 +425,7 @@ def _origin_table(
 
     sweep(0)
     del sweep  # it holds itself through its closure: free its lists now, not at a collection
-    return table, list(ids)
+    return table, list(ids), axis
 
 
 def _block_masks(table: array, n_points: int, depth: int) -> list[list[int]]:
@@ -481,28 +460,28 @@ def unique_grid_routings(
     GridSearchLimitError when the grid holds more than `limit` vectors.
 
     The enumeration is factored by origin.  Each origin s's outcome depends
-    only on the weights of its relevant links R_s (`relevant_links`), so it
-    is tabulated once over the P^|R_s| settings of R_s, P being the number
-    of grid points: sum_s P^|R_s| <= |origins| * P^|L| table entries in
-    all.  No entry runs Dijkstra (`_origin_table`): each demand's candidate
-    paths are listed once, and a depth-first walk over the settings moves
-    one link's weight at a time and updates the lengths of the candidates
-    on that link alone.  With P = 1 the one entry per origin is one
-    Dijkstra run, since the candidates can be exponentially many.  Outcome
-    ids are interned per origin, so each distinct tuple of them is one
-    distinct forest, built once.
+    only on the weights of C_s, the links of its demands' candidate paths,
+    so it is tabulated once over the P^|C_s| settings of C_s, P being the
+    number of grid points: sum_s P^|C_s| <= |origins| * P^|L| table entries
+    in all.  No entry runs Dijkstra (`_origin_table`): each demand's
+    candidate paths are listed once, and a depth-first walk over the
+    settings moves one link's weight at a time and updates the lengths of
+    the candidates on that link alone.  With P = 1 the one entry per origin
+    is one Dijkstra run, since the candidates can be exponentially many.
+    Outcome ids are interned per origin, so each distinct tuple of them is
+    one distinct forest, built once.
 
     The vectors are then swept depth first, in lexicographic order, one
     link per level.  A prefix of a vector selects one contiguous block of
-    each origin's table, since R_s is ascending.  The sweep skips the
+    each origin's table, since C_s is ascending.  The sweep skips the
     vectors below a prefix when some origin has only id 0 in its block, or
     when every combination of the blocks' nonzero ids is already in `seen`:
     no unseen forest lies below.  That check is skipped when the
     combinations outnumber `seen`.  A prefix whose blocks each hold one id,
     and that id nonzero, routes one forest, first with the remaining links
-    at index 0.  A link in no R_s changes no outcome and stays at index 0.
+    at index 0.  A link in no C_s changes no outcome and stays at index 0.
 
-    `stats["settings"]` receives the table entries, sum_s P^|R_s|, and
+    `stats["settings"]` receives the table entries, sum_s P^|C_s|, and
     `stats["visited"]` the prefixes the sweep examined.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
@@ -523,20 +502,18 @@ def unique_grid_routings(
     point_units = [int(p * wscale) for p in points]
     origins = []  # (outcomes, demand keys)
     blocks = []  # per origin, `_block_masks` of its table
-    # depends[e]: (origin number, position of e in R_s plus one) for each R_s holding e
+    # depends[e]: (origin number, position of e in its axis plus one) for each axis holding e
     depends: list[list[tuple[int, int]]] = [[] for _ in range(n_links)]
     stats["settings"] = 0
     for origin in instance.origins():
-        src = cg.index[origin]
         keys = [(origin, d.destination) for d in instance.demands_from(origin)]
         dests = [cg.index[t] for _s, t in keys]
-        rel = relevant_links(cg, src, dests)
-        for f, e in enumerate(rel, 1):
+        table, outcomes, axis = _origin_table(cg, point_units, cg.index[origin], dests)
+        for f, e in enumerate(axis, 1):
             depends[e].append((len(origins), f))
-        table, outcomes = _origin_table(cg, point_units, src, dests, rel)
         stats["settings"] += len(table)
         origins.append((outcomes, keys))
-        blocks.append(_block_masks(table, n_points, len(rel)))
+        blocks.append(_block_masks(table, n_points, len(axis)))
     swept = [e for e in range(n_links) if depends[e]]
     seen: set[tuple[int, ...]] = set()
     combo = [0] * n_links

@@ -171,17 +171,17 @@ def simple_paths(instance: Instance, origin: str, destination: str) -> list[tupl
 
 
 def reference_origin_table(
-    cg: spf.CompiledGraph, point_units: list[int], src: int, dests: list[int], rel: list[int]
+    cg: spf.CompiledGraph, point_units: list[int], src: int, dests: list[int], axis: list[int]
 ) -> tuple[array, list]:
     """`spf._origin_table` by one Dijkstra run and walk-back per setting:
     the reference its candidate-path sweep is checked against.  Settings
-    run lexicographically over `rel`, the other links at the first grid
+    run lexicographically over `axis`, the other links at the first grid
     point; id 0 is "some demand unreachable or not unique"."""
     ids: dict = {None: 0}
     table = array("I")
     wunits = [point_units[0]] * len(cg.tails)
-    for setting in itertools.product(point_units, repeat=len(rel)):
-        for e, w in zip(rel, setting):
+    for setting in itertools.product(point_units, repeat=len(axis)):
+        for e, w in zip(axis, setting):
             wunits[e] = w
         _dist, counts, pred = spf.dijkstra_units(cg, wunits, src)
         outcome: tuple | None = ()

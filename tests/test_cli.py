@@ -562,7 +562,7 @@ def test_hostile_exponent_exits_one_at_once(tmp_path, case):
 
 @pytest.mark.parametrize("case, message", [
     ("generate", "argument --w-max: more than 4300 digits: '1e4300'"),
-    ("export-number", "JSON number: more than 4300 digits: '1e4300'"),
+    ("export-number", "w_max: more than 4300 digits: '1e4300'"),
     ("export-string", "w_max: more than 4300 digits: '1e4300'"),
 ])
 def test_a_number_past_the_writer_limit_is_refused_by_name(tmp_path, capsys, case, message):

@@ -172,10 +172,10 @@ def test_load_rejects_bad_json():
 # Refused by the exponent bound alone: without it these build in
 # milliseconds, so a lost bound fails the test instead of stalling it.
 _EXPONENT_CASES = [
-    ('"w_max": 10', '"w_max": 1e4301', "JSON number"),
+    ('"w_max": 10', '"w_max": 1e4301', "w_max"),
     ('"w_max": 10', '"w_max": "1e4301"', "w_max"),
     ('"w_min": 1', '"w_min": "1e-4301"', "w_min"),
-    ('"capacity": 10', '"capacity": 2.5E+04301', "JSON number"),
+    ('"capacity": 10', '"capacity": 2.5E+04301', r"links\[0\]\.capacity"),
     ('"capacity": 10', '"capacity": "1e43_01"', r"links\[0\]\.capacity"),
 ]
 
@@ -189,6 +189,21 @@ def test_load_refuses_a_decimal_exponent_past_the_digit_limit(old, new, where):
         load_instance(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("old, number, where", [
+    ('"w_max": 10', "1e30000000", "w_max"),
+    ('"capacity": 10', "7" * 5000, r"links\[0\]\.capacity"),
+], ids=["w_max", "capacity"])
+def test_a_refused_json_number_names_its_field_as_a_string_does(old, number, where):
+    text = save_instance(two_node())
+    field = old.split(":")[0]
+    messages = []
+    for value in (number, f'"{number}"'):
+        with pytest.raises(InstanceParseError, match=f"^{where}: ") as refused:
+            load_instance(text.replace(old, f"{field}: {value}", 1))
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
 def test_load_reads_a_decimal_exponent_at_the_digit_limit():
     # 10**4299 has 4300 digits, the most a numerator or denominator may have.
     text = save_instance(two_node()).replace('"w_max": 10', '"w_max": 1e4299', 1)
@@ -199,7 +214,7 @@ def test_load_reads_a_decimal_exponent_at_the_digit_limit():
 
 
 @pytest.mark.parametrize("new, message", [
-    ('"w_max": 1e4300', "JSON number: more than 4300 digits: '1e4300'"),
+    ('"w_max": 1e4300', "w_max: more than 4300 digits: '1e4300'"),
     ('"w_max": "1e4300"', "w_max: more than 4300 digits: '1e4300'"),
     ('"weight_resolution": "1e-4300"', "weight_resolution: more than 4300 digits: '1e-4300'"),
     ('"weight_resolution": "1/' + "7" * 4301 + '"', "weight_resolution: more than 4300 digits"),

@@ -533,7 +533,7 @@ def test_path_stream_lists_simple_paths_by_hops_then_dfs_order():
         cg = spf.CompiledGraph(inst)
         for d in inst.demands:
             origin, destination = cg.index[d.origin], cg.index[d.destination]
-            dist = spf.hop_distances([destination], cg.in_links, cg.tails)
+            dist = spf.hop_distances(cg, destination)
             stream = spf.PathStream(cg, dist, origin, destination)
             listed = []
             while (path := stream.get(len(listed))) is not None:
@@ -800,7 +800,7 @@ def test_brute_force_matches_naive_reference_loop():
     load_at_capacity = fractional_bandwidths(F(3, 2))
     over_capacity = fractional_bandwidths(F(7, 5))
     # a->s enters origin s, x->y leaves a node that reaches no destination.
-    outside_relevant_links = mk_instance(
+    off_candidate_links = mk_instance(
         ["s", "a", "t", "x", "y"],
         [("s", "a", 10), ("a", "t", 10), ("s", "t", 10), ("a", "s", 10), ("t", "x", 10),
          ("x", "s", 10), ("x", "y", 10)],
@@ -812,7 +812,7 @@ def test_brute_force_matches_naive_reference_loop():
         generate_random_instance(5, 2, 4, w_min=2, w_max=5, weight_resolution=3, seed=seed)
         for seed in range(3)
     ]
-    instances = [fractional_grid, load_at_capacity, over_capacity, outside_relevant_links,
+    instances = [fractional_grid, load_at_capacity, over_capacity, off_candidate_links,
                  zero_demand, coarse_grid_triangle(), *coarse]
     for inst in instances:
         got = brute_force_solve(inst)
@@ -827,10 +827,10 @@ def test_brute_force_matches_naive_reference_loop():
 
 
 def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
-    # (5, 1.6, 4) s0 on the grid 1..4: the three origins' relevant links
-    # number 6, 7 and 7, so the tables hold 4^6 + 4^7 + 4^7 settings, each
-    # decided from candidate paths without Dijkstra; the one Dijkstra call
-    # per origin re-routes the optimum; 4^8 = 65 536 vectors.
+    # (5, 1.6, 4) s0 on the grid 1..4: the links of the three origins'
+    # candidate paths number 1, 1 and 3, so the tables hold 4 + 4 + 4^3
+    # settings, each decided from candidate paths without Dijkstra; the one
+    # Dijkstra call per origin re-routes the optimum; 4^8 = 65 536 vectors.
     calls = []
     dijkstra = spf.dijkstra_units
 
@@ -842,7 +842,7 @@ def test_brute_force_routes_each_origin_once_per_relevant_setting(monkeypatch):
     result = brute_force_solve(generate_random_instance(5, 1.6, 4, w_max=4, seed=0))
     assert (result.status, result.objective) == ("Optimal", F(2677, 100))
     assert result.diagnostics.iterations == 4**8
-    assert result.diagnostics.details["settings"] == 4**6 + 2 * 4**7
+    assert result.diagnostics.details["settings"] == 2 * 4 + 4**3
     assert len(calls) == 3
 
 
@@ -857,12 +857,12 @@ def test_brute_force_answers_a_one_point_grid_of_2_to_the_30_ties_at_once():
 
 
 def test_brute_force_sweep_skips_the_vectors_with_no_new_forest():
-    # Same instance: the tables take 4^6 + 2 * 4^7 settings, and the sweep
+    # Same instance: the tables take 2 * 4 + 4^3 settings, and the sweep
     # decides all 4^8 vectors from a few dozen prefixes.
     result = brute_force_solve(generate_random_instance(5, 1.6, 4, w_max=4, seed=0))
     details = result.diagnostics.details
     assert result.diagnostics.nodes_explored == 4**8
-    assert details["settings"] == 4**6 + 2 * 4**7
+    assert details["settings"] == 2 * 4 + 4**3
     assert details["visited"] < 4**8 // 100
 
 

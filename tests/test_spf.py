@@ -404,14 +404,24 @@ def test_weights_file_non_numeric_weight_names_field():
 
 
 @pytest.mark.parametrize("weight, message", [
-    ("1e4301", "JSON number: decimal exponent outside -4300..4300"),
+    ("1e4301", r"weights\[0\]\.weight: decimal exponent outside -4300..4300"),
     ('"1e-4301"', r"weights\[0\]\.weight: decimal exponent outside -4300..4300"),
-    ("7" * 5000, "JSON number: more than 4300 digits"),
+    ("7" * 5000, r"weights\[0\]\.weight: more than 4300 digits"),
     ('"' + "7" * 5000 + '"', r"weights\[0\]\.weight: more than 4300 digits"),
 ], ids=["decimal-exponent", "string-exponent", "json-integer", "string-integer"])
 def test_weights_file_refuses_numbers_past_the_digit_limit(weight, message):
     with pytest.raises(spf.InvalidWeightsError, match=f"^{message}"):
         spf.load_weights(f'[{{"tail": "s", "head": "a", "weight": {weight}}}]')
+
+
+def test_a_refused_json_weight_names_its_field_as_a_string_does():
+    messages = []
+    for weight in ("1e30000000", '"1e30000000"'):
+        with pytest.raises(spf.InvalidWeightsError, match=r"^weights\[1\]\.weight: ") as refused:
+            spf.load_weights('[{"tail": "s", "head": "a", "weight": 1}, '
+                             f'{{"tail": "a", "head": "t", "weight": {weight}}}]')
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def test_weight_validation_rejects_off_grid_and_missing():
@@ -441,7 +451,7 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
     # Each forest the public oracle routes uniquely on the grid is yielded
     # once, with the first vector routing it, in the order of those vectors.
     # Three routes s -> t on the grid {1, 3/2, 2}, beside a link t -> s on
-    # no path of s: s has three outcomes and (t, s) lies in no R_s.
+    # no path of s: s has three outcomes and (t, s) is on no axis.
     three_routes = mk_instance(
         ["s", "a", "b", "c", "t"],
         [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "t", 10),
@@ -449,11 +459,22 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
         [("s", "t", 1)],
         w_max=2, step=Fraction(1, 2),
     )
-    cg = spf.CompiledGraph(three_routes)
-    assert 6 not in spf.relevant_links(cg, cg.index["s"], [cg.index["t"]])
+    [(_table, _outcomes, axis)] = origin_tables(three_routes)
+    assert ("t", "s") not in axis and len(axis) == 6
     assert len(list(spf.unique_grid_routings(three_routes, 10**6))) == 3
+    # On the grid {1, 3/2, 2} no path s -> t of more than floor(2 * 1 / 1)
+    # links is ever shortest: the 3-link detour s-a-b-t stays off the axis.
+    long_detour = mk_instance(
+        ["s", "a", "b", "c", "t"],
+        [("s", "t", 10), ("s", "a", 10), ("a", "b", 10), ("b", "t", 10),
+         ("s", "c", 10), ("c", "t", 10)],
+        [("s", "t", 1)],
+        w_max=2, step=Fraction(1, 2),
+    )
+    assert [axis for _table, _outcomes, axis in origin_tables(long_detour)] == [
+        [("s", "t"), ("s", "c"), ("c", "t")]]
     instances = [
-        diamond(w_min=1, w_max=3), small_random(7), small_random(10), three_routes,
+        diamond(w_min=1, w_max=3), small_random(7), small_random(10), three_routes, long_detour,
         *(generate_random_instance(3, 2, 2, w_max=3, seed=seed) for seed in range(8)),
         *(generate_random_instance(3, 2, 3, w_min=2, w_max=5, weight_resolution=Fraction(3, 2),
                                    seed=seed) for seed in range(4)),
@@ -477,9 +498,10 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
         assert list(spf.unique_grid_routings(inst, 10**6)) == expected
 
 
-def origin_tables(inst, tabulate):
-    """Each origin's (table, outcomes) by `tabulate`, on the grid in the
-    integer units `unique_grid_routings` gives it."""
+def origin_tables(inst):
+    """Each origin's (table, outcomes, axis links) by `spf._origin_table`,
+    on the grid in the integer units `unique_grid_routings` gives it, each
+    table first checked against `reference_origin_table` over its axis."""
     cg = spf.CompiledGraph(inst)
     points = grid_points(inst.w_min, inst.w_max, inst.weight_resolution)
     scale = math.lcm(*(p.denominator for p in points))
@@ -488,28 +510,31 @@ def origin_tables(inst, tabulate):
     for origin in inst.origins():
         src = cg.index[origin]
         dests = [cg.index[d.destination] for d in inst.demands_from(origin)]
-        table, outcomes = tabulate(cg, units, src, dests, spf.relevant_links(cg, src, dests))
-        out.append((table.tolist(), outcomes))
+        table, outcomes, axis = spf._origin_table(cg, units, src, dests)
+        assert (table, outcomes) == reference_origin_table(cg, units, src, dests, axis)
+        out.append((table.tolist(), outcomes, [inst.link_pairs()[e] for e in axis]))
     return out
 
 
 def test_origin_tables_match_one_dijkstra_per_setting():
-    # s reaches b but not t: every entry is id 0.
+    # s reaches b but not t: the table is the one entry 0, over no link.
     unreachable = mk_instance(
         "sabt", [("s", "a", 10), ("a", "b", 10), ("t", "a", 10)],
         [("s", "b", 1), ("s", "t", 1)], w_max=3,
     )
-    assert origin_tables(unreachable, spf._origin_table) == [([0] * 3**2, [None])]
-    # t -> b and b -> a are relevant links of s on no simple s -> t path.
+    assert origin_tables(unreachable) == [([0], [None], [])]
+    # t -> b and b -> a lie on no simple s -> t path, so on no axis.
     off_path = mk_instance(
         "sabt", [("s", "a", 10), ("a", "t", 10), ("t", "b", 10), ("b", "a", 10)],
         [("s", "t", 1)], w_max=3,
     )
-    assert len(origin_tables(off_path, spf._origin_table)[0][0]) == 3**4
+    [(table, _outcomes, axis)] = origin_tables(off_path)
+    assert len(table) == 3**2 and axis == [("s", "a"), ("a", "t")]
     # A single candidate each (two_node, path_graph), and one grid point,
-    # one entry per table (w_min = w_max).
-    instances = [unreachable, off_path, two_node(), path_graph(4, w_max=3), triangle(w_max=3),
-                 diamond(w_min=2, w_max=2), triangle(w_min=2, w_max=2)]
+    # one entry per table over an empty axis (w_min = w_max).
+    assert [axis for _table, _outcomes, axis in origin_tables(diamond(w_min=2, w_max=2))] == [[]]
+    instances = [two_node(), path_graph(4, w_max=3), triangle(w_max=3),
+                 triangle(w_min=2, w_max=2)]
     grids = [(1, 2, Fraction(1, 2)), (1, 2, Fraction(1, 3)), (2, 5, Fraction(3, 2)),
              (1, 3, 1), (2, 5, 3)]
     for seed in range(150):
@@ -521,7 +546,7 @@ def test_origin_tables_match_one_dijkstra_per_setting():
             instances.append(inst)
     assert len(instances) > 100
     for inst in instances:
-        assert origin_tables(inst, spf._origin_table) == origin_tables(inst, reference_origin_table)
+        origin_tables(inst)
 
 
 def test_unique_grid_routings_limit_refusal():
@@ -535,15 +560,13 @@ def test_unique_grid_routings_refuses_a_limit_that_is_no_count(limit):
         next(spf.unique_grid_routings(diamond(), limit))
 
 
-def test_relevant_links_exclude_links_into_origin_and_dead_ends():
+def test_origin_table_axis_holds_only_candidate_links():
     inst = mk_instance(
         ["s", "a", "b", "t", "d", "e", "u"],
         [("s", "a", 10), ("a", "t", 10), ("s", "b", 10), ("b", "s", 10),
          ("a", "d", 10), ("d", "e", 10), ("u", "s", 10)],
         [("s", "t", 1)],
     )
-    cg = spf.CompiledGraph(inst)
-    rel = spf.relevant_links(cg, cg.index["s"], [cg.index["t"]])
-    # b -> s enters the origin, d -> e leaves a node that reaches no
-    # destination, a -> d enters one, and u is not reachable from s.
-    assert [inst.link_pairs()[e] for e in rel] == [("s", "a"), ("a", "t"), ("s", "b")]
+    # b -> s enters the origin, s -> b and a -> d lead to nodes that reach no
+    # destination, d -> e leaves one, and u is not reachable from s.
+    assert [axis for _table, _outcomes, axis in origin_tables(inst)] == [[("s", "a"), ("a", "t")]]
