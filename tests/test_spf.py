@@ -567,6 +567,6 @@ def test_origin_table_axis_holds_only_candidate_links():
          ("a", "d", 10), ("d", "e", 10), ("u", "s", 10)],
         [("s", "t", 1)],
     )
-    # b -> s enters the origin, s -> b and a -> d lead to nodes that reach no
-    # destination, d -> e leaves one, and u is not reachable from s.
+    # b -> s enters the origin, so s -> b leads to no simple path to t;
+    # a -> d and d -> e lead to a dead end; u is not reachable from s.
     assert [axis for _table, _outcomes, axis in origin_tables(inst)] == [[("s", "a"), ("a", "t")]]
