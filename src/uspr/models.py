@@ -23,6 +23,13 @@ right-hand side and recorded as that row's.  Every family is declared once,
 in `_families`: the size tables, the structure report (no model built), the
 name-to-family maps and the master split (a builder's `master`) all read it.
 
+A build allocates each `(variable, coefficient)` term once and every row
+that carries it holds the same tuple: rows are immutable, so sharing changes
+no row and no byte of the export.  The builders and `export_lp` run with the
+cyclic garbage collector paused (`_collector_paused`): a model holds only
+strings, `Fraction`s and tuples of them, so the collections its allocation
+would trigger find no cycle to free.
+
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
 `l_<s>_<i>`.  Components are joined with underscores, which is unambiguous
@@ -46,8 +53,11 @@ solve uses the defaults.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import Instance, InstanceDims
 from .rational import format_number, frac_gcd, parse_number
@@ -71,8 +81,7 @@ class Variable:
     ub: Fraction | None
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[str, Fraction], ...]
     sense: str  # "<=" | ">=" | "="
@@ -115,6 +124,23 @@ def table_violations(variables, constraints, objective) -> list[str]:
     return out
 
 
+def _collector_paused(fn):
+    """Run `fn` with the cyclic garbage collector off, then restore the
+    caller's state (off stays off), also when `fn` raises.  Only for code
+    that makes no reference cycle: a solve does, so it is never paused.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def default_eps(instance: Instance) -> Fraction:
     """The smallest positive gap two grid path lengths can have.
 
@@ -149,13 +175,18 @@ def resolve_params(instance: Instance, eps, big_M) -> tuple[Fraction, Fraction]:
     return eps, big_M
 
 
+def _terms(variables: dict, coef: Fraction) -> dict:
+    """One `(variable, coef)` term per key, for every row that carries it."""
+    return {key: (v, coef) for key, v in variables.items()}
+
+
 class _ModelBuilder:
     """Accumulates variables/rows; emitters pass terms in declaration order.
 
     Holds one build's instance and link adjacency, and the rows shared by
     both formulations: weights and lengths, and per routing tree the flow
     conservation rows and the path-length pairs.  All trees share the
-    `incidence` (per node, its links in link order, +1 in, -1 out) and
+    `incidence` (per node, its links in link order, side 1 in, 0 out) and
     `shapes` (per link, the other links into its head, its ends in node
     order) that put the `fc` and `pl` terms in order.
 
@@ -166,6 +197,13 @@ class _ModelBuilder:
 
     `families`, when given, is a `_MASTER_FAMILIES` entry, read from
     `_families`: the builders then emit only the families it names (`emits`).
+
+    One tuple per term, shared by the rows that carry it (they are
+    immutable): DBM's `(x, bandwidth)` by capacity and objective, OBM's
+    `(f, 1)` by conservation, flow bound, capacity and objective, an
+    origin's `common` terms by all its trees, a tree's `(route, eps)` by all
+    its `pl_ub` rows.  `build_dbm` and `build_obm` run it with the collector
+    paused; `lp.path_length_system`, part of a solve, does not.
     """
 
     def __init__(
@@ -178,8 +216,8 @@ class _ModelBuilder:
         self.incidence: dict[str, list] = {node: [] for node in instance.nodes}
         for link in instance.links:
             pair = (link.tail, link.head)
-            self.incidence[link.tail].append((pair, _MINUS_ONE))
-            self.incidence[link.head].append((pair, _ONE))
+            self.incidence[link.tail].append((pair, 0))
+            self.incidence[link.head].append((pair, 1))
         index = instance.node_index()
         self.shapes = [
             ((link.tail, link.head),
@@ -224,7 +262,8 @@ class _ModelBuilder:
         }
 
     def lengths(self) -> None:
-        """Weights `w_<i>_<j>` in [w_min, w_max]; lengths `l_<s>_<node>` >= 0, 0 at s."""
+        """Weights `w_<i>_<j>` in [w_min, w_max]; lengths `l_<s>_<node>` >= 0, 0 at s.
+        `common`: per origin and link, the `(w, -1)` and ends' `(l, ±1)` terms."""
         inst = self.instance
         self.w = {
             (link.tail, link.head): self.var(
@@ -241,11 +280,19 @@ class _ModelBuilder:
             }
             for s in inst.origins()
         }
+        minus_w = [(self.w[pair], _MINUS_ONE) for pair, _others, _ends in self.shapes]
+        self.common = {
+            s: [[w] + [(length[n], c) for n, c in ends]
+                for w, (_pair, _others, ends) in zip(minus_w, self.shapes)]
+            for s, length in self.l.items()
+        }
 
-    def conservation(self, key, flow: dict, net: dict) -> None:
-        """`fc_<key>_<node>`: inflow - outflow of one tree = net.get(node, 0)."""
+    def conservation(self, key, flow: dict, inflow: dict, net: dict) -> None:
+        """`fc_<key>_<node>`: inflow - outflow of one tree = net.get(node, 0);
+        `inflow` holds the tree's `(flow, 1)` terms."""
+        sides = (_terms(flow, _MINUS_ONE), inflow)
         for node, links in self.incidence.items():
-            self.row(f"fc_{key}_{node}", [(flow[pair], c) for pair, c in links],
+            self.row(f"fc_{key}_{node}", [sides[side][pair] for pair, side in links],
                      "=", net.get(node, _ZERO))
 
     def path_length(self, key, origin: str, route: dict) -> None:
@@ -254,13 +301,11 @@ class _ModelBuilder:
         The `pl_lb` row of a link bound to 0 is not emitted;
         `lp.path_length_system` says why it is implied.
         """
-        length = self.l[origin]
+        step = _terms(route, self.eps)
         minus_big_M = -self.big_M
-        for (i, j), others, ends in self.shapes:
-            common = [(self.w[(i, j)], _MINUS_ONE)] + [(length[n], c) for n, c in ends]
+        for ((i, j), others, _ends), common in zip(self.shapes, self.common[origin]):
             # l_j <= l_i + w_ij - eps * (sum_h route_hj - route_ij)
-            self.row(f"pl_ub_{key}_{i}_{j}", [(route[o], self.eps) for o in others] + common,
-                     "<=", _ZERO)
+            self.row(f"pl_ub_{key}_{i}_{j}", [step[o] for o in others] + common, "<=", _ZERO)
             if self.fixed and not route[(i, j)][2]:
                 continue
             # l_j >= l_i + w_ij - M * (1 - route_ij)
@@ -274,6 +319,7 @@ class _ModelBuilder:
         )
 
 
+@_collector_paused
 def build_dbm(instance: Instance, eps=None, big_M=None, master: bool = False) -> LinearModel:
     """Demand-based formulation: one routing tree per demand, routed by `x`.
 
@@ -283,26 +329,26 @@ def build_dbm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
     b = _ModelBuilder(instance, eps, big_M, families=_MASTER_FAMILIES["DBM"] if master else None)
     demands = instance.demands
     x = b.tree_vars("x", range(len(demands)), "binary", _ZERO, _ONE)
+    carried = [_terms(x[k], demand.bandwidth) for k, demand in enumerate(demands)]
     if b.emits("weight"):
         b.lengths()
     if b.emits("flow_conservation"):
         for k, demand in enumerate(demands):
-            b.conservation(k, x[k], {demand.destination: _ONE, demand.origin: _MINUS_ONE})
+            b.conservation(k, x[k], _terms(x[k], _ONE),
+                           {demand.destination: _ONE, demand.origin: _MINUS_ONE})
     if b.emits("capacity"):
         for link in instance.links:
             pair = (link.tail, link.head)
-            terms = [(x[k][pair], demand.bandwidth) for k, demand in enumerate(demands)]
-            b.row(f"cap_{link.tail}_{link.head}", terms, "<=", link.capacity)
+            b.row(f"cap_{link.tail}_{link.head}", [terms[pair] for terms in carried],
+                  "<=", link.capacity)
     if b.emits("path_length"):
         for k, demand in enumerate(demands):
             b.path_length(k, demand.origin, x[k])
-    return b.model("DBM_MASTER" if master else "DBM", (
-        (x[k][(link.tail, link.head)], demand.bandwidth)
-        for k, demand in enumerate(demands)
-        for link in instance.links
-    ))
+    return b.model("DBM_MASTER" if master else "DBM",
+                   (term for terms in carried for term in terms.values()))
 
 
+@_collector_paused
 def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) -> LinearModel:
     """Origin-based formulation: one routing tree per origin, routed by `y`
     and carrying flow `f`.
@@ -314,13 +360,14 @@ def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
     origins = instance.origins()
     y = b.tree_vars("y", origins, "binary", _ZERO, _ONE)
     f = b.tree_vars("f", origins, "continuous", _ZERO, None) if b.emits("flow") else {}
+    unit = {s: _terms(f[s], _ONE) for s in f}
     if b.emits("weight"):
         b.lengths()
     if b.emits("flow_conservation"):
         for s in origins:
             net = {d.destination: d.bandwidth for d in instance.demands_from(s)}
             net[s] = -instance.origin_bandwidth(s)
-            b.conservation(s, f[s], net)
+            b.conservation(s, f[s], unit[s], net)
 
     if b.emits("flow_bound"):
         for s in origins:
@@ -328,12 +375,13 @@ def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
             for link in instance.links:
                 pair = (link.tail, link.head)
                 b.row(f"fb_{s}_{link.tail}_{link.head}",
-                      [(y[s][pair], minus_d_s), (f[s][pair], _ONE)], "<=", _ZERO)
+                      [(y[s][pair], minus_d_s), unit[s][pair]], "<=", _ZERO)
 
     if b.emits("capacity"):
         for link in instance.links:
-            terms = [(f[s][(link.tail, link.head)], _ONE) for s in origins]
-            b.row(f"cap_{link.tail}_{link.head}", terms, "<=", link.capacity)
+            pair = (link.tail, link.head)
+            b.row(f"cap_{link.tail}_{link.head}", [unit[s][pair] for s in origins],
+                  "<=", link.capacity)
 
     if b.emits("uniqueness"):
         for s in origins:
@@ -347,9 +395,8 @@ def build_obm(instance: Instance, eps=None, big_M=None, master: bool = False) ->
     if b.emits("path_length"):
         for s in origins:
             b.path_length(s, s, y[s])
-    return b.model("OBM_MASTER" if master else "OBM", (
-        (f[s][(link.tail, link.head)], _ONE) for s in f for link in instance.links
-    ))
+    return b.model("OBM_MASTER" if master else "OBM",
+                   (term for terms in unit.values() for term in terms.values()))
 
 
 def master_submodel(model: LinearModel) -> LinearModel:
@@ -619,6 +666,7 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
 # LP text export and the matching reader (used to round-trip in tests).
 
 
+@_collector_paused
 def export_lp(model: LinearModel) -> str:
     """Deterministic LP text; identical models export byte-identical text.
 
@@ -626,7 +674,9 @@ def export_lp(model: LinearModel) -> str:
     `format_number` text, are memoized per number object (`id`): sound, as
     the model keeps every number alive for the whole call.  The builders
     share a few `Fraction`s across all rows; a `parse_lp` model's equal
-    numbers are distinct objects, each formatted again.
+    numbers are distinct objects, each formatted again.  Runs with the
+    cyclic collector paused, as the builders do: the lines and parts it
+    allocates hold only strings.
     """
     prefixes: dict[int, str] = {}
     numbers: dict[int, str] = {}
@@ -660,8 +710,10 @@ def export_lp(model: LinearModel) -> str:
         f" obj: {terms_text(model.objective)}",
         "Subject To",
     ]
-    for c in model.constraints:
-        lines.append(f" {c.name}: {terms_text(c.terms)} {c.sense} {number(c.rhs)}")
+    lines += [
+        f" {name}: {terms_text(terms)} {sense} {number(rhs)}"
+        for name, terms, sense, rhs in model.constraints
+    ]
     lines.append("Bounds")
     for v in model.variables:
         if v.lb is None and v.ub is None:

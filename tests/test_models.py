@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -335,6 +336,78 @@ def test_export_bytes_pinned_on_a_twelve_node_instance():
     )
     for m, digest in pinned:
         assert hashlib.sha256(export_lp(m).encode("utf-8")).hexdigest() == digest, m.formulation
+
+
+def distinct_terms(model):
+    """The number of distinct term tuples (by identity) in the rows and objective."""
+    rows = {id(t) for c in model.constraints for t in c.terms}
+    return len(rows | {id(t) for t in model.objective})
+
+
+def test_builders_allocate_each_term_once():
+    # twelve_node: n=12, L=36, D=20 demands from S=10 origins; every node has
+    # two or more in-links, so each link's tree binary lies on some other
+    # link's pl_ub row.  One tuple per term:
+    #   DBM: (x, -1) and (x, 1) of fc, 2DL; (x, bandwidth) of cap and the
+    #   objective, DL; (x, eps) of pl_ub, DL; (x, -M) of pl_lb, DL; (w, -1),
+    #   L; (l, ±1) per origin and link, 2SL.  5DL + L + 2SL = 4356.  The DBM
+    #   master keeps fc and cap: 3DL distinct of its 4DL terms.
+    #   OBM: (f, -1), (f, 1) of fc, fb, cap and the objective, (y, -d_s) of
+    #   fb, (y, 1) of uniq, (y, eps), (y, -M): 6SL; (w, -1), L; (l, ±1), 2SL.
+    #   8SL + L = 2916.
+    # With a tuple per row and term they were 7400 and 4780 of 9560 and 5860.
+    inst = twelve_node()
+    assert inst.dims() == InstanceDims(12, 36, 20, 10)
+    assert min(len(links) for links in inst.in_links().values()) >= 2
+    counts = [(distinct_terms(m), sum(len(c.terms) for c in m.constraints) + len(m.objective))
+              for m in (build_dbm(inst), build_obm(inst), build_dbm(inst, master=True))]
+    assert counts == [(4356, 9560), (2916, 5860), (3 * 20 * 36, 4 * 20 * 36)]
+
+
+def test_the_collector_is_paused_only_inside_the_builders_and_export(monkeypatch):
+    inst = twelve_node()
+    seen = []
+    for name in ("resolve_params", "format_number"):
+        def spy(*args, _call=getattr(models, name)):
+            seen.append(gc.isenabled())
+            return _call(*args)
+        monkeypatch.setattr(models, name, spy)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        for build in (build_dbm, build_obm):
+            export_lp(build(inst))
+            assert gc.isenabled()
+            with pytest.raises(ModelParameterError):
+                build(inst, eps=0)
+            assert gc.isenabled()
+        assert seen and not any(seen)
+        gc.disable()
+        for build in (build_dbm, build_obm):
+            export_lp(build(inst))
+            with pytest.raises(ModelParameterError):
+                build(inst, eps=0)
+            assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_models_and_their_export_leave_no_cyclic_garbage():
+    # What makes the pause safe: with the collector off, building and
+    # exporting both formulations leaves nothing for it to free.
+    inst = twelve_node()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (build_dbm, build_obm):
+            for model in (build(inst), build(inst, master=True)):
+                text = export_lp(model)
+        del model, text
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_export_of_distinct_equal_numbers_matches_shared_ones():
