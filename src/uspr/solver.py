@@ -529,16 +529,17 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     order, keeping the first vector attaining the minimum objective.
 
     The forests come from `spf.unique_grid_routings`.  It lists each
-    demand's candidate paths once, and tabulates each origin's outcome
-    once per grid setting of C_s, the links of its demands' candidates:
-    sum_s P^|C_s| entries (P grid points), rather than one per vector.
-    The candidates' lengths are updated link by link; no entry runs
-    Dijkstra, except the single entry of a one-point grid.  The sweep skips
-    every set of vectors that can route no new forest.  It yields each
-    distinct forest once, with its first vector, in the order of those
-    vectors; so keeping the first strictly better capacity-feasible
-    forest, judged by `spf.check_capacity` and `spf.evaluate_objective`,
-    keeps the first vector of the minimum.  The answer is re-verified
+    demand's candidate paths once, and decides each origin's outcome once
+    per grid setting of C_s, the links of its demands' candidates:
+    sum_s P^|C_s| settings (P grid points), rather than one per vector,
+    as a bit mask of outcomes per block of settings.  The candidates'
+    lengths are updated link by link; no setting runs Dijkstra, except on
+    a one-point grid.  The sweep skips every set of vectors whose blocks
+    can route no new forest.  It yields each distinct forest once, with
+    its first vector, in the order of those vectors; so keeping the first
+    strictly better capacity-feasible forest, judged by
+    `spf.check_capacity` and `spf.evaluate_objective`, keeps the first
+    vector of the minimum.  The answer is re-verified
     through the oracle.  `iterations` and `nodes_explored` count the P^|L|
     vectors decided; `details` gives P and the sweep's `settings` and
     `visited` counters.

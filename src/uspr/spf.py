@@ -26,23 +26,21 @@ Each demand's candidate paths, its simple paths short enough to be
 shortest somewhere on the grid, are listed once (`PathStream`, the
 master's path lister too).  An origin's routing depends only on the
 weights of the links of its demands' candidate paths, so each origin's
-outcome is tabulated once per grid setting of those links and every grid
-vector combines the tabulated outcomes.  The tables run no Dijkstra: a
-depth-first walk over the settings updates only the lengths of the
-candidates on the link that changes.  On a one-point grid the one entry is
-one Dijkstra run instead.  A depth-first sweep over the vectors skips each
-prefix below which no new forest lies.  It yields each distinct forest
-once, with the first grid vector that routes it.
+outcome is decided once per grid setting of those links, by a depth-first
+walk over the settings that runs no Dijkstra: it updates only the lengths
+of the candidates on the link that changes.  As it unwinds, the walk
+stores each block of settings' outcomes as a bit mask.  On a one-point
+grid the one setting is one Dijkstra run instead.  A depth-first sweep
+over the vectors reads those masks and skips each prefix below which no
+new forest lies.  It yields each distinct forest once, with the first
+grid vector that routes it.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
-import operator
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,7 +273,7 @@ class PathStream:
     hop count at a time, by a DFS limited to that many hops and pruned by
     the BFS hop distance to the destination, only as far as the reader
     asks.  Each entry is (node indices, link indices).  The master reads
-    the paths one at a time (`get`), a grid table all of a few hops at once
+    the paths one at a time (`get`), the grid oracle all of a few hops at once
     (`within`)."""
 
     def __init__(self, cg: CompiledGraph, dist: list[int], origin: int, destination: int):
@@ -340,31 +338,35 @@ class PathStream:
 
 def _origin_table(
     cg: CompiledGraph, point_units: list[int], src: int, dests: list[int]
-) -> tuple[array, list, list[int]]:
+) -> tuple[list[list[int]], list, list[int]]:
     """One origin's outcome for every grid setting of its axis: the links
     of its demands' candidate paths, ascending.
 
-    Returns (table, outcomes, axis).  Settings run lexicographically over
-    the axis.  The table holds an outcome id per setting; id 0 is "some
-    demand unreachable or not unique", any other id indexes the outcomes:
-    the demands' node-index paths, in `dests` order.
+    Returns (masks, outcomes, axis).  Settings run lexicographically over
+    the axis.  Outcome id 0 is "some demand unreachable or not unique", any
+    other id indexes the outcomes: the demands' node-index paths, in
+    `dests` order.  masks[f][p] holds, as bits (bit i for id i), the ids
+    under the block of settings whose first f axis digits spell p in base
+    P, the number of grid points; masks[-1] holds one bit per setting.
 
-    No entry runs Dijkstra.  Each demand's candidates are its simple paths
-    of at most floor(w_max * h / w_min) links, h its BFS hop distance: a
-    longer path is longer than the h-hop one at w_max, so never shortest,
-    tie included.  The sweep walks the settings depth first, one axis link
-    per level, and adds a level's weight change to the lengths of the
-    candidates on its link only.  A demand is decided at the deepest level
-    one of its candidates touches: unique when exactly one candidate has
-    the least length.  A tie makes the whole block below id 0; at the last
-    level every demand is decided and the entry holds one outcome.  An
-    unreachable demand gives the one entry 0 over an empty axis.
+    No setting runs Dijkstra.  Each demand's candidates are its simple
+    paths of at most floor(w_max * h / w_min) links, h its BFS hop
+    distance: a longer path is longer than the h-hop one at w_max, so never
+    shortest, tie included.  The sweep walks the settings depth first, one
+    axis link per level, and adds a level's weight change to the lengths of
+    the candidates on its link only.  A demand is decided at the deepest
+    level one of its candidates touches: unique when exactly one candidate
+    has the least length.  Every mask starts as id 0 alone, which a tie
+    leaves in place for the whole block below; at the last level every
+    demand is decided and the setting gets its one outcome.  As the sweep
+    unwinds, each block's mask becomes the OR of its P sub-blocks' masks.
+    An unreachable demand gives id 0 over an empty axis.
 
-    With one grid point the table has one entry, over an empty axis, while
-    the candidates can be exponentially many, so that entry is one
+    With one grid point there is one setting, over an empty axis, while
+    the candidates can be exponentially many, so that setting is one
     Dijkstra run instead.  With two or more, distinct candidates have
     distinct link sets, so a demand has at most 2^|axis| <= P^|axis| of
-    them: no more than the table holds.
+    them: no more than there are settings.
     """
     n_points = len(point_units)
     ids: dict = {None: 0}
@@ -376,17 +378,16 @@ def _origin_table(
                 outcome = None
                 break
             outcome += (tuple(walk_back_unique(cg, counts, pred, src, dest)),)
-        return array("I", [ids.setdefault(outcome, len(ids))]), list(ids), []
+        return [[1 << ids.setdefault(outcome, len(ids))]], list(ids), []
     first, last = point_units[0], point_units[-1]
     candidates = []  # per demand, its candidates as (node indices, link indices)
     for dest in dests:
         dist = hop_distances(cg, dest)
         if dist[src] == len(dist):  # unreachable: no setting routes it
-            return array("I", [0]), list(ids), []
+            return [[1]], list(ids), []
         candidates.append(PathStream(cg, dist, src, dest).within(last * dist[src] // first))
     axis = sorted({e for paths in candidates for _nodes, links in paths for e in links})
     depth = len(axis)
-    block = [n_points ** (depth - level) for level in range(depth + 1)]
     level_of = {e: level for level, e in enumerate(axis)}
     lengths = []  # per demand, its candidates' lengths under the current prefix
     touched: list[list[tuple[list[int], int]]] = [[] for _ in axis]  # per level, (lengths, j)
@@ -399,47 +400,35 @@ def _origin_table(
         lengths.append(lens)
         decided[max(level_of[e] for _nodes, links in paths for e in links) + 1].append(k)
     winners: list = [None] * len(dests)
-    table = array("I")
+    masks = [[1] * n_points**level for level in range(depth + 1)]
     steps = [b - a for a, b in zip(point_units, point_units[1:])]
     reset = first - last
 
-    def sweep(level: int) -> None:
+    def sweep(level: int, p: int) -> int:
         for k in decided[level]:
             lens = lengths[k]
             least = min(lens)
             if lens.count(least) > 1:
-                table.extend(array("I", [0]) * block[level])
-                return
+                return 1
             winners[k] = candidates[k][lens.index(least)][0]
         if level == depth:
-            table.append(ids.setdefault(tuple(winners), len(ids)))
-            return
-        links = touched[level]
-        sweep(level + 1)
-        for step in steps:
+            mask = 1 << ids.setdefault(tuple(winners), len(ids))
+        else:
+            links = touched[level]
+            child = p * n_points
+            mask = sweep(level + 1, child)
+            for digit, step in enumerate(steps, 1):
+                for lens, j in links:
+                    lens[j] += step
+                mask |= sweep(level + 1, child + digit)
             for lens, j in links:
-                lens[j] += step
-            sweep(level + 1)
-        for lens, j in links:
-            lens[j] += reset
+                lens[j] += reset
+        masks[level][p] = mask
+        return mask
 
-    sweep(0)
+    sweep(0, 0)
     del sweep  # it holds itself through its closure: free its lists now, not at a collection
-    return table, list(ids), axis
-
-
-def _block_masks(table: array, n_points: int, depth: int) -> list[list[int]]:
-    """masks[f][p]: the outcome ids in the table block whose first f setting
-    digits spell p in base n_points, as bits (bit i for id i)."""
-    masks = [[1 << i for i in table]]
-    for _ in range(depth):
-        finer = masks[-1]
-        masks.append([
-            functools.reduce(operator.or_, finer[p:p + n_points])
-            for p in range(0, len(finer), n_points)
-        ])
-    masks.reverse()
-    return masks
+    return masks, list(ids), axis
 
 
 def _mask_ids(mask: int) -> list[int]:
@@ -458,30 +447,34 @@ def unique_grid_routings(
     weight_resolution)`; forests come in the order of those vectors.
     Raises ValueError unless `limit` is a non-negative int, and
     GridSearchLimitError when the grid holds more than `limit` vectors.
+    The grid size P^|L| is multiplied out only until it passes `limit`, so a
+    wide grid is refused at once, and a count of 40 digits or more is
+    written P^|L| in the message.
 
     The enumeration is factored by origin.  Each origin s's outcome depends
     only on the weights of C_s, the links of its demands' candidate paths,
-    so it is tabulated once over the P^|C_s| settings of C_s, P being the
-    number of grid points: sum_s P^|C_s| <= |origins| * P^|L| table entries
-    in all.  No entry runs Dijkstra (`_origin_table`): each demand's
+    so it is decided once for each of the P^|C_s| settings of C_s, P being
+    the number of grid points: sum_s P^|C_s| <= |origins| * P^|L| settings
+    in all.  No setting runs Dijkstra (`_origin_table`): each demand's
     candidate paths are listed once, and a depth-first walk over the
     settings moves one link's weight at a time and updates the lengths of
-    the candidates on that link alone.  With P = 1 the one entry per origin
-    is one Dijkstra run, since the candidates can be exponentially many.
-    Outcome ids are interned per origin, so each distinct tuple of them is
-    one distinct forest, built once.
+    the candidates on that link alone.  With P = 1 the one setting per
+    origin is one Dijkstra run, since the candidates can be exponentially
+    many.  The walk returns each block of settings' outcome ids as a bit
+    mask.  Outcome ids are interned per origin, so each distinct tuple of
+    them is one distinct forest, built once.
 
     The vectors are then swept depth first, in lexicographic order, one
-    link per level.  A prefix of a vector selects one contiguous block of
-    each origin's table, since C_s is ascending.  The sweep skips the
-    vectors below a prefix when some origin has only id 0 in its block, or
-    when every combination of the blocks' nonzero ids is already in `seen`:
-    no unseen forest lies below.  That check is skipped when the
-    combinations outnumber `seen`.  A prefix whose blocks each hold one id,
+    link per level.  A prefix of a vector selects one block of each
+    origin's settings, since C_s is ascending.  The sweep skips the vectors
+    below a prefix when some origin has only id 0 in its block, or when
+    every combination of the blocks' nonzero ids is already found: no new
+    forest lies below.  That check is skipped when the combinations
+    outnumber the forests found.  A prefix whose blocks each hold one id,
     and that id nonzero, routes one forest, first with the remaining links
     at index 0.  A link in no C_s changes no outcome and stays at index 0.
 
-    `stats["settings"]` receives the table entries, sum_s P^|C_s|, and
+    `stats["settings"]` receives the settings decided, sum_s P^|C_s|, and
     `stats["visited"]` the prefixes the sweep examined.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
@@ -491,48 +484,52 @@ def unique_grid_routings(
     grid = (instance.w_min, instance.w_max, instance.weight_resolution)
     n_points = grid_size(*grid)
     n_links = len(instance.links)
-    total = n_points ** n_links
+    total, links = 1, 0  # total = P^links, multiplied out only until it passes the limit
+    while links < n_links and total <= limit:
+        total *= n_points
+        links += 1
     if total > limit:  # before the grid is built: a wide one would not fit
-        raise GridSearchLimitError(
-            f"{total} weight combinations exceed grid_limit {limit}"
+        count = (  # no number of 40 digits or more is written out
+            total if links == n_links and total < 10**40
+            else f"{n_points}^{n_links}" if n_points < 10**40
+            else f"at least 2^{(n_points.bit_length() - 1) * n_links}"
         )
+        bound = limit if limit < 10**40 else f"of {limit.bit_length()} bits"
+        raise GridSearchLimitError(f"{count} weight combinations exceed grid_limit {bound}")
     points = grid_points(*grid)
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
     point_units = [int(p * wscale) for p in points]
     origins = []  # (outcomes, demand keys)
-    blocks = []  # per origin, `_block_masks` of its table
+    blocks = []  # per origin, its block masks
     # depends[e]: (origin number, position of e in its axis plus one) for each axis holding e
     depends: list[list[tuple[int, int]]] = [[] for _ in range(n_links)]
     stats["settings"] = 0
     for origin in instance.origins():
         keys = [(origin, d.destination) for d in instance.demands_from(origin)]
         dests = [cg.index[t] for _s, t in keys]
-        table, outcomes, axis = _origin_table(cg, point_units, cg.index[origin], dests)
+        pyramid, outcomes, axis = _origin_table(cg, point_units, cg.index[origin], dests)
         for f, e in enumerate(axis, 1):
             depends[e].append((len(origins), f))
-        stats["settings"] += len(table)
+        stats["settings"] += len(pyramid[-1])
         origins.append((outcomes, keys))
-        blocks.append(_block_masks(table, n_points, len(axis)))
+        blocks.append(pyramid)
     swept = [e for e in range(n_links) if depends[e]]
-    seen: set[tuple[int, ...]] = set()
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}  # each forest's key: its first vector
     combo = [0] * n_links
     stats["visited"] = 0
 
-    def sweep(level: int, prefixes: list[int], masks: list[int]):
+    def sweep(level: int, prefixes: list[int], masks: list[int]) -> None:
         stats["visited"] += 1
         if not all(m >> 1 for m in masks):  # some origin never routes uniquely
             return
         if all(m & (m - 1) == 0 for m in masks):  # one forest, under every vector
-            key = tuple(m.bit_length() - 1 for m in masks)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(combo), key
+            found.setdefault(tuple(m.bit_length() - 1 for m in masks), tuple(combo))
             return
         size = math.prod((m >> 1).bit_count() for m in masks)
-        if size <= len(seen) and all(
-            key in seen for key in itertools.product(*map(_mask_ids, masks))
-        ):  # no unseen forest
+        if size <= len(found) and all(
+            key in found for key in itertools.product(*map(_mask_ids, masks))
+        ):  # no new forest
             return
         e = swept[level]
         for digit in range(n_points):
@@ -542,17 +539,18 @@ def unique_grid_routings(
                 p = prefixes[o] * n_points + digit
                 child_prefixes[o] = p
                 child_masks[o] = blocks[o][f][p]
-            yield from sweep(level + 1, child_prefixes, child_masks)
+            sweep(level + 1, child_prefixes, child_masks)
         combo[e] = 0
 
-    for combo_found, key in sweep(0, [0] * len(origins), [b[0][0] for b in blocks]):
+    sweep(0, [0] * len(origins), [b[0][0] for b in blocks])
+    del sweep  # as in `_origin_table`: free the block masks now, not at a collection
+    for key, first_combo in found.items():
         paths = {
             demand: tuple(instance.nodes[v] for v in path)
             for (outcomes, keys), outcome_id in zip(origins, key)
             for demand, path in zip(keys, outcomes[outcome_id])
         }
-        yield combo_found, RoutingForest(paths)
-    del sweep  # as in `_origin_table`: free the block masks now, not at a collection
+        yield first_combo, RoutingForest(paths)
 
 
 # ---------------------------------------------------------------------------

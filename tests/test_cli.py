@@ -154,6 +154,16 @@ def test_oracle_refuses_a_wide_grid_before_building_it(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_oracle_refuses_1200_links_in_one_short_line(tmp_path, capsys):
+    # 65535^1200 has 5,780 digits, more than Python writes out: the count is
+    # written as P^|L| instead.
+    inst = write_instance(tmp_path, generate_random_instance(300, 4, 3, w_max=65535))
+    assert main(["solve", inst, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: 65535^1200 weight combinations exceed grid_limit 200000\n"
+    assert captured.out == ""
+
+
 def test_solve_path_longer_than_the_recursion_limit(tmp_path, capsys):
     inst = write_instance(tmp_path, path_graph(1005, w_max=2))
     assert main(["solve", inst]) == 0

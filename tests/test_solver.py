@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import os
 import random
@@ -22,6 +23,7 @@ from conftest import (
     random_tree_routing,
     simple_paths,
     small_random,
+    triangle,
     two_node,
 )
 from uspr import lp, solver, spf
@@ -752,6 +754,31 @@ def test_brute_force_single_link():
 def test_brute_force_grid_limit_refusal():
     with pytest.raises(spf.GridSearchLimitError):
         brute_force_solve(diamond(), grid_limit=10)
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # The grid sweeps are closures that refer to themselves; each is
+    # deleted after its run, so with the collector off both solvers leave
+    # nothing for it to free.  The main grid benchmark instances, and a
+    # one-point grid, whose origins are decided by one Dijkstra run each.
+    instances = [
+        generate_random_instance(5, 1.6, 4, w_max=4, seed=0),
+        generate_random_instance(5, 2, 4, w_max=3, seed=0),
+        generate_random_instance(6, 1.5, 5, w_max=3, seed=1),
+        triangle(w_min=2, w_max=2),
+    ]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in instances:
+            brute = brute_force_solve(inst)
+            assert benders_solve(inst).objective == brute.objective
+        del brute
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def naive_brute_force(inst):

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -500,19 +503,32 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
 
 def origin_tables(inst):
     """Each origin's (table, outcomes, axis links) by `spf._origin_table`,
-    on the grid in the integer units `unique_grid_routings` gives it, each
-    table first checked against `reference_origin_table` over its axis."""
+    on the grid in the integer units `unique_grid_routings` gives it.  The
+    table is the outcome id of each setting, decoded from the one bit of
+    each mask in `masks[-1]` and checked against `reference_origin_table`
+    over its axis; every coarser mask is checked to be the OR of the P
+    finer masks of its block."""
     cg = spf.CompiledGraph(inst)
     points = grid_points(inst.w_min, inst.w_max, inst.weight_resolution)
     scale = math.lcm(*(p.denominator for p in points))
     units = [int(p * scale) for p in points]
+    n = len(units)
     out = []
     for origin in inst.origins():
         src = cg.index[origin]
         dests = [cg.index[d.destination] for d in inst.demands_from(origin)]
-        table, outcomes, axis = spf._origin_table(cg, units, src, dests)
-        assert (table, outcomes) == reference_origin_table(cg, units, src, dests, axis)
-        out.append((table.tolist(), outcomes, [inst.link_pairs()[e] for e in axis]))
+        masks, outcomes, axis = spf._origin_table(cg, units, src, dests)
+        assert [len(level) for level in masks] == [n**f for f in range(len(axis) + 1)]
+        assert all(m and m & (m - 1) == 0 for m in masks[-1])
+        table = [m.bit_length() - 1 for m in masks[-1]]
+        assert masks[0] == [functools.reduce(operator.or_, (1 << i for i in table))]
+        for coarse, fine in zip(masks, masks[1:]):
+            assert coarse == [
+                functools.reduce(operator.or_, fine[p:p + n]) for p in range(0, len(fine), n)
+            ]
+        reference, reference_outcomes = reference_origin_table(cg, units, src, dests, axis)
+        assert (table, outcomes) == (reference.tolist(), reference_outcomes)
+        out.append((table, outcomes, [inst.link_pairs()[e] for e in axis]))
     return out
 
 
@@ -552,6 +568,30 @@ def test_origin_tables_match_one_dijkstra_per_setting():
 def test_unique_grid_routings_limit_refusal():
     with pytest.raises(spf.GridSearchLimitError, match="exceed grid_limit 3"):
         next(spf.unique_grid_routings(diamond(), 3))
+
+
+def test_unique_grid_routings_refuses_a_huge_grid_at_once():
+    # P = 10^4000 grid points on each of 1,200 links: the refusal multiplies
+    # out no more than P itself, and writes no number of 40 digits or more.
+    inst = generate_random_instance(300, 4, 3, w_max=10**4000)
+    assert len(inst.links) == 1200
+    started = time.perf_counter()
+    with pytest.raises(spf.GridSearchLimitError) as refused:
+        next(spf.unique_grid_routings(inst, spf.GRID_LIMIT))
+    assert time.perf_counter() - started < 1
+    assert 2**13287 < 10**4000 < 2**13288
+    assert str(refused.value) == (
+        f"at least 2^{13287 * 1200} weight combinations exceed grid_limit 200000"
+    )
+    # P = 10^30 on 3 links against a limit of 10^50: the running product
+    # stops at P^2, past the limit; the limit is given by its bit length.
+    wide = mk_instance("sat", [("s", "a", 1), ("a", "t", 1), ("s", "t", 1)], [("s", "t", 1)],
+                       w_max=10**30)
+    with pytest.raises(spf.GridSearchLimitError) as refused:
+        next(spf.unique_grid_routings(wide, 10**50))
+    assert str(refused.value) == (
+        f"{10**30}^3 weight combinations exceed grid_limit of {(10**50).bit_length()} bits"
+    )
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1, True, 10.0])
