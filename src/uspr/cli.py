@@ -15,6 +15,7 @@ from pathlib import Path
 from . import lp, models, solver, spf
 from .instance import (
     Instance,
+    InstanceDims,
     InstanceValidationError,
     generate_random_instance,
     load_instance,
@@ -180,12 +181,9 @@ def _ratio_text(x: Fraction) -> str:
 
 def _cmd_solve(args) -> int:
     if args.oracle and (args.node_limit is not None or args.time_limit is not None):
-        print("error: --node-limit and --time-limit apply to decomposition, "
-              "not to --oracle", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--node-limit and --time-limit apply to decomposition, not to --oracle")
     if not args.oracle and args.grid_limit is not None:
-        print("error: --grid-limit applies to --oracle only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--grid-limit applies to --oracle only")
     instance = _load(args.instance)
     if args.oracle:
         grid_limit = spf.GRID_LIMIT if args.grid_limit is None else args.grid_limit
@@ -289,12 +287,9 @@ def _baseline_rows(instance: Instance, skip_solver: bool) -> list[tuple[str, str
 
 def _cmd_report(args) -> int:
     if args.dims is None and args.instance is None:
-        print("report: provide an instance file or --dims N L D S", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("provide an instance file or --dims N L D S")
     out = []
     if args.dims is not None:
-        from .instance import InstanceDims
-
         dims = InstanceDims(*args.dims)
         out.append(models.render_size_report(models.size_report(dims), args.format))
     if args.instance is not None:

@@ -57,7 +57,8 @@ class SimplexResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Continuous variables with bounds, and sparse rows."""
+    """Continuous variables and sparse rows.  Each variable has a finite lower
+    bound and may have an upper bound."""
 
     variables: tuple[Variable, ...]
     rows: tuple[Constraint, ...]
@@ -127,55 +128,45 @@ class _Simplex:
         self.system = system
         self.pivots = 0
 
-        # Column encoding: every structural variable becomes one or two
-        # nonnegative columns, x = base + sum(sign * u).
-        self.col_sign: list[int] = []
-        self.var_base: list[Fraction] = []
-        self.var_cols: list[list[int]] = []
+        # Column encoding: every variable has a finite lower bound and is
+        # x = lb + u, with one column u >= 0, or no column when lb == ub.  An
+        # upper bound adds the row u <= ub - lb after the system's rows.
+        self.var_cols: list[int | None] = []
         extra_rows: list[tuple[dict[int, int], str, int, int]] = []
+        ncols = 0
         for v in system.variables:
-            cols: list[int] = []
-            if v.lb is not None and v.lb == v.ub:
-                base = v.lb  # fixed variable: no column at all
-            elif v.lb is not None:
-                base = v.lb
-                cols.append(self._new_col(1))
+            col = None
+            if v.lb != v.ub:
+                col, ncols = ncols, ncols + 1
                 if v.ub is not None:
                     num, den = (v.ub - v.lb).as_integer_ratio()
-                    extra_rows.append(({cols[0]: den}, "<=", num, den))
-            elif v.ub is not None:
-                base = v.ub
-                cols.append(self._new_col(-1))
-            else:
-                base = _ZERO
-                cols.append(self._new_col(1))
-                cols.append(self._new_col(-1))
-            self.var_base.append(base)
-            self.var_cols.append(cols)
-        self.n_struct = len(self.col_sign)
+                    extra_rows.append(({col: den}, "<=", num, den))
+            self.var_cols.append(col)
+        self.n_struct = ncols
 
         # Each row is scaled by the lcm of its denominators, those of the
-        # products coef * base folded into its rhs included.
+        # products coef * lb folded into its rhs included.
         var_index = {v.name: i for i, v in enumerate(system.variables)}
-        base_ratio = [base.as_integer_ratio() for base in self.var_base]
+        lb_ratio = [v.lb.as_integer_ratio() for v in system.variables]
         raw_rows: list[tuple[dict[int, int], str, int, int]] = []
         for row in system.rows:
             terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
             rhs_num, rhs_den = row.rhs.as_integer_ratio()
             den = rhs_den
             for vi, (_, cd) in terms:
-                d = cd * base_ratio[vi][1]
+                d = cd * lb_ratio[vi][1]
                 if d != 1:
                     den = math.lcm(den, d)
             rhs = rhs_num * (den // rhs_den)
             coeffs: dict[int, int] = {}
             for vi, (cn, cd) in terms:
                 a = cn * (den // cd)
-                bn, bd = base_ratio[vi]
+                bn, bd = lb_ratio[vi]
                 if bn:
                     rhs -= a * bn // bd
-                for c in self.var_cols[vi]:
-                    coeffs[c] = coeffs.get(c, 0) + a * self.col_sign[c]
+                c = self.var_cols[vi]
+                if c is not None:
+                    coeffs[c] = coeffs.get(c, 0) + a
             raw_rows.append((coeffs, row.sense, rhs, den))
         raw_rows.extend(extra_rows)
 
@@ -187,7 +178,6 @@ class _Simplex:
         self.rhs: list[int] = []
         self.den: list[int] = []
         slacks: list[int | None] = []
-        ncols = self.n_struct
         for coeffs, sense, rhs, den in raw_rows:
             row = {c: a for c, a in coeffs.items() if a != 0}
             slack = None
@@ -212,10 +202,6 @@ class _Simplex:
             self.basis.append(slack)
         self.ncols = ncols
         self.initial_basis = list(self.basis)
-
-    def _new_col(self, sign: int) -> int:
-        self.col_sign.append(sign)
-        return len(self.col_sign) - 1
 
     def _zrow(self, cost: list[int]) -> None:
         """Reduced costs cost - sum(cost[basis[r]] * row r), over the lcm of
@@ -360,12 +346,10 @@ class _Simplex:
         for b, den, col in zip(self.rhs, self.den, self.basis):
             if col < self.n_struct:
                 values[col] = Fraction(b, den)
-        assignment = {}
-        for vi, v in enumerate(self.system.variables):
-            x = self.var_base[vi]
-            for c in self.var_cols[vi]:
-                x += self.col_sign[c] * values[c]
-            assignment[v.name] = x
+        assignment = {
+            v.name: v.lb if c is None else v.lb + values[c]
+            for v, c in zip(self.system.variables, self.var_cols)
+        }
         _verify_assignment(self.system, assignment)
         return Feasible(assignment, self.pivots)
 
@@ -384,7 +368,7 @@ def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) ->
     for v in system.variables:
         x = num[v.name]
         lb, ub = v.lb, v.ub
-        if (lb is not None and x * lb.denominator < lb.numerator * D
+        if (x * lb.denominator < lb.numerator * D
                 or ub is not None and x * ub.denominator > ub.numerator * D):
             raise RuntimeError(f"internal: bound on {v.name} violated by {assignment[v.name]}")
     for row in system.rows:

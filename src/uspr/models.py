@@ -77,7 +77,7 @@ class ModelParameterError(ValueError):
 class Variable:
     name: str
     kind: str  # "binary" | "continuous"
-    lb: Fraction | None
+    lb: Fraction  # every variable has a finite lower bound
     ub: Fraction | None
 
 
@@ -106,7 +106,9 @@ def table_violations(variables, constraints, objective) -> list[str]:
         if v.name in declared:
             out.append(f"variable {v.name}: declared twice")
         declared.add(v.name)
-        if v.lb is not None and v.ub is not None and v.lb > v.ub:
+        if v.lb is None:
+            out.append(f"variable {v.name}: no lower bound")
+        elif v.ub is not None and v.lb > v.ub:
             out.append(f"variable {v.name}: empty bound interval")
     names = set()
     for c in constraints:
@@ -670,6 +672,9 @@ def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLe
 def export_lp(model: LinearModel) -> str:
     """Deterministic LP text; identical models export byte-identical text.
 
+    A Bounds line is `lb <= x`, `x = v` or `lb <= x <= ub`: the builders and
+    `parse_lp` give every variable a finite lower bound, so none is checked.
+
     A coefficient's `- `/`+ ` prefix and magnitude, and a rhs's or bound's
     `format_number` text, are memoized per number object (`id`): sound, as
     the model keeps every number alive for the whole call.  The builders
@@ -716,14 +721,10 @@ def export_lp(model: LinearModel) -> str:
     ]
     lines.append("Bounds")
     for v in model.variables:
-        if v.lb is None and v.ub is None:
-            lines.append(f" {v.name} free")
-        elif v.lb is not None and v.ub is not None and v.lb == v.ub:
-            lines.append(f" {v.name} = {number(v.lb)}")
-        elif v.ub is None:
+        if v.ub is None:
             lines.append(f" {number(v.lb)} <= {v.name}")
-        elif v.lb is None:
-            lines.append(f" -inf <= {v.name} <= {number(v.ub)}")
+        elif v.lb == v.ub:
+            lines.append(f" {v.name} = {number(v.lb)}")
         else:
             lines.append(f" {number(v.lb)} <= {v.name} <= {number(v.ub)}")
     binaries = [v.name for v in model.variables if v.kind == "binary"]
@@ -767,9 +768,11 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], .
 def parse_lp(text: str) -> LinearModel:
     """Read LP text produced by export_lp back into a LinearModel.
 
-    Raises LpParseError, naming the line, on a malformed line or number; and
-    on a name the tables cannot place: a term on a variable with no Bounds
-    line, a Binary name with no Bounds line, or a name declared twice.
+    Raises LpParseError, naming the line, on a malformed line or number; a
+    Bounds line must be one of `export_lp`'s three forms, each with a finite
+    lower bound, so a `free` line or a `-inf` bound is refused.  Raises it
+    too on a name the tables cannot place: a term on a variable with no
+    Bounds line, a Binary name with no Bounds line, or a name declared twice.
     """
     formulation = ""
     eps = _ZERO
@@ -777,7 +780,7 @@ def parse_lp(text: str) -> LinearModel:
     section = None
     objective: tuple[tuple[str, Fraction], ...] = ()
     constraints: list[Constraint] = []
-    bounds: list[tuple[str, Fraction | None, Fraction | None]] = []
+    bounds: list[tuple[str, Fraction, Fraction | None]] = []
     binaries: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -818,17 +821,14 @@ def parse_lp(text: str) -> LinearModel:
             constraints.append(Constraint(name.strip(), terms, tokens[sense_pos], rhs))
         elif section == "Bounds":
             tokens = line.split()
-            if len(tokens) == 2 and tokens[1] == "free":
-                bounds.append((tokens[0], None, None))
-            elif len(tokens) == 3 and tokens[1] == "=":
+            if len(tokens) == 3 and tokens[1] == "=":
                 v = parse_number(tokens[2], where, LpParseError)
                 bounds.append((tokens[0], v, v))
-            elif len(tokens) == 3 and tokens[1] == "<=":
-                lb = None if tokens[0] == "-inf" else parse_number(tokens[0], where, LpParseError)
-                bounds.append((tokens[2], lb, None))
-            elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                lb = None if tokens[0] == "-inf" else parse_number(tokens[0], where, LpParseError)
-                bounds.append((tokens[2], lb, parse_number(tokens[4], where, LpParseError)))
+            elif (len(tokens) == 3 and tokens[1] == "<="
+                  or len(tokens) == 5 and tokens[1] == tokens[3] == "<="):
+                lb = parse_number(tokens[0], where, LpParseError)
+                ub = parse_number(tokens[4], where, LpParseError) if len(tokens) == 5 else None
+                bounds.append((tokens[2], lb, ub))
             else:
                 raise LpParseError(f"{where}: unrecognized bounds line {line!r}")
         elif section == "Binary":

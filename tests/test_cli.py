@@ -427,6 +427,57 @@ def test_report_requires_input(capsys):
     assert main(["report"]) == 1
 
 
+@pytest.mark.parametrize("instance, rows", [
+    (mk_instance("ab", [("a", "b", 1)], [("a", "b", 5)]),
+     ["hop-count\tover-capacity\t-\t-", "inv-cap\tover-capacity\t-\t-",
+      "solver\tInfeasible\t-\t-"]),
+    (mk_instance("abc", [("a", "b", 0), ("b", "c", 10), ("a", "c", 10)], [("a", "c", 1)]),
+     ["hop-count\tfeasible\t1\t0.1",
+      "inv-cap\terror: link ('a', 'b') has zero capacity\t-\t-",
+      "solver\tOptimal\t1\t0.1", "solver/hop-count utilization ratio\t1\t\t"]),
+    (mk_instance("ab", [], []),
+     ["hop-count\tfeasible\t0\t0", "inv-cap\tfeasible\t0\t0", "solver\tOptimal\t0\t0"]),
+], ids=["over-capacity", "zero-capacity", "no-links"])
+def test_report_baseline_rows(tmp_path, capsys, instance, rows):
+    inst = write_instance(tmp_path, instance)
+    assert main(["report", inst, "--format", "tsv"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    header = printed.index("method\tstatus\tobjective\tmax_utilization")
+    assert printed[header + 1:-1] == rows
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "INST", "--oracle", "--time-limit", "1"],
+     "--node-limit and --time-limit apply to decomposition, not to --oracle"),
+    (["solve", "INST", "--grid-limit", "10"], "--grid-limit applies to --oracle only"),
+    (["report"], "provide an instance file or --dims N L D S"),
+], ids=["oracle-limits", "grid-limit", "report-input"])
+def test_usage_errors_print_one_error_line(tmp_path, capsys, argv, message):
+    inst = write_instance(tmp_path, diamond())
+    assert main([inst if a == "INST" else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--nodes", "1", "--degree", "2", "--demands", "1"], "need at least 2 nodes"),
+    (["generate", "--nodes", "3", "--degree", "2", "--demands", "0"],
+     "n_demands must be positive"),
+    (["generate", "--nodes", "3", "--degree", "3", "--demands", "1"],
+     "avg_out_degree 3.0 needs 9 links; only 6 ordered pairs exist"),
+    (["generate", "--nodes", "3", "--degree", "2", "--demands", "1", "--cap-range", "5", "2"],
+     "capacity and demand ranges must be positive and ordered"),
+    (["report", "--dims", "-1", "2", "1", "1"], "n_nodes must be non-negative"),
+], ids=["one-node", "no-demands", "too-many-links", "unordered-cap-range", "negative-dims"])
+def test_malformed_arguments_print_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.json"
+    if argv[0] == "generate":
+        argv = argv + ["-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/path.json"]) == 1
     assert "error" in capsys.readouterr().err

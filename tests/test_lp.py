@@ -51,7 +51,7 @@ def test_simple_feasible_with_witness():
 
 def test_equality_rows_and_free_variables():
     system = LinearSystem(
-        (var("x"), var("y", 0)),
+        (var("x", -10), var("y", 0)),
         (
             row("e1", [("x", 1), ("y", 1)], "=", 5),
             row("e2", [("x", 1), ("y", -1)], "=", -9),
@@ -60,6 +60,21 @@ def test_equality_rows_and_free_variables():
     result = solve_feasibility(system)
     assert result.feasible
     assert result.assignment == {"x": F(-2), "y": F(7)}
+
+
+@pytest.mark.parametrize("variables, rows, problem", [
+    ((var("x"),), (), "variable x: no lower bound"),
+    ((var("x", None, 3),), (), "variable x: no lower bound"),
+    ((Variable("x", "binary", F(0), F(1)),), (), "variable x: must be continuous"),
+    ((var("x", 2, 1),), (), "variable x: empty bound interval"),
+    ((var("x", 0),), (row("r", [("x", 1)], "<=", 1), row("r", [("x", 1)], ">=", 0)),
+     "constraint r: declared twice"),
+    ((var("x", 0),), (row("r", [("x", 1)], "<", 1),), "constraint r: unknown sense '<'"),
+], ids=["free", "upper-only", "binary", "empty-interval", "row-twice", "unknown-sense"])
+def test_solve_feasibility_refuses_an_ill_formed_system(variables, rows, problem):
+    with pytest.raises(ValueError) as error:
+        solve_feasibility(LinearSystem(variables, rows))
+    assert str(error.value) == f"ill-formed system: {problem}"
 
 
 def test_random_systems_built_around_witness_are_feasible():
@@ -272,13 +287,13 @@ def _rational(rng, lo, hi):
 
 
 def _random_systems(seed, count, max_vars, number):
-    """Random systems; number(rng, lo, hi) draws every coefficient, bound and rhs."""
+    """Random systems; number(rng, lo, hi) draws every coefficient, bound and rhs.
+    Every variable has a lower bound, and about half of them an upper bound."""
     rng = random.Random(seed)
     for _ in range(count):
         names = [f"v{i}" for i in range(rng.randint(1, max_vars))]
         variables = tuple(
-            var(n, rng.choice([None, number(rng, -4, 0)]),
-                rng.choice([None, number(rng, 1, 5)]))
+            var(n, number(rng, -4, 0), rng.choice([None, number(rng, 1, 5)]))
             for n in names
         )
         rows = []

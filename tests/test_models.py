@@ -544,9 +544,36 @@ def test_parse_lp_refuses_a_decimal_exponent_past_the_digit_limit(old, new, line
     (" c: x + y", " c: x + z", "constraint c: references undeclared 'z'"),
     (" obj: x", " obj: x + z", "objective: references undeclared 'z'"),
     (" x\nEnd", " x\n z\nEnd", "line 11: binary 'z' has no Bounds line"),
-    (" 0 <= y\n", " 0 <= y\n y free\n", "variable y: declared twice"),
+    (" 0 <= y\n", " 0 <= y\n 1 <= y\n", "variable y: declared twice"),
 ], ids=["row-term", "objective", "binary", "bounds-twice"])
 def test_parse_lp_refuses_names_it_cannot_place(old, new, message):
     assert old in SMALL_LP
     with pytest.raises(LpParseError, match=message):
         parse_lp(SMALL_LP.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("new, message", [
+    (" y free\n", "line 8: unrecognized bounds line 'y free'"),
+    (" -inf <= y <= 3\n", "line 8: not a number: '-inf'"),
+], ids=["free", "minus-inf"])
+def test_parse_lp_refuses_a_variable_without_a_lower_bound(new, message):
+    with pytest.raises(LpParseError) as error:
+        parse_lp(SMALL_LP.replace(" 0 <= y\n", new, 1))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (" obj: x", " goal: x", "line 3: expected 'obj:'"),
+    (" c: x + y <= 1", " x + y <= 1", "line 5: constraint without a name"),
+    (" c: x + y <= 1", " c: x + y 1", "line 5: expected '<terms> <sense> <rhs>'"),
+    (" c: x + y", " c: 2 3 x + y", "line 5: two consecutive numbers"),
+    (" obj: x", " obj: x + 2", "line 3: trailing number without a variable"),
+    ("End\n", "End\n x\n", "line 12: content after End"),
+    ("Minimize\n", "x\nMinimize\n", "line 2: content outside any section"),
+], ids=["objective", "row-name", "row-sense", "two-numbers", "trailing-number",
+        "after-end", "outside-section"])
+def test_parse_lp_names_the_line_of_a_malformed_structure(old, new, message):
+    assert old in SMALL_LP
+    with pytest.raises(LpParseError) as error:
+        parse_lp(SMALL_LP.replace(old, new, 1))
+    assert str(error.value) == message
