@@ -306,10 +306,13 @@ def _cmd_report(args) -> int:
             lines.extend("\t".join(r) for r in rows)
             out.append("\n".join(lines) + "\n")
         else:
+            # Each padded column is as wide as its longest cell, at least as
+            # wide as the fixed widths the golden files print.
+            widths = [max([w] + [len(r[k]) for r in rows]) for k, w in enumerate((36, 14, 12))]
             lines = ["baseline comparison:"]
-            lines.append(f"  {'method':<36} {'status':<14} {'objective':<12} max_utilization")
-            for r in rows:
-                lines.append(f"  {r[0]:<36} {r[1]:<14} {r[2]:<12} {r[3]}")
+            for r in [("method", "status", "objective", "max_utilization"), *rows]:
+                padded = "".join(f"{cell:<{w}} " for cell, w in zip(r, widths))
+                lines.append(f"  {padded}{r[3]}".rstrip())
             out.append("\n".join(lines) + "\n")
         out.append(
             "note: utilization ratios against the baselines depend on the "

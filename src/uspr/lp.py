@@ -25,8 +25,8 @@ the forest, branch and bound on the weight grid.  The system is OBM's
 path-length block with the forest's routing binaries fixed, written by the
 models' builder with the eps and big_M it derives from the instance
 (`path_length_system`), which fixes the weight of each link that no tree
-uses at w_max.  That changes no feasibility answer, adds no binding to a
-cut, and gives the simplex fewer columns.  With eps the gcd of w_min and
+uses at w_max, so the simplex has fewer columns; `path_length_system` says
+why that changes no answer and no cut.  With eps the gcd of w_min and
 the resolution, the system holds at grid weights exactly when they realize
 the forest, so an integral node is a witness and a search whose leaves are
 all infeasible proves that no grid weights realize the forest.
@@ -117,8 +117,10 @@ class _Simplex:
 
     Row r holds the integer numerators of its nonzero entries, `rhs[r]` its
     rhs numerator and `den[r] > 0` their one denominator, so the tableau
-    entry (r, j) is rows[r][j] / den[r].  The reduced costs are the integers
-    `z` over the one denominator `zden`.
+    entry (r, j) is rows[r][j] / den[r].  The first len(basis) rows are the
+    constraints.  Phase 1's objective, the sum of the artificial columns, is
+    the only objective: when phase 1 starts it becomes one more row, holding
+    the reduced costs, with minus the objective's value as its rhs.
     """
 
     def __init__(self, system: LinearSystem):
@@ -132,23 +134,32 @@ class _Simplex:
         # x = lb + u, with one column u >= 0, or no column when lb == ub.  An
         # upper bound adds the row u <= ub - lb after the system's rows.
         self.var_cols: list[int | None] = []
-        extra_rows: list[tuple[dict[int, int], str, int, int]] = []
-        ncols = 0
+        n_struct = n_upper = 0
         for v in system.variables:
             col = None
             if v.lb != v.ub:
-                col, ncols = ncols, ncols + 1
-                if v.ub is not None:
-                    num, den = (v.ub - v.lb).as_integer_ratio()
-                    extra_rows.append(({col: den}, "<=", num, den))
+                col, n_struct = n_struct, n_struct + 1
+                n_upper += v.ub is not None
             self.var_cols.append(col)
-        self.n_struct = ncols
+        self.n_struct = n_struct
 
-        # Each row is scaled by the lcm of its denominators, those of the
-        # products coef * lb folded into its rhs included.
+        # Sparse rows {column: nonzero numerator} with the rhs kept apart,
+        # flipped to rhs >= 0.  Each inequality gets a slack column, numbered
+        # in row order after the structural ones; a row whose slack is not +1
+        # after the flip gets an artificial column, numbered after every
+        # slack.  The initial basis is slack or artificial.  Each row is
+        # scaled by the lcm of its denominators, those of the products
+        # coef * lb folded into its rhs included.
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
+        self.basis: list[int] = []
+        slack = n_struct
+        self.artificial_start = self.ncols = (
+            n_struct + n_upper + sum(row.sense != "=" for row in system.rows)
+        )
         var_index = {v.name: i for i, v in enumerate(system.variables)}
         lb_ratio = [v.lb.as_integer_ratio() for v in system.variables]
-        raw_rows: list[tuple[dict[int, int], str, int, int]] = []
         for row in system.rows:
             terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
             rhs_num, rhs_den = row.rhs.as_integer_ratio()
@@ -167,60 +178,36 @@ class _Simplex:
                 c = self.var_cols[vi]
                 if c is not None:
                     coeffs[c] = coeffs.get(c, 0) + a
-            raw_rows.append((coeffs, row.sense, rhs, den))
-        raw_rows.extend(extra_rows)
-
-        # Sparse rows {column: nonzero numerator} with the rhs kept apart,
-        # flipped to rhs >= 0.  Each inequality gets a slack column; a row
-        # whose slack is not +1 after the flip gets an artificial column,
-        # numbered after every slack.  The initial basis is slack or artificial.
-        self.rows: list[dict[int, int]] = []
-        self.rhs: list[int] = []
-        self.den: list[int] = []
-        slacks: list[int | None] = []
-        for coeffs, sense, rhs, den in raw_rows:
-            row = {c: a for c, a in coeffs.items() if a != 0}
-            slack = None
-            if sense != "=":
-                slack = ncols
-                ncols += 1
-                row[slack] = den if sense == "<=" else -den
+            coeffs = {c: a for c, a in coeffs.items() if a != 0}
+            basic = None
+            if row.sense != "=":
+                basic, slack = slack, slack + 1
+                coeffs[basic] = den if row.sense == "<=" else -den
             if rhs < 0:
-                row = {c: -a for c, a in row.items()}
+                coeffs = {c: -a for c, a in coeffs.items()}
                 rhs = -rhs
-            self.rows.append(row)
+            if basic is None or coeffs[basic] != den:
+                basic, self.ncols = self.ncols, self.ncols + 1
+                coeffs[basic] = den
+            self.rows.append(coeffs)
             self.rhs.append(rhs)
             self.den.append(den)
-            slacks.append(slack)
-        self.artificial_start = ncols
-        self.basis: list[int] = []
-        for row, den, slack in zip(self.rows, self.den, slacks):
-            if slack is None or row[slack] != den:
-                slack = ncols
-                ncols += 1
-                row[slack] = den
-            self.basis.append(slack)
-        self.ncols = ncols
+            self.basis.append(basic)
+        # The upper-bound rows: a column exists only where lb < ub, so the
+        # rhs ub - lb is positive and the slack is basic.
+        for v, col in zip(system.variables, self.var_cols):
+            if col is not None and v.ub is not None:
+                num, den = (v.ub - v.lb).as_integer_ratio()
+                self.rows.append({col: den, slack: den})
+                self.rhs.append(num)
+                self.den.append(den)
+                self.basis.append(slack)
+                slack += 1
         self.initial_basis = list(self.basis)
 
-    def _zrow(self, cost: list[int]) -> None:
-        """Reduced costs cost - sum(cost[basis[r]] * row r), over the lcm of
-        the denominators of the rows with a costed basic column."""
-        zden = 1
-        for den, col in zip(self.den, self.basis):
-            if cost[col]:
-                zden = math.lcm(zden, den)
-        z = [cb * zden for cb in cost]
-        for row, den, col in zip(self.rows, self.den, self.basis):
-            cb = cost[col]
-            if cb:
-                m = cb * (zden // den)
-                for j, a in row.items():
-                    z[j] -= m * a
-        self.z, self.zden = z, zden
-
     def _pivot(self, r: int, c: int) -> None:
-        """Normalize row r on column c and eliminate c from the other rows and z.
+        """Normalize row r on column c and eliminate c from every other row,
+        the objective row included.
 
         The normalized row is row r's numerators over its pivot numerator p,
         gcd-reduced.  When its denominator is 1, elimination touches only the
@@ -272,39 +259,40 @@ class _Simplex:
                     rhs[rr] //= g
                     dens[rr] //= g
         self.basis[r] = c
-        factor = self.z[c]
-        if factor:
-            if d != 1:
-                self.z = [x * d for x in self.z]
-                self.zden *= d
-            z = self.z
-            for j, a in row.items():
-                z[j] -= factor * a
-            if d != 1:
-                g = math.gcd(self.zden, *z)
-                if g != 1:
-                    self.z = [x // g for x in z]
-                    self.zden //= g
 
-    def _minimize(self, cost: list[int]) -> None:
-        """Bland's rule: the first column with a negative reduced cost enters;
-        of the rows with a positive entry in it, the one with the least ratio
-        of rhs to entry leaves, ties to the smallest basic column.  A row's
-        denominator cancels from its ratio, so ratios of numerators compare
-        by cross-multiplication."""
-        self._zrow(cost)
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+    def _minimize(self) -> None:
+        """Phase 1 by Bland's rule.
+
+        The objective row is each artificial's cost 1 minus the rows where an
+        artificial is basic, over the lcm of those rows' denominators; every
+        artificial starts basic, so its own entry is 0.  The least column with
+        a negative entry in that row enters; of the rows with a positive entry
+        in it, the one with the least ratio of rhs to entry leaves, ties to
+        the smallest basic column.  A row's denominator cancels from its
+        ratio, so ratios of numerators compare by cross-multiplication."""
+        rows, rhs, dens, basis = self.rows, self.rhs, self.den, self.basis
+        m, start = len(basis), self.artificial_start
+        zden = math.lcm(*(den for den, col in zip(dens, basis) if col >= start))
+        objective = dict.fromkeys(range(start, self.ncols), zden)
+        value = 0
+        for row, b, den, col in zip(rows, rhs, dens, basis):
+            if col >= start:
+                f = zden // den
+                value += f * b
+                for j, a in row.items():
+                    objective[j] = objective.get(j, 0) - f * a
+        rows.append({j: a for j, a in objective.items() if a})
+        rhs.append(-value)
+        dens.append(zden)
         while True:
-            enter = None
-            for j, zj in enumerate(self.z):
-                if zj < 0:
-                    enter = j
-                    break
-            if enter is None:
+            # A dict's order is not column order.
+            entering = [j for j, a in rows[m].items() if a < 0]
+            if not entering:
                 return
+            enter = min(entering)
             leave = None
-            for r, row in enumerate(rows):
-                a = row.get(enter)
+            for r in range(m):
+                a = rows[r].get(enter)
                 if a is not None and a > 0:
                     if leave is None:
                         leave, best_b, best_a = r, rhs[r], a
@@ -316,31 +304,33 @@ class _Simplex:
                 raise RuntimeError("internal: phase 1 is unbounded")
             self._pivot(leave, enter)
 
-    def _farkas_support(self, cost: list[int]) -> tuple[str, ...]:
+    def _farkas_support(self) -> tuple[str, ...]:
         """The system rows used by the dual ray of an infeasible phase 1.
 
         Each row's initial basic column is a unit column, so the ray's entry
-        for the row is 1 - z[artificial], or -z[slack] (cost minus z).
+        for the row is that column's cost minus its reduced cost: 1 minus the
+        objective row's entry for an artificial, minus it for a slack.
         """
+        objective, zden = self.rows[-1], self.den[-1]
+        start = self.artificial_start
         return tuple(
             row.name
             for row, col in zip(self.system.rows, self.initial_basis)
-            if cost[col] * self.zden != self.z[col]
+            if objective.get(col, 0) != (zden if col >= start else 0)
         )
 
     def solve(self) -> Feasible | Infeasible:
         """Infeasible results carry the unverified Farkas support.
 
-        Phase 1's objective is positive exactly when an artificial column is
-        basic with a positive rhs.  A feasible phase 1 may leave artificials
-        basic at 0; they carry no structural value, so the assignment is read
-        off as it stands.
+        Phase 1's objective is positive, and the objective row's rhs nonzero,
+        exactly when an artificial column is basic with a positive rhs.  A
+        feasible phase 1 may leave artificials basic at 0; they carry no
+        structural value, so the assignment is read off as it stands.
         """
         if self.artificial_start < self.ncols:
-            cost = [0] * self.artificial_start + [1] * (self.ncols - self.artificial_start)
-            self._minimize(cost)
-            if any(col >= self.artificial_start and b for b, col in zip(self.rhs, self.basis)):
-                return Infeasible(self._farkas_support(cost), self.pivots)
+            self._minimize()
+            if self.rhs[-1]:
+                return Infeasible(self._farkas_support(), self.pivots)
 
         values = [_ZERO] * self.n_struct
         for b, den, col in zip(self.rhs, self.den, self.basis):
@@ -456,10 +446,11 @@ def path_length_system(
     its weight to w_max in a solution only loosens its `pl_ub` rows, the
     only rows that mention it, with the potentials kept.  w_max is a grid
     point, so the same holds on the grid.  The same argument runs on any
-    subset of the rows: a set of rows that is infeasible with such a weight
-    at w_max is infeasible with it anywhere in [w_min, w_max].  So a core
-    does not depend on the fixed bound, and its cut needs no binding of
-    the fixed link (see `row_bindings`).
+    subset of the rows, under any bounds on the other variables, a branch
+    node's included: a set of rows that is infeasible with such a weight at
+    w_max is infeasible with it anywhere in [w_min, w_max].  So a core may
+    mention a weight fixed at w_max, and its cut needs no binding of it:
+    another forest may use that link and still be cut.
     """
     b = _ModelBuilder(instance, fixed=True)
     b.lengths()
@@ -483,11 +474,9 @@ def row_bindings(
     """The (origin, link, value) assignments that parametrize the given rows.
 
     Any forest agreeing with these bindings instantiates identical rows, so
-    an infeasible core's bindings are a sound no-good pattern.  This holds
-    for a core that mentions a weight the presolve fixed at w_max too: with
-    that weight back in [w_min, w_max] the core stays infeasible, as
-    `path_length_system` shows, so the core depends on no binding of the
-    fixed link, and another forest may use that link and still be cut.
+    an infeasible core's bindings are a sound no-good pattern, also when the
+    core mentions a weight the presolve fixed at w_max (`path_length_system`
+    says why).
     """
     return frozenset().union(*(meta[name] for name in row_names))
 
@@ -507,8 +496,8 @@ class WeightRecovery:
     the forest), or "branch_limit" (the search stopped after
     MAX_BRANCH_NODES branch nodes).  "lp_infeasible" carries the
     `row_bindings` of the root's core, "grid_infeasible" their union over the
-    leaves' cores.  A core may mention a weight the presolve fixed at w_max;
-    it adds no binding of that link (`row_bindings` says why).  stage:
+    leaves' cores.  A core may mention a weight the presolve fixed at w_max
+    and adds no binding of it (`path_length_system` says why).  stage:
     "direct" (the root's snap) or "branch".  `lp_solves` counts the nodes
     solved; `pivots` counts every simplex pivot, those of the cores'
     deletion passes included.  A fixed weight has no simplex column.
@@ -550,8 +539,8 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     """Find grid weights whose unique shortest paths reproduce the forest.
 
     The system comes presolved: each weight that no tree uses is fixed at
-    w_max, which changes no answer below (`path_length_system` proves it)
-    and is never branched on, since w_max is a grid point.
+    w_max, a grid point, and never branched on; `path_length_system` says
+    why that changes no answer and no cut below.
 
     Write each weight as w_e = w_min + res*n_e, with n_e an integer in
     [0, N] and N = grid size - 1.  With eps = gcd(w_min, res), the instance's
@@ -575,16 +564,13 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     LP point with every weight on the grid realizes the forest, so it ends
     the search.  The system's first |L| variables are the link weights, in
     instance link order, so a link's position there is its branch variable.
-    Branching changes variable bounds only, which depend on no
-    routing binary: each leaf is infeasible on its core's rows alone, so
-    every forest sharing the union of the leaves' `row_bindings` fails the
-    same tree, and the union is a sound no-good cut.  A fixed weight in a
-    leaf's core needs no binding: at any grid point of such a forest, the
-    branched weights lie in some leaf's box, and that leaf's core is
-    infeasible whatever a fixed weight's value in [w_min, w_max].  The root
-    is solved by `solve_feasibility`, whose core an infeasible root needs;
-    branch nodes run the simplex alone, and only a search that fails shrinks
-    its leaves' Farkas supports to irreducible cores.
+    Branching changes variable bounds only, which depend on no routing
+    binary: each leaf is infeasible on its core's rows alone, so every
+    forest sharing the union of the leaves' `row_bindings` fails the same
+    tree, and the union is a sound no-good cut.  The root is solved by
+    `solve_feasibility`, whose core an infeasible root needs; branch nodes
+    run the simplex alone, and only a search that fails shrinks its leaves'
+    Farkas supports to irreducible cores.
 
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.

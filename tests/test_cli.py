@@ -423,6 +423,26 @@ def test_report_matches_golden(tmp_path, capsys, name, instance, fmt):
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
+def test_report_text_columns_fit_their_longest_cell(tmp_path, capsys):
+    # inv-cap's status is an error message longer than the status column's
+    # fixed width; every objective still starts under the header's.
+    instance = mk_instance("abc", [("a", "b", 0), ("b", "c", 10), ("a", "c", 10)], [("a", "c", 1)])
+    inst = write_instance(tmp_path, instance)
+    assert main(["report", inst]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    header = printed.index("baseline comparison:") + 1
+    offset = printed[header].index("objective")
+    table = printed[header + 1:-1]
+    assert [line.split()[0] for line in table] == [
+        "hop-count", "inv-cap", "solver", "solver/hop-count",
+    ]
+    assert "error: link ('a', 'b') has zero capacity" in table[1]
+    for line in table[:3]:
+        assert line[offset - 1] == " " and line[offset] != " "
+    assert table[1][offset:].split() == ["-", "-"]
+    assert not any(line.endswith(" ") for line in printed)
+
+
 def test_report_requires_input(capsys):
     assert main(["report"]) == 1
 

@@ -337,24 +337,50 @@ def test_simplex_agrees_with_fourier_motzkin_on_rational_systems():
 
 def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
     # After each pivot every basic column is a unit column of the tableau (its
-    # numerator equals its row's denominator, and no other row holds it) with
-    # zero reduced cost, and every denominator is positive.
+    # numerator equals its row's denominator, and no other row holds it), the
+    # objective row after the constraint rows holds no basic column, every
+    # denominator is positive, and phase 1's objective never increases.
     pivot = lp._Simplex._pivot
     non_unit = 0
+
+    def objective(self):
+        m = len(self.basis)
+        return Fraction(-self.rhs[m], self.den[m])
 
     def checked(self, r, c):
         nonlocal non_unit
         non_unit += self.rows[r][c] != self.den[r]
+        before = objective(self)
         pivot(self, r, c)
-        assert self.zden > 0 and all(d > 0 for d in self.den)
+        m = len(self.basis)
+        assert len(self.rows) == m + 1 and all(d > 0 for d in self.den)
+        assert 0 <= objective(self) <= before
         for k, (tableau_row, col) in enumerate(zip(self.rows, self.basis)):
-            assert tableau_row[col] == self.den[k] and self.z[col] == 0
+            assert tableau_row[col] == self.den[k] and col not in self.rows[m]
             assert sum(col in other for other in self.rows) == 1
 
     monkeypatch.setattr(lp._Simplex, "_pivot", checked)
     for system in _random_systems(99, 150, 3, _rational):
         lp._Simplex(system).solve()
     assert non_unit > 100
+
+
+@pytest.mark.parametrize("seed, count, max_vars, number, pivots, with_cores, feasible", [
+    (1234, 300, 4, _integer, 473, 813, 195),
+    (4321, 300, 3, _rational, 421, 817, 149),
+    (99, 150, 3, _rational, 215, 394, 92),
+])
+def test_simplex_work_on_random_systems_is_pinned(
+    seed, count, max_vars, number, pivots, with_cores, feasible
+):
+    # Bland's rule fixes every pivot, so the summed pivot counts are exact.
+    # These systems pivot on non-unit entries, which the path-length systems
+    # rarely reach.  `with_cores` adds the deletion passes of solve_feasibility.
+    systems = list(_random_systems(seed, count, max_vars, number))
+    results = [lp._Simplex(system).solve() for system in systems]
+    assert sum(r.pivots for r in results) == pivots
+    assert sum(r.feasible for r in results) == feasible
+    assert sum(solve_feasibility(system).pivots for system in systems) == with_cores
 
 
 def test_substitution_check_is_exact_on_a_one_third_grid_system():
