@@ -6,12 +6,14 @@ and recover a concrete grid weight vector when they do.
 
 The solver is the first phase of a sparse primal simplex in exact integer
 arithmetic: it minimizes the sum of the artificial variables, which decides
-feasibility, and optimizes nothing else.  Each tableau row holds the integer
-numerators of its nonzeros over one positive denominator, in the
-fraction-free style of Edmonds and Bareiss; on the path-length systems,
-whose entries are almost all ±1, nearly every row keeps denominator 1.  A
-pivot touches only the pivot row's nonzeros in the rows that have a nonzero
-in the entering column.  Bland's smallest-index rule picks both the entering
+feasibility, and optimizes nothing else.  Each tableau row is one sparse
+vector of integer numerators over one positive denominator, in the
+fraction-free style of Edmonds and Bareiss: its rhs is one of its entries,
+its basic column's numerator is its denominator, and the objective row keeps
+its denominator in a column of its own.  On the path-length systems, whose
+entries are almost all ±1, nearly every row keeps denominator 1.  A pivot
+touches only the pivot row's nonzeros in the rows that have a nonzero in the
+entering column.  Bland's smallest-index rule picks both the entering
 and the leaving choice, so pivoting is deterministic and cannot cycle.
 Exact arithmetic is the point: the strict inequalities that separate a
 unique shortest path from a tie must not be blurred by floating error.
@@ -104,10 +106,11 @@ def system_violations(system: LinearSystem) -> list[str]:
 # Phase-1 simplex.
 
 _ZERO = Fraction(0)
+RHS = -1  # a tableau row's key for its rhs numerator; columns count from 0
 
 # Per-solve budgets; exceeding either raises SimplexResourceError.  MAX_BITS
 # bounds the pivot entry of the integer rows: the bit length of its numerator
-# plus that of its row's denominator.
+# plus that of its row's basic numerator, which is the row's denominator.
 MAX_PIVOTS = 200_000
 MAX_BITS = 1_000_000
 
@@ -115,12 +118,14 @@ MAX_BITS = 1_000_000
 class _Simplex:
     """Phase 1 over integer rows.
 
-    Row r holds the integer numerators of its nonzero entries, `rhs[r]` its
-    rhs numerator and `den[r] > 0` their one denominator, so the tableau
-    entry (r, j) is rows[r][j] / den[r].  The first len(basis) rows are the
-    constraints.  Phase 1's objective, the sum of the artificial columns, is
-    the only objective: when phase 1 starts it becomes one more row, holding
-    the reduced costs, with minus the objective's value as its rhs.
+    Row r is one sparse dict of integer numerators over one positive
+    denominator: its nonzero entries by column, and under `RHS` its rhs when
+    nonzero.  Its basic column is a unit column, whose numerator is the
+    denominator: entry (r, j) is rows[r][j] / rows[r][basis[r]].  The first
+    len(basis) rows are the constraints.  Phase 1's objective, the sum of the
+    artificial columns, is the only objective: when phase 1 starts it becomes
+    one more row of reduced costs, with minus the objective's value as its
+    rhs and its denominator in a column of its own, `ncols`.
     """
 
     def __init__(self, system: LinearSystem):
@@ -143,7 +148,7 @@ class _Simplex:
             self.var_cols.append(col)
         self.n_struct = n_struct
 
-        # Sparse rows {column: nonzero numerator} with the rhs kept apart,
+        # Sparse rows {column: nonzero numerator, RHS: rhs numerator},
         # flipped to rhs >= 0.  Each inequality gets a slack column, numbered
         # in row order after the structural ones; a row whose slack is not +1
         # after the flip gets an artificial column, numbered after every
@@ -151,8 +156,6 @@ class _Simplex:
         # scaled by the lcm of its denominators, those of the products
         # coef * lb folded into its rhs included.
         self.rows: list[dict[int, int]] = []
-        self.rhs: list[int] = []
-        self.den: list[int] = []
         self.basis: list[int] = []
         slack = n_struct
         self.artificial_start = self.ncols = (
@@ -183,24 +186,21 @@ class _Simplex:
             if row.sense != "=":
                 basic, slack = slack, slack + 1
                 coeffs[basic] = den if row.sense == "<=" else -den
+            if rhs:
+                coeffs[RHS] = rhs
             if rhs < 0:
                 coeffs = {c: -a for c, a in coeffs.items()}
-                rhs = -rhs
             if basic is None or coeffs[basic] != den:
                 basic, self.ncols = self.ncols, self.ncols + 1
                 coeffs[basic] = den
             self.rows.append(coeffs)
-            self.rhs.append(rhs)
-            self.den.append(den)
             self.basis.append(basic)
         # The upper-bound rows: a column exists only where lb < ub, so the
         # rhs ub - lb is positive and the slack is basic.
         for v, col in zip(system.variables, self.var_cols):
             if col is not None and v.ub is not None:
                 num, den = (v.ub - v.lb).as_integer_ratio()
-                self.rows.append({col: den, slack: den})
-                self.rhs.append(num)
-                self.den.append(den)
+                self.rows.append({col: den, slack: den, RHS: num})
                 self.basis.append(slack)
                 slack += 1
         self.initial_basis = list(self.basis)
@@ -209,37 +209,33 @@ class _Simplex:
         """Normalize row r on column c and eliminate c from every other row,
         the objective row included.
 
-        The normalized row is row r's numerators over its pivot numerator p,
-        gcd-reduced.  When its denominator is 1, elimination touches only the
-        pivot row's nonzeros, in rows with a nonzero in column c; an entry
-        that cancels to 0 is deleted.  Otherwise each such row is first scaled
-        by that denominator and gcd-reduced after.
+        The normalized row is row r over its pivot numerator p, gcd-reduced,
+        so its entry in column c is its new denominator.  When that is 1,
+        elimination touches only the pivot row's entries, rhs included, in
+        rows with a nonzero in column c; an entry that cancels to 0 is
+        deleted.  Otherwise each such row, denominator included, is first
+        scaled by it and gcd-reduced after.
         """
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise SimplexResourceError(f"pivot budget {MAX_PIVOTS} exceeded")
-        rows, rhs, dens = self.rows, self.rhs, self.den
+        rows = self.rows
         row = rows[r]
         p = row[c]  # > 0: the ratio test admits positive entries only
-        if p.bit_length() + dens[r].bit_length() > MAX_BITS:
+        if p.bit_length() + row[self.basis[r]].bit_length() > MAX_BITS:
             raise SimplexResourceError("rational coefficients exceeded the bit budget")
-        b = rhs[r]
         d = 1
         if p != 1:
-            g = math.gcd(p, b, *row.values())
+            g = math.gcd(*row.values())
             if g != 1:
                 rows[r] = row = {j: a // g for j, a in row.items()}
-                b //= g
             d = p // g
-        rhs[r], dens[r] = b, d
         for rr, other in enumerate(rows):
             factor = other.get(c)
             if factor is None or rr == r:
                 continue
             if d != 1:
                 rows[rr] = other = {j: a * d for j, a in other.items()}
-                rhs[rr] *= d
-                dens[rr] *= d
             neg = -factor
             for j, a in row.items():
                 if j in other:
@@ -250,43 +246,37 @@ class _Simplex:
                         del other[j]
                 else:
                     other[j] = neg * a
-            if b:
-                rhs[rr] += neg * b
             if d != 1:
-                g = math.gcd(dens[rr], rhs[rr], *other.values())
+                g = math.gcd(*other.values())
                 if g != 1:
                     rows[rr] = {j: a // g for j, a in other.items()}
-                    rhs[rr] //= g
-                    dens[rr] //= g
         self.basis[r] = c
 
     def _minimize(self) -> None:
         """Phase 1 by Bland's rule.
 
         The objective row is each artificial's cost 1 minus the rows where an
-        artificial is basic, over the lcm of those rows' denominators; every
-        artificial starts basic, so its own entry is 0.  The least column with
-        a negative entry in that row enters; of the rows with a positive entry
-        in it, the one with the least ratio of rhs to entry leaves, ties to
-        the smallest basic column.  A row's denominator cancels from its
-        ratio, so ratios of numerators compare by cross-multiplication."""
-        rows, rhs, dens, basis = self.rows, self.rhs, self.den, self.basis
+        artificial is basic, over the lcm of those rows' denominators, which
+        is its entry in its own column `ncols`; the same subtraction gives
+        its rhs.  Every artificial starts basic, so its own entry is 0.  The
+        least column with a negative entry in that row enters; of the rows
+        with a positive entry in it, the one with the least ratio of rhs to
+        entry leaves, ties to the smallest basic column.  A row's denominator
+        cancels from its ratio, so ratios of numerators compare by
+        cross-multiplication."""
+        rows, basis = self.rows, self.basis
         m, start = len(basis), self.artificial_start
-        zden = math.lcm(*(den for den, col in zip(dens, basis) if col >= start))
-        objective = dict.fromkeys(range(start, self.ncols), zden)
-        value = 0
-        for row, b, den, col in zip(rows, rhs, dens, basis):
+        zden = math.lcm(*(row[col] for row, col in zip(rows, basis) if col >= start))
+        objective = dict.fromkeys(range(start, self.ncols + 1), zden)
+        for row, col in zip(rows, basis):
             if col >= start:
-                f = zden // den
-                value += f * b
+                f = zden // row[col]
                 for j, a in row.items():
                     objective[j] = objective.get(j, 0) - f * a
         rows.append({j: a for j, a in objective.items() if a})
-        rhs.append(-value)
-        dens.append(zden)
         while True:
-            # A dict's order is not column order.
-            entering = [j for j, a in rows[m].items() if a < 0]
+            # A dict's order is not column order; the rhs key is no column.
+            entering = [j for j, a in rows[m].items() if a < 0 <= j]
             if not entering:
                 return
             enter = min(entering)
@@ -294,12 +284,13 @@ class _Simplex:
             for r in range(m):
                 a = rows[r].get(enter)
                 if a is not None and a > 0:
+                    b = rows[r].get(RHS, 0)
                     if leave is None:
-                        leave, best_b, best_a = r, rhs[r], a
+                        leave, best_b, best_a = r, b, a
                         continue
-                    ours, best = rhs[r] * best_a, best_b * a
+                    ours, best = b * best_a, best_b * a
                     if ours < best or (ours == best and basis[r] < basis[leave]):
-                        leave, best_b, best_a = r, rhs[r], a
+                        leave, best_b, best_a = r, b, a
             if leave is None:  # phase 1's objective is bounded below by 0
                 raise RuntimeError("internal: phase 1 is unbounded")
             self._pivot(leave, enter)
@@ -311,8 +302,8 @@ class _Simplex:
         for the row is that column's cost minus its reduced cost: 1 minus the
         objective row's entry for an artificial, minus it for a slack.
         """
-        objective, zden = self.rows[-1], self.den[-1]
-        start = self.artificial_start
+        objective = self.rows[-1]
+        zden, start = objective[self.ncols], self.artificial_start
         return tuple(
             row.name
             for row, col in zip(self.system.rows, self.initial_basis)
@@ -322,20 +313,20 @@ class _Simplex:
     def solve(self) -> Feasible | Infeasible:
         """Infeasible results carry the unverified Farkas support.
 
-        Phase 1's objective is positive, and the objective row's rhs nonzero,
+        Phase 1's objective is positive, and the objective row holds an rhs,
         exactly when an artificial column is basic with a positive rhs.  A
         feasible phase 1 may leave artificials basic at 0; they carry no
         structural value, so the assignment is read off as it stands.
         """
         if self.artificial_start < self.ncols:
             self._minimize()
-            if self.rhs[-1]:
+            if RHS in self.rows[-1]:
                 return Infeasible(self._farkas_support(), self.pivots)
 
         values = [_ZERO] * self.n_struct
-        for b, den, col in zip(self.rhs, self.den, self.basis):
+        for row, col in zip(self.rows, self.basis):
             if col < self.n_struct:
-                values[col] = Fraction(b, den)
+                values[col] = Fraction(row.get(RHS, 0), row[col])
         assignment = {
             v.name: v.lb if c is None else v.lb + values[c]
             for v, c in zip(self.system.variables, self.var_cols)

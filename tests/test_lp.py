@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -336,28 +337,32 @@ def test_simplex_agrees_with_fourier_motzkin_on_rational_systems():
 
 
 def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
-    # After each pivot every basic column is a unit column of the tableau (its
-    # numerator equals its row's denominator, and no other row holds it), the
-    # objective row after the constraint rows holds no basic column, every
-    # denominator is positive, and phase 1's objective never increases.
+    # After each pivot every basic column is a unit column of the tableau: one
+    # row holds it, and its numerator there, the row's denominator, is
+    # positive.  Every constraint row's rhs stays at least 0, so phase 1's
+    # basis stays primal feasible.  The objective row after the constraint
+    # rows holds no basic column and a positive denominator in its own column,
+    # and phase 1's objective never increases.
     pivot = lp._Simplex._pivot
     non_unit = 0
 
     def objective(self):
         m = len(self.basis)
-        return Fraction(-self.rhs[m], self.den[m])
+        return Fraction(-self.rows[m].get(lp.RHS, 0), self.rows[m][self.ncols])
 
     def checked(self, r, c):
         nonlocal non_unit
-        non_unit += self.rows[r][c] != self.den[r]
+        non_unit += self.rows[r][c] != self.rows[r][self.basis[r]]
         before = objective(self)
         pivot(self, r, c)
         m = len(self.basis)
-        assert len(self.rows) == m + 1 and all(d > 0 for d in self.den)
-        assert 0 <= objective(self) <= before
-        for k, (tableau_row, col) in enumerate(zip(self.rows, self.basis)):
-            assert tableau_row[col] == self.den[k] and col not in self.rows[m]
+        assert len(self.rows) == m + 1 and self.rows[m][self.ncols] > 0
+        assert sum(self.ncols in other for other in self.rows) == 1
+        for tableau_row, col in zip(self.rows, self.basis):
+            assert tableau_row[col] > 0 and tableau_row.get(lp.RHS, 0) >= 0
+            assert col not in self.rows[m]
             assert sum(col in other for other in self.rows) == 1
+        assert 0 <= objective(self) <= before
 
     monkeypatch.setattr(lp._Simplex, "_pivot", checked)
     for system in _random_systems(99, 150, 3, _rational):
@@ -381,6 +386,27 @@ def test_simplex_work_on_random_systems_is_pinned(
     assert sum(r.pivots for r in results) == pivots
     assert sum(r.feasible for r in results) == feasible
     assert sum(solve_feasibility(system).pivots for system in systems) == with_cores
+
+
+def test_simplex_outputs_on_random_systems_are_pinned():
+    # The same 750 systems, each solved by _Simplex and by solve_feasibility:
+    # every answer, pivot count, core and assignment goes into one hash, so a
+    # change that moves any tableau number shows here.
+    digest = hashlib.sha256()
+    for seed, count, max_vars, number in (
+        (1234, 300, 4, _integer), (4321, 300, 3, _rational), (99, 150, 3, _rational),
+    ):
+        for system in _random_systems(seed, count, max_vars, number):
+            for result in (lp._Simplex(system).solve(), solve_feasibility(system)):
+                digest.update(repr((
+                    result.feasible,
+                    result.pivots,
+                    getattr(result, "conflict_core", None) or None,
+                    sorted(getattr(result, "assignment", {}).items()),
+                )).encode())
+    assert digest.hexdigest() == (
+        "815c74eb2602cf6a0b78409a0ae814158b20530e7d4d17bd1a3495a3d86b2e42"
+    )
 
 
 def test_substitution_check_is_exact_on_a_one_third_grid_system():

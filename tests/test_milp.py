@@ -38,7 +38,7 @@ def solve_milp(built):
         if c.sense in (">=", "="):
             lower[r] = float(c.rhs)
     bounds = optimize.Bounds(
-        [-np.inf if v.lb is None else float(v.lb) for v in model.variables],
+        [float(v.lb) for v in model.variables],
         [np.inf if v.ub is None else float(v.ub) for v in model.variables],
     )
     integrality = [1 if v.kind == "binary" else 0 for v in model.variables]
