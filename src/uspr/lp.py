@@ -19,7 +19,9 @@ Exact arithmetic is the point: the strict inequalities that separate a
 unique shortest path from a tie must not be blurred by floating error.
 Feasible results are read off as `Fraction`s and verified by direct
 substitution, in integers over one common denominator, before they are
-returned.
+returned.  An upper bound is one more `<=` row of the one row encoder, and
+`solve_feasibility` is the one input check: each tableau below it is built
+from a checked system.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system, snap its weights to the grid, and when the snap misses
@@ -94,14 +96,6 @@ class Infeasible:
         return False
 
 
-def system_violations(system: LinearSystem) -> list[str]:
-    out = table_violations(system.variables, system.rows, ())
-    for v in system.variables:
-        if v.kind != "continuous":
-            out.append(f"variable {v.name}: must be continuous")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Phase-1 simplex.
 
@@ -125,26 +119,28 @@ class _Simplex:
     len(basis) rows are the constraints.  Phase 1's objective, the sum of the
     artificial columns, is the only objective: when phase 1 starts it becomes
     one more row of reduced costs, with minus the objective's value as its
-    rhs and its denominator in a column of its own, `ncols`.
+    rhs and its denominator in a column of its own, `ncols`.  It checks
+    nothing: `solve_feasibility` is the one input check, and its docstring
+    and `recover_weights`' say why every system given here is well formed.
     """
 
     def __init__(self, system: LinearSystem):
-        problems = system_violations(system)
-        if problems:
-            raise ValueError("ill-formed system: " + "; ".join(problems))
         self.system = system
         self.pivots = 0
 
         # Column encoding: every variable has a finite lower bound and is
         # x = lb + u, with one column u >= 0, or no column when lb == ub.  An
-        # upper bound adds the row u <= ub - lb after the system's rows.
+        # upper bound is one more row x <= ub, never named in a core.  Its
+        # rhs ub - lb is positive, as lb < ub, so its slack is basic.
         self.var_cols: list[int | None] = []
-        n_struct = n_upper = 0
+        rows = list(system.rows)
+        n_struct = 0
         for v in system.variables:
             col = None
             if v.lb != v.ub:
                 col, n_struct = n_struct, n_struct + 1
-                n_upper += v.ub is not None
+                if v.ub is not None:
+                    rows.append(Constraint(v.name, ((v.name, Fraction(1)),), "<=", v.ub))
             self.var_cols.append(col)
         self.n_struct = n_struct
 
@@ -158,12 +154,10 @@ class _Simplex:
         self.rows: list[dict[int, int]] = []
         self.basis: list[int] = []
         slack = n_struct
-        self.artificial_start = self.ncols = (
-            n_struct + n_upper + sum(row.sense != "=" for row in system.rows)
-        )
+        self.artificial_start = self.ncols = n_struct + sum(row.sense != "=" for row in rows)
         var_index = {v.name: i for i, v in enumerate(system.variables)}
         lb_ratio = [v.lb.as_integer_ratio() for v in system.variables]
-        for row in system.rows:
+        for row in rows:
             terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
             rhs_num, rhs_den = row.rhs.as_integer_ratio()
             den = rhs_den
@@ -195,14 +189,6 @@ class _Simplex:
                 coeffs[basic] = den
             self.rows.append(coeffs)
             self.basis.append(basic)
-        # The upper-bound rows: a column exists only where lb < ub, so the
-        # rhs ub - lb is positive and the slack is basic.
-        for v, col in zip(system.variables, self.var_cols):
-            if col is not None and v.ub is not None:
-                num, den = (v.ub - v.lb).as_integer_ratio()
-                self.rows.append({col: den, slack: den, RHS: num})
-                self.basis.append(slack)
-                slack += 1
         self.initial_basis = list(self.basis)
 
     def _pivot(self, r: int, c: int) -> None:
@@ -371,9 +357,9 @@ def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
     continues from that trial's own Farkas support.  The kept set only
     shrinks, and a subset of a feasible system is feasible, so a row kept
     because the set without it was feasible stays needed.  The final core
-    is re-solved exactly.  `pivots` adds every pivot of the pass to phase 1's.
+    is re-solved exactly.  `pivots` counts the pivots of the pass alone.
     """
-    pivots = phase1.pivots
+    pivots = 0
 
     def farkas_support(rows: list[Constraint]) -> tuple[str, ...] | None:
         nonlocal pivots
@@ -403,9 +389,20 @@ def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
 def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; Feasible results are substitution-verified,
     Infeasible ones carry a verified irreducible core.  `pivots` counts
-    every simplex pivot, those of the core's deletion pass included."""
+    every simplex pivot, those of the core's deletion pass included.  This
+    is the simplex's one input check: it raises `ValueError` on an ill-formed
+    system.  A deletion trial is a subset of the checked rows, with the
+    variables they mention, so it is well formed too."""
+    problems = table_violations(system.variables, system.rows, ())
+    problems += [f"variable {v.name}: must be continuous"
+                 for v in system.variables if v.kind != "continuous"]
+    if problems:
+        raise ValueError("ill-formed system: " + "; ".join(problems))
     result = _Simplex(system).solve()
-    return result if result.feasible else _irreducible_core(system, result)
+    if result.feasible:
+        return result
+    core = _irreducible_core(system, result)
+    return Infeasible(core.conflict_core, result.pivots + core.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +556,11 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     binary: each leaf is infeasible on its core's rows alone, so every
     forest sharing the union of the leaves' `row_bindings` fails the same
     tree, and the union is a sound no-good cut.  The root is solved by
-    `solve_feasibility`, whose core an infeasible root needs; branch nodes
-    run the simplex alone, and only a search that fails shrinks its leaves'
-    Farkas supports to irreducible cores.
+    `solve_feasibility`, which checks the system and gives the core an
+    infeasible root needs; branch nodes run the simplex alone, unchecked,
+    and only a search that fails shrinks its leaves' Farkas supports to
+    irreducible cores.  Bounds never cross: n_e lies off the grid between
+    the node's bounds, grid points both, so floor(n_e) and ceil(n_e) do too.
 
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.
@@ -608,6 +607,6 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     bindings: frozenset[Binding] = frozenset()
     for node, farkas in leaves:
         core = _irreducible_core(node, farkas)
-        pivots += core.pivots - farkas.pivots
+        pivots += core.pivots
         bindings |= row_bindings(meta, core.conflict_core)
     return outcome("grid_infeasible", bindings=bindings)

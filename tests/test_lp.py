@@ -78,6 +78,32 @@ def test_solve_feasibility_refuses_an_ill_formed_system(variables, rows, problem
     assert str(error.value) == f"ill-formed system: {problem}"
 
 
+def test_upper_bound_is_one_more_row_of_the_shared_encoder():
+    # x in [1/2, 3/2]: the bound row x <= 3/2 folds lb like any row and is
+    # stored as u <= 1 over the denominator 2, after the system's row r
+    # (slack 1, artificial 3) with its own basic slack 2.
+    x = var("x", Fraction(1, 2), Fraction(3, 2))
+    system = LinearSystem((x,), (row("r", [("x", 1)], ">=", Fraction(3, 2)),))
+    tableau = lp._Simplex(system)
+    assert tableau.var_cols == [0]
+    assert tableau.rows == [{0: 2, 1: -2, 3: 2, lp.RHS: 2}, {0: 2, 2: 2, lp.RHS: 2}]
+    assert tableau.basis == [3, 2] and tableau.artificial_start == 3
+    for result in (tableau.solve(), solve_feasibility(system)):
+        assert result.feasible and result.assignment == {"x": Fraction(3, 2)}
+
+    # Past the bound, the core names the system's row and never a bound row.
+    system = LinearSystem((x,), (row("r", [("x", 1)], ">=", 2),))
+    assert lp._Simplex(system).solve().conflict_core == ("r",)
+    assert solve_feasibility(system).conflict_core == ("r",)
+
+    # lb == ub: no column, so no bound row either.
+    fixed = var("x", Fraction(3, 2), Fraction(3, 2))
+    system = LinearSystem((fixed,), (row("r", [("x", 1)], ">=", Fraction(3, 2)),))
+    tableau = lp._Simplex(system)
+    assert tableau.var_cols == [None] and len(tableau.rows) == 1
+    assert solve_feasibility(system).assignment == {"x": Fraction(3, 2)}
+
+
 def test_random_systems_built_around_witness_are_feasible():
     rng = random.Random(5)
     for _ in range(60):
@@ -547,6 +573,68 @@ def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
                     assert not recovered[other].ok
                     other_cut += other != k
     assert grid_infeasible_seen and other_cut
+
+
+def test_input_is_checked_once_per_solve(monkeypatch):
+    # solve_feasibility checks its system; the tableaux built from it, branch
+    # nodes and deletion-pass trials, are not checked again.  Recovery calls
+    # solve_feasibility once, at its root, so the check runs once per
+    # candidate, while a tableau is built once per LP solve and once per
+    # deletion trial.
+    checks = in_core = built = trials = 0
+    check, core, init = lp.table_violations, lp._irreducible_core, lp._Simplex.__init__
+
+    def counted_check(*args):
+        nonlocal checks
+        checks += 1
+        return check(*args)
+
+    def counted_core(system, phase1):
+        nonlocal in_core
+        in_core += 1
+        try:
+            return core(system, phase1)
+        finally:
+            in_core -= 1
+
+    def counted_init(self, system):
+        nonlocal built, trials
+        built += 1
+        trials += in_core > 0
+        init(self, system)
+
+    monkeypatch.setattr(lp, "table_violations", counted_check)
+    monkeypatch.setattr(lp, "_irreducible_core", counted_core)
+    monkeypatch.setattr(lp._Simplex, "__init__", counted_init)
+    inst = generate_random_instance(7, 2.6, 5, w_min=2, w_max=5, weight_resolution=3, seed=24)
+    result = solver.benders_solve(inst)
+    assert (result.status, result.objective) == ("Optimal", Fraction(7241, 100))
+    lp_solves = result.diagnostics.details["lp_solves"]
+    assert checks == result.diagnostics.iterations == 2
+    assert trials > 0 and built == lp_solves + trials
+
+
+def test_every_tableau_gets_a_well_formed_system(monkeypatch):
+    # The invariant that lets _Simplex skip the check: every system it is
+    # given, root, branch node or deletion trial, passes the check.  A branch
+    # bound that crossed its partner, or a trial that dropped a variable one
+    # of its rows mentions, fails here.
+    init = lp._Simplex.__init__
+    seen = []
+
+    def checked(self, system):
+        assert models.table_violations(system.variables, system.rows, ()) == []
+        assert all(v.kind == "continuous" for v in system.variables)
+        seen.append(len(system.rows))
+        init(self, system)
+
+    monkeypatch.setattr(lp._Simplex, "__init__", checked)
+    for shape, seed in (((7, 2.6, 5), 24), ((10, 2.2, 10), 1)):
+        inst = generate_random_instance(*shape, w_min=2, w_max=5, weight_resolution=3, seed=seed)
+        assert solver.benders_solve(inst).status == "Optimal"
+    inst = generate_random_instance(5, 2, 4, w_min=5, w_max=9, weight_resolution=4, seed=10)
+    assert recover_weights(inst, _cheapest_forests(inst, 4)[3]).status == "grid_infeasible"
+    assert len(seen) > 100 and min(seen) < max(seen)
 
 
 def _with_vacuous_rows(instance, forest, system, big_M):
