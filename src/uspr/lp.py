@@ -50,7 +50,6 @@ from fractions import Fraction
 
 from .instance import Instance
 from .models import Binding, Constraint, Variable, _ModelBuilder, table_violations
-from .rational import grid_size, snap_to_grid
 from . import spf
 from .spf import RoutingForest, WeightVector
 
@@ -503,18 +502,6 @@ class WeightRecovery:
         return self.status == "ok"
 
 
-def _snap_vector(
-    instance: Instance, system: LinearSystem, assignment: dict[str, Fraction]
-) -> WeightVector:
-    """The system's link weights (its first |L| variables) snapped to the grid."""
-    return WeightVector({
-        (link.tail, link.head): snap_to_grid(
-            assignment[weight.name], instance.w_min, instance.w_max, instance.weight_resolution
-        )
-        for link, weight in zip(instance.links, system.variables)
-    })
-
-
 def _matches_forest(instance: Instance, weights: WeightVector, forest: RoutingForest) -> bool:
     try:
         routed = spf.routing_from_weights(instance, weights)
@@ -544,30 +531,39 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
       lengths is an integer combination of w_min and res, so a positive one
       is at least eps, and l = d satisfies the system.
 
-    The root solves the system and snaps its weights to the grid ("direct").
-    If the snap misses, recovery branches depth first on the first link
-    whose LP weight is off the grid: w_e <= w_min + res*floor(n_e) first,
-    then w_e >= w_min + res*ceil(n_e), unless that passes the last grid
-    point.  Every node tries the snap ("branch").  By the argument above an
-    LP point with every weight on the grid realizes the forest, so it ends
-    the search.  The system's first |L| variables are the link weights, in
-    instance link order, so a link's position there is its branch variable.
-    Branching changes variable bounds only, which depend on no routing
-    binary: each leaf is infeasible on its core's rows alone, so every
-    forest sharing the union of the leaves' `row_bindings` fails the same
-    tree, and the union is a sound no-good cut.  The root is solved by
-    `solve_feasibility`, which checks the system and gives the core an
-    infeasible root needs; branch nodes run the simplex alone, unchecked,
-    and only a search that fails shrinks its leaves' Farkas supports to
-    irreducible cores.  Bounds never cross: n_e lies off the grid between
-    the node's bounds, grid points both, so floor(n_e) and ceil(n_e) do too.
+    Each feasible node reads its LP weights once, as one list of grid
+    positions n_e = (w_e - w_min)/res, and snaps each to w_min +
+    res*floor(n_e + 1/2), the root ("direct") as every branch node
+    ("branch").  If the snap misses, recovery branches depth first on the
+    first link whose n_e is not an integer: w_e <= w_min + res*floor(n_e)
+    first, then w_e >= w_min + res*ceil(n_e).  By the argument above an LP
+    point with every weight on the grid realizes the forest, so it ends the
+    search.  The system's first |L| variables are the link weights, in
+    instance link order, so the k-th of them is the k-th link's weight and
+    its branch variable.  Branching changes variable bounds only, which
+    depend on no routing binary: each leaf is infeasible on its core's rows
+    alone, so every forest sharing the union of the leaves' `row_bindings`
+    fails the same tree, and the union is a sound no-good cut.  The root is
+    solved by `solve_feasibility`, which checks the system and gives the
+    core an infeasible root needs; branch nodes run the simplex alone,
+    unchecked, and only a search that fails shrinks its leaves' Farkas
+    supports to irreducible cores.
+
+    Every bound is a grid point: the root's are w_min and w_max, the
+    presolve fixes a weight at w_max, and a branch bound is floor(n_e) or
+    ceil(n_e) in grid positions.  `_verify_assignment` has checked that each
+    LP weight lies within its node's bounds, so n_e lies between the bounds'
+    positions, inside [0, N].  Bounds never cross and never pass w_max: an
+    off-grid n_e lies strictly between two integer bound positions, so
+    floor(n_e) and ceil(n_e) lie between them too.  The snap needs no clamp:
+    floor(n_e + 1/2) lies in [0, N], so it is `rational.snap_to_grid`'s
+    nearest grid point, halves rounded up.
 
     Successful results are re-verified through the routing oracle: the
     returned weights route every demand along exactly the forest's paths.
     """
     system, meta = path_length_system(instance, forest)
     w_min, res = instance.w_min, instance.weight_resolution
-    last = grid_size(w_min, instance.w_max, res) - 1
     weights = system.variables[: len(instance.links)]
     lp_solves = pivots = 0
     leaves: list[tuple[LinearSystem, Infeasible]] = []
@@ -589,19 +585,19 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
                 return outcome("lp_infeasible", bindings=row_bindings(meta, result.conflict_core))
             leaves.append((node, result))
             continue
-        snapped = _snap_vector(instance, system, result.assignment)
+        positions = [(result.assignment[weight.name] - w_min) / res for weight in weights]
+        snapped = WeightVector({
+            (link.tail, link.head): w_min + res * math.floor(n + Fraction(1, 2))
+            for link, n in zip(instance.links, positions)
+        })
         if _matches_forest(instance, snapped, forest):
             return outcome("ok", snapped, "direct" if lp_solves == 1 else "branch")
-        for k, weight in enumerate(weights):
-            n = (result.assignment[weight.name] - w_min) / res
-            if n.denominator != 1:
-                break
-        else:
+        k = next((k for k, n in enumerate(positions) if n.denominator != 1), None)
+        if k is None:
             raise RuntimeError("internal: on-grid LP weights do not realize the forest")
-        if math.ceil(n) <= last:
-            up = replace(variables[k], lb=w_min + res * math.ceil(n))
-            stack.append(variables[:k] + (up,) + variables[k + 1 :])
-        down = replace(variables[k], ub=w_min + res * math.floor(n))
+        up = replace(variables[k], lb=w_min + res * math.ceil(positions[k]))
+        down = replace(variables[k], ub=w_min + res * math.floor(positions[k]))
+        stack.append(variables[:k] + (up,) + variables[k + 1 :])
         stack.append(variables[:k] + (down,) + variables[k + 1 :])
     # Only a failed search uses its leaves' cores: their union is the cut.
     bindings: frozenset[Binding] = frozenset()

@@ -16,6 +16,7 @@ from uspr.lp import (
     solve_feasibility,
 )
 from uspr.models import Constraint, Variable
+from uspr.rational import on_grid, snap_to_grid
 from uspr.spf import RoutingForest, WeightVector
 
 
@@ -499,6 +500,17 @@ def test_pivot_budget_resource_error(monkeypatch):
         lp._Simplex(system).solve()
 
 
+def _reference_snap(inst, assignment):
+    """rational.snap_to_grid of each link weight in an LP assignment."""
+    return WeightVector({
+        (link.tail, link.head): snap_to_grid(
+            assignment[f"w_{link.tail}_{link.head}"], inst.w_min, inst.w_max,
+            inst.weight_resolution,
+        )
+        for link in inst.links
+    })
+
+
 def test_recover_stage_progression():
     # Grid {2, 5}: the root's LP weights snap to a vector that misses the
     # first master candidate, so recovery must branch (three nodes); the
@@ -508,7 +520,7 @@ def test_recover_stage_progression():
     system, _ = path_length_system(inst, forest)
     root = solve_feasibility(system)
     assert root.feasible
-    assert not lp._matches_forest(inst, lp._snap_vector(inst, system, root.assignment), forest)
+    assert not lp._matches_forest(inst, _reference_snap(inst, root.assignment), forest)
     result = recover_weights(inst, forest)
     assert result.ok and result.stage == "branch"
     assert result.lp_solves == 4
@@ -618,23 +630,91 @@ def test_every_tableau_gets_a_well_formed_system(monkeypatch):
     # The invariant that lets _Simplex skip the check: every system it is
     # given, root, branch node or deletion trial, passes the check.  A branch
     # bound that crossed its partner, or a trial that dropped a variable one
-    # of its rows mentions, fails here.
+    # of its rows mentions, fails here.  Every weight bound is also a grid
+    # point, which lets recovery snap and branch without a clamp: a branch
+    # bound past w_max, or one off the grid, fails here.
     init = lp._Simplex.__init__
     seen = []
+    grid = None
 
     def checked(self, system):
         assert models.table_violations(system.variables, system.rows, ()) == []
         assert all(v.kind == "continuous" for v in system.variables)
+        assert all(on_grid(v.lb, *grid) and on_grid(v.ub, *grid)
+                   for v in system.variables if v.name.startswith("w_"))
         seen.append(len(system.rows))
         init(self, system)
 
     monkeypatch.setattr(lp._Simplex, "__init__", checked)
     for shape, seed in (((7, 2.6, 5), 24), ((10, 2.2, 10), 1)):
         inst = generate_random_instance(*shape, w_min=2, w_max=5, weight_resolution=3, seed=seed)
+        grid = (inst.w_min, inst.w_max, inst.weight_resolution)
         assert solver.benders_solve(inst).status == "Optimal"
     inst = generate_random_instance(5, 2, 4, w_min=5, w_max=9, weight_resolution=4, seed=10)
+    grid = (inst.w_min, inst.w_max, inst.weight_resolution)
     assert recover_weights(inst, _cheapest_forests(inst, 4)[3]).status == "grid_infeasible"
     assert len(seen) > 100 and min(seen) < max(seen)
+
+
+def test_snap_is_the_reference_snap_at_every_feasible_node(monkeypatch):
+    # Recovery snaps each feasible node's LP weights in grid positions, with
+    # no clamp: the i-th vector the forest check receives is
+    # rational.snap_to_grid of the i-th feasible node's weights.  Deletion
+    # trials are not nodes.
+    nodes, snaps = [], []
+    in_core = 0
+    solve, core, matches = lp._Simplex.solve, lp._irreducible_core, lp._matches_forest
+
+    def recorded_solve(self):
+        result = solve(self)
+        if result.feasible and not in_core:
+            nodes.append(result.assignment)
+        return result
+
+    def counted_core(system, phase1):
+        nonlocal in_core
+        in_core += 1
+        try:
+            return core(system, phase1)
+        finally:
+            in_core -= 1
+
+    def recorded_matches(instance, weights, forest):
+        snaps.append(weights)
+        return matches(instance, weights, forest)
+
+    monkeypatch.setattr(lp._Simplex, "solve", recorded_solve)
+    monkeypatch.setattr(lp, "_irreducible_core", counted_core)
+    monkeypatch.setattr(lp, "_matches_forest", recorded_matches)
+    def solves(inst):
+        return solver.benders_solve(inst).status == "Optimal"
+
+    def recovers_first_candidate(inst):
+        return recover_weights(inst, next(solver.master_search(inst))).ok
+
+    # The w 5-9, resolution 4 case has an LP weight at a half grid position,
+    # where the snap rounds up; on the coarse grid none lands there.
+    coarse = dict(w_min=2, w_max=5, weight_resolution=3)
+    runs = (
+        ((10, 2.2, 10), dict(coarse, seed=1), solves),
+        ((5, 2, 4), dict(coarse, seed=9), recovers_first_candidate),
+        ((6, 2, 5), dict(w_min=5, w_max=9, weight_resolution=4, seed=6), recovers_first_candidate),
+    )
+    halves = 0
+    for shape, kwargs, run in runs:
+        inst = generate_random_instance(*shape, **kwargs)
+        nodes.clear()
+        snaps.clear()
+        assert run(inst)
+        assert len(snaps) == len(nodes) > 1
+        for assignment, snapped in zip(nodes, snaps):
+            assert snapped == _reference_snap(inst, assignment)
+            halves += any(
+                ((assignment[f"w_{l.tail}_{l.head}"] - inst.w_min) / inst.weight_resolution)
+                .denominator == 2
+                for l in inst.links
+            )
+    assert halves
 
 
 def _with_vacuous_rows(instance, forest, system, big_M):

@@ -339,10 +339,31 @@ def test_max_utilization_no_load_is_zero():
 
 
 def test_max_utilization_zero_capacity_loaded_errors():
-    inst = mk_instance("ab", [("a", "b", 0)], [("a", "b", 1)])
+    inst = mk_instance(["s", "a"], [("s", "a", 0)], [("s", "a", 1)])
     forest = spf.routing_from_weights(inst, uniform_weights(inst))
-    with pytest.raises(ZeroCapacityError):
+    with pytest.raises(ZeroCapacityError) as refused:
         spf.max_utilization(inst, forest)
+    assert str(refused.value) == "link ('s', 'a') carries load 1 but has zero capacity"
+
+
+def test_lengths_and_counts_refuse_an_unknown_node():
+    inst = two_node()
+    wv = WeightVector({("a", "b"): Fraction(5)})
+    with pytest.raises(ValueError) as refused:
+        spf.shortest_path_lengths(inst, wv, "zz")
+    assert str(refused.value) == "unknown origin 'zz'"
+    with pytest.raises(ValueError) as refused:
+        spf.count_shortest_paths(inst, wv, "s", "zz")
+    assert str(refused.value) == "unknown origin or destination node"
+
+
+def test_routing_refuses_a_demand_with_no_path():
+    # Built directly: validation would refuse the unreachable demand first.
+    inst = mk_instance(["s", "a", "t"], [("s", "a", 10)], [("s", "t", 1)])
+    with pytest.raises(spf.UnreachableDemandError) as refused:
+        spf.routing_from_weights(inst, uniform_weights(inst))
+    assert refused.value.demand == inst.demands[0]
+    assert str(refused.value) == "demand ('s' -> 't') has no routing path"
 
 
 def test_hop_count_weights_uniform():
