@@ -229,6 +229,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@models._collector_paused
 def _cmd_export(args) -> int:
     instance = _load(args.instance)
     build = models.build_dbm if args.formulation == "dbm" else models.build_obm

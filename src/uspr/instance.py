@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rational import on_grid, parse_number, read_json, read_records, write_json
 
@@ -60,22 +60,19 @@ class GenerationError(ValueError):
     """Random generation is impossible for the requested parameters."""
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     tail: str
     head: str
     capacity: Fraction
 
 
-@dataclass(frozen=True)
-class Demand:
+class Demand(NamedTuple):
     origin: str
     destination: str
     bandwidth: Fraction
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     location: str
     message: str
 
@@ -83,27 +80,35 @@ class Violation:
         return f"{self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
-class InstanceDims:
-    """Cardinalities used by the closed-form model size tables."""
-
+class _InstanceDimsFields(NamedTuple):
     n_nodes: int
     n_links: int
     n_demands: int
     n_origins: int
 
-    def __post_init__(self) -> None:
-        for name in ("n_nodes", "n_links", "n_demands", "n_origins"):
-            if getattr(self, name) < 0:
+
+class InstanceDims(_InstanceDimsFields):
+    """Cardinalities used by the closed-form model size tables."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_nodes: int, n_links: int, n_demands: int, n_origins: int):
+        self = super().__new__(cls, n_nodes, n_links, n_demands, n_origins)
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.n_origins > self.n_demands:
+        if n_origins > n_demands:
             raise ValueError("n_origins cannot exceed n_demands")
-        if self.n_origins > self.n_nodes:
+        if n_origins > n_nodes:
             raise ValueError("n_origins cannot exceed n_nodes")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it: check there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
     demands: tuple[Demand, ...]

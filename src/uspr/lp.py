@@ -45,8 +45,8 @@ re-solved once exactly.  `row_bindings` turns it into a no-good cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import Instance
 from .models import Binding, Constraint, Variable, _ModelBuilder, table_violations
@@ -58,8 +58,7 @@ class SimplexResourceError(RuntimeError):
     """Pivot count or rational bit-size exceeded the configured budget."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Continuous variables and sparse rows.  Each variable has a finite lower
     bound and may have an upper bound."""
 
@@ -67,8 +66,7 @@ class LinearSystem:
     rows: tuple[Constraint, ...]
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(NamedTuple):
     assignment: dict[str, Fraction]
     pivots: int = 0
 
@@ -77,8 +75,7 @@ class Feasible:
         return True
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Infeasibility certificate.
 
     `conflict_core` names rows that, with the bounds of the variables they
@@ -450,7 +447,7 @@ def path_length_system(
     variables = b.variables
     for k, pair in enumerate(pairs):
         if pair not in used_by_any:
-            variables[k] = replace(variables[k], lb=instance.w_max)
+            variables[k] = variables[k]._replace(lb=instance.w_max)
     return LinearSystem(tuple(variables), tuple(b.constraints)), b.bindings
 
 
@@ -473,8 +470,7 @@ def row_bindings(
 MAX_BRANCH_NODES = 10_000
 
 
-@dataclass(frozen=True)
-class WeightRecovery:
+class WeightRecovery(NamedTuple):
     """Outcome of recover_weights.
 
     status: "ok" (weights verified through the routing oracle),
@@ -595,8 +591,8 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
         k = next((k for k, n in enumerate(positions) if n.denominator != 1), None)
         if k is None:
             raise RuntimeError("internal: on-grid LP weights do not realize the forest")
-        up = replace(variables[k], lb=w_min + res * math.ceil(positions[k]))
-        down = replace(variables[k], ub=w_min + res * math.floor(positions[k]))
+        up = variables[k]._replace(lb=w_min + res * math.ceil(positions[k]))
+        down = variables[k]._replace(ub=w_min + res * math.floor(positions[k]))
         stack.append(variables[:k] + (up,) + variables[k + 1 :])
         stack.append(variables[:k] + (down,) + variables[k + 1 :])
     # Only a failed search uses its leaves' cores: their union is the cut.

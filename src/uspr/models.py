@@ -23,12 +23,18 @@ right-hand side and recorded as that row's.  Every family is declared once,
 in `_families`: the size tables, the structure report (no model built), the
 name-to-family maps and the master split (a builder's `master`) all read it.
 
-A build allocates each `(variable, coefficient)` term once and every row
-that carries it holds the same tuple: rows are immutable, so sharing changes
-no row and no byte of the export.  The builders and `export_lp` run with the
-cyclic garbage collector paused (`_collector_paused`): a model holds only
-strings, `Fraction`s and tuples of them, so the collections its allocation
-would trigger find no cycle to free.
+A model's parts are records: `Variable`, `Constraint` and `LinearModel`
+are each a `typing.NamedTuple`, as is every record of the package, so they
+are immutable and compare by value.  A build allocates each
+`(variable, coefficient)` term once and every row that carries it holds the
+same tuple: rows are immutable, so sharing changes no row and no byte of
+the export.  The builders and `export_lp` run with the cyclic garbage
+collector paused (`_collector_paused`): a model holds only strings,
+`Fraction`s and tuples of them, so the collections its allocation would
+trigger find no cycle to free.  The `uspr export` command is the third
+pauser (`cli._cmd_export`): it frees its model and LP text before the
+collector resumes, because the first allocation after a resume would
+otherwise run one young collection over every term and row still alive.
 
 Variable naming is fixed for golden-file stability: `x_<k>_<i>_<j>` (demand
 index k, link i->j), `y_<s>_<i>_<j>`, `f_<s>_<i>_<j>`, `w_<i>_<j>`, and
@@ -55,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -73,8 +78,7 @@ class ModelParameterError(ValueError):
     """eps/big_M do not satisfy the documented validity bounds."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str  # "binary" | "continuous"
     lb: Fraction  # every variable has a finite lower bound
@@ -88,8 +92,7 @@ class Constraint(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     formulation: str
     eps: Fraction
     big_M: Fraction
@@ -130,6 +133,12 @@ def _collector_paused(fn):
     """Run `fn` with the cyclic garbage collector off, then restore the
     caller's state (off stays off), also when `fn` raises.  Only for code
     that makes no reference cycle: a solve does, so it is never paused.
+
+    It wraps the two builders, `export_lp` and the `uspr export` command.
+    The command pauses too because the collector counts every allocation
+    made while it is off: resumed while a model is alive, its first young
+    collection would walk every term and row of it.  The command's model and
+    text are freed when it returns, before the collector resumes.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -484,8 +493,7 @@ def _family(name: str, labels: dict[str, str]) -> str:
     return labels.get(name.partition("_")[0], name)
 
 
-@dataclass(frozen=True)
-class SizeTable:
+class SizeTable(NamedTuple):
     label: str
     variables: dict[str, int]
     constraints: dict[str, int]
@@ -499,8 +507,7 @@ class SizeTable:
         return sum(self.constraints.values())
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(NamedTuple):
     dims: InstanceDims
     dbm: SizeTable
     dbm_master: SizeTable
@@ -578,8 +585,7 @@ def render_size_report(report: SizeReport, fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 # Structure report: which variable families each constraint family touches.
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     formulation: str
     couplings: dict[str, tuple[str, ...]]
 
@@ -618,8 +624,7 @@ def render_structure_report(report: StructureReport, fmt: str = "text") -> str:
 # Path-length linearization check.
 
 
-@dataclass(frozen=True)
-class PathLengthCase:
+class PathLengthCase(NamedTuple):
     """Feasible relation on q = l_j - (l_i + w_ij) implied by the binaries."""
 
     relation: str  # "equal" | "strict" | "slack"

@@ -42,9 +42,8 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from . import lp, spf
 from .instance import Instance
@@ -73,28 +72,25 @@ class MalformedForestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DemandRouting:
+class DemandRouting(NamedTuple):
     """Per-demand link selections, aligned with the instance demand order."""
 
     links: tuple[frozenset[tuple[str, str]], ...]
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """`nodes_explored` counts, for `benders_solve`, the complete demand->path
     assignments the master reached, those a cut removes included; for
     `brute_force_solve`, the weight vectors."""
 
-    iterations: int = 0
-    cuts_added: int = 0
-    nodes_explored: int = 0
-    wall_time: float = 0.0
-    details: dict = field(default_factory=dict)
+    iterations: int
+    cuts_added: int
+    nodes_explored: int
+    wall_time: float
+    details: dict
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     status: str  # "Optimal" | "Infeasible" | "BoundsExhausted"
     weights: WeightVector | None
     forest: RoutingForest | None
@@ -102,22 +98,30 @@ class Solution:
     diagnostics: Diagnostics
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _SolverConfigFields(NamedTuple):
+    node_limit: int | None = None
+    time_limit: float | None = None
+
+
+class SolverConfig(_SolverConfigFields):
     """Limits of a decomposition solve.  Both are checked before each master
     candidate, so a weight recovery that has started always finishes and
     can overrun `time_limit`.  eps and big_M are not settable: every solve
     derives them from the instance (`models.resolve_params`).  Weight
     recovery's branch-node budget is the constant `lp.MAX_BRANCH_NODES`."""
 
-    node_limit: int | None = None
-    time_limit: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit < 0:
-            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
-        if self.time_limit is not None and not self.time_limit >= 0:  # NaN fails too
-            raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
+    def __new__(cls, node_limit: int | None = None, time_limit: float | None = None):
+        if node_limit is not None and node_limit < 0:
+            raise ValueError(f"node_limit must be >= 0, got {node_limit}")
+        if time_limit is not None and not time_limit >= 0:  # NaN fails too
+            raise ValueError(f"time_limit must be >= 0, got {time_limit}")
+        return super().__new__(cls, node_limit, time_limit)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it: check there too
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +216,7 @@ def routing_paths(instance: Instance, routing: DemandRouting) -> dict[tuple[str,
     return out
 
 
-@dataclass(frozen=True)
-class SubpathViolation:
+class SubpathViolation(NamedTuple):
     origin: str
     node: str
     entering_links: tuple[tuple[str, str], ...]
@@ -290,8 +293,7 @@ def origin_to_demand(instance: Instance, forest: RoutingForest) -> DemandRouting
 # Master enumeration.
 
 
-@dataclass(frozen=True)
-class NoGoodCut:
+class NoGoodCut(NamedTuple):
     """Forbid every forest agreeing with all (origin, link, used) bindings."""
 
     bindings: frozenset[tuple[str, tuple[str, str], int]]

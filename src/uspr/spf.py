@@ -42,9 +42,8 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .instance import Demand, Instance
 from .rational import (
@@ -92,23 +91,20 @@ class GridSearchLimitError(RuntimeError):
 GRID_LIMIT = 200_000  # default combination limit of exhaustive grid enumeration
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Per-link weights; each value must be a grid point of its instance."""
 
     values: dict[tuple[str, str], Fraction]
 
 
-@dataclass(frozen=True)
-class PathLengths:
+class PathLengths(NamedTuple):
     """Shortest-path lengths from one origin; unreachable nodes are absent."""
 
     origin: str
     dist: dict[str, Fraction]
 
 
-@dataclass(frozen=True)
-class RoutingForest:
+class RoutingForest(NamedTuple):
     """Per-demand routing paths: `paths[(s, t)]` is the node sequence routing
     the demand s -> t.  Origin s's tree is the union of its demands' paths;
     `origin_flows` sums their bandwidths per link."""
@@ -636,8 +632,7 @@ def evaluate_objective(instance: Instance, forest: RoutingForest) -> Fraction:
     return sum(link_loads(instance, forest).values(), Fraction(0))
 
 
-@dataclass(frozen=True)
-class CapacityViolation:
+class CapacityViolation(NamedTuple):
     link: tuple[str, str]
     load: Fraction
     capacity: Fraction

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -789,7 +788,7 @@ def _recover_without_presolve(monkeypatch, inst, forest):
         system, meta = presolved(instance, forest)
         k = len(instance.links)
         weights = tuple(
-            dataclasses.replace(v, lb=instance.w_min) for v in system.variables[:k]
+            v._replace(lb=instance.w_min) for v in system.variables[:k]
         )
         return LinearSystem(weights + system.variables[k:], system.rows), meta
 
@@ -862,7 +861,7 @@ def test_core_on_a_fixed_weight_needs_no_binding_of_its_link():
     core = [r for r in system.rows if r.name in result.conflict_core]
     assert any(name == "w_s_t" for r in core for name, _ in r.terms)
     relaxed = tuple(
-        dataclasses.replace(v, lb=inst.w_min) if v is fixed else v for v in system.variables
+        v._replace(lb=inst.w_min) if v is fixed else v for v in system.variables
     )
     assert not solve_feasibility(LinearSystem(relaxed, tuple(core))).feasible
 

@@ -16,8 +16,8 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import lp, models, solver
-from uspr.instance import InstanceDims, generate_random_instance
+from uspr import cli, lp, models, solver
+from uspr.instance import InstanceDims, generate_random_instance, save_instance
 from uspr.models import (
     Constraint,
     LinearModel,
@@ -364,14 +364,21 @@ def test_builders_allocate_each_term_once():
     assert counts == [(4356, 9560), (2916, 5860), (3 * 20 * 36, 4 * 20 * 36)]
 
 
-def test_the_collector_is_paused_only_inside_the_builders_and_export(monkeypatch):
+def test_the_collector_is_paused_only_inside_the_builders_and_export(monkeypatch, tmp_path):
     inst = twelve_node()
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(save_instance(inst))
+    bad.write_text("{")
     seen = []
-    for name in ("resolve_params", "format_number"):
-        def spy(*args, _call=getattr(models, name)):
+    for module, name in ((models, "resolve_params"), (models, "format_number"), (cli, "_load")):
+        def spy(*args, _call=getattr(module, name)):
             seen.append(gc.isenabled())
             return _call(*args)
-        monkeypatch.setattr(models, name, spy)
+        monkeypatch.setattr(module, name, spy)
+
+    def export(path):
+        return cli.main(["export", str(path), "--formulation", "dbm", "-o", str(tmp_path / "m.lp")])
+
     was_enabled = gc.isenabled()
     gc.enable()
     try:
@@ -381,12 +388,18 @@ def test_the_collector_is_paused_only_inside_the_builders_and_export(monkeypatch
             with pytest.raises(ModelParameterError):
                 build(inst, eps=0)
             assert gc.isenabled()
-        assert seen and not any(seen)
+        for path, code in ((good, 0), (bad, 1)):
+            assert export(path) == code
+            assert gc.isenabled()
+        assert len(seen) > 2 and not any(seen)
         gc.disable()
         for build in (build_dbm, build_obm):
             export_lp(build(inst))
             with pytest.raises(ModelParameterError):
                 build(inst, eps=0)
+            assert not gc.isenabled()
+        for path, code in ((good, 0), (bad, 1)):
+            assert export(path) == code
             assert not gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()

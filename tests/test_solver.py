@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import os
@@ -975,7 +974,7 @@ def test_benders_rejects_weights_that_route_another_forest(monkeypatch):
         other = _other_diamond_path(forest.paths[("s", "t")])
         weights = {pair: instance.w_max for pair in instance.link_pairs()}
         weights.update(dict.fromkeys(zip(other, other[1:]), instance.w_min))
-        return dataclasses.replace(recovery, weights=WeightVector(weights))
+        return recovery._replace(weights=WeightVector(weights))
 
     monkeypatch.setattr(lp, "recover_weights", wrong)
     with pytest.raises(RuntimeError):
