@@ -7,9 +7,9 @@ shortest-path system.  Unrealizable candidates are excluded with no-good
 cuts, on the bindings of an irreducible infeasible subsystem (or, when only
 the grid fails, on the union of those of the branch-and-bound leaves);
 because candidates arrive best-first, the first realizable one is optimal.
-`brute_force_solve` is the independent reference: it enumerates every
-weight vector on the grid and keeps the best capacity-feasible
-unique-routing outcome.  Both judge a routing only through `spf`.
+`brute_force_solve` is the independent reference: it keeps the best
+capacity-feasible forest of those the grid oracle routes uniquely, with
+the weights the oracle gives it.  Both judge a routing only through `spf`.
 
 The master (`master_search`) is one best-first search over partial
 assignments of a path to each demand.  It drops a partial assignment as
@@ -47,7 +47,7 @@ from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from . import lp, spf
 from .instance import Instance
-from .rational import grid_points, grid_size, write_json
+from .rational import write_json
 from .spf import RoutingForest, WeightVector
 
 
@@ -258,7 +258,7 @@ def demand_routing_violations(instance: Instance, routing: DemandRouting) -> lis
             )
     for v in subpath_optimality_check(instance, routing):
         out.append(
-            f"origin {v.origin!r}: node {v.node!r} entered via {len(v.entering_links)} links"
+            f"origin {v.origin!r}: node {v.node!r} is entered on {len(v.entering_links)} links"
         )
     return out
 
@@ -530,46 +530,34 @@ def brute_force_solve(instance: Instance, grid_limit: int = spf.GRID_LIMIT) -> S
     every admissible weight vector, lexicographically over the fixed link
     order, keeping the first vector attaining the minimum objective.
 
-    The forests come from `spf.unique_grid_routings`.  It lists each
-    demand's candidate paths once, and decides each origin's outcome once
-    per grid setting of C_s, the links of its demands' candidates:
-    sum_s P^|C_s| settings (P grid points), rather than one per vector,
-    as a bit mask of outcomes per block of settings.  The candidates'
-    lengths are updated link by link; no setting runs Dijkstra, except on
-    a one-point grid.  The sweep skips every set of vectors whose blocks
-    can route no new forest.  It yields each distinct forest once, with
-    its first vector, in the order of those vectors; so keeping the first
-    strictly better capacity-feasible forest, judged by
+    `spf.unique_grid_routings` yields each distinct forest once, with the
+    first vector that routes it, in the order of those vectors; so keeping
+    the first strictly better capacity-feasible forest, judged by
     `spf.check_capacity` and `spf.evaluate_objective`, keeps the first
-    vector of the minimum.  The answer is re-verified
-    through the oracle.  `iterations` and `nodes_explored` count the P^|L|
-    vectors decided; `details` gives P and the sweep's `settings` and
-    `visited` counters.
+    vector of the minimum.  The answer is re-verified through the oracle.
+    `iterations` and `nodes_explored` count the P^|L| vectors decided;
+    `details` gives the oracle's counters.
     """
     started = time.perf_counter()
-    pairs = instance.link_pairs()
-    best = None  # (objective, combo, forest)
+    best = None  # (objective, weights, forest)
     stats: dict = {}
-    for combo, forest in spf.unique_grid_routings(instance, grid_limit, stats):
+    for weights, forest in spf.unique_grid_routings(instance, grid_limit, stats):
         if spf.check_capacity(instance, forest):
             continue
         objective = spf.evaluate_objective(instance, forest)
         if best is None or objective < best[0]:
-            best = (objective, combo, forest)
-    n_points = grid_size(instance.w_min, instance.w_max, instance.weight_resolution)
-    evaluated = n_points ** len(pairs)
+            best = (objective, weights, forest)
+    evaluated = stats["grid_points"] ** len(instance.links)
     diagnostics = Diagnostics(
         iterations=evaluated,
         cuts_added=0,
         nodes_explored=evaluated,
         wall_time=time.perf_counter() - started,
-        details={"grid_points": n_points, **stats},
+        details=stats,
     )
     if best is None:
         return Solution("Infeasible", None, None, None, diagnostics)
-    _objective, combo, forest = best
-    points = grid_points(instance.w_min, instance.w_max, instance.weight_resolution)
-    weights = WeightVector({pair: points[i] for pair, i in zip(pairs, combo)})
+    _objective, weights, forest = best
     return _verified_solution(instance, weights, forest, diagnostics)
 
 

@@ -33,7 +33,7 @@ stores each block of settings' outcomes as a bit mask.  On a one-point
 grid the one setting is one Dijkstra run instead.  A depth-first sweep
 over the vectors reads those masks and skips each prefix below which no
 new forest lies.  It yields each distinct forest once, with the first
-grid vector that routes it.
+grid vector that routes it, as weights.
 """
 
 from __future__ import annotations
@@ -434,13 +434,12 @@ def _mask_ids(mask: int) -> list[int]:
 
 def unique_grid_routings(
     instance: Instance, limit: int, stats: dict | None = None
-) -> Iterator[tuple[tuple[int, ...], RoutingForest]]:
+) -> Iterator[tuple[WeightVector, RoutingForest]]:
     """Each forest that some grid weight vector routes uniquely, once.
 
     A forest comes with the lexicographically first grid vector (over the
     fixed link order) under which every demand has a unique shortest path
-    along it, given as an index tuple into `grid_points(w_min, w_max,
-    weight_resolution)`; forests come in the order of those vectors.
+    along it; forests come in the order of those vectors.
     Raises ValueError unless `limit` is a non-negative int, and
     GridSearchLimitError when the grid holds more than `limit` vectors.
     The grid size P^|L| is multiplied out only until it passes `limit`, so a
@@ -470,8 +469,9 @@ def unique_grid_routings(
     and that id nonzero, routes one forest, first with the remaining links
     at index 0.  A link in no C_s changes no outcome and stays at index 0.
 
-    `stats["settings"]` receives the settings decided, sum_s P^|C_s|, and
-    `stats["visited"]` the prefixes the sweep examined.
+    `stats["grid_points"]` receives P, `stats["settings"]` the settings
+    decided, sum_s P^|C_s|, and `stats["visited"]` the prefixes the sweep
+    examined.
     """
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
         raise ValueError(f"grid_limit must be a non-negative integer, got {limit!r}")
@@ -492,6 +492,7 @@ def unique_grid_routings(
         )
         bound = limit if limit < 10**40 else f"of {limit.bit_length()} bits"
         raise GridSearchLimitError(f"{count} weight combinations exceed grid_limit {bound}")
+    stats["grid_points"] = n_points
     points = grid_points(*grid)
     cg = CompiledGraph(instance)
     wscale = math.lcm(*(p.denominator for p in points))
@@ -540,13 +541,15 @@ def unique_grid_routings(
 
     sweep(0, [0] * len(origins), [b[0][0] for b in blocks])
     del sweep  # as in `_origin_table`: free the block masks now, not at a collection
+    pairs = instance.link_pairs()
     for key, first_combo in found.items():
         paths = {
             demand: tuple(instance.nodes[v] for v in path)
             for (outcomes, keys), outcome_id in zip(origins, key)
             for demand, path in zip(keys, outcomes[outcome_id])
         }
-        yield first_combo, RoutingForest(paths)
+        weights = WeightVector({pair: points[i] for pair, i in zip(pairs, first_combo)})
+        yield weights, RoutingForest(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -751,22 +754,20 @@ def weight_records(weights: WeightVector) -> list[dict]:
 
 
 def save_weights(weights: WeightVector) -> str:
-    """The weights file `load_weights` reads, and `uspr verify` with it.
-
-    No command writes this file: `uspr solve` writes the solution JSON,
-    whose "weights" array holds the same records.  The library keeps it as
-    the one writer of the format, for callers that compute weights
-    themselves.
-    """
+    """The weights file `load_weights` reads, and `uspr verify` with it: the
+    bare array of `weight_records`, the records a solution file's "weights"
+    member holds too."""
     return write_json(weight_records(weights))
 
 
 def load_weights(text: str) -> WeightVector:
-    """Read a weights file; each link may be given once."""
-    records = read_records(
-        read_json(text, InvalidWeightsError), "weights", ("tail", "head", "weight"),
-        InvalidWeightsError,
-    )
+    """Read a weights file: an array of weight records, or a JSON object
+    whose "weights" member is one, as every `uspr solve -o` file is.  Each
+    link may be given once."""
+    raw = read_json(text, InvalidWeightsError)
+    if isinstance(raw, dict):
+        raw = raw.get("weights")
+    records = read_records(raw, "weights", ("tail", "head", "weight"), InvalidWeightsError)
     values = {}
     for i, (tail, head, weight) in enumerate(records):
         if (tail, head) in values:

@@ -143,7 +143,6 @@ def test_oracle_refuses_a_wide_grid_before_building_it(tmp_path, capsys, monkeyp
         raise AssertionError("grid_points called before the grid_limit check")
 
     monkeypatch.setattr(spf, "grid_points", unbuilt)
-    monkeypatch.setattr(solver, "grid_points", unbuilt)
     wide = mk_instance("ab", [("a", "b", 10)], [("a", "b", 1)], w_max=2_000_000)
     message = "2000000 weight combinations exceed grid_limit 10"
     with pytest.raises(spf.GridSearchLimitError) as refused:
@@ -219,6 +218,36 @@ def test_verify_round_trip_from_solver(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "demand s->t" in printed
     assert "max_utilization=" in printed
+
+
+def test_verify_reads_the_solution_file_solve_writes(tmp_path, capsys):
+    # Both solvers' `-o` files verify as they are, and the bare array of
+    # their weights verifies the same; an Infeasible answer's null weights
+    # are refused by name.
+    inst = str(tmp_path / "inst.json")
+    assert main(["generate", "--nodes", "4", "--degree", "1.5", "--demands", "3",
+                 "--w-max", "3", "--seed", "2", "-o", inst]) == 0
+    for oracle in ([], ["--oracle"]):
+        sol = tmp_path / "sol.json"
+        assert main(["solve", inst, *oracle, "-o", str(sol)]) == 0
+        assert "status=Optimal objective=34.61 " in capsys.readouterr().out
+        assert main(["verify", inst, str(sol)]) == 0
+        printed = capsys.readouterr().out
+        bare = tmp_path / "bare.json"
+        bare.write_text(spf.save_weights(spf.load_weights(sol.read_text())))
+        assert bare.read_text().startswith("[")
+        assert main(["verify", inst, str(bare)]) == 0
+        assert capsys.readouterr().out == printed
+        assert "max_utilization=0.265052" in printed
+    infeasible = write_instance(tmp_path, diamond(w_min=2, w_max=2), "infeasible.json")
+    assert main(["solve", infeasible, "-o", str(sol)]) == 2
+    assert json.loads(sol.read_text())["weights"] is None
+    capsys.readouterr()
+    assert main(["verify", infeasible, str(sol)]) == 1
+    assert capsys.readouterr().err == "error: weights: must be an array\n"
+    sol.write_text('{"status": "Optimal"}')
+    assert main(["verify", infeasible, str(sol)]) == 1
+    assert capsys.readouterr().err == "error: weights: must be an array\n"
 
 
 def test_verify_non_unique_names_demand(tmp_path, capsys):

@@ -227,6 +227,10 @@ def test_load_refuses_a_number_the_writer_could_not_write(new, message):
         load_instance(text.replace(old, new, 1))
 
 
+def test_parse_number_reads_a_float_through_its_shortest_repr():
+    assert parse_number(0.1) == Fraction(1, 10)
+
+
 def test_parse_number_refuses_an_int_past_the_digit_limit():
     assert parse_number(10**4300 - 1, "w_max") == 10**4300 - 1
     with pytest.raises(ValueError, match="^w_max: more than 4300 digits$"):
@@ -267,6 +271,7 @@ def test_load_shows_a_short_prefix_of_a_bad_value():
     ('[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]', "[0.1, 0.2, 0.3, 0.4,..."),
     ("[1e-7]", "[0.0000001]"),
     ("[NaN]", "[NaN]"),
+    ("[1e5000]", "[1e5000]"),  # a number read_json refused, as the file spells it
 ])
 def test_load_shows_a_bad_value_as_json_text(value, shown):
     text = save_instance(two_node()).replace('"capacity": 10', f'"capacity": {value}', 1)

@@ -242,6 +242,8 @@ def test_linearization_inconsistent_binaries():
         linearization_check(1, 0, 1, 11)
     with pytest.raises(ValueError):
         linearization_check(0, 2, 1, 11)
+    with pytest.raises(ValueError, match="^link_used must be a binary value, got 2$"):
+        linearization_check(2, 1, 1, 10)
     with pytest.raises(ModelParameterError):
         linearization_check(0, 0, 2, 1)  # eps >= big_M
 
@@ -292,7 +294,16 @@ def test_lp_round_trip_exact():
 
 def test_lp_round_trip_master():
     m = master_submodel(build_obm(diamond()))
-    assert parse_lp(export_lp(m)) == m
+    text = export_lp(m)
+    assert parse_lp(text) == m
+    assert "\nBounds\n" in text and "\n\n" not in text
+    assert parse_lp(text.replace("\nBounds\n", "\n\nBounds\n")) == m  # a blank line is skipped
+
+
+def test_master_submodel_refuses_an_unknown_formulation():
+    unknown = build_dbm(diamond())._replace(formulation="xyz")
+    with pytest.raises(ValueError, match="^no master split for formulation 'xyz'$"):
+        master_submodel(unknown)
 
 
 def test_export_bytes_pinned_on_a_thirds_grid():

@@ -170,7 +170,7 @@ def test_demand_routing_violations_messages():
         pathset(("s", "b"), ("b", "t"), ("t", "u")),
     ))
     assert demand_routing_violations(inst, split) == [
-        "origin 's': node 't' entered via 2 links"
+        "origin 's': node 't' is entered on 2 links"
     ]
 
 
@@ -512,7 +512,7 @@ def test_master_and_grid_forests_derive_their_objective_and_flows():
     for seed in range(40):
         inst = small_random(seed)
         forests = list(master_search(inst))
-        forests += [f for _combo, f in spf.unique_grid_routings(inst, spf.GRID_LIMIT)]
+        forests += [f for _weights, f in spf.unique_grid_routings(inst, spf.GRID_LIMIT)]
         for forest in forests:
             routing = origin_to_demand(inst, forest)
             assert spf.evaluate_objective(inst, forest) == routing_objective(inst, routing)

@@ -517,8 +517,8 @@ def test_unique_grid_routings_matches_oracle_point_by_point():
                 forest = spf.routing_from_weights(inst, weights)
             except (NonUniqueRoutingError, spf.UnreachableDemandError):
                 continue
-            if all(forest != seen for _combo, seen in expected):
-                expected.append((combo, forest))
+            if all(forest != seen for _weights, seen in expected):
+                expected.append((weights, forest))
         assert list(spf.unique_grid_routings(inst, 10**6)) == expected
 
 
