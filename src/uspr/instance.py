@@ -140,12 +140,6 @@ class Instance(NamedTuple):
         """Total bandwidth rooted at `origin` (the per-tree supply)."""
         return sum((d.bandwidth for d in self.demands_from(origin)), Fraction(0))
 
-    def out_links(self) -> dict[str, list[Link]]:
-        adj: dict[str, list[Link]] = {n: [] for n in self.nodes}
-        for link in self.links:
-            adj[link.tail].append(link)
-        return adj
-
     def in_links(self) -> dict[str, list[Link]]:
         adj: dict[str, list[Link]] = {n: [] for n in self.nodes}
         for link in self.links:

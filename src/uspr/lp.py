@@ -20,8 +20,8 @@ unique shortest path from a tie must not be blurred by floating error.
 Feasible results are read off as `Fraction`s and verified by direct
 substitution, in integers over one common denominator, before they are
 returned.  An upper bound is one more `<=` row of the one row encoder, and
-`solve_feasibility` is the one input check: each tableau below it is built
-from a checked system.
+`solve_feasibility` is the one input check: each tableau below it encodes a
+checked system once, and a deletion trial selects rows of that encoding.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system, snap its weights to the grid, and when the snap misses
@@ -45,6 +45,7 @@ re-solved once exactly.  `row_bindings` turns it into a no-good cut.
 from __future__ import annotations
 
 import math
+from copy import copy
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -116,8 +117,8 @@ class _Simplex:
     artificial columns, is the only objective: when phase 1 starts it becomes
     one more row of reduced costs, with minus the objective's value as its
     rhs and its denominator in a column of its own, `ncols`.  It checks
-    nothing: `solve_feasibility` is the one input check, and its docstring
-    and `recover_weights`' say why every system given here is well formed.
+    nothing: `solve_feasibility` and `recover_weights` say why each system
+    encoded here is well formed, and `select` takes rows of such an encoding.
     """
 
     def __init__(self, system: LinearSystem):
@@ -129,13 +130,15 @@ class _Simplex:
         # upper bound is one more row x <= ub, never named in a core.  Its
         # rhs ub - lb is positive, as lb < ub, so its slack is basic.
         self.var_cols: list[int | None] = []
+        self.bound_rows: dict[int, int] = {}  # variable index -> its bound row
         rows = list(system.rows)
         n_struct = 0
-        for v in system.variables:
+        for i, v in enumerate(system.variables):
             col = None
             if v.lb != v.ub:
                 col, n_struct = n_struct, n_struct + 1
                 if v.ub is not None:
+                    self.bound_rows[i] = len(rows)
                     rows.append(Constraint(v.name, ((v.name, Fraction(1)),), "<=", v.ub))
             self.var_cols.append(col)
         self.n_struct = n_struct
@@ -151,7 +154,7 @@ class _Simplex:
         self.basis: list[int] = []
         slack = n_struct
         self.artificial_start = self.ncols = n_struct + sum(row.sense != "=" for row in rows)
-        var_index = {v.name: i for i, v in enumerate(system.variables)}
+        var_index = self.var_index = {v.name: i for i, v in enumerate(system.variables)}
         lb_ratio = [v.lb.as_integer_ratio() for v in system.variables]
         for row in rows:
             terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
@@ -186,6 +189,23 @@ class _Simplex:
             self.rows.append(coeffs)
             self.basis.append(basic)
         self.initial_basis = list(self.basis)
+
+    def select(self, keep: list[int]) -> _Simplex:
+        """Phase 1 on the system rows `keep`, in order, and the variables they
+        mention: copies of this unsolved tableau's rows for them and for those
+        variables' bound rows, with its column numbers.  Bland's rule reads
+        only the columns' order, so each pivot is a fresh `_Simplex`'s."""
+        variables, rows = self.system
+        mentioned = sorted({self.var_index[name] for r in keep for name, _ in rows[r].terms})
+        picked = keep + [self.bound_rows[i] for i in mentioned if i in self.bound_rows]
+        trial = copy(self)
+        trial.system = LinearSystem(tuple(map(variables.__getitem__, mentioned)),
+                                    tuple(map(rows.__getitem__, keep)))
+        trial.var_cols = list(map(self.var_cols.__getitem__, mentioned))
+        trial.rows = [dict(self.rows[r]) for r in picked]
+        trial.basis = list(map(self.basis.__getitem__, picked))
+        trial.initial_basis = list(trial.basis)
+        return trial
 
     def _pivot(self, r: int, c: int) -> None:
         """Normalize row r on column c and eliminate c from every other row,
@@ -237,21 +257,22 @@ class _Simplex:
     def _minimize(self) -> None:
         """Phase 1 by Bland's rule.
 
-        The objective row is each artificial's cost 1 minus the rows where an
-        artificial is basic, over the lcm of those rows' denominators, which
-        is its entry in its own column `ncols`; the same subtraction gives
-        its rhs.  Every artificial starts basic, so its own entry is 0.  The
-        least column with a negative entry in that row enters; of the rows
-        with a positive entry in it, the one with the least ratio of rhs to
-        entry leaves, ties to the smallest basic column.  A row's denominator
-        cancels from its ratio, so ratios of numerators compare by
-        cross-multiplication."""
+        The objective row is the cost 1 of each artificial in the basis, the
+        only ones a row selection has, minus the rows where they are basic,
+        over the lcm of those rows' denominators, which is its entry in its
+        own column `ncols`; the same subtraction gives its rhs and a 0 for
+        each artificial.  The least column with a negative entry in that row
+        enters; of the rows with a positive entry in it, the one with the
+        least ratio of rhs to entry leaves, ties to the smallest basic column.
+        A row's denominator cancels from its ratio, so ratios of numerators
+        compare by cross-multiplication."""
         rows, basis = self.rows, self.basis
         m, start = len(basis), self.artificial_start
         zden = math.lcm(*(row[col] for row, col in zip(rows, basis) if col >= start))
-        objective = dict.fromkeys(range(start, self.ncols + 1), zden)
+        objective = {self.ncols: zden}
         for row, col in zip(rows, basis):
             if col >= start:
+                objective[col] = zden
                 f = zden // row[col]
                 for j, a in row.items():
                     objective[j] = objective.get(j, 0) - f * a
@@ -300,7 +321,7 @@ class _Simplex:
         feasible phase 1 may leave artificials basic at 0; they carry no
         structural value, so the assignment is read off as it stands.
         """
-        if self.artificial_start < self.ncols:
+        if max(self.basis, default=-1) >= self.artificial_start:
             self._minimize()
             if RHS in self.rows[-1]:
                 return Infeasible(self._farkas_support(), self.pivots)
@@ -349,37 +370,30 @@ def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) ->
 def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
     """Shrink phase 1's Farkas support to an irreducible core, verified exactly.
 
-    One deletion pass tries each row; when the rest is infeasible, the pass
-    continues from that trial's own Farkas support.  The kept set only
-    shrinks, and a subset of a feasible system is feasible, so a row kept
-    because the set without it was feasible stays needed.  The final core
-    is re-solved exactly.  `pivots` counts the pivots of the pass alone.
+    One deletion pass tries each row, as a row selection of the system's one
+    encoding; when the rest is infeasible, the pass continues from that
+    trial's own Farkas support.  The kept set only shrinks, and a subset of a
+    feasible system is feasible, so a row kept because the set without it was
+    feasible stays needed.  The final core is one more selection, re-solved
+    exactly.  `pivots` counts the pivots of the pass alone.
     """
-    pivots = 0
-
-    def farkas_support(rows: list[Constraint]) -> tuple[str, ...] | None:
-        nonlocal pivots
-        mentioned = {name for row in rows for name, _ in row.terms}
-        variables = tuple(v for v in system.variables if v.name in mentioned)
-        result = _Simplex(LinearSystem(variables, tuple(rows))).solve()
-        pivots += result.pivots
-        return None if result.feasible else result.conflict_core
-
+    template, rows, pivots = _Simplex(system), system.rows, 0
     names = set(phase1.conflict_core)
-    kept = [row for row in system.rows if row.name in names]
-    for row in list(kept):
-        if row.name not in names:
-            continue
-        trial = [r for r in kept if r is not row]
-        core = farkas_support(trial)
-        if core is not None:
-            names = set(core)
-            kept = [r for r in trial if r.name in names]
-    if farkas_support(kept) is None:
+    kept = [r for r, row in enumerate(rows) if row.name in names]
+    for r in list(kept):
+        if rows[r].name in names:
+            i = kept.index(r)
+            trial = template.select(kept[:i] + kept[i + 1:]).solve()
+            pivots += trial.pivots
+            if not trial.feasible:
+                names = set(trial.conflict_core)
+                kept = [k for k in kept if rows[k].name in names]
+    final = template.select(kept).solve()
+    if final.feasible:
         raise RuntimeError(
             f"internal: core {names} of Farkas support {phase1.conflict_core} is feasible"
         )
-    return Infeasible(tuple(row.name for row in kept), pivots)
+    return Infeasible(final.conflict_core, pivots + final.pivots)  # irreducible, so all of it is support
 
 
 def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
@@ -387,8 +401,8 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     Infeasible ones carry a verified irreducible core.  `pivots` counts
     every simplex pivot, those of the core's deletion pass included.  This
     is the simplex's one input check: it raises `ValueError` on an ill-formed
-    system.  A deletion trial is a subset of the checked rows, with the
-    variables they mention, so it is well formed too."""
+    system.  A deletion trial is a row selection of the checked system's one
+    encoding, so it is well formed too and encodes no row again."""
     problems = table_violations(system.variables, system.rows, ())
     problems += [f"variable {v.name}: must be continuous"
                  for v in system.variables if v.kind != "continuous"]

@@ -371,7 +371,9 @@ def master_search(
     assignments reached, those a cut removes included.  Cuts are tested
     only on emission, against the complete forest: `cuts` is read live, so
     entries appended while iterating suppress later candidates.  An empty
-    stream means the master is infeasible.
+    stream means the master is infeasible.  `incumbent_bound` (objective
+    units) ends the stream at the first popped entry whose bound passes it;
+    it prunes no push, and `benders_solve` passes none.
     """
     if stats is None:
         stats = {}

@@ -104,6 +104,14 @@ def small_random(seed: int, max_nodes: int = 5, max_grid: int = 3,
     )
 
 
+def out_links_of(instance: Instance) -> dict[str, list[Link]]:
+    """Each node's out-links, in instance link order."""
+    adj: dict[str, list[Link]] = {n: [] for n in instance.nodes}
+    for link in instance.links:
+        adj[link.tail].append(link)
+    return adj
+
+
 def random_tree_routing(instance: Instance, rng: random.Random) -> DemandRouting:
     """A random loop-free sub-path-optimal routing.
 
@@ -111,7 +119,7 @@ def random_tree_routing(instance: Instance, rng: random.Random) -> DemandRouting
     reachable is covered, then read each demand's path off the tree.  One
     shared tree per origin keeps sub-path optimality by construction.
     """
-    out_links = instance.out_links()
+    out_links = out_links_of(instance)
     inlink_by_origin: dict[str, dict[str, str]] = {}
     for origin in instance.origins():
         inlink: dict[str, str] = {}
@@ -148,7 +156,7 @@ def simple_paths(instance: Instance, origin: str, destination: str) -> list[tupl
     instance order).  The reference for `spf.PathStream`, which lists
     the same paths by hop count; it recurses once per hop, so small
     instances only."""
-    out_links = instance.out_links()
+    out_links = out_links_of(instance)
     result: list[tuple[str, ...]] = []
     path = [origin]
     on_path = {origin}
@@ -241,7 +249,7 @@ def assert_endpoint_conditions(instance: Instance, routing: DemandRouting, fores
 
 def random_cycle(instance: Instance, rng: random.Random, avoid) -> list[tuple[str, str]] | None:
     """A directed cycle whose links avoid the given set, or None."""
-    out_links = instance.out_links()
+    out_links = out_links_of(instance)
     for _ in range(30):
         node = instance.nodes[rng.randrange(len(instance.nodes))]
         walk = [node]

@@ -435,6 +435,61 @@ def test_simplex_outputs_on_random_systems_are_pinned():
     )
 
 
+def _assert_selection_is_fresh(template, keep, select=lp._Simplex.select):
+    """A row selection of the template solves as a fresh tableau of those
+    rows and the variables they mention: same answer, pivots, Farkas support
+    and assignment.  `select` defaults to the unwrapped `_Simplex.select`."""
+    rows = tuple(template.system.rows[r] for r in keep)
+    mentioned = {name for r in rows for name, _ in r.terms}
+    variables = tuple(v for v in template.system.variables if v.name in mentioned)
+    fresh = lp._Simplex(LinearSystem(variables, rows)).solve()
+    selected = select(template, keep).solve()
+    assert type(selected) is type(fresh) and selected == fresh
+
+
+def test_row_selection_solves_as_a_fresh_tableau(monkeypatch):
+    # Every row set one template gives: all rows, and each set missing one.
+    # One template serves them all, so a selection that changed its template
+    # shows in the next one.
+    for seed, count, max_vars, number in (
+        (1234, 300, 4, _integer), (4321, 300, 3, _rational), (99, 150, 3, _rational),
+    ):
+        for system in _random_systems(seed, count, max_vars, number):
+            template = lp._Simplex(system)
+            every = list(range(len(system.rows)))
+            for keep in [every] + [every[:r] + every[r + 1:] for r in every]:
+                _assert_selection_is_fresh(template, keep)
+
+    # Dropping every row of the bounded y drops its bound row and its value;
+    # the fixed z has no column and no bound row, and is read back at its lb.
+    system = LinearSystem(
+        (var("x", 0), var("y", 0, 5), var("z", 3, 3)),
+        (row("a", [("x", 1), ("z", 1)], ">=", 5), row("b", [("x", 1), ("y", 1)], "<=", 3),
+         row("c", [("y", 1)], ">=", 2)),
+    )
+    template = lp._Simplex(system)
+    assert len(template.select([0]).rows) == 1 and len(template.select([1, 2]).rows) == 3
+    assert template.select([0]).solve().assignment == {"x": 2, "z": 3}
+    assert template.select([0, 1, 2]).solve().conflict_core == ("a", "b", "c")
+    for keep in ([0], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
+        _assert_selection_is_fresh(template, keep)
+
+    # Every deletion trial, and every final re-solve, of a cut loop's cores.
+    select = lp._Simplex.select
+    trials = 0
+
+    def checked(self, keep):
+        nonlocal trials
+        trials += 1
+        _assert_selection_is_fresh(self, keep, select)
+        return select(self, keep)
+
+    monkeypatch.setattr(lp._Simplex, "select", checked)
+    inst = generate_random_instance(7, 2.6, 5, w_min=2, w_max=5, weight_resolution=3, seed=24)
+    assert solver.benders_solve(inst).status == "Optimal"
+    assert trials > 100
+
+
 def test_substitution_check_is_exact_on_a_one_third_grid_system():
     # eps = 1/3, and the weights and potentials are thirds: s->a->t (8/3)
     # beats s->b->t (3) by exactly eps, so rows with the rhs -1/3 are tight.
@@ -588,11 +643,11 @@ def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
 
 def test_input_is_checked_once_per_solve(monkeypatch):
     # solve_feasibility checks its system; the tableaux built from it, branch
-    # nodes and deletion-pass trials, are not checked again.  Recovery calls
-    # solve_feasibility once, at its root, so the check runs once per
-    # candidate, while a tableau is built once per LP solve and once per
-    # deletion trial.
-    checks = in_core = built = trials = 0
+    # nodes, cores' templates and their deletion-pass trials, are not checked
+    # again.  Recovery calls solve_feasibility once, at its root, so the check
+    # runs once per candidate.  A tableau is encoded once per LP solve and
+    # once per core, whose trials select rows of its template.
+    checks = cores = built = 0
     check, core, init = lp.table_violations, lp._irreducible_core, lp._Simplex.__init__
 
     def counted_check(*args):
@@ -601,17 +656,13 @@ def test_input_is_checked_once_per_solve(monkeypatch):
         return check(*args)
 
     def counted_core(system, phase1):
-        nonlocal in_core
-        in_core += 1
-        try:
-            return core(system, phase1)
-        finally:
-            in_core -= 1
+        nonlocal cores
+        cores += 1
+        return core(system, phase1)
 
     def counted_init(self, system):
-        nonlocal built, trials
+        nonlocal built
         built += 1
-        trials += in_core > 0
         init(self, system)
 
     monkeypatch.setattr(lp, "table_violations", counted_check)
@@ -622,29 +673,39 @@ def test_input_is_checked_once_per_solve(monkeypatch):
     assert (result.status, result.objective) == ("Optimal", Fraction(7241, 100))
     lp_solves = result.diagnostics.details["lp_solves"]
     assert checks == result.diagnostics.iterations == 2
-    assert trials > 0 and built == lp_solves + trials
+    assert cores > 0 and built == lp_solves + cores
 
 
 def test_every_tableau_gets_a_well_formed_system(monkeypatch):
-    # The invariant that lets _Simplex skip the check: every system it is
-    # given, root, branch node or deletion trial, passes the check.  A branch
-    # bound that crossed its partner, or a trial that dropped a variable one
-    # of its rows mentions, fails here.  Every weight bound is also a grid
-    # point, which lets recovery snap and branch without a clamp: a branch
-    # bound past w_max, or one off the grid, fails here.
-    init = lp._Simplex.__init__
+    # The invariant that lets _Simplex skip the check: every system a tableau
+    # reads passes the check, whether the tableau encodes it (root, branch
+    # node, a core's template) or selects it from an encoding (deletion
+    # trial).  A branch bound that crossed its partner, or a trial that
+    # dropped a variable one of its rows mentions, fails here.  Every weight
+    # bound is also a grid point, which lets recovery snap and branch without
+    # a clamp: a branch bound past w_max, or one off the grid, fails here.
+    init, select = lp._Simplex.__init__, lp._Simplex.select
     seen = []
     grid = None
 
-    def checked(self, system):
+    def check(system):
         assert models.table_violations(system.variables, system.rows, ()) == []
         assert all(v.kind == "continuous" for v in system.variables)
         assert all(on_grid(v.lb, *grid) and on_grid(v.ub, *grid)
                    for v in system.variables if v.name.startswith("w_"))
         seen.append(len(system.rows))
+
+    def encoded(self, system):
+        check(system)
         init(self, system)
 
-    monkeypatch.setattr(lp._Simplex, "__init__", checked)
+    def selected(self, keep):
+        trial = select(self, keep)
+        check(trial.system)
+        return trial
+
+    monkeypatch.setattr(lp._Simplex, "__init__", encoded)
+    monkeypatch.setattr(lp._Simplex, "select", selected)
     for shape, seed in (((7, 2.6, 5), 24), ((10, 2.2, 10), 1)):
         inst = generate_random_instance(*shape, w_min=2, w_max=5, weight_resolution=3, seed=seed)
         grid = (inst.w_min, inst.w_max, inst.weight_resolution)
