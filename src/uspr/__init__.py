@@ -26,36 +26,26 @@ from .models import (
     build_dbm,
     build_obm,
     export_lp,
-    linearization_check,
     master_submodel,
-    parse_lp,
     size_report,
     structure_report,
 )
 from .solver import (
-    DemandRouting,
     Solution,
     SolverConfig,
     benders_solve,
     brute_force_solve,
-    demand_to_origin,
     master_search,
-    origin_to_demand,
-    strip_loops,
-    subpath_optimality_check,
 )
 from .spf import (
-    PathLengths,
     RoutingForest,
     WeightVector,
     check_capacity,
-    count_shortest_paths,
     evaluate_objective,
     hop_count_weights,
     inv_cap_weights,
     max_utilization,
     routing_from_weights,
-    shortest_path_lengths,
 )
 
 __version__ = "0.1.0"

@@ -51,10 +51,9 @@ path-length pair.
 Defaults: eps = gcd(w_min, weight_resolution) (the smallest positive gap two
 grid path lengths can have) and big_M = (|N| - 1) * w_max + eps (the longest
 simple path plus that gap); with these the linearized pair is exactly
-equivalent to the three-case logic form, which `linearization_check` verifies
-case by case.  `resolve_params` is the one place these defaults and their
-validity bounds are applied.  Only an export may set eps or big_M; every
-solve uses the defaults.
+equivalent to the three-case logic form.  `resolve_params` is the one place
+these defaults and their validity bounds are applied.  Only an export may
+set eps or big_M; every solve uses the defaults.
 """
 
 from __future__ import annotations
@@ -533,7 +532,9 @@ def size_report(dims: InstanceDims) -> SizeReport:
     `obm` counts every family (weights, lengths and path-length rows
     included), while `obm_reduced` counts only the binary+flow variables and
     the master/bound/conservation/capacity rows.  Both are emitted, labeled,
-    with the discrepancy flagged in `note`.
+    with the discrepancy flagged in `note`.  With no link and no length
+    variable the omitted families are empty, the totals are equal, and
+    `note` says so instead.
     """
     declared = _families(dims)
     dbm, obm = (
@@ -546,10 +547,14 @@ def size_report(dims: InstanceDims) -> SizeReport:
     )
     dbm_master = _restrict(dbm, "DBM master", *_MASTER_FAMILIES["DBM"])
     obm_master = _restrict(obm, "OBM master", *_MASTER_FAMILIES["OBM"])
+    full = f"{obm.total_variables}/{obm.total_constraints}"
+    reduced = f"{obm_reduced.total_variables}/{obm_reduced.total_constraints}"
     note = (
-        "note: the two OBM accountings disagree "
-        f"({obm.total_variables}/{obm.total_constraints} vs "
-        f"{obm_reduced.total_variables}/{obm_reduced.total_constraints}); "
+        f"note: the two OBM accountings agree ({full}): there are no "
+        "weight/length variables and no path-length rows for the reduced "
+        "accounting to omit."
+        if full == reduced else
+        f"note: the two OBM accountings disagree ({full} vs {reduced}); "
         "the reduced accounting omits weight/length variables and the "
         "path-length rows."
     )
@@ -621,70 +626,21 @@ def render_structure_report(report: StructureReport, fmt: str = "text") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Path-length linearization check.
-
-
-class PathLengthCase(NamedTuple):
-    """Feasible relation on q = l_j - (l_i + w_ij) implied by the binaries."""
-
-    relation: str  # "equal" | "strict" | "slack"
-    lower: Fraction
-    upper: Fraction
-
-
-def linearization_check(link_used: int, incoming_sum: int, eps, big_M) -> PathLengthCase:
-    """Resolve one binary pattern of the path-length pair to its logic case.
-
-    `link_used` is the routing binary on (i, j); `incoming_sum` is the total
-    of routing binaries over all links into j (including (i, j)).  The
-    returned interval is exactly the feasible set of the linearized pair for
-    that pattern and is checked against the logic form:
-
-      used            -> q = 0             (equality)
-      merge, unused   -> q <= -eps         (strict)
-      elsewhere       -> -M <= q <= 0      (slack)
-    """
-    eps = parse_number(eps, "eps")
-    big_M = parse_number(big_M, "big_M")
-    if not 0 < eps < big_M:
-        raise ModelParameterError("need 0 < eps < big_M")
-    if link_used not in (0, 1):
-        raise ValueError(f"link_used must be a binary value, got {link_used!r}")
-    if incoming_sum not in (0, 1):
-        raise ValueError(
-            f"incoming_sum must be 0 or 1 under path uniqueness, got {incoming_sum!r}"
-        )
-    if link_used > incoming_sum:
-        raise ValueError("inconsistent binaries: the link contributes to the incoming sum")
-    upper = -eps * (incoming_sum - link_used)
-    lower = -big_M * (1 - link_used)
-    if link_used == 1:
-        relation, expected = "equal", (0, 0)
-    elif incoming_sum == 1:
-        relation, expected = "strict", (-big_M, -eps)
-    else:
-        relation, expected = "slack", (-big_M, 0)
-    if (lower, upper) != expected:
-        raise RuntimeError(f"internal: {relation} case has interval [{lower}, {upper}]")
-    return PathLengthCase(relation, lower, upper)
-
-
-# ---------------------------------------------------------------------------
-# LP text export and the matching reader (used to round-trip in tests).
+# LP text export.
 
 
 @_collector_paused
 def export_lp(model: LinearModel) -> str:
     """Deterministic LP text; identical models export byte-identical text.
 
-    A Bounds line is `lb <= x`, `x = v` or `lb <= x <= ub`: the builders and
-    `parse_lp` give every variable a finite lower bound, so none is checked.
+    A Bounds line is `lb <= x`, `x = v` or `lb <= x <= ub`: the builders give
+    every variable a finite lower bound, so none is checked.
 
     A coefficient's `- `/`+ ` prefix and magnitude, and a rhs's or bound's
     `format_number` text, are memoized per number object (`id`): sound, as
     the model keeps every number alive for the whole call.  The builders
-    share a few `Fraction`s across all rows; a `parse_lp` model's equal
-    numbers are distinct objects, each formatted again.  Runs with the
+    share a few `Fraction`s across all rows; a model whose equal numbers are
+    distinct objects has each formatted again.  Runs with the
     cyclic collector paused, as the builders do: the lines and parts it
     allocates hold only strings.
     """
@@ -739,121 +695,3 @@ def export_lp(model: LinearModel) -> str:
             lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-class LpParseError(ValueError):
-    pass
-
-
-def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, Fraction], ...]:
-    """Signed terms; a token starting with a digit, '.' or a sign is a number."""
-    terms: list[tuple[str, Fraction]] = []
-    sign = _ONE
-    pending: Fraction | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign = _ONE
-        elif tok == "-":
-            sign = _MINUS_ONE
-        elif tok[0] in "0123456789.+-":
-            if pending is not None:
-                raise LpParseError(f"{where}: two consecutive numbers")
-            pending = parse_number(tok, where, LpParseError)
-        else:
-            terms.append((tok, sign * (_ONE if pending is None else pending)))
-            sign = _ONE
-            pending = None
-    if pending is not None:
-        if len(terms) == 0 and pending == 0:
-            return ()  # the literal "0" objective / empty row
-        raise LpParseError(f"{where}: trailing number without a variable")
-    return tuple(terms)
-
-
-def parse_lp(text: str) -> LinearModel:
-    """Read LP text produced by export_lp back into a LinearModel.
-
-    Raises LpParseError, naming the line, on a malformed line or number; a
-    Bounds line must be one of `export_lp`'s three forms, each with a finite
-    lower bound, so a `free` line or a `-inf` bound is refused.  Raises it
-    too on a name the tables cannot place: a term on a variable with no
-    Bounds line, a Binary name with no Bounds line, or a name declared twice.
-    """
-    formulation = ""
-    eps = _ZERO
-    big_M = _ZERO
-    section = None
-    objective: tuple[tuple[str, Fraction], ...] = ()
-    constraints: list[Constraint] = []
-    bounds: list[tuple[str, Fraction, Fraction | None]] = []
-    binaries: dict[str, int] = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if line.startswith("\\"):
-            body = line[1:].strip()
-            if body.startswith("formulation:"):
-                formulation = body.split(":", 1)[1].strip()
-            elif body.startswith("eps:"):
-                eps = parse_number(body.split(":", 1)[1].strip(), where, LpParseError)
-            elif body.startswith("big_M:"):
-                big_M = parse_number(body.split(":", 1)[1].strip(), where, LpParseError)
-            continue
-        if line in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
-            section = line
-            continue
-        if section == "Minimize":
-            if not line.startswith("obj:"):
-                raise LpParseError(f"{where}: expected 'obj:'")
-            objective = _parse_terms(line[len("obj:"):].split(), where)
-        elif section == "Subject To":
-            if ":" not in line:
-                raise LpParseError(f"{where}: constraint without a name")
-            name, rest = line.split(":", 1)
-            tokens = rest.split()
-            sense_pos = None
-            for i, tok in enumerate(tokens):
-                if tok in ("<=", ">=", "="):
-                    sense_pos = i
-                    break
-            if sense_pos is None or sense_pos != len(tokens) - 2:
-                raise LpParseError(f"{where}: expected '<terms> <sense> <rhs>'")
-            terms = _parse_terms(tokens[:sense_pos], where)
-            rhs = parse_number(tokens[-1], where, LpParseError)
-            constraints.append(Constraint(name.strip(), terms, tokens[sense_pos], rhs))
-        elif section == "Bounds":
-            tokens = line.split()
-            if len(tokens) == 3 and tokens[1] == "=":
-                v = parse_number(tokens[2], where, LpParseError)
-                bounds.append((tokens[0], v, v))
-            elif (len(tokens) == 3 and tokens[1] == "<="
-                  or len(tokens) == 5 and tokens[1] == tokens[3] == "<="):
-                lb = parse_number(tokens[0], where, LpParseError)
-                ub = parse_number(tokens[4], where, LpParseError) if len(tokens) == 5 else None
-                bounds.append((tokens[2], lb, ub))
-            else:
-                raise LpParseError(f"{where}: unrecognized bounds line {line!r}")
-        elif section == "Binary":
-            binaries[line] = lineno
-        elif section == "End":
-            raise LpParseError(f"{where}: content after End")
-        else:
-            raise LpParseError(f"{where}: content outside any section")
-
-    declared = {name for name, _, _ in bounds}
-    problems = [
-        f"line {lineno}: binary {name!r} has no Bounds line"
-        for name, lineno in binaries.items()
-        if name not in declared
-    ]
-    variables = tuple(
-        Variable(name, "binary" if name in binaries else "continuous", lb, ub)
-        for name, lb, ub in bounds
-    )
-    problems += table_violations(variables, constraints, objective)
-    if problems:
-        raise LpParseError("; ".join(problems))
-    return LinearModel(formulation, eps, big_M, variables, tuple(constraints), objective)

@@ -1,4 +1,4 @@
-"""Optimization engines and the routing-structure constructions.
+"""Optimization engines: the decomposition and the brute-force reference.
 
 `benders_solve` runs the decomposition loop: an integer master enumerates
 candidate routing forests in nondecreasing total-load order, and the weight
@@ -27,12 +27,6 @@ before it is emitted.
 
 Every `Optimal` answer, from either solver, is re-verified through the
 routing oracle: its weights must route exactly its forest, within capacity.
-
-The module also implements the structure mappings used by the property
-suites: loop stripping and path extraction by one forward walk per demand,
-the demand-to-origin mapping (a forest of the demands' paths), its inverse
-(each demand's path as its link set, from a forest `spf.forest_violations`
-accepts), and the sub-path check.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ import heapq
 import itertools
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,33 +42,6 @@ from . import lp, spf
 from .instance import Instance
 from .rational import write_json
 from .spf import RoutingForest, WeightVector
-
-
-class ConservationError(ValueError):
-    """Flow conservation violated where an operation requires it."""
-
-
-class RoutingLoopError(ValueError):
-    pass
-
-
-class SubpathOptimalityError(ValueError):
-    def __init__(self, origin: str, node: str):
-        self.origin = origin
-        self.node = node
-        super().__init__(
-            f"demands from origin {origin!r} enter node {node!r} on different links"
-        )
-
-
-class MalformedForestError(ValueError):
-    pass
-
-
-class DemandRouting(NamedTuple):
-    """Per-demand link selections, aligned with the instance demand order."""
-
-    links: tuple[frozenset[tuple[str, str]], ...]
 
 
 class Diagnostics(NamedTuple):
@@ -122,171 +88,6 @@ class SolverConfig(_SolverConfigFields):
     @classmethod
     def _make(cls, iterable):  # `_replace` builds through it: check there too
         return cls(*iterable)
-
-
-# ---------------------------------------------------------------------------
-# Demand-routing checks and constructions.
-
-
-def routing_objective(instance: Instance, routing: DemandRouting) -> Fraction:
-    total = Fraction(0)
-    for demand, links in zip(instance.demands, routing.links):
-        total += demand.bandwidth * len(links)
-    return total
-
-
-def _balance_violations(instance: Instance, routing: DemandRouting) -> list[str]:
-    out = []
-    if len(routing.links) != len(instance.demands):
-        return [
-            f"routing covers {len(routing.links)} demands, instance has "
-            f"{len(instance.demands)}"
-        ]
-    link_set = set(instance.link_pairs())
-    for k, (demand, links) in enumerate(zip(instance.demands, routing.links)):
-        net: Counter[str] = Counter()
-        for pair in sorted(links):
-            if pair not in link_set:
-                out.append(f"demand {k}: {pair} is not an instance link")
-            net[pair[1]] += 1
-            net[pair[0]] -= 1
-        ends = {demand.origin: -1, demand.destination: 1}
-        for node in instance.nodes:
-            expected = ends.get(node, 0)
-            if net[node] != expected:
-                out.append(
-                    f"demand {k}: balance at {node!r} is {net[node]}, "
-                    f"expected {expected}"
-                )
-    return out
-
-
-def _walks(instance: Instance, routing: DemandRouting) -> list[list[str]]:
-    """Each demand's loop-free origin -> destination path through its
-    selection; raises ConservationError on an unbalanced selection.
-
-    The walk starts at the origin and leaves each node on its smallest
-    unused link.  When it re-enters a node already on its path, it cuts that
-    loop out.  It stops at the destination.  Every node it enters, other
-    than the destination, has as many selected links out as in (the origin
-    has one more), so an unused link out is always left and the walk
-    reaches the destination.  The links it leaves off its path are balanced
-    at every node, so they are directed cycles.
-    """
-    problems = _balance_violations(instance, routing)
-    if problems:
-        raise ConservationError("; ".join(problems))
-    walks = []
-    for demand, links in zip(instance.demands, routing.links):
-        unused: dict[str, list[str]] = {}
-        for i, j in sorted(links, reverse=True):
-            unused.setdefault(i, []).append(j)
-        path = [demand.origin]
-        while path[-1] != demand.destination:
-            node = unused[path[-1]].pop()
-            if node in path:
-                del path[path.index(node) + 1 :]
-            else:
-                path.append(node)
-        walks.append(path)
-    return walks
-
-
-def strip_loops(instance: Instance, routing: DemandRouting) -> DemandRouting:
-    """Remove every directed cycle from each demand's link selection.
-
-    Requires flow conservation (cycles allowed).  Each demand keeps the
-    path of its walk (`_walks`), so the result is balanced and the objective
-    strictly decreases whenever something was removed.  Where cycles touch
-    the path, several loop-free paths are left, and the walk's is kept.
-    """
-    return DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in _walks(instance, routing)))
-
-
-def routing_paths(instance: Instance, routing: DemandRouting) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Per-demand node sequences.  Raises ConservationError on an unbalanced
-    selection and RoutingLoopError on a balanced one that holds a directed
-    cycle: one with more links than its walk (`_walks`)."""
-    out = {}
-    walks = _walks(instance, routing)
-    for k, (demand, links, path) in enumerate(zip(instance.demands, routing.links, walks)):
-        if len(links) != len(path) - 1:
-            raise RoutingLoopError(f"demand {k}: the selection holds a directed cycle")
-        out[(demand.origin, demand.destination)] = tuple(path)
-    return out
-
-
-class SubpathViolation(NamedTuple):
-    origin: str
-    node: str
-    entering_links: tuple[tuple[str, str], ...]
-
-
-def subpath_optimality_check(instance: Instance, routing: DemandRouting) -> list[SubpathViolation]:
-    """Nodes entered on more than one link by demands sharing an origin."""
-    out = []
-    for origin in instance.origins():
-        entering: dict[str, set[tuple[str, str]]] = {}
-        for demand, links in zip(instance.demands, routing.links):
-            if demand.origin != origin:
-                continue
-            for i, j in links:
-                entering.setdefault(j, set()).add((i, j))
-        for node in instance.nodes:
-            if node == origin:
-                continue
-            used = entering.get(node, set())
-            if len(used) > 1:
-                out.append(SubpathViolation(origin, node, tuple(sorted(used))))
-    return out
-
-
-def demand_routing_violations(instance: Instance, routing: DemandRouting) -> list[str]:
-    """Constraint check for the relaxed demand model: conservation, capacity,
-    sub-path optimality."""
-    out = _balance_violations(instance, routing)
-    loads: dict[tuple[str, str], Fraction] = {}
-    for demand, links in zip(instance.demands, routing.links):
-        for pair in links:
-            loads[pair] = loads.get(pair, Fraction(0)) + demand.bandwidth
-    for link in instance.links:
-        load = loads.get((link.tail, link.head), Fraction(0))
-        if load > link.capacity:
-            out.append(
-                f"link ({link.tail!r}, {link.head!r}): load {load} exceeds "
-                f"capacity {link.capacity}"
-            )
-    for v in subpath_optimality_check(instance, routing):
-        out.append(
-            f"origin {v.origin!r}: node {v.node!r} is entered on {len(v.entering_links)} links"
-        )
-    return out
-
-
-def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingForest:
-    """The forest of the demands' paths.  Requires a loop-free,
-    conservation-satisfying, sub-path-optimal routing."""
-    paths = routing_paths(instance, routing)
-    violations = subpath_optimality_check(instance, routing)
-    if violations:
-        v = violations[0]
-        raise SubpathOptimalityError(v.origin, v.node)
-    forest = RoutingForest(paths)
-    leftover = spf.forest_violations(instance, forest)
-    if leftover:
-        raise RuntimeError(f"internal: aggregated forest invalid: {leftover}")
-    return forest
-
-
-def origin_to_demand(instance: Instance, forest: RoutingForest) -> DemandRouting:
-    """Each demand's path, as its link set.  A forest that
-    `spf.forest_violations` rejects raises MalformedForestError listing the
-    violations."""
-    violations = spf.forest_violations(instance, forest)
-    if violations:
-        raise MalformedForestError("; ".join(violations))
-    paths = [forest.paths[(d.origin, d.destination)] for d in instance.demands]
-    return DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in paths))
 
 
 # ---------------------------------------------------------------------------

@@ -48,19 +48,11 @@ from typing import Iterator, NamedTuple
 from .instance import Demand, Instance
 from .rational import (
     format_number, grid_points, grid_size, on_grid, read_json, read_records, snap_to_grid,
-    write_json,
 )
 
 
 class InvalidWeightsError(ValueError):
     """Weight vector does not fit the instance (missing links or off-grid)."""
-
-
-class UnreachablePathError(ValueError):
-    def __init__(self, origin: str, destination: str):
-        self.origin = origin
-        self.destination = destination
-        super().__init__(f"no path from {origin!r} to {destination!r}")
 
 
 class UnreachableDemandError(ValueError):
@@ -95,13 +87,6 @@ class WeightVector(NamedTuple):
     """Per-link weights; each value must be a grid point of its instance."""
 
     values: dict[tuple[str, str], Fraction]
-
-
-class PathLengths(NamedTuple):
-    """Shortest-path lengths from one origin; unreachable nodes are absent."""
-
-    origin: str
-    dist: dict[str, Fraction]
 
 
 class RoutingForest(NamedTuple):
@@ -556,42 +541,6 @@ def unique_grid_routings(
 # Public operations.
 
 
-def shortest_path_lengths(instance: Instance, weights: WeightVector, origin: str) -> PathLengths:
-    """Exact shortest-path lengths from `origin` under the given weights."""
-    _check_weights(instance, weights)
-    if origin not in instance.node_index():
-        raise ValueError(f"unknown origin {origin!r}")
-    cg = CompiledGraph(instance)
-    wunits, scale = scale_weights(instance, weights)
-    dist, _counts, _pred = dijkstra_units(cg, wunits, cg.index[origin])
-    out = {
-        node: Fraction(dist[i], scale)
-        for i, node in enumerate(instance.nodes)
-        if dist[i] is not None
-    }
-    return PathLengths(origin=origin, dist=out)
-
-
-def count_shortest_paths(
-    instance: Instance, weights: WeightVector, origin: str, destination: str
-) -> int:
-    """1 if exactly one minimum-length path exists, 2 for two or more.
-
-    Unreachable destinations raise UnreachablePathError rather than counting
-    as zero.
-    """
-    _check_weights(instance, weights)
-    idx = instance.node_index()
-    if origin not in idx or destination not in idx:
-        raise ValueError("unknown origin or destination node")
-    cg = CompiledGraph(instance)
-    wunits, _scale = scale_weights(instance, weights)
-    _dist, counts, _pred = dijkstra_units(cg, wunits, cg.index[origin])
-    if not counts[cg.index[destination]]:
-        raise UnreachablePathError(origin, destination)
-    return counts[cg.index[destination]]
-
-
 def routing_from_weights(instance: Instance, weights: WeightVector) -> RoutingForest:
     """Route every demand along its unique shortest path.
 
@@ -751,13 +700,6 @@ def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
 def weight_records(weights: WeightVector) -> list[dict]:
     """One {"tail", "head", "weight"} record per link, sorted by link."""
     return [{"tail": t, "head": h, "weight": w} for (t, h), w in sorted(weights.values.items())]
-
-
-def save_weights(weights: WeightVector) -> str:
-    """The weights file `load_weights` reads, and `uspr verify` with it: the
-    bare array of `weight_records`, the records a solution file's "weights"
-    member holds too."""
-    return write_json(weight_records(weights))
 
 
 def load_weights(text: str) -> WeightVector:

@@ -6,7 +6,10 @@ shortcut, the same triangle on the coarse grid {2, 5}, the 4-node diamond
 for exhaustive grid enumeration.  Test references for the models module:
 `model_counts` and `ReferenceBuilder`; for the path lister:
 `simple_paths`; for the grid oracle's per-origin tables:
-`reference_origin_table`.
+`reference_origin_table`; for the DBM<->OBM mappings: `all_routings`,
+every sub-path-optimal routing of a small instance.  The shortest-path
+length and count references, the LP reader, the linearization check and
+the structure mappings themselves are in `oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import random
 from array import array
 from fractions import Fraction
 
+from oracles import DemandRouting, subpath_optimality_check
 from uspr import models, spf
 from uspr.instance import Demand, Instance, Link, generate_random_instance
 from uspr.models import LinearModel, SizeTable
-from uspr.solver import DemandRouting
 
 
 def mk_instance(nodes, links, demands, w_min=1, w_max=10, step=1) -> Instance:
@@ -205,8 +208,6 @@ def reference_origin_table(
 def all_routings(instance: Instance, cap: int = 5000) -> list[DemandRouting]:
     """Every sub-path-optimal loop-free routing (per-demand simple paths,
     filtered for per-origin in-link consistency).  Exhaustive; small use only."""
-    from uspr.solver import subpath_optimality_check
-
     per_demand = []
     for d in instance.demands:
         paths = simple_paths(instance, d.origin, d.destination)

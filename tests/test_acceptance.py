@@ -28,21 +28,22 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import lp, models, solver, spf
-from uspr.instance import InstanceDims, generate_random_instance
-from uspr.models import build_dbm, build_obm, linearization_check, size_report
-from uspr.rational import grid_points
-from uspr.solver import (
+import oracles
+from oracles import (
     DemandRouting,
-    benders_solve,
-    brute_force_solve,
     demand_routing_violations,
     demand_to_origin,
+    linearization_check,
     origin_to_demand,
     routing_objective,
     strip_loops,
     subpath_optimality_check,
 )
+from uspr import lp, models, spf
+from uspr.instance import InstanceDims, generate_random_instance
+from uspr.models import build_dbm, build_obm, size_report
+from uspr.rational import grid_points
+from uspr.solver import benders_solve, brute_force_solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -220,7 +221,7 @@ def test_criterion_5_unique_and_subpath_on_optimal(oracle_run):
             routing = origin_to_demand(inst, forest)
             assert subpath_optimality_check(inst, routing) == []
             for origin in inst.origins():
-                lengths = spf.shortest_path_lengths(inst, weights, origin).dist
+                lengths = oracles.shortest_path_lengths(inst, weights, origin).dist
                 for (i, j) in forest.used_links(origin):
                     assert lengths[j] == lengths[i] + weights.values[(i, j)]
     optimal_checked = 0
@@ -259,8 +260,8 @@ def test_criterion_5_loop_stripping_randomized():
             injected = False
         trials += 1
         stripped = strip_loops(inst, looped)
-        solver.routing_paths(inst, stripped)  # raises on any cycle left
-        assert solver._balance_violations(inst, stripped) == []
+        oracles.routing_paths(inst, stripped)  # raises on any cycle left
+        assert oracles._balance_violations(inst, stripped) == []
         changed = stripped != looped
         decreased = routing_objective(inst, stripped) < routing_objective(inst, looped)
         assert changed == decreased  # strict decrease iff a loop was removed
@@ -289,7 +290,7 @@ def test_criterion_5_mapping_round_trip_randomized():
         assert back == routing
         # image satisfies the demand model's constraints (conservation,
         # sub-path optimality; capacity not implied for arbitrary routings)
-        assert solver._balance_violations(inst, back) == []
+        assert oracles._balance_violations(inst, back) == []
         assert subpath_optimality_check(inst, back) == []
         assert_endpoint_conditions(inst, routing, forest)
         assert spf.evaluate_objective(inst, forest) == routing_objective(inst, routing)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import coarse_grid_triangle, diamond, diamond_chain, mk_instance, path_graph, two_node
+import oracles
 from uspr import models, solver, spf
 from uspr.cli import main
 from uspr.instance import generate_random_instance, save_instance
@@ -213,7 +214,7 @@ def test_verify_round_trip_from_solver(tmp_path, capsys):
 
     result = solver.benders_solve(instance)
     weights_path = tmp_path / "weights.json"
-    weights_path.write_text(spf.save_weights(result.weights))
+    weights_path.write_text(oracles.save_weights(result.weights))
     assert main(["verify", inst, str(weights_path)]) == 0
     printed = capsys.readouterr().out
     assert "demand s->t" in printed
@@ -234,7 +235,7 @@ def test_verify_reads_the_solution_file_solve_writes(tmp_path, capsys):
         assert main(["verify", inst, str(sol)]) == 0
         printed = capsys.readouterr().out
         bare = tmp_path / "bare.json"
-        bare.write_text(spf.save_weights(spf.load_weights(sol.read_text())))
+        bare.write_text(oracles.save_weights(spf.load_weights(sol.read_text())))
         assert bare.read_text().startswith("[")
         assert main(["verify", inst, str(bare)]) == 0
         assert capsys.readouterr().out == printed
@@ -254,7 +255,7 @@ def test_verify_non_unique_names_demand(tmp_path, capsys):
     inst = write_instance(tmp_path, diamond())
     uniform = spf.WeightVector({p: diamond().w_min for p in diamond().link_pairs()})
     weights_path = tmp_path / "w.json"
-    weights_path.write_text(spf.save_weights(uniform))
+    weights_path.write_text(oracles.save_weights(uniform))
     assert main(["verify", inst, str(weights_path)]) == 2
     assert "non-unique: demand (s, t)" in capsys.readouterr().out
 
@@ -346,7 +347,7 @@ def test_verify_capacity_violation_table(tmp_path, capsys):
     instance = mk_instance("ab", [("a", "b", 2)], [("a", "b", 3)])
     inst = write_instance(tmp_path, instance)
     weights_path = tmp_path / "w.json"
-    weights_path.write_text(spf.save_weights(spf.hop_count_weights(instance)))
+    weights_path.write_text(oracles.save_weights(spf.hop_count_weights(instance)))
     assert main(["verify", inst, str(weights_path)]) == 2
     printed = capsys.readouterr().out
     assert "capacity violations" in printed

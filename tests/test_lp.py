@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_routings, diamond, mk_instance, small_random, two_node
+import oracles
 from uspr import lp, models, solver, spf
 from uspr.instance import generate_random_instance
 from uspr.lp import (
@@ -614,8 +615,8 @@ def _cheapest_forests(inst, count):
     (`all_routings`, ties in its order).  Unlike master candidates they
     include forests that break the segment rule, whose systems are
     infeasible."""
-    routings = sorted(all_routings(inst), key=lambda r: solver.routing_objective(inst, r))
-    return [solver.demand_to_origin(inst, r) for r in routings[:count]]
+    routings = sorted(all_routings(inst), key=lambda r: oracles.routing_objective(inst, r))
+    return [oracles.demand_to_origin(inst, r) for r in routings[:count]]
 
 
 def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
@@ -989,7 +990,7 @@ def test_path_length_rows_match_linearization_cases():
                 _, bound, s, i, j = r.name.split("_")
                 used = forest.used_links(s)
                 insum = sum((l.tail, l.head) in used for l in into[j])
-                case = models.linearization_check(int((i, j) in used), insum, eps, big_M)
+                case = oracles.linearization_check(int((i, j) in used), insum, eps, big_M)
                 relations.add(case.relation)
                 assert dict(r.terms) == {f"w_{i}_{j}": -1, f"l_{s}_{i}": -1, f"l_{s}_{j}": 1}
                 assert r.rhs == (case.upper if bound == "ub" else case.lower)

@@ -9,8 +9,9 @@ test dependency; the module skips when it is missing.
 import pytest
 
 from conftest import coarse_grid_triangle, small_random
+from oracles import parse_lp
 from uspr.instance import generate_random_instance
-from uspr.models import build_dbm, build_obm, export_lp, parse_lp
+from uspr.models import build_dbm, build_obm, export_lp
 from uspr.solver import benders_solve
 
 np = pytest.importorskip("numpy")

@@ -16,20 +16,20 @@ from conftest import (
     small_random,
     two_node,
 )
-from uspr import cli, lp, models, solver
-from uspr.instance import InstanceDims, generate_random_instance, save_instance
+import oracles
+from oracles import LpParseError, linearization_check, parse_lp
+from uspr import cli, lp, models
+from uspr.instance import InstanceDims, generate_random_instance, save_instance, validate_instance
 from uspr.models import (
     Constraint,
     LinearModel,
-    LpParseError,
     ModelParameterError,
     Variable,
     build_dbm,
     build_obm,
     export_lp,
-    linearization_check,
     master_submodel,
-    parse_lp,
+    render_size_report,
     size_report,
     structure_report,
 )
@@ -136,6 +136,21 @@ def test_size_report_zero_dims():
                   report.obm_reduced, report.obm_master):
         assert table.total_variables == 0
         assert table.total_constraints == 0
+    # Equal totals are not called a disagreement, in either format, and
+    # neither are those of a valid instance with no links and no demands.
+    agree = ("note: the two OBM accountings agree (0/0): there are no weight/length "
+             "variables and no path-length rows for the reduced accounting to omit.")
+    assert report.note == agree
+    assert render_size_report(report).endswith(f"\n{agree}\n")
+    assert render_size_report(report, "tsv").endswith(f"\n# {agree}\n")
+    linkless = mk_instance("ab", [], [])
+    assert validate_instance(linkless) == []
+    assert size_report(linkless.dims()).note == agree
+    # A link makes the totals differ, and the note keeps its wording.
+    assert size_report(InstanceDims(2, 1, 0, 0)).note == (
+        "note: the two OBM accountings disagree (1/1 vs 0/1); the reduced accounting "
+        "omits weight/length variables and the path-length rows."
+    )
 
 
 def test_master_builds_equal_the_master_submodel():
@@ -486,7 +501,7 @@ def test_rows_are_emitted_in_declaration_order(monkeypatch):
         assert max(len(links) for links in inst.in_links().values()) >= 3
         assert any(index[l.tail] > index[l.head] for l in inst.links)
         rng = random.Random(0)
-        forests = [solver.demand_to_origin(inst, random_tree_routing(inst, rng))
+        forests = [oracles.demand_to_origin(inst, random_tree_routing(inst, rng))
                    for _ in range(3)]
 
         def builds():

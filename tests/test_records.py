@@ -9,19 +9,20 @@ from pathlib import Path
 import pytest
 
 from conftest import diamond, two_node
+import oracles
+from oracles import DemandRouting, PathLengthCase, PathLengths, SubpathViolation
 import uspr
 from uspr import cli, instance, lp, models, rational, solver, spf
 from uspr.instance import Demand, InstanceDims, Link, Violation
 from uspr.lp import Feasible, Infeasible, LinearSystem, WeightRecovery
 from uspr.models import (
-    Constraint, LinearModel, PathLengthCase, SizeReport, SizeTable, StructureReport, Variable,
+    Constraint, LinearModel, SizeReport, SizeTable, StructureReport, Variable,
 )
-from uspr.solver import (
-    DemandRouting, Diagnostics, NoGoodCut, Solution, SolverConfig, SubpathViolation,
-)
-from uspr.spf import CapacityViolation, PathLengths, RoutingForest, WeightVector
+from uspr.solver import Diagnostics, NoGoodCut, Solution, SolverConfig
+from uspr.spf import CapacityViolation, RoutingForest, WeightVector
 
-MODULES = (uspr, cli, instance, lp, models, rational, solver, spf)
+# The package's modules, and the test oracles that mirror them.
+MODULES = (uspr, cli, instance, lp, models, rational, solver, spf, oracles)
 ONE = Fraction(1)
 
 
@@ -52,7 +53,8 @@ def _records():
 def _public_classes():
     return {
         cls for module in MODULES for name, cls in vars(module).items()
-        if inspect.isclass(cls) and not name.startswith("_") and cls.__module__.startswith("uspr")
+        if inspect.isclass(cls) and not name.startswith("_")
+        and cls.__module__.startswith(("uspr", "oracles"))
     }
 
 

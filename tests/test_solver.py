@@ -25,26 +25,24 @@ from conftest import (
     triangle,
     two_node,
 )
-from uspr import lp, solver, spf
-from uspr.instance import generate_random_instance
-from uspr.rational import grid_points
-from uspr.solver import (
+import oracles
+from oracles import (
     ConservationError,
     DemandRouting,
     MalformedForestError,
     RoutingLoopError,
-    SolverConfig,
     SubpathOptimalityError,
-    benders_solve,
-    brute_force_solve,
     demand_routing_violations,
     demand_to_origin,
-    master_search,
     origin_to_demand,
     routing_objective,
     strip_loops,
     subpath_optimality_check,
 )
+from uspr import lp, solver, spf
+from uspr.instance import generate_random_instance
+from uspr.rational import grid_points
+from uspr.solver import SolverConfig, benders_solve, brute_force_solve, master_search
 from uspr.spf import RoutingForest, WeightVector
 
 F = Fraction
@@ -106,8 +104,8 @@ def test_strip_randomized_loop_injection():
             + routing.links[k + 1:]
         )
         stripped = strip_loops(inst, looped)
-        solver.routing_paths(inst, stripped)  # raises on any cycle left
-        assert solver._balance_violations(inst, stripped) == []
+        oracles.routing_paths(inst, stripped)  # raises on any cycle left
+        assert oracles._balance_violations(inst, stripped) == []
         assert routing_objective(inst, stripped) < routing_objective(inst, looped)
     assert done >= 50
 
@@ -123,7 +121,7 @@ _FOREIGN_MESSAGE = "; ".join(
 def test_non_instance_links_are_listed_in_sorted_order():
     inst = diamond()
     routing = DemandRouting((frozenset(_FOREIGN_SELECTION),))
-    for check in (strip_loops, solver.routing_paths, demand_to_origin):
+    for check in (strip_loops, oracles.routing_paths, demand_to_origin):
         with pytest.raises(ConservationError) as info:
             check(inst, routing)
         assert str(info.value) == _FOREIGN_MESSAGE
@@ -134,7 +132,7 @@ def test_conservation_message_does_not_depend_on_the_hash_seed():
     # the hash seed; the message must not.
     script = (
         "from conftest import diamond\n"
-        "from uspr.solver import ConservationError, DemandRouting, strip_loops\n"
+        "from oracles import ConservationError, DemandRouting, strip_loops\n"
         f"routing = DemandRouting((frozenset({_FOREIGN_SELECTION!r}),))\n"
         "try:\n"
         "    strip_loops(diamond(), routing)\n"
@@ -193,9 +191,9 @@ def test_strip_keeps_the_path_of_the_walk(links, kept):
     looped = DemandRouting((frozenset(links),))
     stripped = strip_loops(inst, looped)
     assert stripped.links[0] == frozenset(zip(kept, kept[1:]))
-    assert solver.routing_paths(inst, stripped) == {("s", "t"): kept}
+    assert oracles.routing_paths(inst, stripped) == {("s", "t"): kept}
     with pytest.raises(RoutingLoopError):
-        solver.routing_paths(inst, looped)
+        oracles.routing_paths(inst, looped)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +458,7 @@ def test_master_incumbent_bound_stops_stream():
 def _breaks_segment_rule(inst, routing):
     """The master's segment check, applied path by path to a whole routing."""
     table = {}
-    for nodes in solver.routing_paths(inst, routing).values():
+    for nodes in oracles.routing_paths(inst, routing).values():
         if solver.segment_conflict(table, nodes):
             return True
         table = solver.add_segments(table, nodes)
@@ -494,7 +492,7 @@ def test_master_emits_every_consistent_routing_once():
     for options, seed in itertools.product(({}, {"capacity_range": (5, 20)}), range(10)):
         inst = generate_random_instance(5, 2, 3, seed=seed, **options)
         expected = sorted(
-            (routing_objective(inst, r), sorted(solver.routing_paths(inst, r).items()))
+            (routing_objective(inst, r), sorted(oracles.routing_paths(inst, r).items()))
             for r in all_routings(inst)
             if not _breaks_segment_rule(inst, r)
             and not spf.check_capacity(inst, demand_to_origin(inst, r))
