@@ -11,17 +11,20 @@ vector of integer numerators over one positive denominator, in the
 fraction-free style of Edmonds and Bareiss: its rhs is one of its entries,
 its basic column's numerator is its denominator, and the objective row keeps
 its denominator in a column of its own.  On the path-length systems, whose
-entries are almost all ±1, nearly every row keeps denominator 1.  A pivot
-touches only the pivot row's nonzeros in the rows that have a nonzero in the
-entering column.  Bland's smallest-index rule picks both the entering
-and the leaving choice, so pivoting is deterministic and cannot cycle.
-Exact arithmetic is the point: the strict inequalities that separate a
-unique shortest path from a tie must not be blurred by floating error.
-Feasible results are read off as `Fraction`s and verified by direct
-substitution, in integers over one common denominator, before they are
-returned.  An upper bound is one more `<=` row of the one row encoder, and
-`solve_feasibility` is the one input check: each tableau below it encodes a
-checked system once, and a deletion trial selects rows of that encoding.
+entries are almost all ±1, nearly every row keeps denominator 1.  Each
+pivot scans its entering column once: the rows that hold it, in ascending
+order, are all that the ratio test reads and all that the elimination
+touches, and in them only the pivot row's nonzeros change.  Bland's
+smallest-index rule picks both the entering and the leaving choice, so
+pivoting is deterministic and cannot cycle.  Exact arithmetic is the point:
+the strict inequalities that separate a unique shortest path from a tie
+must not be blurred by floating error.  Feasible results are read off as
+one `Fraction` per variable, made from the integers of its lower bound and
+its row, and verified by direct substitution, in integers over one common
+denominator, before they are returned.  An upper bound is one more `<=` row
+of the one row encoder, and `solve_feasibility` is the one input check:
+each tableau below it encodes a checked system once, and a deletion trial
+selects rows of that encoding.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system, snap its weights to the grid, and when the snap misses
@@ -96,7 +99,6 @@ class Infeasible(NamedTuple):
 # ---------------------------------------------------------------------------
 # Phase-1 simplex.
 
-_ZERO = Fraction(0)
 RHS = -1  # a tableau row's key for its rhs numerator; columns count from 0
 
 # Per-solve budgets; exceeding either raises SimplexResourceError.  MAX_BITS
@@ -174,7 +176,8 @@ class _Simplex:
                 c = self.var_cols[vi]
                 if c is not None:
                     coeffs[c] = coeffs.get(c, 0) + a
-            coeffs = {c: a for c, a in coeffs.items() if a != 0}
+            if 0 in coeffs.values():
+                coeffs = {c: a for c, a in coeffs.items() if a != 0}
             basic = None
             if row.sense != "=":
                 basic, slack = slack, slack + 1
@@ -207,16 +210,17 @@ class _Simplex:
         trial.initial_basis = list(trial.basis)
         return trial
 
-    def _pivot(self, r: int, c: int) -> None:
-        """Normalize row r on column c and eliminate c from every other row,
-        the objective row included.
+    def _pivot(self, r: int, c: int, holding: list[int]) -> None:
+        """Normalize row r on column c and eliminate c from the other rows in
+        `holding`, `_minimize`'s one scan for the rows with a nonzero in
+        column c, the objective row included.
 
         The normalized row is row r over its pivot numerator p, gcd-reduced,
         so its entry in column c is its new denominator.  When that is 1,
         elimination touches only the pivot row's entries, rhs included, in
-        rows with a nonzero in column c; an entry that cancels to 0 is
-        deleted.  Otherwise each such row, denominator included, is first
-        scaled by it and gcd-reduced after.
+        the rows in `holding`; an entry that cancels to 0 is deleted.
+        Otherwise each such row, denominator included, is first scaled by it
+        and gcd-reduced after.
         """
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
@@ -232,10 +236,11 @@ class _Simplex:
             if g != 1:
                 rows[r] = row = {j: a // g for j, a in row.items()}
             d = p // g
-        for rr, other in enumerate(rows):
-            factor = other.get(c)
-            if factor is None or rr == r:
+        for rr in holding:
+            if rr == r:
                 continue
+            other = rows[rr]
+            factor = other[c]
             if d != 1:
                 rows[rr] = other = {j: a * d for j, a in other.items()}
             neg = -factor
@@ -265,7 +270,11 @@ class _Simplex:
         enters; of the rows with a positive entry in it, the one with the
         least ratio of rhs to entry leaves, ties to the smallest basic column.
         A row's denominator cancels from its ratio, so ratios of numerators
-        compare by cross-multiplication."""
+        compare by cross-multiplication.  One scan lists the rows that hold
+        the entering column, ascending, for the ratio test and `_pivot`: it
+        drops only rows with no entry there, so the ratio test meets every
+        positive entry in row order, and Bland's first-found row and its
+        tie-break by least basic column cannot move."""
         rows, basis = self.rows, self.basis
         m, start = len(basis), self.artificial_start
         zden = math.lcm(*(row[col] for row, col in zip(rows, basis) if col >= start))
@@ -283,10 +292,11 @@ class _Simplex:
             if not entering:
                 return
             enter = min(entering)
+            holding = [r for r, row in enumerate(rows) if enter in row]
             leave = None
-            for r in range(m):
-                a = rows[r].get(enter)
-                if a is not None and a > 0:
+            for r in holding:
+                a = rows[r][enter]
+                if a > 0:  # the objective row's entry is < 0
                     b = rows[r].get(RHS, 0)
                     if leave is None:
                         leave, best_b, best_a = r, b, a
@@ -296,7 +306,7 @@ class _Simplex:
                         leave, best_b, best_a = r, b, a
             if leave is None:  # phase 1's objective is bounded below by 0
                 raise RuntimeError("internal: phase 1 is unbounded")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, holding)
 
     def _farkas_support(self) -> tuple[str, ...]:
         """The system rows used by the dual ray of an infeasible phase 1.
@@ -319,21 +329,25 @@ class _Simplex:
         Phase 1's objective is positive, and the objective row holds an rhs,
         exactly when an artificial column is basic with a positive rhs.  A
         feasible phase 1 may leave artificials basic at 0; they carry no
-        structural value, so the assignment is read off as it stands.
+        structural value, so the assignment is read off as it stands: x = lb
+        + b/den, with u basic in a row of rhs b over den, is the one
+        `Fraction` (num(lb)*den + b*den(lb)) / (den(lb)*den).
         """
         if max(self.basis, default=-1) >= self.artificial_start:
             self._minimize()
             if RHS in self.rows[-1]:
                 return Infeasible(self._farkas_support(), self.pivots)
 
-        values = [_ZERO] * self.n_struct
-        for row, col in zip(self.rows, self.basis):
-            if col < self.n_struct:
-                values[col] = Fraction(row.get(RHS, 0), row[col])
-        assignment = {
-            v.name: v.lb if c is None else v.lb + values[c]
-            for v, c in zip(self.system.variables, self.var_cols)
-        }
+        basic = {col: row for row, col in zip(self.rows, self.basis) if col < self.n_struct}
+        assignment = {}
+        for v, c in zip(self.system.variables, self.var_cols):
+            row = basic.get(c)
+            if row is None:
+                assignment[v.name] = v.lb
+            else:
+                den, (lb_num, lb_den) = row[c], v.lb.as_integer_ratio()
+                assignment[v.name] = Fraction(lb_num * den + row.get(RHS, 0) * lb_den,
+                                              lb_den * den)
         _verify_assignment(self.system, assignment)
         return Feasible(assignment, self.pivots)
 
@@ -544,9 +558,12 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     Each feasible node reads its LP weights once, as one list of grid
     positions n_e = (w_e - w_min)/res, and snaps each to w_min +
     res*floor(n_e + 1/2), the root ("direct") as every branch node
-    ("branch").  If the snap misses, recovery branches depth first on the
-    first link whose n_e is not an integer: w_e <= w_min + res*floor(n_e)
-    first, then w_e >= w_min + res*ceil(n_e).  By the argument above an LP
+    ("branch").  With n_e = p/q, floor(n_e + 1/2) = (2p + q) // (2q), and
+    each snapped position's weight is computed once per recovery, in a dict
+    that holds only the positions snaps reach, never the whole grid.  If
+    the snap misses, recovery branches depth first on the first link whose
+    n_e is not an integer: w_e <= w_min + res*floor(n_e) first, then
+    w_e >= w_min + res*ceil(n_e).  By the argument above an LP
     point with every weight on the grid realizes the forest, so it ends the
     search.  The system's first |L| variables are the link weights, in
     instance link order, so the k-th of them is the k-th link's weight and
@@ -575,6 +592,7 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     system, meta = path_length_system(instance, forest)
     w_min, res = instance.w_min, instance.weight_resolution
     weights = system.variables[: len(instance.links)]
+    pairs, grid = instance.link_pairs(), {}  # grid: each snapped position's weight
     lp_solves = pivots = 0
     leaves: list[tuple[LinearSystem, Infeasible]] = []
 
@@ -596,10 +614,9 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
             leaves.append((node, result))
             continue
         positions = [(result.assignment[weight.name] - w_min) / res for weight in weights]
-        snapped = WeightVector({
-            (link.tail, link.head): w_min + res * math.floor(n + Fraction(1, 2))
-            for link, n in zip(instance.links, positions)
-        })
+        snap = [(2 * n.numerator + n.denominator) // (2 * n.denominator) for n in positions]
+        grid.update((k, w_min + res * k) for k in set(snap) - grid.keys())
+        snapped = WeightVector(dict(zip(pairs, map(grid.__getitem__, snap))))
         if _matches_forest(instance, snapped, forest):
             return outcome("ok", snapped, "direct" if lp_solves == 1 else "branch")
         k = next((k for k, n in enumerate(positions) if n.denominator != 1), None)

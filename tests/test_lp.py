@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from uspr.lp import (
     solve_feasibility,
 )
 from uspr.models import Constraint, Variable
-from uspr.rational import on_grid, snap_to_grid
+from uspr.rational import grid_size, on_grid, snap_to_grid
 from uspr.spf import RoutingForest, WeightVector
 
 
@@ -369,7 +370,9 @@ def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
     # positive.  Every constraint row's rhs stays at least 0, so phase 1's
     # basis stays primal feasible.  The objective row after the constraint
     # rows holds no basic column and a positive denominator in its own column,
-    # and phase 1's objective never increases.
+    # and phase 1's objective never increases.  The rows a pivot eliminates
+    # from are exactly those that held its entering column just before it, in
+    # ascending order: the ratio test and the elimination read that one scan.
     pivot = lp._Simplex._pivot
     non_unit = 0
 
@@ -377,11 +380,12 @@ def test_integer_tableau_stays_a_basis_after_every_pivot(monkeypatch):
         m = len(self.basis)
         return Fraction(-self.rows[m].get(lp.RHS, 0), self.rows[m][self.ncols])
 
-    def checked(self, r, c):
+    def checked(self, r, c, holding):
         nonlocal non_unit
+        assert holding == [k for k, other in enumerate(self.rows) if c in other]
         non_unit += self.rows[r][c] != self.rows[r][self.basis[r]]
         before = objective(self)
-        pivot(self, r, c)
+        pivot(self, r, c, holding)
         m = len(self.basis)
         assert len(self.rows) == m + 1 and self.rows[m][self.ncols] > 0
         assert sum(self.ncols in other for other in self.rows) == 1
@@ -753,21 +757,25 @@ def test_snap_is_the_reference_snap_at_every_feasible_node(monkeypatch):
     def recovers_first_candidate(inst):
         return recover_weights(inst, next(solver.master_search(inst))).ok
 
-    # The w 5-9, resolution 4 case has an LP weight at a half grid position,
-    # where the snap rounds up; on the coarse grid none lands there.
+    # The w 5-9, resolution 4 case, and the grid whose w_min and resolution
+    # are both fractions, have LP weights at half grid positions, where the
+    # snap rounds up; on the coarse grid none lands there.
     coarse = dict(w_min=2, w_max=5, weight_resolution=3)
+    thirds = dict(w_min=Fraction(1, 2), weight_resolution=Fraction(1, 3), w_max=Fraction(7, 2))
     runs = (
-        ((10, 2.2, 10), dict(coarse, seed=1), solves),
-        ((5, 2, 4), dict(coarse, seed=9), recovers_first_candidate),
-        ((6, 2, 5), dict(w_min=5, w_max=9, weight_resolution=4, seed=6), recovers_first_candidate),
+        ((10, 2.2, 10), dict(coarse, seed=1), solves, False),
+        ((5, 2, 4), dict(coarse, seed=9), recovers_first_candidate, False),
+        ((6, 2, 5), dict(w_min=5, w_max=9, weight_resolution=4, seed=6), recovers_first_candidate,
+         True),
+        ((6, 2, 5), dict(thirds, seed=6), recovers_first_candidate, True),
     )
-    halves = 0
-    for shape, kwargs, run in runs:
+    for shape, kwargs, run, with_halves in runs:
         inst = generate_random_instance(*shape, **kwargs)
         nodes.clear()
         snaps.clear()
         assert run(inst)
         assert len(snaps) == len(nodes) > 1
+        halves = 0
         for assignment, snapped in zip(nodes, snaps):
             assert snapped == _reference_snap(inst, assignment)
             halves += any(
@@ -775,7 +783,28 @@ def test_snap_is_the_reference_snap_at_every_feasible_node(monkeypatch):
                 .denominator == 2
                 for l in inst.links
             )
-    assert halves
+        assert halves if with_halves else halves == 0
+
+
+def test_recovery_on_a_million_point_grid_allocates_nothing_per_grid_point():
+    # A grid of 10^6 positions: recovery snaps the root's LP weights, exactly
+    # as `rational.snap_to_grid` does, and looks each snapped position's
+    # weight up as it needs it.  One list sized by the grid would hold 8 MB
+    # of pointers alone; the whole recovery peaks far below that.
+    inst = generate_random_instance(10, 2, 10, w_min=Fraction(1, 1000), w_max=1000,
+                                    weight_resolution=Fraction(1, 1000), seed=0)
+    assert grid_size(inst.w_min, inst.w_max, inst.weight_resolution) == 10**6
+    forest = next(solver.master_search(inst))
+    root = solve_feasibility(path_length_system(inst, forest)[0])
+    tracemalloc.start()
+    try:
+        result = recover_weights(inst, forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, result.stage, result.lp_solves, result.pivots) == ("ok", "direct", 1, 45)
+    assert result.weights == _reference_snap(inst, root.assignment)
+    assert peak < 2_000_000
 
 
 def _with_vacuous_rows(instance, forest, system, big_M):

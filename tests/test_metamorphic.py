@@ -12,6 +12,13 @@ Each relation holds by the problem's definition:
 `benders_solve` is checked on every shape, `brute_force_solve` on the
 shapes of at most 6 nodes.  A renaming changes the link order, and with it
 the weights brute force picks, so only status and objective are compared.
+
+Two monotone relations, checked with `benders_solve` on every shape, never
+raise the objective and never turn an `Optimal` instance `Infeasible`:
+- raising every capacity by 5/4 (every forest that fits the old
+  capacities fits the new ones, at the same total load);
+- halving the resolution (the new grid contains the old one, so every
+  weight vector, and with it every routing, stays available).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ SHAPES = {
 }
 BANDWIDTH_SCALE = Fraction(3, 2)
 GRID_SCALE = 3
+CAPACITY_SCALE = Fraction(5, 4)
 
 
 def renamed(instance: Instance, seed: int) -> Instance:
@@ -69,6 +77,18 @@ def rescaled_grid(instance: Instance) -> Instance:
     )
 
 
+def raised_capacity(instance: Instance) -> Instance:
+    """Every capacity times `CAPACITY_SCALE`."""
+    return instance._replace(links=tuple(
+        l._replace(capacity=l.capacity * CAPACITY_SCALE) for l in instance.links))
+
+
+def finer_grid(instance: Instance) -> Instance:
+    """The resolution halved: a grid with every old grid point and one more
+    between each two neighbours."""
+    return instance._replace(weight_resolution=instance.weight_resolution / 2)
+
+
 def scaled(answer: tuple, factor) -> tuple:
     status, objective = answer
     return status, None if objective is None else objective * factor
@@ -99,6 +119,24 @@ def mismatches(solve, args, kwargs) -> list[str]:
     return out
 
 
+def monotonicity_violations(args, kwargs) -> list[str]:
+    """Every seed of the shape where a relaxed instance's answer is worse than
+    its base's: `Optimal` at a higher objective, or no longer `Optimal`."""
+    out = []
+    for seed in SEEDS:
+        instance = generate_random_instance(*args, **kwargs, seed=seed)
+        base = benders_solve(instance)
+        if base.status != "Optimal":
+            continue
+        for relation, relaxed in (("capacity x5/4", raised_capacity(instance)),
+                                  ("resolution /2", finer_grid(instance))):
+            result = benders_solve(relaxed)
+            if result.status != "Optimal" or result.objective > base.objective:
+                out.append(f"{args}{kwargs}s{seed} {relation}: base {base.objective}, "
+                           f"got {(result.status, result.objective)}")
+    return out
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_decomposition_answers_follow_every_relation(shape):
     args, kwargs = SHAPES[shape]
@@ -109,6 +147,12 @@ def test_decomposition_answers_follow_every_relation(shape):
 def test_brute_force_answers_follow_every_relation(shape):
     args, kwargs = SHAPES[shape]
     assert mismatches(brute_force_solve, args, kwargs) == []
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_relaxing_capacities_or_the_grid_never_worsens_the_answer(shape):
+    args, kwargs = SHAPES[shape]
+    assert monotonicity_violations(args, kwargs) == []
 
 
 def test_the_relations_change_what_they_claim():
@@ -124,3 +168,8 @@ def test_the_relations_change_what_they_claim():
         l.capacity * Fraction(3, 2) for l in instance.links]
     grid = rescaled_grid(instance)
     assert (grid.w_min, grid.w_max, grid.weight_resolution) == (3, 12, 3)
+    capacity = raised_capacity(instance)
+    assert [l.capacity for l in capacity.links] == [
+        l.capacity * Fraction(5, 4) for l in instance.links]
+    finer = finer_grid(instance)
+    assert (finer.w_min, finer.w_max, finer.weight_resolution) == (1, 4, Fraction(1, 2))
