@@ -693,5 +693,5 @@ def export_lp(model: LinearModel) -> str:
         lines.append("Binary")
         for name in binaries:
             lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines.append("End\n")  # the final newline, so that the text is joined once
+    return "\n".join(lines)

@@ -255,9 +255,15 @@ def grid_points(w_min: Fraction, w_max: Fraction, step: Fraction) -> list[Fracti
 
 
 def on_grid(value: Fraction, w_min: Fraction, w_max: Fraction, step: Fraction) -> bool:
-    if value < w_min or value > w_max:
-        return False
-    return ((value - w_min) / step).denominator == 1
+    """Whether value is a grid point w_min + n*step (n >= 0) not above w_max,
+    decided on integer ratios: with value p/q, w_min a/b, step c/d and w_max
+    e/f, value - w_min is (pb - aq)/qb, so n = (pb - aq)d/qbc."""
+    p, q = value.as_integer_ratio()
+    a, b = w_min.as_integer_ratio()
+    c, d = step.as_integer_ratio()
+    e, f = w_max.as_integer_ratio()
+    n = (p * b - a * q) * d
+    return n >= 0 and p * f <= e * q and n % (q * b * c) == 0
 
 
 def snap_to_grid(value: Fraction, w_min: Fraction, w_max: Fraction, step: Fraction) -> Fraction:

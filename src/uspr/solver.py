@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
@@ -151,7 +150,7 @@ def master_search(
     One best-first search runs over partial assignments of a path to each
     demand, the demands grouped by origin in `instance.origins()` order and
     in instance order within an origin.  A state holds the integer link
-    loads (bandwidths scaled by the lcm of their denominators) and the
+    loads, on the oracle's scale (`spf.load_units`), and the
     `next_hop[u][v]` table of its paths' segments.  A path may extend a
     state only if no link load passes floor(capacity * scale) and
     `segment_conflict` finds no disagreement with the table.  Dropping the
@@ -183,11 +182,9 @@ def master_search(
     cg = spf.CompiledGraph(instance)
     index = cg.index
     demands = [d for s in origins for d in instance.demands_from(s)]
-    # Loads are integers in 1/scale units, so a load passes a capacity
-    # exactly when it passes floor(capacity * scale).
-    scale = math.lcm(*(d.bandwidth.denominator for d in demands))
-    units = [int(d.bandwidth * scale) for d in demands]
-    caps = [math.floor(link.capacity * scale) for link in instance.links]
+    scale, units, caps = spf.load_units(instance)
+    unit_of = dict(zip(instance.demands, units))
+    units = [unit_of[d] for d in demands]
     dists: dict[str, list[int]] = {}
     streams = []
     for d in demands:

@@ -16,10 +16,10 @@ counts are validated against a second pass over the tight-link DAG
 
 A routing forest is its demands' paths and nothing else.  An origin uses a
 link when one of its demands' paths does, and its flow there is the summed
-bandwidth of those demands (`origin_flows`, the one place flows are
-derived).  This module is the one place that judges a forest:
-`forest_violations` checks its paths, and `check_capacity` and
-`evaluate_objective` evaluate it.
+bandwidth of those demands (`origin_flows`).  Link loads are summed in
+integers, on the master's scale (`load_units`).  This module is the one
+place that judges a forest: `forest_violations` checks its paths, and
+`check_capacity` and `evaluate_objective` evaluate it.
 
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin.
 Each demand's candidate paths, its simple paths short enough to be
@@ -147,9 +147,9 @@ class CompiledGraph:
 
 def scale_weights(instance: Instance, weights: WeightVector) -> tuple[list[int], int]:
     """Weights as integers in 1/scale units, ordered like instance.links."""
-    ordered = [weights.values[(l.tail, l.head)] for l in instance.links]
-    scale = math.lcm(*(w.denominator for w in ordered))
-    return [int(w * scale) for w in ordered], scale
+    ratios = [weights.values[(l.tail, l.head)].as_integer_ratio() for l in instance.links]
+    scale = math.lcm(*(q for _p, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def dijkstra_units(cg: CompiledGraph, wunits: list[int], src: int) -> tuple[list, list, list]:
@@ -579,9 +579,35 @@ def origin_flows(instance: Instance, forest: RoutingForest) -> dict[str, dict[tu
     return flows
 
 
+def load_units(instance: Instance) -> tuple[int, list[int], list[int]]:
+    """The one integer load scale: (scale, units, caps), scale the lcm of the
+    bandwidth denominators, units and caps the demands' bandwidths in 1/scale
+    units and the links' floor(capacity * scale), in instance order.  A load
+    of whole units passes a capacity exactly when it passes that floor."""
+    scale = math.lcm(*(d.bandwidth.denominator for d in instance.demands))
+    units = [d.bandwidth.numerator * scale // d.bandwidth.denominator for d in instance.demands]
+    caps = [l.capacity.numerator * scale // l.capacity.denominator for l in instance.links]
+    return scale, units, caps
+
+
+def _link_units(
+    instance: Instance, forest: RoutingForest
+) -> tuple[int, dict[tuple[str, str], int], list[int]]:
+    """`load_units` with the units summed per link the demands' paths use, in
+    one pass: (scale, loads, caps).  Paths keyed to no demand are not read."""
+    scale, units, caps = load_units(instance)
+    loads: dict[tuple[str, str], int] = {}
+    for demand, unit in zip(instance.demands, units):
+        path = forest.paths.get((demand.origin, demand.destination), ())
+        for pair in zip(path, path[1:]):
+            loads[pair] = loads.get(pair, 0) + unit
+    return scale, loads, caps
+
+
 def evaluate_objective(instance: Instance, forest: RoutingForest) -> Fraction:
-    """Total carried load: the sum of all per-origin link flows."""
-    return sum(link_loads(instance, forest).values(), Fraction(0))
+    """Total carried load: Fraction(sum of the link loads' units, scale)."""
+    scale, loads, _caps = _link_units(instance, forest)
+    return Fraction(sum(loads.values()), scale)
 
 
 class CapacityViolation(NamedTuple):
@@ -595,23 +621,20 @@ class CapacityViolation(NamedTuple):
 
 
 def link_loads(instance: Instance, forest: RoutingForest) -> dict[tuple[str, str], Fraction]:
-    """Per link, the summed flows of all origins."""
-    loads: dict[tuple[str, str], Fraction] = {}
-    for tree in origin_flows(instance, forest).values():
-        for pair, flow in tree.items():
-            loads[pair] = loads.get(pair, Fraction(0)) + flow
-    return loads
+    """Per link on the demands' paths, the summed bandwidth of its demands."""
+    scale, loads, _caps = _link_units(instance, forest)
+    return {pair: Fraction(units, scale) for pair, units in loads.items()}
 
 
 def check_capacity(instance: Instance, forest: RoutingForest) -> list[CapacityViolation]:
-    """Every link whose carried load strictly exceeds its capacity."""
-    loads = link_loads(instance, forest)
-    out = []
-    for link in instance.links:
-        load = loads.get((link.tail, link.head), Fraction(0))
-        if load > link.capacity:
-            out.append(CapacityViolation((link.tail, link.head), load, link.capacity))
-    return out
+    """Every link whose carried load strictly exceeds its capacity, decided
+    in integers: the load's units against floor(capacity * scale)."""
+    scale, loads, caps = _link_units(instance, forest)
+    return [
+        CapacityViolation(pair, Fraction(loads[pair], scale), link.capacity)
+        for pair, link, cap in zip(instance.link_pairs(), instance.links, caps)
+        if loads.get(pair, 0) > cap
+    ]
 
 
 def max_utilization(instance: Instance, forest: RoutingForest) -> Fraction:

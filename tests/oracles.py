@@ -10,6 +10,11 @@ Shortest paths, from one `spf.dijkstra_units` pass each:
 `count_shortest_paths` one demand's path count capped at 2.
 `save_weights` writes the weights file `spf.load_weights` reads.
 
+Judging in `Fraction`s: `fraction_link_loads`, `fraction_check_capacity`,
+`fraction_evaluate_objective` and `fraction_on_grid` are the bodies that
+`spf.link_loads`, `spf.check_capacity`, `spf.evaluate_objective` and
+`rational.on_grid` had before they judged in integers, kept as references.
+
 Models: `linearization_check` resolves each binary pattern of the
 path-length pair to its logic case, and `parse_lp` reads `export_lp`'s
 text back into a `LinearModel`, so an export round-trips.
@@ -35,8 +40,8 @@ from uspr.models import (
 )
 from uspr.rational import parse_number, write_json
 from uspr.spf import (
-    CompiledGraph, RoutingForest, WeightVector, _check_weights, dijkstra_units, scale_weights,
-    weight_records,
+    CapacityViolation, CompiledGraph, RoutingForest, WeightVector, _check_weights, dijkstra_units,
+    scale_weights, weight_records,
 )
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
@@ -101,6 +106,42 @@ def save_weights(weights: WeightVector) -> str:
     bare array of `weight_records`, the records a solution file's "weights"
     member holds too."""
     return write_json(weight_records(weights))
+
+
+# ---------------------------------------------------------------------------
+# Judging in `Fraction`s: loads summed over `spf.origin_flows`, and grid
+# membership by subtracting and dividing.
+
+
+def fraction_link_loads(instance: Instance, forest: RoutingForest) -> dict[tuple[str, str], Fraction]:
+    """Per link, the summed flows of all origins."""
+    loads: dict[tuple[str, str], Fraction] = {}
+    for tree in spf.origin_flows(instance, forest).values():
+        for pair, flow in tree.items():
+            loads[pair] = loads.get(pair, Fraction(0)) + flow
+    return loads
+
+
+def fraction_check_capacity(instance: Instance, forest: RoutingForest) -> list[CapacityViolation]:
+    """Every link whose carried load strictly exceeds its capacity."""
+    loads = fraction_link_loads(instance, forest)
+    out = []
+    for link in instance.links:
+        load = loads.get((link.tail, link.head), Fraction(0))
+        if load > link.capacity:
+            out.append(CapacityViolation((link.tail, link.head), load, link.capacity))
+    return out
+
+
+def fraction_evaluate_objective(instance: Instance, forest: RoutingForest) -> Fraction:
+    """Total carried load: the sum of all per-origin link flows."""
+    return sum(fraction_link_loads(instance, forest).values(), Fraction(0))
+
+
+def fraction_on_grid(value: Fraction, w_min: Fraction, w_max: Fraction, step: Fraction) -> bool:
+    if value < w_min or value > w_max:
+        return False
+    return ((value - w_min) / step).denominator == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ Each relation holds by the problem's definition:
 shapes of at most 6 nodes.  A renaming changes the link order, and with it
 the weights brute force picks, so only status and objective are compared.
 
-Two monotone relations, checked with `benders_solve` on every shape, never
-raise the objective and never turn an `Optimal` instance `Infeasible`:
+Two monotone relations never raise the objective and never turn an
+`Optimal` instance `Infeasible`:
 - raising every capacity by 5/4 (every forest that fits the old
   capacities fits the new ones, at the same total load);
 - halving the resolution (the new grid contains the old one, so every
   weight vector, and with it every routing, stays available).
+They are checked with `benders_solve` on every shape, and with
+`brute_force_solve` on the shapes of at most 6 nodes and on two 6-link
+shapes.  Brute force checks the halved grid only where it fits under
+`spf.GRID_LIMIT`: on the 6-link shapes, 7^6 and 5^6 vectors, and on none
+of the others, whose halved grids hold 7^8, 5^9 and 3^12.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from fractions import Fraction
 
 import pytest
 
+from uspr import spf
 from uspr.instance import Demand, Instance, Link, generate_random_instance, validate_instance
+from uspr.rational import grid_size
 from uspr.solver import benders_solve, brute_force_solve
 
 SEEDS = range(10)
@@ -38,6 +45,11 @@ SHAPES = {
     "(6,1.5,5,w_max=3)": ((6, 1.5, 5), dict(w_max=3)),
     "(6,2,6) coarse": ((6, 2, 6), COARSE),
     "(7,2.5,6) coarse": ((7, 2.5, 6), COARSE),
+}
+# Shapes small enough for brute force on the halved grid.
+SMALL_SHAPES = {
+    "(4,1.5,3,w_max=4)": ((4, 1.5, 3), dict(w_max=4)),
+    "(5,1.2,4,w_max=3)": ((5, 1.2, 4), dict(w_max=3)),
 }
 BANDWIDTH_SCALE = Fraction(3, 2)
 GRID_SCALE = 3
@@ -119,18 +131,27 @@ def mismatches(solve, args, kwargs) -> list[str]:
     return out
 
 
-def monotonicity_violations(args, kwargs) -> list[str]:
+def fits_grid_limit(instance: Instance) -> bool:
+    points = grid_size(instance.w_min, instance.w_max, instance.weight_resolution)
+    return points ** len(instance.links) <= spf.GRID_LIMIT
+
+
+def monotonicity_violations(solve, args, kwargs) -> list[str]:
     """Every seed of the shape where a relaxed instance's answer is worse than
-    its base's: `Optimal` at a higher objective, or no longer `Optimal`."""
+    its base's: `Optimal` at a higher objective, or no longer `Optimal`.
+    Brute force is given only the relaxed instances whose grid it can
+    enumerate."""
     out = []
     for seed in SEEDS:
         instance = generate_random_instance(*args, **kwargs, seed=seed)
-        base = benders_solve(instance)
+        base = solve(instance)
         if base.status != "Optimal":
             continue
         for relation, relaxed in (("capacity x5/4", raised_capacity(instance)),
                                   ("resolution /2", finer_grid(instance))):
-            result = benders_solve(relaxed)
+            if solve is brute_force_solve and not fits_grid_limit(relaxed):
+                continue
+            result = solve(relaxed)
             if result.status != "Optimal" or result.objective > base.objective:
                 out.append(f"{args}{kwargs}s{seed} {relation}: base {base.objective}, "
                            f"got {(result.status, result.objective)}")
@@ -152,7 +173,22 @@ def test_brute_force_answers_follow_every_relation(shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_relaxing_capacities_or_the_grid_never_worsens_the_answer(shape):
     args, kwargs = SHAPES[shape]
-    assert monotonicity_violations(args, kwargs) == []
+    assert monotonicity_violations(benders_solve, args, kwargs) == []
+
+
+@pytest.mark.parametrize(
+    "shape", [s for s, (args, _) in SHAPES.items() if args[0] <= 6] + list(SMALL_SHAPES)
+)
+def test_relaxing_capacities_or_the_grid_never_worsens_the_brute_force_answer(shape):
+    args, kwargs = {**SHAPES, **SMALL_SHAPES}[shape]
+    assert monotonicity_violations(brute_force_solve, args, kwargs) == []
+
+
+def test_brute_force_checks_the_halved_grid_on_the_small_shapes_only():
+    for shapes, fits in ((SHAPES, False), (SMALL_SHAPES, True)):
+        for args, kwargs in shapes.values():
+            instance = finer_grid(generate_random_instance(*args, **kwargs, seed=0))
+            assert fits_grid_limit(instance) is fits
 
 
 def test_the_relations_change_what_they_claim():

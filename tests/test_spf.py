@@ -16,7 +16,8 @@ import oracles
 from oracles import DemandRouting, UnreachablePathError, subpath_optimality_check
 from uspr import spf
 from uspr.instance import generate_random_instance
-from uspr.rational import grid_points, grid_size
+from uspr.rational import grid_points, grid_size, on_grid
+from uspr.solver import master_search
 from uspr.spf import (
     NonUniqueRoutingError,
     RoutingForest,
@@ -344,6 +345,81 @@ def test_max_utilization_zero_capacity_loaded_errors():
     with pytest.raises(ZeroCapacityError) as refused:
         spf.max_utilization(inst, forest)
     assert str(refused.value) == "link ('s', 'a') carries load 1 but has zero capacity"
+
+
+def fractional_instance(seed: int):
+    """A seeded instance with bandwidths a third of the generated ones and
+    capacities 4/7 of them, so denominators dividing 300 and 700: tight
+    enough that some forests of the grid overload a link and some do not."""
+    inst = generate_random_instance(
+        5, 1.6, 4, capacity_range=(2, 5), demand_range=(1, 4), w_max=3, seed=seed
+    )
+    return inst._replace(
+        links=tuple(l._replace(capacity=l.capacity * Fraction(4, 7)) for l in inst.links),
+        demands=tuple(d._replace(bandwidth=d.bandwidth / 3) for d in inst.demands),
+    )
+
+
+def assert_judged_as_the_fraction_reference(inst, forest):
+    assert spf.link_loads(inst, forest) == oracles.fraction_link_loads(inst, forest)
+    assert spf.check_capacity(inst, forest) == oracles.fraction_check_capacity(inst, forest)
+    assert spf.evaluate_objective(inst, forest) == oracles.fraction_evaluate_objective(inst, forest)
+
+
+def test_integer_judging_equals_the_fraction_reference():
+    violated = within = 0
+    for seed in range(8):
+        inst = fractional_instance(seed)
+        assert any(d.bandwidth.denominator % 3 == 0 for d in inst.demands)
+        assert any(l.capacity.denominator % 7 == 0 for l in inst.links)
+        forests = [f for _w, f in spf.unique_grid_routings(inst, spf.GRID_LIMIT)]
+        forests += itertools.islice(master_search(inst), 20)
+        for forest in forests:
+            assert_judged_as_the_fraction_reference(inst, forest)
+            if spf.check_capacity(inst, forest):
+                violated += 1
+            else:
+                within += 1
+    assert violated and within
+
+
+@pytest.mark.parametrize("capacity, violated", [
+    (Fraction(1, 2), False),  # the load exactly: 3 units of 1/6
+    (Fraction(1, 3), True),  # the load is one unit above it
+    (Fraction(7, 12), False),  # off the scale: floor(7/12 * 6) = 3 units
+    (Fraction(5, 12), True),  # off the scale: floor(5/12 * 6) = 2 units
+])
+def test_integer_capacity_check_at_the_load_and_one_unit_off(capacity, violated):
+    # Bandwidths 1/3 and 1/6 share s->a: a load of 1/2, 3 units on the scale 6.
+    inst = mk_instance(
+        ["s", "a", "t"], [("s", "a", capacity), ("a", "t", 10)],
+        [("s", "a", Fraction(1, 3)), ("s", "t", Fraction(1, 6))],
+    )
+    forest = spf.routing_from_weights(inst, uniform_weights(inst))
+    assert spf.link_loads(inst, forest) == {("s", "a"): Fraction(1, 2), ("a", "t"): Fraction(1, 6)}
+    assert spf.evaluate_objective(inst, forest) == Fraction(2, 3)
+    expected = [spf.CapacityViolation(("s", "a"), Fraction(1, 2), capacity)] if violated else []
+    assert spf.check_capacity(inst, forest) == expected
+    assert_judged_as_the_fraction_reference(inst, forest)
+
+
+def test_integer_grid_check_equals_the_fraction_reference():
+    grid = (Fraction(1, 2), Fraction(7, 2), Fraction(1, 3))  # w_min, w_max, step
+    cases = {
+        Fraction(1, 2): True,  # w_min
+        Fraction(7, 2): True,  # w_max, the tenth point
+        Fraction(5, 6): True,
+        Fraction(5, 6) + Fraction(1, 12): False,  # just off the grid
+        Fraction(1, 6): False,  # a lattice point below w_min
+        Fraction(23, 6): False,  # a lattice point above w_max
+    }
+    for value, expected in cases.items():
+        assert on_grid(value, *grid) is expected
+        assert oracles.fraction_on_grid(value, *grid) is expected
+    sweep = [Fraction(k, 12) for k in range(-12, 61)] + list(range(-1, 5))
+    for value in sweep:
+        assert on_grid(value, *grid) == oracles.fraction_on_grid(value, *grid)
+    assert sum(on_grid(value, *grid) for value in sweep) == grid_size(*grid) == 10
 
 
 def test_lengths_and_counts_refuse_an_unknown_node():
