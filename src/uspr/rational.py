@@ -1,8 +1,9 @@
 """Exact rational helpers shared across the toolkit.
 
 Every quantity that enters a feasibility decision (weights, path lengths,
-capacities, bandwidths, model coefficients) is a `fractions.Fraction`, so
-strict inequalities are decided exactly instead of at a float tolerance.
+capacities, bandwidths, model coefficients) is a `fractions.Fraction`, or
+is decided on integer ratios of one, so strict inequalities are decided
+exactly instead of at a float tolerance.
 `parse_number` is the one reader of numbers: every number read from an
 instance, weights or LP file, or from a command-line flag, passes through
 it.  The JSON files (instances, weights, solutions) are written and read
