@@ -22,9 +22,10 @@ must not be blurred by floating error.  Feasible results are read off as
 one `Fraction` per variable, made from the integers of its lower bound and
 its row, and verified by direct substitution, in integers over one common
 denominator, before they are returned.  An upper bound is one more `<=` row
-of the one row encoder, and `solve_feasibility` is the one input check:
-each tableau below it encodes a checked system once, and a deletion trial
-selects rows of that encoding.
+of the one row encoder.  `solve_feasibility` is the one input check, and
+solving never changes a tableau: a core selects rows of the tableau that
+found it, a branch node is its parent's tableau with one bound changed, and
+a recovery encodes its system once more only when its root's snap misses.
 
 Weight recovery (`recover_weights`) is one exact routine: solve the
 path-length system, snap its weights to the grid, and when the snap misses
@@ -47,6 +48,7 @@ re-solved once exactly.  `row_bindings` turns it into a no-good cut.
 
 from __future__ import annotations
 
+import itertools
 import math
 from copy import copy
 from fractions import Fraction
@@ -118,9 +120,14 @@ class _Simplex:
     len(basis) rows are the constraints.  Phase 1's objective, the sum of the
     artificial columns, is the only objective: when phase 1 starts it becomes
     one more row of reduced costs, with minus the objective's value as its
-    rhs and its denominator in a column of its own, `ncols`.  It checks
-    nothing: `solve_feasibility` and `recover_weights` say why each system
-    encoded here is well formed, and `select` takes rows of such an encoding.
+    rhs and its denominator in a column of its own, `ncols`.
+
+    A `_Simplex` is an unsolved encoding: `solve` pivots a private copy of
+    its rows and basis, so a deletion trial (`select`) and a branch node
+    (`tightened`) share its row dicts.  Column numbers never move, and
+    Bland's rule reads only their order, so each pivots as a fresh tableau.
+    It checks nothing: `solve_feasibility` and `recover_weights` say why
+    each system encoded or derived here is well formed.
     """
 
     def __init__(self, system: LinearSystem):
@@ -128,76 +135,97 @@ class _Simplex:
         self.pivots = 0
 
         # Column encoding: every variable has a finite lower bound and is
-        # x = lb + u, with one column u >= 0, or no column when lb == ub.  An
-        # upper bound is one more row x <= ub, never named in a core.  Its
-        # rhs ub - lb is positive, as lb < ub, so its slack is basic.
-        self.var_cols: list[int | None] = []
-        self.bound_rows: dict[int, int] = {}  # variable index -> its bound row
-        rows = list(system.rows)
-        n_struct = 0
-        for i, v in enumerate(system.variables):
-            col = None
-            if v.lb != v.ub:
-                col, n_struct = n_struct, n_struct + 1
-                if v.ub is not None:
-                    self.bound_rows[i] = len(rows)
-                    rows.append(Constraint(v.name, ((v.name, Fraction(1)),), "<=", v.ub))
-            self.var_cols.append(col)
-        self.n_struct = n_struct
+        # x = lb + u, with one column u >= 0, numbered compactly, or none when
+        # lb == ub.  An upper bound is one more row x <= ub after the system's
+        # rows, never named in a core, whose slack is basic as ub > lb.  Row
+        # r's slack is column n_struct + r, column c's bound row's slack
+        # n_struct + m + c, and row r's artificial artificial_start + r.
+        variables, m = system.variables, len(system.rows)
+        self.var_index = {v.name: i for i, v in enumerate(variables)}
+        self.lb_ratio = [v.lb.as_integer_ratio() for v in variables]
+        cols = itertools.count()
+        self.var_cols = [None if v.lb == v.ub else next(cols) for v in variables]
+        self.n_struct = n_struct = next(cols)
+        self.artificial_start, self.ncols = 2 * n_struct + m, 2 * n_struct + 2 * m
+        self.rows, self.basis, self.bound_rows = [None] * m, [None] * m, {}  # variable -> row
+        for r, row in enumerate(system.rows):
+            self._encode(r, row, n_struct + r, self.artificial_start + r)
+        for i, v in enumerate(variables):
+            if self.var_cols[i] is not None and v.ub is not None:
+                self._bound(i)
 
-        # Sparse rows {column: nonzero numerator, RHS: rhs numerator},
-        # flipped to rhs >= 0.  Each inequality gets a slack column, numbered
-        # in row order after the structural ones; a row whose slack is not +1
-        # after the flip gets an artificial column, numbered after every
-        # slack.  The initial basis is slack or artificial.  Each row is
-        # scaled by the lcm of its denominators, those of the products
-        # coef * lb folded into its rhs included.
-        self.rows: list[dict[int, int]] = []
-        self.basis: list[int] = []
-        slack = n_struct
-        self.artificial_start = self.ncols = n_struct + sum(row.sense != "=" for row in rows)
-        var_index = self.var_index = {v.name: i for i, v in enumerate(system.variables)}
-        lb_ratio = [v.lb.as_integer_ratio() for v in system.variables]
-        for row in rows:
-            terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
-            rhs_num, rhs_den = row.rhs.as_integer_ratio()
-            den = rhs_den
-            for vi, (_, cd) in terms:
-                d = cd * lb_ratio[vi][1]
-                if d != 1:
-                    den = math.lcm(den, d)
-            rhs = rhs_num * (den // rhs_den)
-            coeffs: dict[int, int] = {}
-            for vi, (cn, cd) in terms:
-                a = cn * (den // cd)
-                bn, bd = lb_ratio[vi]
-                if bn:
-                    rhs -= a * bn // bd
-                c = self.var_cols[vi]
-                if c is not None:
-                    coeffs[c] = coeffs.get(c, 0) + a
-            if 0 in coeffs.values():
-                coeffs = {c: a for c, a in coeffs.items() if a != 0}
-            basic = None
-            if row.sense != "=":
-                basic, slack = slack, slack + 1
-                coeffs[basic] = den if row.sense == "<=" else -den
-            if rhs:
-                coeffs[RHS] = rhs
-            if rhs < 0:
-                coeffs = {c: -a for c, a in coeffs.items()}
-            if basic is None or coeffs[basic] != den:
-                basic, self.ncols = self.ncols, self.ncols + 1
-                coeffs[basic] = den
-            self.rows.append(coeffs)
-            self.basis.append(basic)
-        self.initial_basis = list(self.basis)
+    def _encode(self, at: int, row: Constraint, slack: int, artificial: int | None) -> None:
+        """The one row encoder: `row` becomes row `at`, scaled by the lcm of
+        its denominators, coef * lb's in the rhs included, and flipped to rhs
+        >= 0.  Its slack is basic if it is +1 then, else its artificial is."""
+        var_index, lb_ratio, var_cols = self.var_index, self.lb_ratio, self.var_cols
+        terms = [(var_index[name], coef.as_integer_ratio()) for name, coef in row.terms]
+        rhs_num, rhs_den = row.rhs.as_integer_ratio()
+        den = rhs_den
+        for vi, (_, cd) in terms:
+            d = cd * lb_ratio[vi][1]
+            if d != 1:
+                den = math.lcm(den, d)
+        rhs = rhs_num * (den // rhs_den)
+        coeffs: dict[int, int] = {}
+        for vi, (cn, cd) in terms:
+            a = cn * (den // cd)
+            bn, bd = lb_ratio[vi]
+            if bn:
+                rhs -= a * bn // bd
+            c = var_cols[vi]
+            if c is not None:
+                coeffs[c] = coeffs.get(c, 0) + a
+        if 0 in coeffs.values():
+            coeffs = {c: a for c, a in coeffs.items() if a != 0}
+        basic = None
+        if row.sense != "=":
+            basic = slack
+            coeffs[basic] = den if row.sense == "<=" else -den
+        if rhs:
+            coeffs[RHS] = rhs
+        if rhs < 0:
+            coeffs = {c: -a for c, a in coeffs.items()}
+        if basic is None or coeffs[basic] != den:
+            basic = artificial
+            coeffs[basic] = den
+        self.rows[at], self.basis[at] = coeffs, basic
+
+    def _bound(self, i: int) -> None:
+        """Encode variable i's bound row in its place, or last if it has none."""
+        v, at = self.system.variables[i], self.bound_rows.setdefault(i, len(self.rows))
+        if at == len(self.rows):
+            self.rows.append(None)
+            self.basis.append(None)
+        slack = self.n_struct + len(self.system.rows) + self.var_cols[i]
+        self._encode(at, Constraint(v.name, ((v.name, Fraction(1)),), "<=", v.ub), slack, None)
+
+    def tightened(self, i: int, lb: Fraction, ub: Fraction | None) -> _Simplex:
+        """This encoding with variable i's bounds tightened to [lb, ub]: the
+        rows that hold its column, and its bound row, are encoded again, the
+        rest shared.  At lb == ub it loses both, as in a fresh encoding."""
+        node, col, (variables, rows) = copy(self), self.var_cols[i], self.system
+        node.system = LinearSystem(
+            variables[:i] + (variables[i]._replace(lb=lb, ub=ub),) + variables[i + 1:], rows)
+        node.lb_ratio = self.lb_ratio[:i] + [lb.as_integer_ratio()] + self.lb_ratio[i + 1:]
+        node.rows, node.basis, node.bound_rows = self.rows[:], self.basis[:], dict(self.bound_rows)
+        if lb == ub:
+            node.var_cols = self.var_cols[:i] + [None] + self.var_cols[i + 1:]
+            b = node.bound_rows.pop(i, None)
+            if b is not None:
+                del node.rows[b], node.basis[b]
+                node.bound_rows = {j: k - (k > b) for j, k in node.bound_rows.items()}
+        elif ub is not None:
+            node._bound(i)
+        for r, row in enumerate(rows):
+            if col in self.rows[r]:
+                node._encode(r, row, self.n_struct + r, self.artificial_start + r)
+        return node
 
     def select(self, keep: list[int]) -> _Simplex:
         """Phase 1 on the system rows `keep`, in order, and the variables they
-        mention: copies of this unsolved tableau's rows for them and for those
-        variables' bound rows, with its column numbers.  Bland's rule reads
-        only the columns' order, so each pivot is a fresh `_Simplex`'s."""
+        mention: this encoding's rows for them and for those variables' bound
+        rows, shared, with its column numbers, so it solves as a fresh one."""
         variables, rows = self.system
         mentioned = sorted({self.var_index[name] for r in keep for name, _ in rows[r].terms})
         picked = keep + [self.bound_rows[i] for i in mentioned if i in self.bound_rows]
@@ -205,9 +233,8 @@ class _Simplex:
         trial.system = LinearSystem(tuple(map(variables.__getitem__, mentioned)),
                                     tuple(map(rows.__getitem__, keep)))
         trial.var_cols = list(map(self.var_cols.__getitem__, mentioned))
-        trial.rows = [dict(self.rows[r]) for r in picked]
+        trial.rows = list(map(self.rows.__getitem__, picked))
         trial.basis = list(map(self.basis.__getitem__, picked))
-        trial.initial_basis = list(trial.basis)
         return trial
 
     def _pivot(self, r: int, c: int, holding: list[int]) -> None:
@@ -308,37 +335,40 @@ class _Simplex:
                 raise RuntimeError("internal: phase 1 is unbounded")
             self._pivot(leave, enter, holding)
 
-    def _farkas_support(self) -> tuple[str, ...]:
-        """The system rows used by the dual ray of an infeasible phase 1.
+    def _farkas_support(self, objective: dict[int, int]) -> tuple[str, ...]:
+        """The system rows used by the dual ray of this tableau's infeasible
+        phase 1, whose objective row ended as `objective`.
 
-        Each row's initial basic column is a unit column, so the ray's entry
+        Each row's basic column here is a unit column, so the ray's entry
         for the row is that column's cost minus its reduced cost: 1 minus the
         objective row's entry for an artificial, minus it for a slack.
         """
-        objective = self.rows[-1]
         zden, start = objective[self.ncols], self.artificial_start
         return tuple(
             row.name
-            for row, col in zip(self.system.rows, self.initial_basis)
+            for row, col in zip(self.system.rows, self.basis)
             if objective.get(col, 0) != (zden if col >= start else 0)
         )
 
     def solve(self) -> Feasible | Infeasible:
         """Infeasible results carry the unverified Farkas support.
 
-        Phase 1's objective is positive, and the objective row holds an rhs,
-        exactly when an artificial column is basic with a positive rhs.  A
-        feasible phase 1 may leave artificials basic at 0; they carry no
-        structural value, so the assignment is read off as it stands: x = lb
-        + b/den, with u basic in a row of rhs b over den, is the one
-        `Fraction` (num(lb)*den + b*den(lb)) / (den(lb)*den).
+        Phase 1 pivots a copy.  Its objective is positive, and the objective
+        row holds an rhs, exactly when an artificial column is basic with a
+        positive rhs.  A feasible phase 1 may leave artificials basic at 0;
+        they carry no structural value, so the assignment is read off as it
+        stands: x = lb + b/den, with u basic in a row of rhs b over den, is
+        the one `Fraction` (num(lb)*den + b*den(lb)) / (den(lb)*den).
         """
+        tableau = self
         if max(self.basis, default=-1) >= self.artificial_start:
-            self._minimize()
-            if RHS in self.rows[-1]:
-                return Infeasible(self._farkas_support(), self.pivots)
+            tableau = copy(self)
+            tableau.rows, tableau.basis = list(map(dict, self.rows)), list(self.basis)
+            tableau._minimize()
+            if RHS in tableau.rows[-1]:
+                return Infeasible(self._farkas_support(tableau.rows[-1]), tableau.pivots)
 
-        basic = {col: row for row, col in zip(self.rows, self.basis) if col < self.n_struct}
+        basic = {col: row for row, col in zip(tableau.rows, tableau.basis) if col < self.n_struct}
         assignment = {}
         for v, c in zip(self.system.variables, self.var_cols):
             row = basic.get(c)
@@ -349,7 +379,7 @@ class _Simplex:
                 assignment[v.name] = Fraction(lb_num * den + row.get(RHS, 0) * lb_den,
                                               lb_den * den)
         _verify_assignment(self.system, assignment)
-        return Feasible(assignment, self.pivots)
+        return Feasible(assignment, tableau.pivots)
 
 
 def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) -> None:
@@ -381,28 +411,28 @@ def _verify_assignment(system: LinearSystem, assignment: dict[str, Fraction]) ->
             )
 
 
-def _irreducible_core(system: LinearSystem, phase1: Infeasible) -> Infeasible:
-    """Shrink phase 1's Farkas support to an irreducible core, verified exactly.
+def _irreducible_core(tableau: _Simplex, phase1: Infeasible) -> Infeasible:
+    """Shrink `tableau`'s phase-1 Farkas support to an irreducible core, verified exactly.
 
-    One deletion pass tries each row, as a row selection of the system's one
-    encoding; when the rest is infeasible, the pass continues from that
-    trial's own Farkas support.  The kept set only shrinks, and a subset of a
-    feasible system is feasible, so a row kept because the set without it was
+    One deletion pass tries each row, as a row selection of that tableau;
+    when the rest is infeasible, the pass continues from that trial's own
+    Farkas support.  The kept set only shrinks, and a subset of a feasible
+    system is feasible, so a row kept because the set without it was
     feasible stays needed.  The final core is one more selection, re-solved
     exactly.  `pivots` counts the pivots of the pass alone.
     """
-    template, rows, pivots = _Simplex(system), system.rows, 0
+    rows, pivots = tableau.system.rows, 0
     names = set(phase1.conflict_core)
     kept = [r for r, row in enumerate(rows) if row.name in names]
     for r in list(kept):
         if rows[r].name in names:
             i = kept.index(r)
-            trial = template.select(kept[:i] + kept[i + 1:]).solve()
+            trial = tableau.select(kept[:i] + kept[i + 1:]).solve()
             pivots += trial.pivots
             if not trial.feasible:
                 names = set(trial.conflict_core)
                 kept = [k for k in kept if rows[k].name in names]
-    final = template.select(kept).solve()
+    final = tableau.select(kept).solve()
     if final.feasible:
         raise RuntimeError(
             f"internal: core {names} of Farkas support {phase1.conflict_core} is feasible"
@@ -415,17 +445,18 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     Infeasible ones carry a verified irreducible core.  `pivots` counts
     every simplex pivot, those of the core's deletion pass included.  This
     is the simplex's one input check: it raises `ValueError` on an ill-formed
-    system.  A deletion trial is a row selection of the checked system's one
-    encoding, so it is well formed too and encodes no row again."""
+    system.  It encodes the checked system once; the core's deletion trials
+    are row selections of that encoding, so they are well formed too."""
     problems = table_violations(system.variables, system.rows, ())
     problems += [f"variable {v.name}: must be continuous"
                  for v in system.variables if v.kind != "continuous"]
     if problems:
         raise ValueError("ill-formed system: " + "; ".join(problems))
-    result = _Simplex(system).solve()
+    tableau = _Simplex(system)
+    result = tableau.solve()
     if result.feasible:
         return result
-    core = _irreducible_core(system, result)
+    core = _irreducible_core(tableau, result)
     return Infeasible(core.conflict_core, result.pivots + core.pivots)
 
 
@@ -571,10 +602,11 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     depend on no routing binary: each leaf is infeasible on its core's rows
     alone, so every forest sharing the union of the leaves' `row_bindings`
     fails the same tree, and the union is a sound no-good cut.  The root is
-    solved by `solve_feasibility`, which checks the system and gives the
-    core an infeasible root needs; branch nodes run the simplex alone,
-    unchecked, and only a search that fails shrinks its leaves' Farkas
-    supports to irreducible cores.
+    decided by `solve_feasibility`, which checks the system and gives an
+    infeasible root its core.  A missed snap encodes the system once more,
+    and each branch node is its parent's tableau with one weight's bounds
+    tightened, unchecked.  Only a failed search shrinks its leaves' Farkas
+    supports to irreducible cores, each selecting rows of its leaf's tableau.
 
     Every bound is a grid point: the root's are w_min and w_max, the
     presolve fixes a weight at w_max, and a branch bound is floor(n_e) or
@@ -594,22 +626,21 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
     weights = system.variables[: len(instance.links)]
     pairs, grid = instance.link_pairs(), {}  # grid: each snapped position's weight
     lp_solves = pivots = 0
-    leaves: list[tuple[LinearSystem, Infeasible]] = []
+    leaves: list[tuple[_Simplex, Infeasible]] = []
 
     def outcome(status, weights=None, stage=None, bindings=frozenset()) -> WeightRecovery:
         return WeightRecovery(status, weights, stage, bindings, lp_solves, pivots)
 
-    stack = [system.variables]
+    stack: list[_Simplex | None] = [None]  # None: the root
     while stack:
         if lp_solves > MAX_BRANCH_NODES:
             return outcome("branch_limit")
-        variables = stack.pop()
-        node = LinearSystem(variables, system.rows)
-        result = solve_feasibility(node) if lp_solves == 0 else _Simplex(node).solve()
+        node = stack.pop()
+        result = solve_feasibility(system) if node is None else node.solve()
         lp_solves += 1
         pivots += result.pivots
         if not result.feasible:
-            if lp_solves == 1:
+            if node is None:
                 return outcome("lp_infeasible", bindings=row_bindings(meta, result.conflict_core))
             leaves.append((node, result))
             continue
@@ -618,14 +649,14 @@ def recover_weights(instance: Instance, forest: RoutingForest) -> WeightRecovery
         grid.update((k, w_min + res * k) for k in set(snap) - grid.keys())
         snapped = WeightVector(dict(zip(pairs, map(grid.__getitem__, snap))))
         if _matches_forest(instance, snapped, forest):
-            return outcome("ok", snapped, "direct" if lp_solves == 1 else "branch")
+            return outcome("ok", snapped, "direct" if node is None else "branch")
         k = next((k for k, n in enumerate(positions) if n.denominator != 1), None)
         if k is None:
             raise RuntimeError("internal: on-grid LP weights do not realize the forest")
-        up = variables[k]._replace(lb=w_min + res * math.ceil(positions[k]))
-        down = variables[k]._replace(ub=w_min + res * math.floor(positions[k]))
-        stack.append(variables[:k] + (up,) + variables[k + 1 :])
-        stack.append(variables[:k] + (down,) + variables[k + 1 :])
+        node = node or _Simplex(system)
+        v = node.system.variables[k]
+        stack.append(node.tightened(k, w_min + res * math.ceil(positions[k]), v.ub))
+        stack.append(node.tightened(k, v.lb, w_min + res * math.floor(positions[k])))
     # Only a failed search uses its leaves' cores: their union is the cut.
     bindings: frozenset[Binding] = frozenset()
     for node, farkas in leaves:

@@ -17,9 +17,8 @@ counts are validated against a second pass over the tight-link DAG
 A routing forest is its demands' paths and nothing else.  An origin uses a
 link when one of its demands' paths does, and its flow there is the summed
 bandwidth of those demands (`origin_flows`).  Link loads are summed in
-integers, on the master's scale (`load_units`).  This module is the one
-place that judges a forest: `forest_violations` checks its paths, and
-`check_capacity` and `evaluate_objective` evaluate it.
+integers, on the master's scale (`load_units`).  `check_capacity` and
+`evaluate_objective` judge a forest.
 
 The weight-grid enumeration (`unique_grid_routings`) is factored by origin.
 Each demand's candidate paths, its simple paths short enough to be
@@ -41,7 +40,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -681,39 +679,6 @@ def inv_cap_weights(instance: Instance) -> WeightVector:
             raw, instance.w_min, instance.w_max, instance.weight_resolution
         )
     return WeightVector(values)
-
-
-def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
-    """Check a forest's paths; an empty list means valid.
-
-    Two steps.  Each demand has one path, a simple path of instance links
-    from its origin to its destination, and no path is keyed to a
-    non-demand.  Then no origin's tree, the union of its demands' paths,
-    enters a node on two links.  Flow conservation, flows in (0, d_s], an
-    unentered root and one entering link per destination all follow.  Path
-    problems end the check.  Messages come in demand order.
-    """
-    wanted = {(d.origin, d.destination) for d in instance.demands}
-    out = [f"path {key}: no such demand" for key in forest.paths if key not in wanted]
-    pairs = set(instance.link_pairs())
-    for demand in instance.demands:
-        key = (demand.origin, demand.destination)
-        path = forest.paths.get(key)
-        if path is None:
-            out.append(f"path {key}: missing")
-        elif len(path) < 2 or path[0] != demand.origin or path[-1] != demand.destination:
-            out.append(f"path {key}: endpoints do not match the demand")
-        elif len(set(path)) != len(path):
-            out.append(f"path {key}: repeats a node")
-        elif not pairs.issuperset(zip(path, path[1:])):
-            out.append(f"path {key}: uses a link that is not an instance link")
-    if out:
-        return out
-    for origin, tree in origin_flows(instance, forest).items():
-        for node, n in Counter(j for _i, j in tree).items():
-            if n > 1:
-                out.append(f"origin {origin!r}: node {node!r} is entered on {n} links")
-    return out
 
 
 # ---------------------------------------------------------------------------

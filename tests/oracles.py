@@ -23,8 +23,8 @@ The structure mappings are the DBM<->OBM correspondence of the two
 formulations, on a `DemandRouting`, one link set per demand: loop
 stripping and path extraction by one forward walk per demand, the
 demand-to-origin mapping (a forest of the demands' paths), its inverse
-(each demand's path as its link set, from a forest `spf.forest_violations`
-accepts), and the sub-path check.
+(each demand's path as its link set, from a forest `forest_violations`
+accepts, which checks a forest's paths), and the sub-path check.
 """
 
 from __future__ import annotations
@@ -477,6 +477,39 @@ def demand_routing_violations(instance: Instance, routing: DemandRouting) -> lis
     return out
 
 
+def forest_violations(instance: Instance, forest: RoutingForest) -> list[str]:
+    """Check a forest's paths; an empty list means valid.
+
+    Two steps.  Each demand has one path, a simple path of instance links
+    from its origin to its destination, and no path is keyed to a
+    non-demand.  Then no origin's tree, the union of its demands' paths,
+    enters a node on two links.  Flow conservation, flows in (0, d_s], an
+    unentered root and one entering link per destination all follow.  Path
+    problems end the check.  Messages come in demand order.
+    """
+    wanted = {(d.origin, d.destination) for d in instance.demands}
+    out = [f"path {key}: no such demand" for key in forest.paths if key not in wanted]
+    pairs = set(instance.link_pairs())
+    for demand in instance.demands:
+        key = (demand.origin, demand.destination)
+        path = forest.paths.get(key)
+        if path is None:
+            out.append(f"path {key}: missing")
+        elif len(path) < 2 or path[0] != demand.origin or path[-1] != demand.destination:
+            out.append(f"path {key}: endpoints do not match the demand")
+        elif len(set(path)) != len(path):
+            out.append(f"path {key}: repeats a node")
+        elif not pairs.issuperset(zip(path, path[1:])):
+            out.append(f"path {key}: uses a link that is not an instance link")
+    if out:
+        return out
+    for origin, tree in spf.origin_flows(instance, forest).items():
+        for node, n in Counter(j for _i, j in tree).items():
+            if n > 1:
+                out.append(f"origin {origin!r}: node {node!r} is entered on {n} links")
+    return out
+
+
 def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingForest:
     """The forest of the demands' paths.  Requires a loop-free,
     conservation-satisfying, sub-path-optimal routing."""
@@ -486,7 +519,7 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
         v = violations[0]
         raise SubpathOptimalityError(v.origin, v.node)
     forest = RoutingForest(paths)
-    leftover = spf.forest_violations(instance, forest)
+    leftover = forest_violations(instance, forest)
     if leftover:
         raise RuntimeError(f"internal: aggregated forest invalid: {leftover}")
     return forest
@@ -494,9 +527,9 @@ def demand_to_origin(instance: Instance, routing: DemandRouting) -> RoutingFores
 
 def origin_to_demand(instance: Instance, forest: RoutingForest) -> DemandRouting:
     """Each demand's path, as its link set.  A forest that
-    `spf.forest_violations` rejects raises MalformedForestError listing the
+    `forest_violations` rejects raises MalformedForestError listing the
     violations."""
-    violations = spf.forest_violations(instance, forest)
+    violations = forest_violations(instance, forest)
     if violations:
         raise MalformedForestError("; ".join(violations))
     paths = [forest.paths[(d.origin, d.destination)] for d in instance.demands]

@@ -217,7 +217,7 @@ def test_criterion_5_unique_and_subpath_on_optimal(oracle_run):
             except (spf.NonUniqueRoutingError, spf.UnreachableDemandError):
                 continue
             routings_verified += 1
-            assert spf.forest_violations(inst, forest) == []
+            assert oracles.forest_violations(inst, forest) == []
             routing = origin_to_demand(inst, forest)
             assert subpath_optimality_check(inst, routing) == []
             for origin in inst.origins():
@@ -285,7 +285,7 @@ def test_criterion_5_mapping_round_trip_randomized():
         trials += 1
         forest = demand_to_origin(inst, routing)
         # image satisfies the origin model's structural constraints
-        assert spf.forest_violations(inst, forest) == []
+        assert oracles.forest_violations(inst, forest) == []
         back = origin_to_demand(inst, forest)
         assert back == routing
         # image satisfies the demand model's constraints (conservation,
@@ -319,7 +319,7 @@ def test_criterion_5_mapping_round_trip_exhaustive():
     for inst in cases:
         for routing in all_routings(inst, cap=100_000):
             forest = demand_to_origin(inst, routing)
-            assert spf.forest_violations(inst, forest) == []
+            assert oracles.forest_violations(inst, forest) == []
             assert spf.check_capacity(inst, forest) == []
             back = origin_to_demand(inst, forest)
             assert back == routing

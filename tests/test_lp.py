@@ -495,6 +495,62 @@ def test_row_selection_solves_as_a_fresh_tableau(monkeypatch):
     assert trials > 100
 
 
+def _assert_bound_change_is_fresh(tableau, i, lb, ub, tighten=lp._Simplex.tightened):
+    """Variable i's bound change of the tableau solves as a fresh tableau of
+    the changed system: same answer, pivots, Farkas support and assignment.
+    `tighten` defaults to the unwrapped `_Simplex.tightened`."""
+    variables = list(tableau.system.variables)
+    variables[i] = variables[i]._replace(lb=lb, ub=ub)
+    fresh = lp._Simplex(LinearSystem(tuple(variables), tableau.system.rows)).solve()
+    node = tighten(tableau, i, lb, ub)
+    solved = node.solve()
+    assert type(solved) is type(fresh) and solved == fresh
+    return node
+
+
+def test_bound_change_solves_as_a_fresh_tableau(monkeypatch):
+    # Each variable with a column gets a tighter lb, a tighter ub (its first
+    # one when it had none) and lb == ub, and the tighter lb is followed by
+    # a tighter ub on the next such variable.  Solving never changes a
+    # tableau: the root's rows and basis end as they were encoded, and a
+    # second solve gives the first one's result.
+    for seed, count, max_vars, number in (
+        (1234, 300, 4, _integer), (4321, 300, 3, _rational), (99, 150, 3, _rational),
+    ):
+        for system in _random_systems(seed, count, max_vars, number):
+            root = lp._Simplex(system)
+            rows, basis = [dict(r) for r in root.rows], list(root.basis)
+            first = root.solve()
+            columns = [i for i, c in enumerate(root.var_cols) if c is not None]
+            for k, i in enumerate(columns):
+                v = system.variables[i]
+                mid = v.lb + 2 if v.ub is None else (v.lb + v.ub) / 2
+                raised = _assert_bound_change_is_fresh(root, i, mid, v.ub)
+                _assert_bound_change_is_fresh(root, i, v.lb, mid)
+                _assert_bound_change_is_fresh(root, i, mid, mid)
+                j = columns[(k + 1) % len(columns)]
+                w = raised.system.variables[j]
+                _assert_bound_change_is_fresh(
+                    raised, j, w.lb, w.lb + 1 if w.ub is None else (w.lb + w.ub) / 2)
+            second = root.solve()
+            assert type(second) is type(first) and second == first
+            assert root.rows == rows and root.basis == basis
+
+    # Every branch node of a cut loop's recoveries.
+    tighten = lp._Simplex.tightened
+    nodes = 0
+
+    def checked(self, i, lb, ub):
+        nonlocal nodes
+        nodes += 1
+        return _assert_bound_change_is_fresh(self, i, lb, ub, tighten)
+
+    monkeypatch.setattr(lp._Simplex, "tightened", checked)
+    inst = generate_random_instance(7, 2.6, 5, w_min=2, w_max=5, weight_resolution=3, seed=24)
+    assert solver.benders_solve(inst).status == "Optimal"
+    assert nodes > 10
+
+
 def test_substitution_check_is_exact_on_a_one_third_grid_system():
     # eps = 1/3, and the weights and potentials are thirds: s->a->t (8/3)
     # beats s->b->t (3) by exactly eps, so rows with the rhs -1/3 are tight.
@@ -648,12 +704,14 @@ def test_grid_infeasible_union_cuts_sound_on_coarse_grids():
 
 def test_input_is_checked_once_per_solve(monkeypatch):
     # solve_feasibility checks its system; the tableaux built from it, branch
-    # nodes, cores' templates and their deletion-pass trials, are not checked
-    # again.  Recovery calls solve_feasibility once, at its root, so the check
-    # runs once per candidate.  A tableau is encoded once per LP solve and
-    # once per core, whose trials select rows of its template.
-    checks = cores = built = 0
+    # nodes and cores' deletion-pass trials, are not checked again.  Recovery
+    # calls solve_feasibility once, at its root, so the check runs once per
+    # candidate.  A tableau is encoded once per solve_feasibility call and
+    # once more per recovery whose root snap misses: its branch nodes are
+    # bound changes of that encoding, and each core selects rows of its leaf.
+    checks = cores = built = branched = 0
     check, core, init = lp.table_violations, lp._irreducible_core, lp._Simplex.__init__
+    recover = lp.recover_weights
 
     def counted_check(*args):
         nonlocal checks
@@ -670,27 +728,35 @@ def test_input_is_checked_once_per_solve(monkeypatch):
         built += 1
         init(self, system)
 
+    def counted_recovery(instance, forest):
+        nonlocal branched
+        recovery = recover(instance, forest)
+        branched += recovery.lp_solves > 1
+        return recovery
+
     monkeypatch.setattr(lp, "table_violations", counted_check)
     monkeypatch.setattr(lp, "_irreducible_core", counted_core)
     monkeypatch.setattr(lp._Simplex, "__init__", counted_init)
+    monkeypatch.setattr(lp, "recover_weights", counted_recovery)
     inst = generate_random_instance(7, 2.6, 5, w_min=2, w_max=5, weight_resolution=3, seed=24)
     result = solver.benders_solve(inst)
     assert (result.status, result.objective) == ("Optimal", Fraction(7241, 100))
-    lp_solves = result.diagnostics.details["lp_solves"]
     assert checks == result.diagnostics.iterations == 2
-    assert cores > 0 and built == lp_solves + cores
+    assert cores > 0 and built == result.diagnostics.iterations + branched == 3
 
 
 def test_every_tableau_gets_a_well_formed_system(monkeypatch):
     # The invariant that lets _Simplex skip the check: every system a tableau
-    # reads passes the check, whether the tableau encodes it (root, branch
-    # node, a core's template) or selects it from an encoding (deletion
-    # trial).  A branch bound that crossed its partner, or a trial that
-    # dropped a variable one of its rows mentions, fails here.  Every weight
-    # bound is also a grid point, which lets recovery snap and branch without
-    # a clamp: a branch bound past w_max, or one off the grid, fails here.
-    init, select = lp._Simplex.__init__, lp._Simplex.select
+    # reads passes the check, whether the tableau encodes it (a root),
+    # derives it by a bound change (branch node) or selects it from an
+    # encoding (deletion trial).  A branch bound that crossed its partner, or
+    # a trial that dropped a variable one of its rows mentions, fails here.
+    # Every weight bound is also a grid point, which lets recovery snap and
+    # branch without a clamp: a branch bound past w_max, or one off the grid,
+    # fails here.
+    init, select, tighten = lp._Simplex.__init__, lp._Simplex.select, lp._Simplex.tightened
     seen = []
+    nodes = 0
     grid = None
 
     def check(system):
@@ -709,8 +775,16 @@ def test_every_tableau_gets_a_well_formed_system(monkeypatch):
         check(trial.system)
         return trial
 
+    def tightened(self, i, lb, ub):
+        nonlocal nodes
+        nodes += 1
+        node = tighten(self, i, lb, ub)
+        check(node.system)
+        return node
+
     monkeypatch.setattr(lp._Simplex, "__init__", encoded)
     monkeypatch.setattr(lp._Simplex, "select", selected)
+    monkeypatch.setattr(lp._Simplex, "tightened", tightened)
     for shape, seed in (((7, 2.6, 5), 24), ((10, 2.2, 10), 1)):
         inst = generate_random_instance(*shape, w_min=2, w_max=5, weight_resolution=3, seed=seed)
         grid = (inst.w_min, inst.w_max, inst.weight_resolution)
@@ -718,7 +792,7 @@ def test_every_tableau_gets_a_well_formed_system(monkeypatch):
     inst = generate_random_instance(5, 2, 4, w_min=5, w_max=9, weight_resolution=4, seed=10)
     grid = (inst.w_min, inst.w_max, inst.weight_resolution)
     assert recover_weights(inst, _cheapest_forests(inst, 4)[3]).status == "grid_infeasible"
-    assert len(seen) > 100 and min(seen) < max(seen)
+    assert len(seen) > 100 and min(seen) < max(seen) and nodes > 10
 
 
 def test_snap_is_the_reference_snap_at_every_feasible_node(monkeypatch):

@@ -213,7 +213,7 @@ def test_demand_to_origin_aggregates_flows():
     routing = DemandRouting((pathset(("s", "a")), pathset(("s", "a"), ("a", "t"))))
     forest = demand_to_origin(inst, routing)
     assert spf.origin_flows(inst, forest) == {"s": {("s", "a"): 3, ("a", "t"): 2}}
-    assert spf.forest_violations(inst, forest) == []
+    assert oracles.forest_violations(inst, forest) == []
 
 
 def test_demand_to_origin_single_demand():
@@ -226,7 +226,7 @@ def test_demand_to_origin_single_demand():
 
 def test_demand_to_origin_raises_when_its_forest_fails_the_check(monkeypatch):
     # An explicit raise, so the check also holds under `python -O`.
-    monkeypatch.setattr(spf, "forest_violations", lambda inst, forest: ["planted problem"])
+    monkeypatch.setattr(oracles, "forest_violations", lambda inst, forest: ["planted problem"])
     routing = DemandRouting((pathset(("s", "b"), ("b", "t")),))
     with pytest.raises(RuntimeError, match="internal: .*planted problem"):
         demand_to_origin(diamond(), routing)
@@ -344,7 +344,7 @@ def test_round_trip_exhaustive_small():
     for inst in cases:
         for routing in all_routings(inst):
             forest = demand_to_origin(inst, routing)
-            assert spf.forest_violations(inst, forest) == []
+            assert oracles.forest_violations(inst, forest) == []
             assert spf.check_capacity(inst, forest) == []
             back = origin_to_demand(inst, forest)
             assert back == routing
@@ -440,7 +440,7 @@ def test_master_candidates_satisfy_model_constraints():
     for seed in range(10):
         inst = small_random(seed)
         for candidate in master_search(inst):
-            assert spf.forest_violations(inst, candidate) == []
+            assert oracles.forest_violations(inst, candidate) == []
             assert spf.check_capacity(inst, candidate) == []
 
 

@@ -146,7 +146,7 @@ def test_routing_diamond():
     forest = spf.routing_from_weights(inst, wv)
     assert forest.paths == {("s", "t"): ("s", "a", "t")}
     assert spf.origin_flows(inst, forest) == {"s": {("s", "a"): Fraction(1), ("a", "t"): Fraction(1)}}
-    assert spf.forest_violations(inst, forest) == []
+    assert oracles.forest_violations(inst, forest) == []
 
 
 def test_routing_non_unique_raises():
@@ -164,7 +164,7 @@ def test_routing_aggregates_shared_links():
     forest = spf.routing_from_weights(inst, uniform_weights(inst))
     flows = spf.origin_flows(inst, forest)["s"]
     assert flows == {("s", "a"): 3, ("a", "t"): 2}  # both demands share the first hop
-    assert spf.forest_violations(inst, forest) == []
+    assert oracles.forest_violations(inst, forest) == []
 
 
 def test_used_links_are_tight_and_trees_have_unique_inlinks():
@@ -179,7 +179,7 @@ def test_used_links_are_tight_and_trees_have_unique_inlinks():
             forest = spf.routing_from_weights(inst, wv)
         except (NonUniqueRoutingError, spf.UnreachableDemandError):
             continue
-        assert spf.forest_violations(inst, forest) == []
+        assert oracles.forest_violations(inst, forest) == []
         for origin in inst.origins():
             lengths = oracles.shortest_path_lengths(inst, wv, origin).dist
             indeg = {}
@@ -217,8 +217,8 @@ def forest_instance():
 ])
 def test_forest_violations_names_each_broken_invariant(paths, problem):
     inst = forest_instance()
-    assert spf.forest_violations(inst, RoutingForest(PATHS)) == []
-    report = spf.forest_violations(inst, RoutingForest(paths))
+    assert oracles.forest_violations(inst, RoutingForest(PATHS)) == []
+    report = oracles.forest_violations(inst, RoutingForest(paths))
     assert any(problem in line for line in report), report
 
 
@@ -233,14 +233,14 @@ def test_forest_violations_lists_problems_in_demand_order():
     )
     paths = {("b", "a"): ("b", "t", "a"), ("b", "t"): ("b", "a", "t"),
              ("s", "a"): ("s", "a"), ("s", "t"): ("s", "b", "a", "t")}
-    assert spf.forest_violations(inst, RoutingForest(paths)) == [
+    assert oracles.forest_violations(inst, RoutingForest(paths)) == [
         "origin 's': node 'a' is entered on 2 links",
         "origin 'b': node 'a' is entered on 2 links",
         "origin 'b': node 't' is entered on 2 links",
     ]
     broken = {**paths, ("s", "t"): ("s", "t"), ("b", "t"): ("b", "s", "t"), ("t", "s"): ("t", "s")}
     del broken[("b", "a")]
-    assert spf.forest_violations(inst, RoutingForest(broken)) == [
+    assert oracles.forest_violations(inst, RoutingForest(broken)) == [
         "path ('t', 's'): no such demand",
         "path ('s', 't'): uses a link that is not an instance link",
         "path ('b', 't'): uses a link that is not an instance link",
@@ -259,7 +259,7 @@ def test_forest_violations_agrees_with_subpath_optimality():
         for combo in itertools.product(*(simple_paths(inst, *key) for key in keys)):
             forest = RoutingForest(dict(zip(keys, combo)))
             routing = DemandRouting(tuple(frozenset(zip(p, p[1:])) for p in combo))
-            valid = spf.forest_violations(inst, forest) == []
+            valid = oracles.forest_violations(inst, forest) == []
             assert valid == (subpath_optimality_check(inst, routing) == [])
             counts["passed" if valid else "failed"] += 1
     assert min(counts.values()) >= 500, counts
